@@ -87,7 +87,7 @@ def _gauss_sum_at_level(chi: MultChar, t: int, backend: Backend):
     p = chi.p
     pt = p ** t
     m = chi.group_order
-    N = _lcm(pt, m)
+    N = math.lcm(pt, m)
     badd, bmul = N // pt, N // m
     weights: dict[int, int] = {}
     for x in range(1, pt):
@@ -96,10 +96,6 @@ def _gauss_sum_at_level(chi: MultChar, t: int, backend: Backend):
         e = (x * badd + chi.value_exponent(x) * bmul) % N
         weights[e] = weights.get(e, 0) + 1
     return backend.root_combination(N, weights)
-
-
-def _lcm(a: int, b: int) -> int:
-    return a // math.gcd(a, b) * b
 
 
 def root_number(chi: MultChar, backend: Backend = EXACT) -> ScaledScalar:

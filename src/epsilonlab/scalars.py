@@ -14,8 +14,10 @@ y^q mod Phi_r(y).  Those rewrite rows have O(phi(r)) entries with tiny coefficie
 which keeps reduction cheap even when phi(N) is in the thousands.
 
 Multiplication is integer convolution (numpy int64 with an exact object-dtype
-fallback when a magnitude guard trips) followed by one reduction pass.  Nothing in
-the exact path ever rounds.
+fallback when a magnitude guard trips) followed by one reduction pass.  The
+reduction's own guard comes from the rewrite table: a reduced coefficient is at
+most max|input| times the largest column sum of |rows|.  Nothing in the exact
+path ever rounds.
 
 ScaledScalar carries a formal rational power of q next to a scalar: (c, e) means
 c * q^e.  Sums are only defined between equal exponents; a mismatch raises
@@ -148,21 +150,33 @@ class CycContext:
             rows[q] = cur
         self.pow_rows = np.array(rows, dtype=np.int64)
         self._pow_rows_py = [tuple(r) for r in rows]
+        # |reduced coefficient| <= max|input coefficient| * reduce_gain
+        self.reduce_gain = int(np.abs(self.pow_rows).sum(axis=0).max())
         self._root_sparse: dict[int, tuple[tuple[int, int], ...]] = {}
         self._recog: Optional[dict[tuple, int]] = None
         self._roots_complex: Optional[np.ndarray] = None
+        self._trace_weights: Optional[tuple] = None
 
     # -- reduction -----------------------------------------------------------
 
+    def fits_int64(self, max_abs: int) -> bool:
+        """Whether reducing entries of size at most max_abs stays inside int64."""
+        return int(max_abs) * self.reduce_gain < _INT64_GUARD
+
     def reduce_groupring(self, vec: np.ndarray) -> np.ndarray:
-        """Length-N integer vector of exponent coefficients -> canonical length-phi vector."""
+        """Length-N integer vector of exponent coefficients -> canonical length-phi vector.
+
+        A stack of vectors (shape (..., N)) is reduced row by row in one pass.
+        """
+        if vec.dtype != object and not self.fits_int64(np.abs(vec).max(initial=0)):
+            vec = vec.astype(object)
         if vec.dtype == object:
+            if vec.ndim > 1:
+                return np.array([self.reduce_groupring(v) for v in vec], dtype=object)
             return self._reduce_py(vec)
-        if len(vec) and np.abs(vec).max(initial=0) * 3 * self.rad >= _INT64_GUARD:
-            return self._reduce_py(vec.astype(object))
-        V = vec.reshape(self.rad, self.K)
-        out = np.einsum("qs,qj->js", V, self.pow_rows)
-        return out.reshape(self.phi)
+        V = vec.reshape(vec.shape[:-1] + (self.rad, self.K))
+        out = np.einsum("...qs,qj->...js", V, self.pow_rows)
+        return out.reshape(vec.shape[:-1] + (self.phi,))
 
     def _reduce_py(self, vec: np.ndarray) -> np.ndarray:
         out = [0] * self.phi
@@ -211,12 +225,34 @@ class CycContext:
             self._recog = table
         return self._recog
 
+    def trace_weights(self) -> tuple:
+        """Tr(z^i) / phi(N) for each basis index i: mu(N/g) / phi(N/g), g = gcd(i, N)."""
+        if self._trace_weights is None:
+            self._trace_weights = tuple(
+                _primitive_root_trace(self.N // math.gcd(i, self.N)) for i in range(self.phi))
+        return self._trace_weights
+
     def roots_complex(self) -> np.ndarray:
         if self._roots_complex is None:
             ang = 2.0 * math.pi / self.N
             ks = np.arange(self.N)
             self._roots_complex = np.exp(1j * ang * ks)
         return self._roots_complex
+
+
+def _primitive_root_trace(n: int) -> Fraction:
+    """mu(n) / phi(n): the normalized trace of a primitive n-th root of unity."""
+    out, p = Fraction(1), 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return Fraction(0)
+            out /= 1 - p
+        p += 1
+    if n > 1:
+        out /= 1 - n
+    return out
 
 
 def _projectivize(sparse: tuple[tuple[int, int], ...]) -> tuple:
@@ -237,10 +273,10 @@ def get_context(N: int) -> CycContext:
 class CycNumber:
     """Element of Q(zeta_N), canonical in the power basis, exact.
 
-    Equality and hashing are representational: elements are normalized so that
-    rational values always demote to N = 1, and arithmetic between different N
-    lifts to the lcm.  Nonrational values should be kept in one fixed N per
-    computation (every computation here fixes N up front).
+    Elements are normalized so that rational values always demote to N = 1, and
+    arithmetic and equality between different N lift to the lcm.  The hash is
+    the normalized trace Tr(x) / [Q(zeta_N):Q], an exact rational that lifting
+    does not change, so equal values hash equal whatever order holds them.
     """
 
     __slots__ = ("N", "num", "den")
@@ -322,8 +358,8 @@ class CycNumber:
             raise ValueError("cannot lift Q(zeta_%d) into Q(zeta_%d)" % (self.N, N))
         scale = N // self.N
         ctx = get_context(N)
-        big = any(abs(c) * 3 * ctx.rad >= _INT64_GUARD for c in self.num)
-        vec = np.zeros(N, dtype=object if big else np.int64)
+        fits = ctx.fits_int64(max(map(abs, self.num)))
+        vec = np.zeros(N, dtype=np.int64 if fits else object)
         # rewrite the canonical basis monomials of the small field in the big one
         for i, c in enumerate(self.num):
             if c:
@@ -338,7 +374,7 @@ class CycNumber:
         N = _common_order(self.N, other.N)
         (anum, aden) = self._lift_vec(N)
         (bnum, bden) = other._lift_vec(N)
-        den = _lcm(aden, bden)
+        den = math.lcm(aden, bden)
         fa, fb = den // aden, den // bden
         num = [fa * x + fb * y for x, y in zip(anum, bnum)]
         return _make(N, num, den)
@@ -419,7 +455,10 @@ class CycNumber:
         return all(x * bden == y * aden for x, y in zip(anum, bnum))
 
     def __hash__(self):
-        return hash((self.N, self.num, self.den))
+        if self.N == 1:
+            return hash(Fraction(self.num[0], self.den))
+        w = get_context(self.N).trace_weights()
+        return hash(sum((c * wi for c, wi in zip(self.num, w) if c), Fraction(0)) / self.den)
 
     def __repr__(self):
         return "CycNumber(%d, %s)" % (self.N, self.short_str())
@@ -476,12 +515,8 @@ _ZERO = CycNumber(1, (0,), 1)
 _ONE = CycNumber(1, (1,), 1)
 
 
-def _lcm(a: int, b: int) -> int:
-    return a // math.gcd(a, b) * b
-
-
 def _common_order(n1: int, n2: int) -> int:
-    N = _lcm(n1, n2)
+    N = math.lcm(n1, n2)
     if N > _MAX_LCM_ORDER:
         raise ValueError("mixed cyclotomic orders too large: lcm(%d, %d)" % (n1, n2))
     return N
@@ -510,8 +545,8 @@ def _make(N: int, num: list[int], den: int) -> CycNumber:
 
 def _from_groupring(N: int, weights: Mapping[int, int], den: int = 1) -> CycNumber:
     ctx = get_context(N)
-    big = any(abs(c) * 3 * ctx.rad >= _INT64_GUARD for c in weights.values())
-    vec = np.zeros(N, dtype=object if big else np.int64)
+    fits = ctx.fits_int64(max(map(abs, weights.values()), default=0))
+    vec = np.zeros(N, dtype=np.int64 if fits else object)
     for e, c in weights.items():
         vec[e % N] += c
     red = ctx.reduce_groupring(vec)
@@ -749,7 +784,7 @@ class Backend:
             den = 1
             for w in weights.values():
                 if isinstance(w, Fraction):
-                    den = _lcm(den, w.denominator)
+                    den = math.lcm(den, w.denominator)
             for e, w in weights.items():
                 intw[e % N] = intw.get(e % N, 0) + int(Fraction(w) * den)
             return _from_groupring(N, intw, den)

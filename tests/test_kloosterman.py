@@ -1,4 +1,8 @@
 """Hyper-Kloosterman sums: direct grid vs Gauss-sum factorization."""
+import contextlib
+import hashlib
+import io
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -14,14 +18,18 @@ from epsilonlab.kloosterman import (
     direct_term_count,
     kl_direct,
     kl_result_json,
+    kl_row,
     kl_via_dft,
 )
+from epsilonlab.cli import main
 from epsilonlab.padic import unit_group
 from epsilonlab.scalars import (
     EXACT,
     FLOAT,
+    CycContext,
     CycNumber,
     conjugate,
+    get_context,
     root_of_unity,
     to_complex,
 )
@@ -197,6 +205,123 @@ def test_cross_algorithm_float():
         exact = to_complex(kl_direct(q))
         assert abs(direct - exact) < 1e-9
         assert abs(dft - exact) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the row engine
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p,t", [(3, 1), (3, 2), (5, 1), (5, 2)])
+def test_row_matches_direct_everywhere(p, t):
+    table = build_gauss_table(p, t)
+    ug = unit_group(p, t)
+    for n in (2, 3, 4):
+        for om in level_chars(p, t):
+            row = kl_row(om, n, table)
+            assert len(row) == ug.order
+            for y in units_mod(p, t):
+                q = KLQuery(om, n, y, t)
+                got = row[ug.dlog(y)]
+                assert got == kl_direct(q), (p, t, n, om, y)
+                assert got == kl_via_dft(q, table)
+
+
+def test_float_row_matches_exact_row():
+    p, t, n = 5, 2, 3
+    ex, fl = build_gauss_table(p, t), build_gauss_table(p, t, backend=FLOAT)
+    for om in (trivial_char(p), MultChar(p, 1, 1), MultChar(p, t, 3)):
+        for a, b in zip(kl_row(om, n, ex), kl_row(om, n, fl, FLOAT)):
+            assert FLOAT.eq(to_complex(a), b)
+
+
+def test_powers_computed_once_per_table(monkeypatch):
+    table = build_gauss_table(5, 2)
+    calls = []
+    real_pow = CycNumber.__pow__
+    monkeypatch.setattr(CycNumber, "__pow__",
+                        lambda self, k: calls.append(k) or real_pow(self, k))
+    for om in level_chars(5, 2):
+        kl_row(om, 3, table)
+    assert calls == [2] * table.order  # one tau^2 per character, shared by every omega
+    assert table.powers(2) is table.powers(2)
+    assert build_gauss_table(5, 2) == table  # the memo is not part of the value
+
+
+def test_row_rejects_bad_inputs():
+    table = build_gauss_table(5, 1)
+    with pytest.raises(ValueError):
+        kl_row(trivial_char(5), 1, table)  # no summation variables
+    with pytest.raises(ValueError):
+        kl_row(MultChar(5, 2, 1), 2, table)  # conductor 2 does not factor through level 1
+    with pytest.raises(ValueError):
+        kl_row(trivial_char(3), 2, table)  # character of another Q_p
+
+
+def _spy_row_reductions(monkeypatch):
+    """dtype of every batched (2-D) reduction: the row engine's last step."""
+    seen = []
+    real = CycContext.reduce_groupring
+
+    def spy(self, vec):
+        if vec.ndim == 2:
+            seen.append(vec.dtype)
+        return real(self, vec)
+
+    monkeypatch.setattr(CycContext, "reduce_groupring", spy)
+    return seen
+
+
+@pytest.mark.parametrize("over", [False, True])
+def test_row_int64_guard_edge(over, monkeypatch):
+    # A rational table with one large entry X: for a twist k_om != 0 and n = 2
+    # exactly two of the A_k equal X and the rest are 1, so the row stays in
+    # int64 precisely while m * X * reduce_gain < 2**62.
+    p, t, k_om = 5, 1, 1
+    m = unit_group(p, t).order
+    gain = get_context(20).reduce_gain  # N = lcm(5, 4)
+    X = (2 ** 62 - 1) // (m * gain) + over
+    values = (CycNumber.rational(X),) + (CycNumber.one(),) * (m - 1)
+    table = GaussTable(p, t, values, "synthetic")
+    omega = MultChar(p, t, k_om)
+    want = []
+    for d in range(m):
+        acc = CycNumber.zero()
+        for k in range(m):
+            acc = acc + root_of_unity(-k * d, m) * values[(k + k_om) % m] * values[k]
+        want.append(acc / m)
+    seen = _spy_row_reductions(monkeypatch)
+    assert list(kl_row(omega, 2, table)) == want
+    assert seen == [object if over else np.int64]
+
+
+def test_forced_object_row_equals_int64_row(monkeypatch):
+    table = build_gauss_table(5, 2)
+    omegas = (trivial_char(5), MultChar(5, 2, 7))
+    fast = [kl_row(om, 3, table) for om in omegas]
+    monkeypatch.setattr(CycContext, "fits_int64", lambda self, max_abs: False)
+    seen = _spy_row_reductions(monkeypatch)
+    slow = [kl_row(om, 3, table) for om in omegas]
+    assert seen == [object, object]
+    assert slow == fast
+
+
+# Digests of the `kloosterman --p 5 --t-max 2 --n 2 3 4` reports written by
+# the per-query engine that the row engine replaced (JSON with the timing
+# field zeroed, and the CSV of every case row).
+KL_CLI_JSON_SHA256 = "05e45f04b461ced1c353d499ff3a2d567346ddb9ddef0b947bf79ab203ac32b0"
+KL_CLI_CSV_SHA256 = "f6e54f6cc6ace03173bb9fc603b9358f074fea1aecdae40a596946349864e169"
+
+
+def test_cli_report_bytes_unchanged(tmp_path):
+    out, table = tmp_path / "r.json", tmp_path / "r.csv"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["kloosterman", "--p", "5", "--t-max", "2", "--n", "2", "3", "4",
+                     "--out", str(out), "--csv", str(table)])
+    assert code == 0
+    text = re.sub(r'"elapsed_seconds": [0-9.e+-]+', '"elapsed_seconds": 0', out.read_text())
+    assert hashlib.sha256(text.encode()).hexdigest() == KL_CLI_JSON_SHA256
+    assert hashlib.sha256(table.read_bytes()).hexdigest() == KL_CLI_CSV_SHA256
 
 
 # ---------------------------------------------------------------------------

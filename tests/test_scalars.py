@@ -11,6 +11,7 @@ from epsilonlab.scalars import (
     EXACT,
     FLOAT,
     Backend,
+    CycContext,
     CycNumber,
     QExpMismatchError,
     ScaledScalar,
@@ -158,6 +159,78 @@ def test_big_coefficient_fallback():
     assert prod == b * a
     na, nb = complex(a.to_complex()), complex(b.to_complex())
     assert abs(prod.to_complex() / (na * nb) - 1) < 1e-9
+
+
+def _spy_reduce_inputs(monkeypatch):
+    seen = []
+    real = CycContext.reduce_groupring
+    monkeypatch.setattr(CycContext, "reduce_groupring",
+                        lambda self, vec: seen.append(vec.dtype) or real(self, vec))
+    return seen
+
+
+@pytest.mark.parametrize("N", [5, 12, 20, 294, 2500])
+@pytest.mark.parametrize("over", [False, True])
+def test_reduce_guard_edge(N, over):
+    # signs along the heaviest column of pow_rows reduce to exactly
+    # reduce_gain * v: the guard's bound is attained, so its edge is the real one
+    ctx = get_context(N)
+    j = int(np.abs(ctx.pow_rows).sum(axis=0).argmax())
+    vec = np.zeros(N, dtype=np.int64)
+    vec[:: ctx.K] = np.sign(ctx.pow_rows[:, j])
+    v = (2 ** 62 - 1) // ctx.reduce_gain + over
+    out = ctx.reduce_groupring(vec * v)
+    assert out.dtype == (object if over else np.int64)
+    assert int(out[j * ctx.K]) == v * ctx.reduce_gain
+    assert [int(c) for c in out] == list(ctx.reduce_groupring(vec.astype(object) * v))
+    # a stack of vectors takes the same decision and gives the same rows
+    stacked = ctx.reduce_groupring(np.stack([vec * v, -vec * v]))
+    assert stacked.dtype == out.dtype
+    assert [int(c) for c in stacked[1]] == [-int(c) for c in out]
+
+
+@pytest.mark.parametrize("over", [False, True])
+def test_multiply_and_fold_guard_edge(over, monkeypatch):
+    # x = 1 + z + z^2 + z^3 in Q(zeta_5): x*x convolves to 1,2,3,4,3,2,1, whose
+    # tail folds onto the head, and the convolution stays in int64 exactly
+    # while |a| |b| phi(5) = 4 c d < 2**62
+    x = CycNumber.from_vec(5, np.array([1, 1, 1, 1]))
+    c, d = 2 ** 30, 2 ** 30 - 1 + over
+    want = (x * x) * (c * d)
+    seen = _spy_reduce_inputs(monkeypatch)
+    got = (x * c) * (x * d)
+    assert seen == [object if over else np.int64]
+    assert got == want
+
+
+# ---------------------------------------------------------------------------
+# hash / eq contract
+# ---------------------------------------------------------------------------
+
+
+def test_equal_values_across_orders_hash_equal():
+    a, b = root_of_unity(1, 3), root_of_unity(2, 6)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert hash(CycNumber.rational(3)) == hash(3) == hash(Fraction(3))
+    assert hash(CycNumber.rational(Fraction(-2, 7))) == hash(Fraction(-2, 7))
+
+
+@given(st.sampled_from([3, 4, 5, 6, 9, 12, 20]),
+       st.integers(2, 5),
+       st.lists(st.integers(-9, 9), min_size=8, max_size=8),
+       st.integers(1, 6))
+@settings(max_examples=80, deadline=None)
+def test_lifting_preserves_eq_and_hash(N, k, coeffs, den):
+    phi = get_context(N).phi
+    x = CycNumber.from_vec(N, np.array(coeffs[:phi]), den)
+    # the same value written in Q(zeta_kN): zeta_N^i = zeta_kN^(k i)
+    y = EXACT.root_combination(k * N, {k * i: Fraction(c, x.den) for i, c in enumerate(x.num)})
+    assert x == y and y == x
+    assert hash(x) == hash(y)
+    assert len({x, y}) == 1
+    if not x.is_rational():
+        assert y.N == k * N
 
 
 # ---------------------------------------------------------------------------
