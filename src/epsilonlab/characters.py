@@ -3,8 +3,13 @@
 A finite-order character is pinned down by a level t and an exponent k: on units
 it sends the fixed generator g of (Z/p^t)^x to zeta_{phi(p^t)}^k, and it is
 normalized to send p itself to 1 (the unramified part of a general character is
-split off as a formal |.|^s shift, see QuasiCharacter).  The conductor exponent
-a(chi) is computed from k, not stored, so it can never go stale.
+split off as a formal |.|^s shift, see QuasiChar).  The conductor exponent
+a(chi), the least a >= 1 with chi trivial on 1 + p^a Z_p (0 for the trivial
+character), is computed from k, not stored, so it can never go stale.  The
+subgroup 1 + p^a of (Z/p^t)^x is generated by g^{(p-1) p^{a-1}}, so chi is
+trivial there exactly when p^{t-a} divides k; hence
+
+    a(chi) = 0 if k = 0 mod phi(p^t), else max(t - v_p(k), 1).
 
 v_chi is the unit class attached to a ramified character by the local expansion
 chi(1 + y) = psi(v_chi * y / p^{a}) for y in the deepest relevant filtration
@@ -16,9 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Optional, Union
+from typing import Iterator, Union
 
-from .padic import is_odd_prime, unit_group, unit_part_mod
+from .padic import is_odd_prime, phi, unit_group, unit_part_mod
 from .scalars import EXACT, Backend, Rational
 
 
@@ -40,12 +45,7 @@ class MultChar:
 
     @property
     def group_order(self) -> int:
-        return self.p ** (self.level - 1) * (self.p - 1)
-
-    @property
-    def root_order(self) -> int:
-        """Order of the cyclotomic field the raw values live in."""
-        return self.group_order
+        return phi(self.p, self.level)
 
     # -- evaluation -----------------------------------------------------------
 
@@ -110,23 +110,17 @@ class MultChar:
     def to_json(self) -> dict:
         return {"p": self.p, "level": self.level, "k": self.k}
 
-    @staticmethod
-    def from_json(obj: dict) -> "MultChar":
-        return MultChar(int(obj["p"]), int(obj["level"]), int(obj["k"]))
-
 
 @lru_cache(maxsize=None)
 def _conductor_exponent(p: int, level: int, k: int) -> int:
-    m = p ** (level - 1) * (p - 1)
-    if k % m == 0:
+    k %= phi(p, level)
+    if k == 0:
         return 0
-    ug = unit_group(p, level)
-    for a in range(1, level):
-        # 1 + p^a generates (1+p^a Z)/(1+p^level Z) for odd p, so triviality
-        # there is one congruence
-        if k * ug.dlog(1 + p ** a) % m == 0:
-            return a
-    return level
+    v = 0
+    while k % p == 0:
+        k //= p
+        v += 1
+    return max(level - v, 1)
 
 
 def trivial_char(p: int) -> MultChar:
@@ -135,16 +129,24 @@ def trivial_char(p: int) -> MultChar:
 
 def enumerate_chars(p: int, level: int) -> Iterator[MultChar]:
     """All characters presented at the given level (group-order many)."""
-    m = p ** (level - 1) * (p - 1)
-    for k in range(m):
+    for k in range(phi(p, level)):
         yield MultChar(p, level, k)
+
+
+def conductor_ks(p: int, a: int) -> list[int]:
+    """Exponents k of the characters with conductor exponent exactly a, presented
+    at level max(a, 1), in increasing order: k = 0 for a = 0, every nonzero k at
+    a = 1, and every k prime to p for a >= 2."""
+    if a == 0:
+        return [0]
+    if a == 1:
+        return list(range(1, p - 1))
+    return [k for k in range(phi(p, a)) if k % p]
 
 
 def chars_with_conductor(p: int, a: int) -> list[MultChar]:
     """All characters with conductor exponent exactly a, presented at level max(a,1)."""
-    if a == 0:
-        return [trivial_char(p)]
-    return [chi for chi in enumerate_chars(p, a) if chi.conductor_exponent == a]
+    return [MultChar(p, max(a, 1), k) for k in conductor_ks(p, a)]
 
 
 def represent_at_level(chi: MultChar, level: int) -> MultChar:
@@ -194,47 +196,11 @@ class QuasiChar:
     def inv(self) -> "QuasiChar":
         return QuasiChar(self.finite.inv(), -self.shift)
 
-    def twist(self, extra_shift: Rational) -> "QuasiChar":
-        return QuasiChar(self.finite, self.shift + Fraction(extra_shift))
-
 
 def as_quasi(chi: Union[MultChar, QuasiChar]) -> QuasiChar:
     if isinstance(chi, MultChar):
         return QuasiChar(chi)
     return chi
-
-
-# dispatch-style aliases (kept thin; the methods above are the real API)
-
-def char_mul(a, b):
-    return as_quasi(a).mul(as_quasi(b))
-
-
-def char_inv(a):
-    return as_quasi(a).inv()
-
-
-def char_induce(chi: MultChar, level: int) -> MultChar:
-    return chi.induce(level)
-
-
-def char_algebra(op: str, chi1: MultChar, chi2: Optional[MultChar] = None,
-                 level: Optional[int] = None) -> MultChar:
-    """Single-entry dispatcher over the finite-character operations.
-
-    op is one of "mul" (needs chi2), "inv", "induce_to_level" (needs level).
-    """
-    if op == "mul":
-        if chi2 is None:
-            raise ValueError('"mul" needs a second character')
-        return chi1.mul(chi2)
-    if op == "inv":
-        return chi1.inv()
-    if op == "induce_to_level":
-        if level is None:
-            raise ValueError('"induce_to_level" needs a target level')
-        return chi1.induce(level)
-    raise ValueError("unknown character operation %r" % op)
 
 
 # ---------------------------------------------------------------------------

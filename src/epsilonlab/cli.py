@@ -32,7 +32,7 @@ import sys
 import time
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import __version__
 from .bessel import bessel_charsum, bessel_closedform, duality_check, measure_prefactor
@@ -61,7 +61,7 @@ from .local_factors import (
     stability_rhs,
     steinberg,
 )
-from .padic import PadicNumber, is_odd_prime, unit_group
+from .padic import PadicNumber, is_odd_prime, phi, unit_group
 from .scalars import Backend, CycNumber, ScaledScalar, backend_for
 
 DEFAULT_BUDGET = 2_000_000
@@ -69,11 +69,6 @@ DEFAULT_BUDGET = 2_000_000
 
 class ConfigError(ValueError):
     """The run configuration is unusable; nothing was computed."""
-
-
-def _phi(p: int, a: int) -> int:
-    """Order of the unit group mod p^a (1 for a = 0)."""
-    return p ** a - p ** (a - 1) if a >= 1 else 1
 
 
 # ---------------------------------------------------------------------------
@@ -102,8 +97,8 @@ class RunConfig:
 
     def estimate(self) -> int:
         """Dominant term count: one character sweep, raised to the largest rank."""
-        phi = _phi(self.p, self.t_max)
-        return max(phi, phi ** (max(self.n_list) - 1))
+        m = phi(self.p, self.t_max)
+        return max(m, m ** (max(self.n_list) - 1))
 
     def validate(self) -> None:
         if not isinstance(self.p, int) or not is_odd_prime(self.p):
@@ -248,7 +243,7 @@ def cmd_gauss(config: RunConfig) -> SuiteReport:
         a = chi.conductor_exponent
         label = "chi[k=%d]" % chi.k
         inputs = {"p": p, "level": t, "k": chi.k, "conductor": a}
-        cost = _phi(p, max(a, 1))
+        cost = phi(p, max(a, 1))
         if cost > config.budget:
             rows.add((chi.k, 0), "gauss %s" % label, "skip",
                      "one Gauss sum needs %d terms, over budget %d" % (cost, config.budget),
@@ -330,7 +325,7 @@ def cmd_stability(config: RunConfig) -> SuiteReport:
                         continue
                     inputs = {"p": p, "n": 1, "mu_k": mu.k, "mu_conductor": mu.conductor_exponent,
                               "chi_k": chi.k, "chi_conductor": chi.conductor_exponent}
-                    cost = 2 * _phi(p, chi.conductor_exponent)
+                    cost = 2 * phi(p, chi.conductor_exponent)
                     case_id = "stability n=1 mu[k=%d] chi[k=%d]" % (mu.k, chi.k)
                     if cost > config.budget:
                         rows.add((1, 0, mu.k, chi.k), case_id, "skip",
@@ -355,7 +350,7 @@ def cmd_stability(config: RunConfig) -> SuiteReport:
                 a_chi = chi.conductor_exponent
                 inputs = {"p": p, "n": n, "pi": pi.describe(), "a_pi": a_pi,
                           "chi_k": chi.k, "chi_conductor": a_chi}
-                cost = (n + 1) * _phi(p, a_chi)
+                cost = (n + 1) * phi(p, a_chi)
                 case_id = "stability n=%d %s chi[k=%d]" % (n, pi_label, chi.k)
                 in_regime = a_chi >= max(a_pi, 1)
                 if cost > config.budget:
@@ -485,7 +480,7 @@ def cmd_bessel(config: RunConfig) -> SuiteReport:
     p, t = config.p, config.t_max
     rows = _Rows()
     extras = {"representations": [], "prefactor_reports": [], "duality": []}
-    m = _phi(p, t)
+    m = phi(p, t)
 
     for n in sorted(set(config.n_list)):
         if n < 2:

@@ -26,11 +26,10 @@ The two engines are cross-checked against each other in the test suite.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -38,11 +37,13 @@ from .characters import (
     MultChar,
     QuasiChar,
     as_quasi,
+    chars_with_conductor,
+    conductor_ks,
     represent_at_level as _represent_at_level,
     trivial_char,
     v_chi,
 )
-from .padic import unit_group, valuation, unit_part_mod
+from .padic import phi, unit_group, valuation, unit_part_mod
 from .scalars import (
     EXACT,
     Backend,
@@ -144,9 +145,6 @@ class EpsMonomial:
         if self.value.is_zero_exact() and other.value.is_zero_exact():
             return True
         return self.xexp == other.xexp and self.value.eq_value(other.value, q, backend)
-
-    def at_central_point(self) -> ScaledScalar:
-        return self.value
 
 
 def eps_one() -> EpsMonomial:
@@ -408,12 +406,13 @@ class CertificateTable:
             raise ValueError("conductor must be >= 1")
         self.p = p
         self.a = a
-        self.M = p ** (a - 1) * (p - 1)
+        self.M = phi(p, a)
         self.modulus = p ** a
         self._ug = unit_group(p, a)
-        ks = [k for k in range(self.M) if MultChar(p, a, k).conductor_exponent == a]
-        self.row_ks = np.array(ks, dtype=np.int64)
-        self._row_of = {k: i for i, k in enumerate(ks)}
+        self.row_ks = np.array(conductor_ks(p, a), dtype=np.int64)
+        # exponent k -> row, -1 for the k of conductor below a
+        self._row_of = np.full(self.M, -1, dtype=np.int64)
+        self._row_of[self.row_ks] = np.arange(len(self.row_ks))
         self._mu_cache: dict[tuple[int, int], np.ndarray] = {}
         self._fallbacks = 0
 
@@ -424,7 +423,7 @@ class CertificateTable:
         if chi.conductor_exponent != self.a or chi.p != self.p:
             raise ValueError("character does not belong to this table")
         k = _represent_at_level(chi, self.a).k
-        return self._row_of[k % self.M]
+        return int(self._row_of[k % self.M])
 
     def chi_of_row(self, row: int) -> MultChar:
         return MultChar(self.p, self.a, int(self.row_ks[row]))
@@ -562,11 +561,9 @@ class CertificateTable:
         for t, d in smalls:
             acc = (acc + d * self.exponents(t)[rows]) % self.M
         # nu = chi * tau_big: a row permutation of the table
-        tk = tau_big.k
-        target_rows = np.array(
-            [self._row_of[(int(self.row_ks[r]) + tk) % self.M] for r in rows],
-            dtype=np.int64,
-        )
+        target_rows = self._row_of[(self.row_ks[rows] + tau_big.k) % self.M]
+        if (target_rows < 0).any():
+            raise ArithmeticError("chi * tau_big left conductor %d" % a)
         target = self.exponents(sigma)[target_rows]
         return acc == (target % self.M)
 
@@ -618,18 +615,14 @@ def _collapsed_certificates(mu: MultChar, M: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def enumerate_reps(p: int, n_max: int, a_max: int,
-                   tau_pool: Optional[Sequence[MultChar]] = None) -> list[RepnData]:
+def enumerate_reps(p: int, n_max: int, a_max: int) -> list[RepnData]:
     """All representations with dim <= n_max and conductor <= a_max whose blocks
-    draw from the given character pool (default: trivial + everything with
-    conductor <= a_max), shifts zero.  Deterministic order.
+    draw from the trivial character and every character of conductor <= a_max,
+    shifts zero.  Deterministic order.
     """
-    if tau_pool is None:
-        from .characters import chars_with_conductor
-
-        tau_pool = [trivial_char(p)]
-        for c in range(1, a_max + 1):
-            tau_pool = list(tau_pool) + chars_with_conductor(p, c)
+    tau_pool = [trivial_char(p)]
+    for c in range(1, a_max + 1):
+        tau_pool += chars_with_conductor(p, c)
     # candidate blocks with their conductor cost
     blocks = []
     for tau in tau_pool:

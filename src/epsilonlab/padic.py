@@ -1,5 +1,5 @@
 """Ground field plumbing for Q_p with p odd: valuations, unit groups, discrete
-logs, and the standard additive character of conductor zero.
+logs, and the standard additive character psi of conductor zero.
 
 Every number that ever enters the lab is a rational, so PadicNumber just wraps an
 exact Fraction together with p; valuations and unit parts mod p^t are then exact,
@@ -10,14 +10,13 @@ instead of allocating gigabytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Union
 
 import numpy as np
 
-from .scalars import EXACT, Backend, Rational, ScaledScalar
+from .scalars import EXACT, Backend, Rational
 
 _TABLE_BUDGET = 4_000_000  # max residues in one dlog table
 
@@ -35,6 +34,11 @@ def is_odd_prime(p: int) -> bool:
             return False
         d += 2
     return True
+
+
+def phi(p: int, a: int) -> int:
+    """Order of the unit group mod p^a (1 for a = 0)."""
+    return p ** (a - 1) * (p - 1) if a >= 1 else 1
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -86,33 +90,6 @@ def unit_part_mod(p: int, x: Union[int, Fraction], t: int) -> int:
         d //= p ** (-v)
     mod = p ** t
     return n * pow(d, -1, mod) % mod
-
-
-@dataclass(frozen=True)
-class GroundField:
-    """Q_p with its standard choices: q = p, uniformizer p, residue field F_p."""
-
-    p: int
-    depth: int = 12  # default bound for residue tables / character levels
-
-    def __post_init__(self):
-        if not is_odd_prime(self.p):
-            raise ValueError("ground field needs an odd prime, got %r" % (self.p,))
-        if self.depth < 1:
-            raise ValueError("depth must be >= 1")
-
-    @property
-    def q(self) -> int:
-        return self.p
-
-    def element(self, value: Rational) -> "PadicNumber":
-        return PadicNumber(self.p, Fraction(value))
-
-    def uniformizer(self) -> "PadicNumber":
-        return PadicNumber(self.p, Fraction(self.p))
-
-    def unit_group(self, t: int) -> "UnitGroup":
-        return unit_group(self.p, t)
 
 
 class PadicNumber:
@@ -180,13 +157,6 @@ class PadicNumber:
         return "PadicNumber(p=%d, %s, val=%s)" % (self.p, self.value, v)
 
 
-def padic_abs(x: PadicNumber) -> ScaledScalar:
-    """|x|_p as a formal power of q: q^{-v(x)}; |0| = 0."""
-    if x.is_zero():
-        return ScaledScalar.of(0)
-    return ScaledScalar.of(1, -x.val)
-
-
 # ---------------------------------------------------------------------------
 # unit groups and discrete logarithms
 # ---------------------------------------------------------------------------
@@ -211,7 +181,7 @@ class UnitGroup:
         self.p = p
         self.t = t
         self.modulus = mod
-        self.order = mod // p * (p - 1)
+        self.order = phi(p, t)
         self.gen = self._find_generator()
         table = np.full(mod, -1, dtype=np.int64)
         cur = 1
@@ -257,40 +227,16 @@ def unit_group(p: int, t: int) -> UnitGroup:
     return UnitGroup(p, t)
 
 
-def dlog(p: int, t: int, x: int) -> int:
-    return unit_group(p, t).dlog(x)
-
-
 # ---------------------------------------------------------------------------
 # the standard additive character
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AdditiveCharacter:
-    """The fixed additive character of Q_p: trivial on Z_p, conductor exponent 0.
-
-    psi(u * p^{-m}) = zeta_{p^m}^u for m >= 1.  Twists psi_a(x) = psi(a x) are
-    applied where they are used (the twist changes the conductor exponent to
-    -v(a)); nothing in the lab ever re-bases to a different psi.
-    """
-
-    p: int
-    n_psi: int = 0
-
-    def __post_init__(self):
-        if not is_odd_prime(self.p):
-            raise ValueError("odd prime required")
-        if self.n_psi != 0:
-            raise ValueError("only the conductor-zero character is supported; "
-                             "apply twists at the call site")
-
-    def eval(self, x: Union[PadicNumber, Rational], backend: Backend = EXACT):
-        return psi_eval(self.p, x, backend)
-
-
 def psi_eval(p: int, x: Union[PadicNumber, Rational], backend: Backend = EXACT):
-    """psi(x) for the standard character: 1 on Z_p, else zeta_{p^m}^{unit}."""
+    """psi(x) for the standard character: 1 on Z_p, and psi(u p^{-m}) = zeta_{p^m}^u.
+
+    Twists psi(a x) are applied where they are used; nothing re-bases psi.
+    """
     xv = x.value if isinstance(x, PadicNumber) else Fraction(x)
     if xv == 0:
         return backend.one()

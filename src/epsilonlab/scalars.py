@@ -575,14 +575,6 @@ def root_of_unity(e: int, N: int) -> CycNumber:
     return _make(N, vec, 1)
 
 
-def conjugate(x: CycNumber) -> CycNumber:
-    return x.conjugate()
-
-
-def norm_squared(x: CycNumber) -> CycNumber:
-    return x.norm_squared()
-
-
 def to_complex(x: Union[CycNumber, complex]) -> complex:
     if isinstance(x, CycNumber):
         return x.to_complex()
@@ -756,9 +748,6 @@ class Backend:
         if isinstance(x, CycNumber):
             return x.norm_squared()
         return x * complex(x).conjugate()
-
-    def to_complex(self, x: Scalar) -> complex:
-        return to_complex(x)
 
     def eq(self, a, b) -> bool:
         if self.exact:

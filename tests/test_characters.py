@@ -7,16 +7,14 @@ from epsilonlab.characters import (
     MultChar,
     QuasiChar,
     ResidueClass,
-    char_induce,
-    char_inv,
-    char_mul,
     chars_with_conductor,
+    conductor_ks,
     enumerate_chars,
     trivial_char,
     v_chi,
 )
-from epsilonlab.padic import psi_eval, unit_group
-from epsilonlab.scalars import EXACT, CycNumber
+from epsilonlab.padic import phi, psi_eval, unit_group
+from epsilonlab.scalars import FLOAT, CycNumber
 
 
 def test_char_is_multiplicative_and_kills_p():
@@ -50,6 +48,8 @@ CONDUCTOR_PROFILE = {
     (3, 3): {0: 1, 1: 1, 2: 4, 3: 12},
     (5, 3): {0: 1, 1: 3, 2: 16, 3: 80},
     (7, 2): {0: 1, 1: 5, 2: 36},
+    (3, 5): {0: 1, 1: 1, 2: 4, 3: 12, 4: 36, 5: 108},
+    (11, 3): {0: 1, 1: 9, 2: 100, 3: 1100},
 }
 
 
@@ -57,6 +57,43 @@ CONDUCTOR_PROFILE = {
 def test_conductor_profile(p, level):
     got = Counter(chi.conductor_exponent for chi in enumerate_chars(p, level))
     assert dict(got) == CONDUCTOR_PROFILE[(p, level)]
+
+
+def _conductor_by_definition(chi):
+    """0 if chi is trivial, else the least a >= 1 with chi trivial on 1 + p^a.
+
+    1 + p^a generates (1 + p^a Z)/(1 + p^level Z), so triviality there is one
+    evaluation.  The float values decide exactly: a nontrivial value zeta_m^e
+    sits at distance >= |1 - zeta_m| > 4e-4 from 1 for every m used here.
+    """
+    def trivial_at(x):
+        return FLOAT.eq(chi.eval(x, FLOAT), 1)
+
+    p = chi.p
+    if trivial_at(unit_group(p, chi.level).gen):
+        return 0
+    return next(a for a in range(1, chi.level + 1) if trivial_at(1 + p ** a))
+
+
+LEVELS_UP_TO_15000 = [(p, level) for p in (3, 5, 7, 11)
+                      for level in range(1, 10) if p ** level <= 15_000]
+
+
+@pytest.mark.parametrize("p,level", LEVELS_UP_TO_15000)
+def test_conductor_closed_form_matches_definition(p, level):
+    for k in range(phi(p, level)):
+        chi = MultChar(p, level, k)
+        assert chi.conductor_exponent == _conductor_by_definition(chi), (p, level, k)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_conductor_ks_lists_exactly_conductor_a(p):
+    for a in range(0, 4):
+        level = max(a, 1)
+        want = [k for k in range(phi(p, level))
+                if MultChar(p, level, k).conductor_exponent == a]
+        assert conductor_ks(p, a) == want
+        assert chars_with_conductor(p, a) == [MultChar(p, level, k) for k in want]
 
 
 def test_conductor_frozen_values():
@@ -78,7 +115,7 @@ def test_conductor_means_trivial_exactly_below():
 def test_induce_preserves_everything():
     for p in (3, 5):
         for chi in enumerate_chars(p, 2):
-            deep = char_induce(chi, 4)
+            deep = chi.induce(4)
             assert deep.level == 4
             assert deep.conductor_exponent == chi.conductor_exponent
             assert chi.same_character(deep)
@@ -89,11 +126,11 @@ def test_induce_preserves_everything():
 
 def test_mul_inv_respect_values():
     a, b = MultChar(5, 2, 3), MultChar(5, 3, 7)
-    prod = char_mul(a, b).finite
+    prod = a.mul(b)
     for x in (2, 3, 11):
         assert prod.eval(x) == a.eval(x) * b.eval(x)
         assert a.inv().eval(x) == a.eval(x).conjugate()
-    assert char_inv(QuasiChar.of(a, Fraction(1, 2))).shift == Fraction(-1, 2)
+    assert QuasiChar.of(a, Fraction(1, 2)).inv().shift == Fraction(-1, 2)
     sq = a ** 2
     assert sq.eval(3) == a.eval(3) * a.eval(3)
 
@@ -106,7 +143,7 @@ def test_parity_sign():
 
 def test_json_roundtrip():
     chi = MultChar(7, 2, 11)
-    assert MultChar.from_json(chi.to_json()) == chi
+    assert MultChar(**chi.to_json()) == chi
 
 
 # ---------------------------------------------------------------------------

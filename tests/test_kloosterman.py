@@ -1,20 +1,19 @@
 """Hyper-Kloosterman sums: direct grid vs Gauss-sum factorization."""
 import contextlib
+import dataclasses
 import hashlib
 import io
 import re
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from epsilonlab.characters import MultChar, chars_with_conductor, trivial_char
+from epsilonlab.characters import MultChar, trivial_char
 from epsilonlab.kloosterman import (
     BudgetError,
     GaussTable,
     KLQuery,
     build_gauss_table,
-    dft_term_count,
     direct_term_count,
     kl_direct,
     kl_result_json,
@@ -28,7 +27,7 @@ from epsilonlab.scalars import (
     FLOAT,
     CycContext,
     CycNumber,
-    conjugate,
+    backend_for,
     get_context,
     root_of_unity,
     to_complex,
@@ -107,7 +106,7 @@ def test_term_budget():
     with pytest.raises(BudgetError):
         kl_direct(q, term_budget=1000)
     assert direct_term_count(q) == 42 ** 3
-    assert dft_term_count(q) == 42  # post-table cost is linear, not cubic
+    assert unit_group(q.p, q.t).order == 42  # post-table cost is linear, not cubic
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +136,7 @@ def test_table_degenerate_entries():
             assert v.is_zero()
             zeros += 1
         else:
-            assert v * conjugate(v) == CycNumber.rational(25)
+            assert v * v.conjugate() == CycNumber.rational(25)
     assert zeros == 4  # phi(5) characters factor through level 1
 
 
@@ -145,6 +144,18 @@ def test_table_degenerate_entries():
 def test_table_pairing_invariant(p, t):
     assert build_gauss_table(p, t).pairing_holds()
     assert build_gauss_table(p, t, backend=FLOAT).pairing_holds()
+
+
+@pytest.mark.parametrize("p,t", [(5, 1), (5, 2), (7, 2)])
+def test_table_pairing_uses_the_table_tolerance(p, t):
+    table = build_gauss_table(p, t, backend=backend_for("float", 1e-9))
+    assert table.pairing_holds()
+    k = 1  # a faithful character: full conductor, |tau|^2 = q^t
+    values = list(table.values)
+    values[k] *= 1 + 1e-7
+    bumped = dataclasses.replace(table, values=tuple(values))
+    assert not bumped.pairing_holds()
+    assert dataclasses.replace(bumped, backend=backend_for("float", 1e-5)).pairing_holds()
 
 
 def test_table_float_agrees_with_exact():
@@ -282,7 +293,7 @@ def test_row_int64_guard_edge(over, monkeypatch):
     gain = get_context(20).reduce_gain  # N = lcm(5, 4)
     X = (2 ** 62 - 1) // (m * gain) + over
     values = (CycNumber.rational(X),) + (CycNumber.one(),) * (m - 1)
-    table = GaussTable(p, t, values, "synthetic")
+    table = GaussTable(p, t, values, EXACT)
     omega = MultChar(p, t, k_om)
     want = []
     for d in range(m):
@@ -337,7 +348,7 @@ def test_conjugation_symmetry():
         for om in level_chars(p, t):
             par = om.eval(-1 % pt)
             for y in units_mod(p, t):
-                lhs = conjugate(kl_direct(KLQuery(om, n, y, t)))
+                lhs = kl_direct(KLQuery(om, n, y, t)).conjugate()
                 rhs = par * kl_direct(KLQuery(om.inv(), n, (-1) ** n * y % pt, t))
                 assert lhs == rhs, (n, om, y)
 

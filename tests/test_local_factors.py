@@ -1,11 +1,11 @@
 """Gauss sums, root numbers, epsilon monomials, and both stability engines."""
-import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from epsilonlab import local_factors
 from epsilonlab.characters import MultChar, QuasiChar, trivial_char, v_chi
 from epsilonlab.local_factors import (
     Block,
@@ -25,14 +25,12 @@ from epsilonlab.local_factors import (
     stability_rhs,
     steinberg,
 )
-from epsilonlab.padic import unit_group
+from epsilonlab.padic import phi
 from epsilonlab.scalars import (
     EXACT,
     FLOAT,
     CycNumber,
     ScaledScalar,
-    conjugate,
-    norm_squared,
     root_of_unity,
 )
 
@@ -53,7 +51,7 @@ def test_gauss_modulus(p, a):
     q_a = CycNumber.rational(p ** a)
     for chi in conductor_chars(p, a):
         tau = gauss_sum(chi)
-        assert tau * conjugate(tau) == q_a
+        assert tau * tau.conjugate() == q_a
 
 
 @pytest.mark.parametrize("p,a", SMALL_RANGE)
@@ -63,7 +61,7 @@ def test_gauss_conjugate_pairing(p, a):
     for chi in conductor_chars(p, a):
         parity = chi.eval(-1 % p ** a)
         assert gauss_sum(chi) * gauss_sum(chi.inv()) == parity * q_a
-        assert conjugate(gauss_sum(chi)) == parity * gauss_sum(chi.inv())
+        assert gauss_sum(chi).conjugate() == parity * gauss_sum(chi.inv())
 
 
 def test_gauss_frozen_classical_values():
@@ -134,7 +132,7 @@ def test_root_number_modulus_one(p, a):
     for chi in conductor_chars(p, a):
         w = root_number(chi)
         assert w.qexp == Fraction(-a, 2)
-        assert norm_squared(w.coeff) == CycNumber.rational(p ** a)
+        assert w.coeff.norm_squared() == CycNumber.rational(p ** a)
 
 
 def test_root_number_unramified():
@@ -395,6 +393,17 @@ def test_certificate_row_indexing():
         table.index_of(MultChar(3, 2, 1))
 
 
+@pytest.mark.parametrize("p,a", [(3, 1), (3, 4), (5, 1), (5, 3), (7, 2), (11, 2)])
+def test_certificate_rows_are_the_conductor_a_exponents(p, a):
+    table = CertificateTable(p, a)
+    M = phi(p, a)
+    want = [k for k in range(M) if MultChar(p, a, k).conductor_exponent == a]
+    assert table.row_ks.tolist() == want
+    assert (table._row_of[table.row_ks] == np.arange(len(want))).all()
+    others = np.setdiff1d(np.arange(M), table.row_ks)
+    assert (table._row_of[others] == -1).all()
+
+
 def test_certificate_regime_guard():
     table = CertificateTable(5, 2)
     with pytest.raises(RegimeError):
@@ -418,15 +427,10 @@ def test_certificate_trivial_column_consistency():
 @pytest.mark.parametrize("p,a", [(3, 2), (3, 3), (5, 2)])
 def test_certificate_matches_direct_exhaustively(p, a):
     table = CertificateTable(p, a)
-    pool = [trivial_char(p)]
-    for lev in range(1, a + 1):
-        pool.extend(conductor_chars(p, lev))
-    reps = enumerate_reps(p, 3, 2 * a, tau_pool=pool)
+    reps = enumerate_reps(p, 3, a)
     rows = np.arange(len(table.row_ks))
     pairs = 0
     for pi in reps:
-        if pi.conductor_exponent > a:
-            continue
         try:
             verdict = table.check_pairs(pi, rows)
         except RegimeError:
@@ -463,6 +467,28 @@ def test_certificate_multiset_shortcut():
     verdict = table.check_pairs(pi, np.arange(3))
     assert verdict.all()
     assert not table._mu_cache  # nothing was tabulated
+
+
+def test_certificate_slow_path_matches_fast_path(monkeypatch):
+    # with no collapsed certificates every row takes _fallback_exponent
+    cases = [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3)]
+    mus = {(p, a): [mu for s in range(1, a // 2 + 1) for mu in conductor_chars(p, s)]
+           for p, a in cases}
+    fast = {}
+    for p, a in cases:
+        table = CertificateTable(p, a)
+        fast[p, a] = [table.exponents(mu) for mu in mus[p, a]]
+        assert table.fallback_count == 0
+    monkeypatch.setattr(local_factors, "_collapsed_certificates", lambda mu, M: {})
+    recomputed = 0
+    for p, a in cases:
+        table = CertificateTable(p, a)
+        for mu, want in zip(mus[p, a], fast[p, a]):
+            assert (table.exponents(mu) == want).all(), (p, a, mu)
+        rows = len(mus[p, a]) * len(table.row_ks)
+        assert table.fallback_count == rows
+        recomputed += rows
+    assert recomputed == 484
 
 
 def test_certificate_fallback_agrees_with_collapse():
@@ -506,9 +532,8 @@ def test_stability_float_backend():
 
 
 def test_enumerate_reps_deterministic_and_bounded():
-    pool = [trivial_char(5)] + conductor_chars(5, 1)
-    reps1 = enumerate_reps(5, 3, 4, tau_pool=pool)
-    reps2 = enumerate_reps(5, 3, 4, tau_pool=pool)
+    reps1 = enumerate_reps(5, 3, 4)
+    reps2 = enumerate_reps(5, 3, 4)
     assert reps1 == reps2
     assert len(set(reps1)) == len(reps1)
     assert all(pi.dim <= 3 and pi.conductor_exponent <= 4 for pi in reps1)

@@ -3,14 +3,11 @@ from fractions import Fraction
 import pytest
 
 from epsilonlab.padic import (
-    AdditiveCharacter,
-    GroundField,
     PadicNumber,
     TableBudgetError,
     UnitGroup,
-    dlog,
     is_odd_prime,
-    padic_abs,
+    phi,
     psi_eval,
     unit_group,
     unit_part_mod,
@@ -23,7 +20,7 @@ def test_odd_prime_gate():
     assert is_odd_prime(3) and is_odd_prime(97)
     assert not is_odd_prime(2) and not is_odd_prime(9) and not is_odd_prime(1)
     with pytest.raises(ValueError):
-        GroundField(2)
+        UnitGroup(2, 1)
     with pytest.raises(ValueError):
         UnitGroup(4, 1)
 
@@ -46,24 +43,16 @@ def test_unit_part_inverts_denominator():
 
 
 def test_padic_number_arithmetic():
-    F = GroundField(5)
-    x = F.element(Fraction(2, 25))
-    y = F.element(75)
+    x = PadicNumber(5, Fraction(2, 25))
+    y = PadicNumber(5, 75)
     assert x.val == -2 and y.val == 2
     assert (x * y).val == 0
     assert (x + y).value == Fraction(2, 25) + 75
     assert x.inverse().val == 2
     assert (-x).unit_mod(2) == (-2) % 25
-    assert F.uniformizer().val == 1
+    assert PadicNumber(5, 5).val == 1
     with pytest.raises(ValueError):
         x + PadicNumber(7, 1)
-
-
-def test_padic_abs_is_formal_q_power():
-    x = PadicNumber(5, Fraction(2, 25))
-    assert padic_abs(x).qexp == 2
-    assert padic_abs(PadicNumber(5, 75)).qexp == -2
-    assert padic_abs(PadicNumber(5, 0)).is_zero_exact()
 
 
 # ---------------------------------------------------------------------------
@@ -77,14 +66,14 @@ def test_unit_group_frozen_cases():
     assert ug.dlog(24) == 10  # 2^10 = 1024 = 24 (mod 25)
     ug7 = unit_group(7, 2)
     assert ug7.gen == 3 and ug7.order == 42
-    assert dlog(7, 2, 3) == 1
+    assert ug7.dlog(3) == 1
 
 
 @pytest.mark.parametrize("p,t", [(3, 1), (3, 3), (5, 2), (7, 2)])
 def test_unit_group_is_cyclic_of_right_order(p, t):
     ug = unit_group(p, t)
     units = ug.units()
-    assert len(units) == ug.order == p ** (t - 1) * (p - 1)
+    assert len(units) == ug.order == p ** (t - 1) * (p - 1) == phi(p, t)
     # dlog is a bijection onto Z/order and exp inverts it
     logs = sorted(ug.dlog(int(u)) for u in units)
     assert logs == list(range(ug.order))
@@ -133,10 +122,3 @@ def test_psi_float_backend_matches():
     for x in (Fraction(2, 25), Fraction(7, 5), Fraction(1, 125)):
         assert FLOAT.eq(psi_eval(5, x, FLOAT), psi_eval(5, x, EXACT).to_complex())
 
-
-def test_additive_character_is_conductor_zero_only():
-    psi = AdditiveCharacter(5)
-    assert psi.n_psi == 0
-    assert psi.eval(Fraction(1, 5)) == root_of_unity(1, 5)
-    with pytest.raises(ValueError):
-        AdditiveCharacter(5, n_psi=1)
