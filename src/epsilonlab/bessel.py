@@ -43,13 +43,10 @@ module-local; nothing outside this file sees it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Union
-
-import numpy as np
 
 from .characters import MultChar, QuasiChar, as_quasi, chars_with_conductor, represent_at_level
 from .kloosterman import KLQuery, kl_direct
@@ -283,18 +280,9 @@ def gauss_integral(chi: Union[MultChar, QuasiChar], z: Union[PadicNumber, TestFu
     ug = unit_group(p, T)
     units = ug.units()
     chi_T = represent_at_level(fin, T)
-    m = chi_T.group_order
-    if tz == 0:
-        exps = (chi_T.k * ug.dlog_table()[units]) % m
-        N = m
-    else:
-        pt = p ** tz
-        z0 = z.unit_mod(tz)
-        N = math.lcm(m, pt)
-        exps = ((chi_T.k * ug.dlog_table()[units]) % m * (N // m)
-                + (z0 * units) % pt * (N // pt)) % N
-    counts = np.bincount(exps, minlength=N)
-    total = backend.root_combination_vec(N, counts)
+    z0 = z.unit_mod(tz) if tz else 0  # psi(z x) = zeta_{p^tz}^{z0 x}, trivial at tz = 0
+    total = backend.root_sum(p ** tz, z0 * units, chi_T.group_order,
+                             chi_T.k * ug.dlog_table()[units])
     return ScaledScalar.of(total) * ScaledScalar.of(backend.rational(Fraction(1, ug.order)))
 
 
@@ -386,8 +374,8 @@ def _mellin_lhs(pi: RepnData, z: PadicNumber, chi: MultChar, sign_convention: st
         |y|^{s - (n-1)/2} * (1/phi(p^T)) sum_{y0} B(y0 pi^{n v(z)}) chi^{-1}(y0)
 
     with the summation order exchanged: for each character in the charsum
-    profile the y0-sum is a pure root-of-unity combination, collected by a
-    bincount and fed to the backend in one step.  T = max(t, a(chi)) so that
+    profile the y0-sum is a pure root-of-unity combination, handed to the
+    backend as one root_sum.  T = max(t, a(chi)) so that
     the shell parametrization resolves chi.  Returns (monomial, float_scale);
     float_scale is the natural magnitude of the sum, used by the float
     backend to decide vanishing.
@@ -406,8 +394,7 @@ def _mellin_lhs(pi: RepnData, z: PadicNumber, chi: MultChar, sign_convention: st
     profile = _charsum_profile(pi, t, backend)
     acc = ScaledScalar.of(backend.zero())
     for k, c in profile.items():
-        exps = ((k * (d_s + dl_t)) % m * (m2 // m) - k2 * j2) % m2
-        inner = backend.root_combination_vec(m2, np.bincount(exps, minlength=m2))
+        inner = backend.root_sum(1, 0, m2, (k * (d_s + dl_t)) % m * (m2 // m) - k2 * j2)
         if backend.exact and inner.is_zero():
             continue
         acc = acc + c * inner

@@ -59,9 +59,6 @@ class MultChar:
 
     # -- invariants -----------------------------------------------------------
 
-    def is_trivial(self) -> bool:
-        return self.k == 0
-
     @property
     def conductor_exponent(self) -> int:
         return _conductor_exponent(self.p, self.level, self.k)
@@ -145,8 +142,17 @@ def conductor_ks(p: int, a: int) -> list[int]:
 
 
 def chars_with_conductor(p: int, a: int) -> list[MultChar]:
-    """All characters with conductor exponent exactly a, presented at level max(a,1)."""
-    return [MultChar(p, max(a, 1), k) for k in conductor_ks(p, a)]
+    """All characters with conductor exponent exactly a, presented at level max(a,1).
+
+    A fresh list on every call, so callers may mutate it; the characters in it
+    are built once per (p, a).
+    """
+    return list(_conductor_chars(p, a))
+
+
+@lru_cache(maxsize=64)
+def _conductor_chars(p: int, a: int) -> tuple[MultChar, ...]:
+    return tuple(MultChar(p, max(a, 1), k) for k in conductor_ks(p, a))
 
 
 def represent_at_level(chi: MultChar, level: int) -> MultChar:

@@ -44,7 +44,7 @@ from .kloosterman import (
     direct_term_count,
     kl_direct,
     kl_result_json,
-    kl_row,
+    kl_via_dft,
 )
 from .local_factors import (
     Block,
@@ -393,8 +393,8 @@ def cmd_kloosterman(config: RunConfig) -> SuiteReport:
     """For every rank n >= 2 in n_list, every level t <= t_max, every twist
     presented at level t and every unit argument y, evaluate the
     hyper-Kloosterman sum twice - as the direct (n-1)-fold unit grid and
-    through the Gauss-sum table - and require equality.  The table side is
-    computed once per (n, t, omega) as a whole row over y."""
+    through the Gauss-sum table - and require equality.  The table keeps the
+    row over y of each (n, omega), so the table side is computed once per row."""
     t0 = time.perf_counter()
     backend = config.make_backend()
     p = config.p
@@ -414,7 +414,6 @@ def cmd_kloosterman(config: RunConfig) -> SuiteReport:
             ran = 0
             first_sample = True
             for omega in enumerate_chars(p, t):
-                row = None
                 for y in ug.units():
                     y = int(y)
                     query = KLQuery(omega, n, y, t)
@@ -433,10 +432,8 @@ def cmd_kloosterman(config: RunConfig) -> SuiteReport:
                         except BudgetError as err:
                             rows.add((n, t, omega.k, y), case_id, "skip", str(err), **inputs)
                             continue
-                    if row is None:
-                        row = kl_row(omega, n, table, backend)
                     v_direct = kl_direct(query, backend, term_budget=config.budget)
-                    v_dft = row[ug.dlog(y)]
+                    v_dft = kl_via_dft(query, table, backend)
                     ok = backend.eq(v_direct, v_dft)
                     detail = "direct grid (%d terms) vs character table" % cost
                     if not ok:

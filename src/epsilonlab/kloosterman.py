@@ -153,12 +153,7 @@ def kl_direct(
             "direct sum has %d terms, budget is %d" % (m ** (n - 1), term_budget))
     s_flat, invp_flat, dlx1_flat = _direct_profile(p, t, n)
     omega_t = represent_at_level(query.omega, t)
-    N = math.lcm(pt, m)
-    e = (s_flat + query.y * invp_flat) % pt * (N // pt)
-    if omega_t.k % m:
-        e = e + (omega_t.k * dlx1_flat) % m * (N // m)
-    counts = np.bincount(e % N, minlength=N)
-    return backend.root_combination_vec(N, counts)
+    return backend.root_sum(pt, s_flat + query.y * invp_flat, m, omega_t.k * dlx1_flat)
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +171,8 @@ class GaussTable:
     values: tuple
     backend: Backend
     _powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # (omega exponent k at level t, n, backend) -> the kl_row of that twist
+    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def order(self) -> int:
@@ -241,14 +238,9 @@ def build_gauss_table(
         f = np.exp(2j * np.pi * powers / pt)
         vals = tuple(complex(z) for z in np.fft.ifft(f) * m)
         return GaussTable(p, t, vals, backend)
-    N = math.lcm(pt, m)
     js = np.arange(m, dtype=np.int64)
-    vals = []
-    for k in range(m):
-        e = (powers * (N // pt) + (k * js) % m * (N // m)) % N
-        counts = np.bincount(e, minlength=N)
-        vals.append(backend.root_combination_vec(N, counts))
-    return GaussTable(p, t, tuple(vals), backend)
+    vals = tuple(backend.root_sum(pt, powers, m, k * js) for k in range(m))
+    return GaussTable(p, t, vals, backend)
 
 
 # ---------------------------------------------------------------------------
@@ -262,28 +254,11 @@ def kl_row(
     table: GaussTable,
     backend: Backend = EXACT,
 ) -> tuple:
-    """KL_{omega,n}(y; t) for every unit y mod p^t, indexed by d = dlog y."""
-    return _kl_dft(omega, n, table, backend, np.arange(table.order))
+    """KL_{omega,n}(y; t) for every unit y mod p^t, indexed by d = dlog y:
+    m^{-1} sum_k zeta_m^{-k d} A_k with A_k = tau(omega chi_k) tau(chi_k)^{n-1}.
 
-
-def kl_via_dft(
-    query: KLQuery,
-    table: Optional[GaussTable] = None,
-    backend: Backend = EXACT,
-) -> Scalar:
-    """KL_{omega,n}(y; t) through the Gauss-sum factorization: one entry of kl_row."""
-    p, t = query.p, query.t
-    if table is None:
-        table = build_gauss_table(p, t, backend=backend)
-    if (table.p, table.t) != (p, t):
-        raise ValueError("Gauss table is for (p,t)=(%d,%d)" % (table.p, table.t))
-    d = unit_group(p, t).dlog(query.y)
-    return _kl_dft(query.omega, query.n, table, backend, np.array([d]))[0]
-
-
-def _kl_dft(omega: MultChar, n: int, table: GaussTable, backend: Backend,
-            ds: np.ndarray) -> tuple:
-    """m^{-1} sum_k zeta_m^{-k d} A_k for each d in ds, A_k = tau(omega chi_k) tau(chi_k)^{n-1}."""
+    Always computed afresh; the row is left on the table for kl_via_dft.
+    """
     if n < 2:
         raise ValueError("hyper-Kloosterman sums need n >= 2 (n-1 summation variables)")
     if omega.p != table.p:
@@ -292,26 +267,48 @@ def _kl_dft(omega: MultChar, n: int, table: GaussTable, backend: Backend,
     k_om = represent_at_level(omega, table.t).k % m
     tau_n1 = table.powers(n - 1)
     A = [table.values[(k + k_om) % m] * tau_n1[k] for k in range(m)]
+    ds = np.arange(m)
     if not backend.exact:
-        W = np.exp(-2j * np.pi * (np.outer(ds, np.arange(m)) % m) / m)
-        return tuple(complex(v) for v in W @ np.array(A, dtype=complex) / m)
-    N = math.lcm(table.p ** table.t, m)
-    ctx = get_context(N)
-    lifted = [a._lift_vec(N) for a in A]
-    den = math.lcm(*(d for _num, d in lifted))
-    scale = [den // d for _num, d in lifted]
-    biggest = max(max(map(abs, num)) * s for (num, _d), s in zip(lifted, scale))
-    G = np.zeros((m, N), dtype=np.int64 if ctx.fits_int64(m * biggest) else object)
-    G[:, :ctx.phi] = [num for num, _d in lifted]
-    G[:, :ctx.phi] *= np.array(scale, dtype=G.dtype)[:, None]
-    # z^{-k d N/m} shifts the (m, N/m) block view of A_k by k*d block rows
-    blocks = G.reshape(m, m, N // m)
-    block_rows = np.arange(m)
-    R = np.zeros((len(ds), m, N // m), dtype=G.dtype)
-    for k in range(m):
-        R += blocks[k][(block_rows + k * ds[:, None]) % m]
-    red = ctx.reduce_groupring(R.reshape(len(ds), N))
-    return tuple(CycNumber.from_vec(N, r, den * m) for r in red)
+        W = np.exp(-2j * np.pi * (np.outer(ds, ds) % m) / m)
+        row = tuple(complex(v) for v in W @ np.array(A, dtype=complex) / m)
+    else:
+        N = math.lcm(table.p ** table.t, m)
+        ctx = get_context(N)
+        lifted = [a._lift_vec(N) for a in A]
+        den = math.lcm(*(d for _num, d in lifted))
+        scale = [den // d for _num, d in lifted]
+        biggest = max(max(map(abs, num)) * s for (num, _d), s in zip(lifted, scale))
+        G = np.zeros((m, N), dtype=np.int64 if ctx.fits_int64(m * biggest) else object)
+        G[:, :ctx.phi] = [num for num, _d in lifted]
+        G[:, :ctx.phi] *= np.array(scale, dtype=G.dtype)[:, None]
+        # z^{-k d N/m} shifts the (m, N/m) block view of A_k by k*d block rows
+        blocks = G.reshape(m, m, N // m)
+        R = np.zeros((m, m, N // m), dtype=G.dtype)
+        for k in range(m):
+            R += blocks[k][(ds + k * ds[:, None]) % m]
+        red = ctx.reduce_groupring(R.reshape(m, N))
+        row = tuple(CycNumber.from_vec(N, r, den * m) for r in red)
+    table._rows[k_om, n, backend] = row
+    return row
+
+
+def kl_via_dft(
+    query: KLQuery,
+    table: Optional[GaussTable] = None,
+    backend: Backend = EXACT,
+) -> Scalar:
+    """KL_{omega,n}(y; t) through the Gauss-sum factorization: one entry of the
+    twist's kl_row, which the table keeps, so every y of one (omega, n) shares it."""
+    p, t = query.p, query.t
+    if table is None:
+        table = build_gauss_table(p, t, backend=backend)
+    if (table.p, table.t) != (p, t):
+        raise ValueError("Gauss table is for (p,t)=(%d,%d)" % (table.p, table.t))
+    k_om = represent_at_level(query.omega, t).k % table.order
+    row = table._rows.get((k_om, query.n, backend))
+    if row is None:
+        row = kl_row(query.omega, query.n, table, backend)
+    return row[unit_group(p, t).dlog(query.y)]
 
 
 def kl_result_json(query: KLQuery, value: Scalar, algorithm: str) -> dict:

@@ -26,7 +26,6 @@ The two engines are cross-checked against each other in the test suite.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -86,17 +85,10 @@ def gauss_sum_full_level(chi: MultChar, t: int, backend: Backend = EXACT):
 @functools.lru_cache(maxsize=8192)
 def _gauss_sum_at_level(chi: MultChar, t: int, backend: Backend):
     p = chi.p
-    pt = p ** t
-    m = chi.group_order
-    N = math.lcm(pt, m)
-    badd, bmul = N // pt, N // m
-    weights: dict[int, int] = {}
-    for x in range(1, pt):
-        if x % p == 0:
-            continue
-        e = (x * badd + chi.value_exponent(x) * bmul) % N
-        weights[e] = weights.get(e, 0) + 1
-    return backend.root_combination(N, weights)
+    units = unit_group(p, t).units()
+    # chi(x) = zeta_m^{k dlog x}, read at chi's own level whatever t is
+    dl = unit_group(p, chi.level).dlog_table()[units % p ** chi.level]
+    return backend.root_sum(p ** t, units, chi.group_order, chi.k * dl)
 
 
 def root_number(chi: MultChar, backend: Backend = EXACT) -> ScaledScalar:
@@ -578,12 +570,10 @@ def _represent_at_conductor(mu: MultChar) -> MultChar:
 
 def _batch_root_sums(M: int, E: np.ndarray) -> list:
     """Canonical sparse keys of sum_j zeta_M^{E[i, j]} for every row i."""
-    ctx = get_context(M)
     n = E.shape[0]
     counts = np.zeros((n, M), dtype=np.int64)
     np.add.at(counts, (np.arange(n)[:, None], E), 1)
-    V = counts.reshape(n, ctx.rad, ctx.K)
-    red = np.einsum("nqs,qj->njs", V, ctx.pow_rows).reshape(n, ctx.phi)
+    red = get_context(M).reduce_groupring(counts)
     return [tuple((j, int(c)) for j, c in enumerate(row) if c) for row in red]
 
 

@@ -166,30 +166,14 @@ class CycContext:
     def reduce_groupring(self, vec: np.ndarray) -> np.ndarray:
         """Length-N integer vector of exponent coefficients -> canonical length-phi vector.
 
-        A stack of vectors (shape (..., N)) is reduced row by row in one pass.
+        A stack of vectors (shape (..., N)) is reduced in the same single product.
         """
-        if vec.dtype != object and not self.fits_int64(np.abs(vec).max(initial=0)):
+        if vec.dtype != object and not self.fits_int64(
+                max(int(vec.max(initial=0)), -int(vec.min(initial=0)))):
             vec = vec.astype(object)
-        if vec.dtype == object:
-            if vec.ndim > 1:
-                return np.array([self.reduce_groupring(v) for v in vec], dtype=object)
-            return self._reduce_py(vec)
-        V = vec.reshape(vec.shape[:-1] + (self.rad, self.K))
-        out = np.einsum("...qs,qj->...js", V, self.pow_rows)
+        rows = self.pow_rows.T if vec.dtype != object else self.pow_rows.T.astype(object)
+        out = rows @ vec.reshape(vec.shape[:-1] + (self.rad, self.K))
         return out.reshape(vec.shape[:-1] + (self.phi,))
-
-    def _reduce_py(self, vec: np.ndarray) -> np.ndarray:
-        out = [0] * self.phi
-        K = self.K
-        for e in range(self.N):
-            c = vec[e]
-            if not c:
-                continue
-            q, s = divmod(e, K)
-            for j, rc in enumerate(self._pow_rows_py[q]):
-                if rc:
-                    out[j * K + s] += c * rc
-        return np.array(out, dtype=object)
 
     def fold_conv(self, conv: np.ndarray) -> np.ndarray:
         """Fold a convolution result (length < 2N) into exponent classes mod N."""
@@ -783,6 +767,13 @@ class Backend:
         for e, w in weights.items():
             acc += complex(Fraction(w)) * roots[e % N]
         return acc
+
+    def root_sum(self, pt: int, add: np.ndarray, m: int, mul: np.ndarray) -> Scalar:
+        """sum_i zeta_pt^add[i] * zeta_m^mul[i] over integer exponent arrays add and
+        mul (one of them may be a scalar), as one count vector in Q(zeta_lcm(pt, m))."""
+        N = math.lcm(pt, m)
+        e = (add % pt * (N // pt) + mul % m * (N // m)) % N
+        return self.root_combination_vec(N, np.bincount(e, minlength=N))
 
     def root_combination_vec(self, N: int, counts: np.ndarray) -> Scalar:
         """Same as root_combination for a dense length-N integer count vector."""

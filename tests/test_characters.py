@@ -96,6 +96,19 @@ def test_conductor_ks_lists_exactly_conductor_a(p):
         assert chars_with_conductor(p, a) == [MultChar(p, level, k) for k in want]
 
 
+def test_conductor_chars_are_built_once_per_p_and_a(monkeypatch):
+    first = chars_with_conductor(7, 2)
+    created = []
+    real = MultChar.__post_init__
+    monkeypatch.setattr(MultChar, "__post_init__", lambda self: created.append(self) or real(self))
+    second = chars_with_conductor(7, 2)
+    assert created == []
+    assert second == first and second is not first
+    first.clear()  # a caller's list is its own
+    assert chars_with_conductor(7, 2) == second and len(second) == phi(7, 2) - phi(7, 1)
+    assert created == []
+
+
 def test_conductor_frozen_values():
     # 2^4 has order 5 mod 25 => k=5 factors through (Z/5)^x
     assert MultChar(5, 2, 5).conductor_exponent == 1

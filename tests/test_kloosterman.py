@@ -8,6 +8,7 @@ import re
 import numpy as np
 import pytest
 
+from epsilonlab import kloosterman
 from epsilonlab.characters import MultChar, trivial_char
 from epsilonlab.kloosterman import (
     BudgetError,
@@ -257,6 +258,24 @@ def test_powers_computed_once_per_table(monkeypatch):
     assert calls == [2] * table.order  # one tau^2 per character, shared by every omega
     assert table.powers(2) is table.powers(2)
     assert build_gauss_table(5, 2) == table  # the memo is not part of the value
+
+
+def test_via_dft_computes_one_row_per_twist(monkeypatch):
+    p, t, n = 5, 2, 3
+    table = build_gauss_table(p, t)
+    ug = unit_group(p, t)
+    omega = MultChar(p, 1, 1)  # presented below t: keyed by its exponent at level t
+    rows = []
+    real = kloosterman.kl_row
+    monkeypatch.setattr(kloosterman, "kl_row", lambda *args: rows.append(args) or real(*args))
+    got = [kl_via_dft(KLQuery(omega, n, y, t), table) for y in units_mod(p, t)]
+    got += [kl_via_dft(KLQuery(omega.induce(t), n, y, t), table) for y in units_mod(p, t)]
+    assert len(rows) == 1  # 2 m calls, one row
+    want = real(omega, n, table)
+    assert got == [want[ug.dlog(y)] for y in units_mod(p, t)] * 2
+    kl_via_dft(KLQuery(omega, n + 1, 2, t), table)
+    assert len(rows) == 2  # another n is another row
+    assert table._rows and build_gauss_table(p, t) == table  # the memo is not part of the value
 
 
 def test_row_rejects_bad_inputs():

@@ -1,4 +1,5 @@
 """Gauss sums, root numbers, epsilon monomials, and both stability engines."""
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from epsilonlab import local_factors
-from epsilonlab.characters import MultChar, QuasiChar, trivial_char, v_chi
+from epsilonlab.characters import MultChar, QuasiChar, represent_at_level, trivial_char, v_chi
 from epsilonlab.local_factors import (
     Block,
     CertificateTable,
@@ -94,6 +95,22 @@ def test_full_level_degeneracies():
     assert gauss_sum_full_level(chi, 1) == gauss_sum(chi)
     with pytest.raises(ValueError):
         gauss_sum_full_level(MultChar(5, 2, 1), 1)
+
+
+@pytest.mark.parametrize("p,t", [(3, 1), (3, 2), (5, 1), (5, 2), (7, 2)])
+def test_full_level_sum_matches_per_unit_definition(p, t):
+    # sum over units x mod p^t of chi(x) zeta_{p^t}^x, with chi presented below
+    # (at its conductor), at and above level t
+    units = [x for x in range(1, p ** t) if x % p]
+    for k in range(phi(p, t)):
+        chi = MultChar(p, t, k)
+        low = represent_at_level(chi, max(chi.conductor_exponent, 1))
+        want = CycNumber.zero()
+        for x in units:
+            want = want + chi.eval(x) * root_of_unity(x, p ** t)
+        for form in {low, chi, chi.induce(t + 1)}:
+            assert gauss_sum_full_level(form, t) == want, (p, t, k, form.level)
+            assert FLOAT.eq(gauss_sum_full_level(form, t, FLOAT), want.to_complex())
 
 
 @settings(max_examples=40, deadline=None)
@@ -489,6 +506,17 @@ def test_certificate_slow_path_matches_fast_path(monkeypatch):
         assert table.fallback_count == rows
         recomputed += rows
     assert recomputed == 484
+
+
+@pytest.mark.parametrize("M,rows,cols", [(6, 4, 3), (20, 5, 7), (294, 3, 40), (2500, 2, 50)])
+def test_batch_root_sums_are_the_sparse_root_combinations(M, rows, cols):
+    E = np.random.default_rng(M).integers(0, M, (rows, cols))
+    keys = local_factors._batch_root_sums(M, E)
+    assert len(keys) == rows
+    for key, erow in zip(keys, E.tolist()):
+        num, den = EXACT.root_combination(M, Counter(erow))._lift_vec(M)
+        assert den == 1
+        assert key == tuple((j, c) for j, c in enumerate(num) if c)
 
 
 def test_certificate_fallback_agrees_with_collapse():

@@ -1,5 +1,7 @@
 import cmath
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -187,6 +189,19 @@ def test_reduce_guard_edge(N, over):
     assert [int(c) for c in stacked[1]] == [-int(c) for c in out]
 
 
+@pytest.mark.parametrize("N", [20, 2500])
+def test_reduce_guard_reads_both_signs(N):
+    # the decision depends on the largest magnitude, also when it is negative
+    ctx = get_context(N)
+    v = (2 ** 62 - 1) // ctx.reduce_gain
+    vec = np.zeros((2, N), dtype=np.int64)
+    vec[1, 1] = -v
+    assert ctx.reduce_groupring(vec).dtype == np.int64
+    vec[1, 1] = -v - 1
+    assert ctx.reduce_groupring(vec).dtype == object
+    assert ctx.reduce_groupring(-vec).dtype == object
+
+
 @pytest.mark.parametrize("over", [False, True])
 def test_multiply_and_fold_guard_edge(over, monkeypatch):
     # x = 1 + z + z^2 + z^3 in Q(zeta_5): x*x convolves to 1,2,3,4,3,2,1, whose
@@ -332,6 +347,21 @@ def test_backend_agreement_on_random_sums():
             ex = EXACT.root_combination(N, weights)
             fl = FLOAT.root_combination(N, weights)
             assert FLOAT.eq(ex.to_complex(), fl)
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT], ids=["exact", "float"])
+@pytest.mark.parametrize("pt,m", [(1, 1), (1, 12), (9, 1), (9, 6), (25, 20), (7, 294)])
+def test_root_sum_matches_root_combination(backend, pt, m):
+    # sum_i zeta_pt^add[i] zeta_m^mul[i], exponents outside [0, pt) and [0, m) included
+    rng = np.random.default_rng(1000 * pt + m)
+    N = math.lcm(pt, m)
+    for size in (1, 17, 200):
+        add = rng.integers(-3 * pt, 3 * pt, size)
+        mul = rng.integers(-3 * m, 3 * m, size)
+        weights = Counter(a * (N // pt) + b * (N // m) for a, b in zip(add.tolist(), mul.tolist()))
+        assert backend.eq(backend.root_sum(pt, add, m, mul), backend.root_combination(N, weights))
+    weights = Counter(b * (N // m) for b in mul.tolist())
+    assert backend.eq(backend.root_sum(pt, 0, m, mul), backend.root_combination(N, weights))
 
 
 def test_backend_mode_validation():
