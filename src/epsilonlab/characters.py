@@ -64,9 +64,9 @@ class MultChar:
         return _conductor_exponent(self.p, self.level, self.k)
 
     def parity_sign(self) -> int:
-        """chi(-1) as +-1."""
-        e = self.value_exponent(-1 % self.p ** self.level)
-        return 1 if e == 0 else -1
+        """chi(-1) as +-1: dlog(-1) = m/2 in the cyclic group of even order m,
+        so chi(-1) = zeta_m^{k m/2} = (-1)^k."""
+        return -1 if self.k % 2 else 1
 
     # -- algebra ---------------------------------------------------------------
 

@@ -427,8 +427,8 @@ def cmd_kloosterman(config: RunConfig) -> SuiteReport:
                         continue
                     if table is None:
                         try:
-                            table = build_gauss_table(p, t, method="dft",
-                                                      backend=backend, budget=config.budget)
+                            table = build_gauss_table(p, t, backend=backend,
+                                                      budget=config.budget)
                         except BudgetError as err:
                             rows.add((n, t, omega.k, y), case_id, "skip", str(err), **inputs)
                             continue

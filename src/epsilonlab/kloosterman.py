@@ -45,7 +45,6 @@ from typing import Optional
 import numpy as np
 
 from .characters import MultChar, represent_at_level
-from .local_factors import gauss_sum_full_level
 from .padic import unit_group
 from .scalars import EXACT, Backend, CycNumber, Scalar, get_context
 
@@ -185,11 +184,6 @@ class GaussTable:
             hit = self._powers[e] = tuple(v ** e for v in self.values)
         return hit
 
-    def value(self, chi: MultChar) -> Scalar:
-        """tau_t(chi) for any character factoring through level t."""
-        chi_t = represent_at_level(chi, self.t)
-        return self.values[chi_t.k % self.order]
-
     def pairing_holds(self) -> bool:
         """tau_t(chi) tau_t(chi^{-1}) = chi(-1) q^t at full conductor, 0 below
         it, and 1 in the Ramanujan corner (trivial chi at t = 1).  Compared in
@@ -200,7 +194,7 @@ class GaussTable:
         for k, v in enumerate(self.values):
             w = self.values[(-k) % m]
             prod = v * w
-            sign = -1 if (k * (m // 2)) % m else 1  # chi(-1) = (-1)^k for cyclic duals
+            sign = -1 if k % 2 else 1  # chi(-1) = (-1)^k, as in MultChar.parity_sign
             expected = (1 if self.t == 1 else 0) if k == 0 else sign * qt
             if not (eq(prod, expected) or (k != 0 and is_zero(prod))):
                 return False
@@ -210,29 +204,22 @@ class GaussTable:
 def build_gauss_table(
     p: int,
     t: int,
-    method: str = "dft",
     backend: Backend = EXACT,
     budget: int = 10 ** 7,
 ) -> GaussTable:
     """tau_t(chi) for every level-t character chi.
 
-    method "naive" computes each sum separately through the character layer;
-    "dft" reads the whole table off the discrete-logarithm reindexing of
-    x -> psi(x / p^t) in one pass.  Both are exact in the exact backend and
-    must agree; the float backend's "dft" uses an FFT.
+    The whole table is read off the discrete-logarithm reindexing of
+    x -> psi(x / p^t) (Rader 1968): with x = g^j, tau_t(chi_k) =
+    sum_j zeta_m^{kj} zeta_{p^t}^{g^j}, exact in the exact backend and an FFT
+    in the float backend.  The tests compare it with the sums computed one
+    character at a time by local_factors.gauss_sum_full_level.
     """
     ug = unit_group(p, t)
     m = ug.order
     if m * m > budget:
         raise BudgetError("Gauss table needs %d operations, budget is %d" % (m * m, budget))
     pt = p ** t
-    if method == "naive":
-        vals = tuple(
-            gauss_sum_full_level(MultChar(p, t, k), t, backend) for k in range(m)
-        )
-        return GaussTable(p, t, vals, backend)
-    if method != "dft":
-        raise ValueError("unknown method %r" % method)
     powers = np.array([pow(ug.gen, j, pt) for j in range(m)], dtype=np.int64)
     if not backend.exact:
         f = np.exp(2j * np.pi * powers / pt)
@@ -294,14 +281,12 @@ def kl_row(
 
 def kl_via_dft(
     query: KLQuery,
-    table: Optional[GaussTable] = None,
+    table: GaussTable,
     backend: Backend = EXACT,
 ) -> Scalar:
     """KL_{omega,n}(y; t) through the Gauss-sum factorization: one entry of the
     twist's kl_row, which the table keeps, so every y of one (omega, n) shares it."""
     p, t = query.p, query.t
-    if table is None:
-        table = build_gauss_table(p, t, backend=backend)
     if (table.p, table.t) != (p, t):
         raise ValueError("Gauss table is for (p,t)=(%d,%d)" % (table.p, table.t))
     k_om = represent_at_level(query.omega, t).k % table.order

@@ -11,14 +11,17 @@ representation is a product of blocks.  Epsilon factors of blocks are computed
 blockwise from GL(1); the one configuration where that formula is not a theorem
 (an unramified factor inside a block of size >= 2) is refused, not guessed.
 
-The stability comparator has two interchangeable engines:
+The stability theorem is checked by two engines, each with one entry point:
 
-* direct -- build both sides as monomials and compare; any conductor pattern.
-* certificate -- divide both sides by the invertible eps(chi)^n; each side
+* stability_check(pi, chi) -- the direct engine: build both sides as monomials
+  and compare; any conductor pattern, either backend.
+* CertificateTable(p, a).check_pairs(pi, rows) -- the certificate engine,
+  exact only: divide both sides by the invertible eps(chi)^n; each side
   collapses to a root of unity whose exponent is computed from a short sum of
-  phi(p^{a(mu)}) terms, making million-pair sweeps feasible.  Every collapsed
-  value is re-recognized in the cyclotomic field (a miss falls back to the slow
-  exact computation, and a genuine mismatch is reported, never repaired).
+  phi(p^{a(mu)}) terms, tabulated once per conductor a for every chi at once,
+  making million-pair sweeps feasible.  Every collapsed value is re-recognized
+  in the cyclotomic field (a miss falls back to the slow exact computation, and
+  a genuine mismatch is reported, never repaired).
 
 The two engines are cross-checked against each other in the test suite.
 """
@@ -333,10 +336,8 @@ def eps_rep_twisted(
 @dataclass(frozen=True)
 class StabilityReport:
     holds: bool
-    method: str
-    lhs: Optional[EpsMonomial]
-    rhs: Optional[EpsMonomial]
-    note: str = ""
+    lhs: EpsMonomial
+    rhs: EpsMonomial
 
 
 def stability_rhs(pi: RepnData, chi: MultChar, backend: Backend = EXACT) -> EpsMonomial:
@@ -351,7 +352,6 @@ def stability_check(
     pi: RepnData,
     chi: MultChar,
     backend: Backend = EXACT,
-    method: str = "direct",
 ) -> StabilityReport:
     """Does eps(chi tensor pi) collapse to eps(omega chi) eps(chi)^{n-1}?
 
@@ -363,17 +363,9 @@ def stability_check(
             "stability sweep requires a(chi) >= max(a(pi), 1): got a(chi)=%d, a(pi)=%d"
             % (chi.conductor_exponent, pi.conductor_exponent)
         )
-    if method == "direct":
-        lhs = eps_rep_twisted(pi, chi, backend=backend)
-        rhs = stability_rhs(pi, chi, backend=backend)
-        return StabilityReport(lhs.equals(rhs, pi.p, backend), "direct", lhs, rhs)
-    if method == "certificate":
-        if not backend.exact:
-            raise ValueError("certificate engine is exact-only")
-        table = CertificateTable(pi.p, chi.conductor_exponent)
-        ok = bool(table.check_pairs(pi, np.array([table.index_of(chi)]))[0])
-        return StabilityReport(ok, "certificate", None, None)
-    raise ValueError("unknown method %r" % method)
+    lhs = eps_rep_twisted(pi, chi, backend=backend)
+    rhs = stability_rhs(pi, chi, backend=backend)
+    return StabilityReport(lhs.equals(rhs, pi.p, backend), lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -511,10 +503,7 @@ class CertificateTable:
         # structural shortcut: if the twisted multiset {tau_i x d_i} equals the
         # stable multiset {omega, trivial x (n-1)}, both sides are literally the
         # same product of monomials
-        lhs_multiset = sorted(
-            t.induce(a).k if t.level < a else _represent_at_level(t, a).k
-            for t, d in taus for _ in range(d)
-        )
+        lhs_multiset = sorted(_represent_at_level(t, a).k for t, d in taus for _ in range(d))
         rhs_multiset = sorted([_represent_at_level(omega, a).k] + [0] * (pi.dim - 1))
         if lhs_multiset == rhs_multiset:
             return np.ones(len(rows), dtype=bool)

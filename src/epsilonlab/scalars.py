@@ -634,10 +634,9 @@ class ScaledScalar:
         return ScaledScalar.of(a + b, self.qexp)
 
     def __pow__(self, k: int):
-        out = ScaledScalar.of(1)
-        for _ in range(k):
-            out = out * self
-        return out
+        if k == 0:
+            return ScaledScalar.of(1)
+        return ScaledScalar.of(self.coeff ** k, self.qexp * k)
 
     def scale_q(self, delta: Rational) -> "ScaledScalar":
         if self.is_zero_exact():

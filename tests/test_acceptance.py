@@ -132,7 +132,7 @@ def _direct_slice(mode: str) -> list:
                     k += 1
                     if k % stride:
                         continue
-                    rep = stability_check(pi, chi, backend, method="direct")
+                    rep = stability_check(pi, chi, backend)
                     rows.append((p, _rep_key(pi), a, chi.k, rep.holds, rep.lhs, rep.rhs))
     return rows
 
@@ -146,7 +146,7 @@ def _kl_survey(mode: str) -> tuple:
     backend = _backend(mode)
     mismatches, values, skipped = [], {}, 0
     for (p, t) in KL_CELLS:
-        table = build_gauss_table(p, t, method="dft", backend=backend)
+        table = build_gauss_table(p, t, backend=backend)
         omegas = list(enumerate_chars(p, t))
         ys = [int(u) for u in unit_group(p, t).units()]
         for n in (2, 3, 4):

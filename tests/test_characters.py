@@ -154,6 +154,19 @@ def test_parity_sign():
     assert trivial_char(7).parity_sign() == 1
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_parity_sign_is_the_value_at_minus_one(p):
+    # (-1)^k against chi(-1) read off the discrete log, for every character
+    # at every level with p^level <= 20,000
+    level = 1
+    while p ** level <= 20_000:
+        minus_one = -1 % p ** level
+        for chi in enumerate_chars(p, level):
+            want = 1 if chi.value_exponent(minus_one) == 0 else -1
+            assert chi.parity_sign() == want, chi
+        level += 1
+
+
 def test_json_roundtrip():
     chi = MultChar(7, 2, 11)
     assert MultChar(**chi.to_json()) == chi

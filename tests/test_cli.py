@@ -5,6 +5,7 @@ The mathematical content of each suite is tested in its own module; here we
 check the orchestration around it, so most runs use the smallest prime.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -340,6 +341,44 @@ def test_run_suites_document_is_deterministic():
             suite["elapsed_seconds"] = 0.0
         docs.append(json.dumps(doc, sort_keys=True))
     assert docs[0] == docs[1]
+
+
+# sha256 of the `--out` report (every "elapsed_seconds" zeroed, every float
+# "complex" component dropped, so that the platform's libm cannot move it;
+# re-dumped with indent=2 and sorted keys) and of the CSV, written by the
+# engines as they stood before the `method=` selectors were removed.
+PINNED_REPORTS = [
+    (["all", "--p", "3", "--t-max", "2", "--n", "1", "2", "3"],
+     "96b92b63f81f0102c127fbde0869d7319ed94af6a2f4d8e5849846e2cf4c1cd1",
+     "8c4a1a72806f54cf1760ab98dcbe3325c410ee0d7cfe580cc025bb766067b9eb"),
+    (["stability", "--p", "5", "--t-max", "2", "--n", "1", "2", "3"],
+     "d0c90200b19c2f59b6b135a8506ed6b915b1bfc3564d60793329b0979c0eb323",
+     "4422d9146afac9ea629a2b1e8d1fae5f310a9a1ffc9d737f630607af5c32e712"),
+    (["bessel", "--p", "5", "--t-max", "2", "--n", "2", "3"],
+     "fdddcb7b14d172d29ff07e964e711ec8cb7fb7b7337e44434b1b1d0aa7f284fa",
+     "964b663f45544a32c1866dee980a4c87e80525806b73b7156d1dca8288396191"),
+]
+
+
+def _without_floats_and_timing(node):
+    if isinstance(node, dict):
+        return {k: 0 if k == "elapsed_seconds" else _without_floats_and_timing(v)
+                for k, v in node.items() if k != "complex"}
+    if isinstance(node, list):
+        return [_without_floats_and_timing(v) for v in node]
+    return node
+
+
+@pytest.mark.parametrize("argv, json_sha256, csv_sha256", PINNED_REPORTS,
+                         ids=[args[0] for args, _j, _c in PINNED_REPORTS])
+def test_report_bytes_pinned(tmp_path, capsys, argv, json_sha256, csv_sha256):
+    out, table = tmp_path / "r.json", tmp_path / "r.csv"
+    assert main(argv + ["--out", str(out), "--csv", str(table)]) == 0
+    capsys.readouterr()
+    doc = _without_floats_and_timing(json.loads(out.read_text()))
+    text = json.dumps(doc, indent=2, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == json_sha256
+    assert hashlib.sha256(table.read_bytes()).hexdigest() == csv_sha256
 
 
 def test_case_rows_are_sort_normalized():

@@ -22,7 +22,8 @@ from epsilonlab.kloosterman import (
     kl_via_dft,
 )
 from epsilonlab.cli import main
-from epsilonlab.padic import unit_group
+from epsilonlab.local_factors import gauss_sum_full_level
+from epsilonlab.padic import phi, unit_group
 from epsilonlab.scalars import (
     EXACT,
     FLOAT,
@@ -99,7 +100,7 @@ def test_twist_presentation_invariance():
     q1 = KLQuery(om1, 2, 3, 2)
     q3 = KLQuery(om3, 2, 3, 2)
     assert kl_direct(q1) == kl_direct(q3)
-    assert kl_via_dft(q1) == kl_via_dft(q3)
+    assert kl_via_dft(q1, build_gauss_table(5, 2)) == kl_via_dft(q3, build_gauss_table(5, 2))
 
 
 def test_term_budget():
@@ -117,15 +118,16 @@ def test_term_budget():
 
 @pytest.mark.parametrize("p,t", [(3, 1), (3, 2), (5, 1), (5, 2), (7, 1)])
 def test_table_methods_agree_exactly(p, t):
-    naive = build_gauss_table(p, t, method="naive")
-    dft = build_gauss_table(p, t, method="dft")
-    assert naive.values == dft.values
+    # the oracle: every sum on its own, through the character layer
+    naive = tuple(gauss_sum_full_level(MultChar(p, t, k), t) for k in range(phi(p, t)))
+    dft = build_gauss_table(p, t)
+    assert naive == dft.values
 
 
 def test_table_degenerate_entries():
     # level 1: trivial character gives the Ramanujan value -1
     t1 = build_gauss_table(5, 1)
-    assert t1.value(trivial_char(5)) == CycNumber.rational(-1)
+    assert t1.values[trivial_char(5).k] == CycNumber.rational(-1)
     # level 2: every character of conductor < 2 contributes 0
     t2 = build_gauss_table(5, 2)
     m = t2.order
@@ -171,9 +173,7 @@ def test_table_budget_and_lookup_errors():
         build_gauss_table(5, 2, budget=10)
     table = build_gauss_table(5, 1)
     with pytest.raises(ValueError):
-        table.value(MultChar(5, 2, 1))  # conductor 2 does not factor through level 1
-    with pytest.raises(ValueError):
-        kl_via_dft(KLQuery(trivial_char(5), 2, 1, 2), table=table)
+        kl_via_dft(KLQuery(trivial_char(5), 2, 1, 2), table)
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +382,7 @@ def test_orthogonality_reconstruction():
             acc = CycNumber.zero()
             for y, v in kls.items():
                 acc = acc + chi.inv().eval(y) * v
-            want = table.value(om.mul(chi)) * table.value(chi) * table.value(chi)
+            want = table.values[om.mul(chi).k] * table.values[chi.k] * table.values[chi.k]
             assert acc == want, (om, chi)
 
 

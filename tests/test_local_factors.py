@@ -360,9 +360,8 @@ def test_stability_direct_sweep(p):
             if p == 5 and a == 3 and pi.dim >= 3:
                 continue  # keep runtime modest; acceptance sweeps go deeper
             for chi in conductor_chars(p, a)[:4]:
-                rep = stability_check(pi, chi, method="direct")
+                rep = stability_check(pi, chi)
                 assert rep.holds, (pi.describe(), chi)
-                assert rep.method == "direct"
 
 
 def test_stability_hypothesis_gate():
@@ -389,7 +388,7 @@ def test_stability_shifted_blocks():
     pi = RepnData.of(Block(MultChar(p, 1, 1), 1, Fraction(1, 2)),
                      Block(trivial_char(p), 1, Fraction(-1, 2)))
     chi = MultChar(p, 2, 1)
-    assert stability_check(pi, chi, method="direct").holds
+    assert stability_check(pi, chi).holds
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +453,7 @@ def test_certificate_matches_direct_exhaustively(p, a):
             continue
         for i in rows:
             chi = table.chi_of_row(int(i))
-            direct = stability_check(pi, chi, method="direct")
+            direct = stability_check(pi, chi)
             assert direct.holds and bool(verdict[i]), (pi.describe(), chi)
             pairs += 1
     assert pairs >= 100
@@ -471,7 +470,7 @@ def test_certificate_nu_path_matches_direct():
     assert verdict.all()
     for i in (0, len(rows) // 2, len(rows) - 1):
         chi = table.chi_of_row(int(i))
-        assert stability_check(pi, chi, method="direct").holds
+        assert stability_check(pi, chi).holds
 
 
 def test_certificate_multiset_shortcut():
@@ -539,19 +538,15 @@ def test_certificate_rejects_shifted_blocks():
 def test_stability_methods_agree():
     pi = steinberg(trivial_char(5), 2)
     chi = MultChar(5, 2, 1)
-    assert stability_check(pi, chi, method="direct").holds
-    res = stability_check(pi, chi, method="certificate")
-    assert res.holds and res.method == "certificate"
-    with pytest.raises(ValueError):
-        stability_check(pi, chi, method="montecarlo")
-    with pytest.raises(ValueError):
-        stability_check(pi, chi, method="certificate", backend=FLOAT)
+    assert stability_check(pi, chi).holds
+    table = CertificateTable(5, 2)
+    assert table.check_pairs(pi, np.array([table.index_of(chi)]))[0]
 
 
 def test_stability_float_backend():
     pi = principal_series(MultChar(5, 1, 1), MultChar(5, 1, 2))
     chi = MultChar(5, 2, 3)
-    assert stability_check(pi, chi, method="direct", backend=FLOAT).holds
+    assert stability_check(pi, chi, backend=FLOAT).holds
 
 
 # ---------------------------------------------------------------------------

@@ -306,6 +306,28 @@ def test_scaled_scalar_zero_normalizes_qexp():
     assert (a + z) == a
 
 
+def test_scaled_scalar_power_is_the_repeated_product():
+    def repeated(x, k):
+        out = ScaledScalar.of(1)
+        for _ in range(k):
+            out = out * x
+        return out
+
+    exact = ScaledScalar.of(_tau5() + root_of_unity(1, 3), Fraction(-1, 2))
+    zero = ScaledScalar.of(0)
+    floating = ScaledScalar.of(complex(0.8, -1.3), Fraction(3, 2))
+    for k in range(6):
+        assert exact ** k == repeated(exact, k)
+        assert (exact ** k).qexp == Fraction(-k, 2)
+        assert zero ** k == repeated(zero, k)
+        got, want = floating ** k, repeated(floating, k)
+        assert got.qexp == want.qexp == Fraction(3 * k, 2)
+        if k:
+            assert cmath.isclose(got.coeff, want.coeff, rel_tol=1e-12)
+    assert exact ** 0 == zero ** 0 == floating ** 0 == ScaledScalar.of(1)
+    assert (zero ** 3).is_zero_exact() and (zero ** 3).qexp == 0
+
+
 def test_eq_value_absorbs_integer_gaps():
     tau = _tau5()
     a = ScaledScalar.of(tau, Fraction(-1, 2))
