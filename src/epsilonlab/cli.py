@@ -8,7 +8,10 @@ configured range and reports every case:
 * ``stability``    - the twisted-factor collapse
                      eps(chi x pi) = eps(omega chi) eps(chi)^{n-1} for every
                      block-built pi and every sufficiently ramified chi;
-                     less ramified chi are recorded, never asserted;
+                     less ramified chi are recorded, never asserted.  Under
+                     the exact backend the certificate engine decides the
+                     asserted pairs of rank >= 2 and the direct engine
+                     re-checks a fixed stride of them and every rejection;
 * ``kloosterman``  - the direct unit-grid evaluation of hyper-Kloosterman
                      sums against the character-table factorization;
 * ``bessel``       - Bessel-transform duality, the closed-form collapse with
@@ -34,6 +37,8 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import __version__
 from .bessel import bessel_charsum, bessel_closedform, duality_check, measure_prefactor
 from .characters import MultChar, enumerate_chars, trivial_char
@@ -48,6 +53,7 @@ from .kloosterman import (
 )
 from .local_factors import (
     Block,
+    CertificateTable,
     EpsMonomial,
     RegimeError,
     RepnData,
@@ -298,6 +304,11 @@ def cmd_gauss(config: RunConfig) -> SuiteReport:
 # ---------------------------------------------------------------------------
 
 
+# Every STRIDE-th in-regime case of each rank, starting with the first, is
+# re-decided by the direct engine when the certificate engine gives the verdict.
+STRIDE = 32
+
+
 def cmd_stability(config: RunConfig) -> SuiteReport:
     """Sweep eps(chi x pi) = eps(omega chi) eps(chi)^{n-1} exhaustively.
 
@@ -307,6 +318,15 @@ def cmd_stability(config: RunConfig) -> SuiteReport:
     meets every ramified chi with a(chi) <= t_max: equality is asserted when
     a(chi) >= max(a(pi), 1) and only recorded (equal / unequal / incomparable
     tallies in extras) below that threshold.
+
+    The engine follows from the backend.  Under the exact backend the asserted
+    n >= 2 pairs are decided by the certificate engine, one
+    CertificateTable(p, a) per rank and conductor a and one check_pairs call
+    per (pi, a); the direct engine stability_check re-decides every STRIDE-th
+    asserted case of each rank and every pair the certificate rejects, and a
+    row passes only when every engine that looked at it holds.  The float
+    backend, rank one and the out-of-regime tallies run on the direct engines
+    alone.
     """
     t0 = time.perf_counter()
     backend = config.make_backend()
@@ -342,13 +362,38 @@ def cmd_stability(config: RunConfig) -> SuiteReport:
 
         reps = [pi for pi in enumerate_reps(p, n, t) if pi.dim == n]
         rep_counts[str(n)] = len(reps)
+        # conductor a -> (table, the table rows of the ramified chi of conductor
+        # a in sweep order); ramified[i] sits at position slot[i] of its rows
+        tables: dict = {}
+        slot = []
+        if backend.exact:
+            for chi in ramified:
+                a_chi = chi.conductor_exponent
+                if a_chi not in tables:
+                    tables[a_chi] = (CertificateTable(p, a_chi), [])
+                table, table_rows = tables[a_chi]
+                slot.append(len(table_rows))
+                table_rows.append(table.index_of(chi))
+            tables = {a: (table, np.array(table_rows, dtype=np.int64))
+                      for a, (table, table_rows) in tables.items()}
+        asserted = 0  # in-regime cases of this rank decided so far
         for pi_index, pi in enumerate(reps):
             pi_label = "pi[" + ",".join(
                 "k%d.l%d.d%d" % (b.tau.k, b.tau.level, b.size) for b in pi.blocks) + "]"
+            pi_json = pi.describe()
             a_pi = pi.conductor_exponent
-            for chi in ramified:
+            # One check_pairs call per in-regime conductor.  It raises RegimeError
+            # only for a block too deep for its lemma columns, which cannot arise
+            # here: pi is shiftless and a(pi) <= a, so a deep block (2 a(tau) > a)
+            # has size 1 and is the only one; if a(tau) reaches a, every other
+            # block is the trivial character and pi = tau + 1^{n-1}, which the
+            # structural shortcut answers.
+            verdicts = {a: table.check_pairs(pi, table_rows)
+                        for a, (table, table_rows) in tables.items()
+                        if a >= max(a_pi, 1) and (n + 1) * phi(p, a) <= config.budget}
+            for i, chi in enumerate(ramified):
                 a_chi = chi.conductor_exponent
-                inputs = {"p": p, "n": n, "pi": pi.describe(), "a_pi": a_pi,
+                inputs = {"p": p, "n": n, "pi": pi_json, "a_pi": a_pi,
                           "chi_k": chi.k, "chi_conductor": a_chi}
                 cost = (n + 1) * phi(p, a_chi)
                 case_id = "stability n=%d %s chi[k=%d]" % (n, pi_label, chi.k)
@@ -362,13 +407,17 @@ def cmd_stability(config: RunConfig) -> SuiteReport:
                         out_of_regime["skipped"] += 1
                     continue
                 if in_regime:
-                    res = stability_check(pi, chi, backend)
+                    holds = bool(verdicts[a_chi][slot[i]]) if backend.exact else True
+                    if not backend.exact or not holds or asserted % STRIDE == 0:
+                        res = stability_check(pi, chi, backend)
+                        holds = holds and res.holds
+                    asserted += 1
                     detail = "a(chi)=%d >= a(pi)=%d: asserted" % (a_chi, a_pi)
-                    if not res.holds:
+                    if not holds:
                         detail += "; lhs %s rhs %s" % (
                             _monomial_json(res.lhs), _monomial_json(res.rhs))
                     rows.add((n, pi_index + 1, chi.k, 0), case_id,
-                             "pass" if res.holds else "fail", detail, **inputs)
+                             "pass" if holds else "fail", detail, **inputs)
                 else:
                     try:
                         lhs = eps_rep_twisted(pi, chi, backend=backend)

@@ -5,6 +5,7 @@ The mathematical content of each suite is tested in its own module; here we
 check the orchestration around it, so most runs use the smallest prime.
 """
 
+import dataclasses
 import hashlib
 import json
 import subprocess
@@ -191,6 +192,95 @@ def test_stability_mixed_ranks_share_one_report():
     assert kinds == {"n=1", "n=2"}
 
 
+def _counting(monkeypatch, owner, name, record):
+    """Wrap owner.name so that every call appends its arguments to record."""
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        record.append(args)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(owner, name, wrapper)
+    return original
+
+
+def test_stability_exact_checks_directly_only_the_cross_slice(monkeypatch):
+    direct, certified = [], []
+    _counting(monkeypatch, cli, "stability_check", direct)
+    _counting(monkeypatch, cli.CertificateTable, "check_pairs", certified)
+    rep = cmd_stability(config(p=5, t_max=2, n_list=(1, 2, 3)))
+    assert rep.failures == [] and rep.skips == []
+    # in-regime rows of each rank, in sweep order (the rows' sort order)
+    want = []
+    for n in (2, 3):
+        asserted = [c for c in rep.cases if c["n"] == n]
+        assert len(asserted) > 2 * cli.STRIDE
+        want += [(c["pi"], c["chi_k"]) for c in asserted[::cli.STRIDE]]
+    assert [(pi.describe(), chi.k) for pi, chi, _backend in direct] == want
+    # one check_pairs call per (pi, conductor) cell in regime
+    cells = {(c["n"], json.dumps(c["pi"], sort_keys=True), c["chi_conductor"])
+             for c in rep.cases if c["n"] >= 2}
+    assert len(certified) == len(cells)
+
+
+def test_stability_float_never_reaches_the_certificate_engine(monkeypatch):
+    direct, certified = [], []
+    _counting(monkeypatch, cli, "stability_check", direct)
+    _counting(monkeypatch, cli.CertificateTable, "check_pairs", certified)
+    rep = cmd_stability(config(p=5, t_max=2, n_list=(2, 3), backend="float"))
+    assert rep.failures == []
+    assert certified == []
+    assert len(direct) == len(rep.cases)
+
+
+def _fail_lines(tmp_path, capsys, argv):
+    out = tmp_path / "r.json"
+    code = main(argv + ["--out", str(out)])
+    capsys.readouterr()
+    (suite,) = json.loads(out.read_text())["suites"]
+    return code, suite["failures"]
+
+
+def test_stability_certificate_rejection_fails_with_direct_detail(tmp_path, capsys,
+                                                                  monkeypatch):
+    original = cli.CertificateTable.check_pairs
+    calls = []
+
+    def rejects_first_row_once(table, pi, rows):
+        verdict = original(table, pi, rows)
+        if not calls:
+            verdict = verdict.copy()
+            verdict[0] = False
+        calls.append(pi)
+        return verdict
+    monkeypatch.setattr(cli.CertificateTable, "check_pairs", rejects_first_row_once)
+    code, failures = _fail_lines(tmp_path, capsys,
+                                 ["stability", "--p", "3", "--t-max", "2", "--n", "2"])
+    assert code == 1
+    (row,) = failures
+    # the direct engine re-decided the pair and its monomials are in the row
+    assert "; lhs {" in row["detail"] and "} rhs {" in row["detail"]
+    assert row["pi"] == calls[0].describe()
+
+
+def test_stability_direct_rejection_on_the_cross_slice_fails(tmp_path, capsys,
+                                                             monkeypatch):
+    original = cli.stability_check
+    calls = []
+
+    def rejects_first(pi, chi, backend):
+        res = original(pi, chi, backend)
+        calls.append((pi, chi))
+        return dataclasses.replace(res, holds=False) if len(calls) == 1 else res
+    monkeypatch.setattr(cli, "stability_check", rejects_first)
+    code, failures = _fail_lines(tmp_path, capsys,
+                                 ["stability", "--p", "3", "--t-max", "2", "--n", "2"])
+    assert code == 1
+    (row,) = failures
+    pi, chi = calls[0]
+    assert (row["pi"], row["chi_k"]) == (pi.describe(), chi.k)
+    assert "; lhs {" in row["detail"]
+
+
 # ---------------------------------------------------------------------------
 # kloosterman suite
 # ---------------------------------------------------------------------------
@@ -345,18 +435,33 @@ def test_run_suites_document_is_deterministic():
 
 # sha256 of the `--out` report (every "elapsed_seconds" zeroed, every float
 # "complex" component dropped, so that the platform's libm cannot move it;
-# re-dumped with indent=2 and sorted keys) and of the CSV, written by the
-# engines as they stood before the `method=` selectors were removed.
+# re-dumped with indent=2 and sorted keys) and of the CSV.  The first three were
+# written by the engines as they stood before the `method=` selectors were
+# removed, the last two before the stability suite moved its exact verdicts
+# onto the certificate engine (p=3, t_max=3 reaches its nu-reduction and its
+# structural shortcut; the float sweep stays on the direct engine).
 PINNED_REPORTS = [
-    (["all", "--p", "3", "--t-max", "2", "--n", "1", "2", "3"],
-     "96b92b63f81f0102c127fbde0869d7319ed94af6a2f4d8e5849846e2cf4c1cd1",
-     "8c4a1a72806f54cf1760ab98dcbe3325c410ee0d7cfe580cc025bb766067b9eb"),
-    (["stability", "--p", "5", "--t-max", "2", "--n", "1", "2", "3"],
-     "d0c90200b19c2f59b6b135a8506ed6b915b1bfc3564d60793329b0979c0eb323",
-     "4422d9146afac9ea629a2b1e8d1fae5f310a9a1ffc9d737f630607af5c32e712"),
-    (["bessel", "--p", "5", "--t-max", "2", "--n", "2", "3"],
-     "fdddcb7b14d172d29ff07e964e711ec8cb7fb7b7337e44434b1b1d0aa7f284fa",
-     "964b663f45544a32c1866dee980a4c87e80525806b73b7156d1dca8288396191"),
+    pytest.param(["all", "--p", "3", "--t-max", "2", "--n", "1", "2", "3"],
+                 "96b92b63f81f0102c127fbde0869d7319ed94af6a2f4d8e5849846e2cf4c1cd1",
+                 "8c4a1a72806f54cf1760ab98dcbe3325c410ee0d7cfe580cc025bb766067b9eb",
+                 id="all"),
+    pytest.param(["stability", "--p", "5", "--t-max", "2", "--n", "1", "2", "3"],
+                 "d0c90200b19c2f59b6b135a8506ed6b915b1bfc3564d60793329b0979c0eb323",
+                 "4422d9146afac9ea629a2b1e8d1fae5f310a9a1ffc9d737f630607af5c32e712",
+                 id="stability"),
+    pytest.param(["bessel", "--p", "5", "--t-max", "2", "--n", "2", "3"],
+                 "fdddcb7b14d172d29ff07e964e711ec8cb7fb7b7337e44434b1b1d0aa7f284fa",
+                 "964b663f45544a32c1866dee980a4c87e80525806b73b7156d1dca8288396191",
+                 id="bessel"),
+    pytest.param(["stability", "--p", "3", "--t-max", "3", "--n", "2", "3", "4"],
+                 "ae76f4aa7b764c6540b8f39064ae9adae10bb8de73192afc49a5cbadcba0a3c9",
+                 "5b218f1f535a0f035fb466b9d86d394040213bfd77b99ae6f4683f0bd77ac46a",
+                 id="stability-p3-t3"),
+    pytest.param(["stability", "--p", "5", "--t-max", "2", "--n", "1", "2", "3",
+                  "--backend", "float"],
+                 "1a34252b69c5b4a7533278e241860ab1656b2be5d33c7fe9df56910a2736d707",
+                 "4422d9146afac9ea629a2b1e8d1fae5f310a9a1ffc9d737f630607af5c32e712",
+                 id="stability-float"),
 ]
 
 
@@ -369,8 +474,7 @@ def _without_floats_and_timing(node):
     return node
 
 
-@pytest.mark.parametrize("argv, json_sha256, csv_sha256", PINNED_REPORTS,
-                         ids=[args[0] for args, _j, _c in PINNED_REPORTS])
+@pytest.mark.parametrize("argv, json_sha256, csv_sha256", PINNED_REPORTS)
 def test_report_bytes_pinned(tmp_path, capsys, argv, json_sha256, csv_sha256):
     out, table = tmp_path / "r.json", tmp_path / "r.csv"
     assert main(argv + ["--out", str(out), "--csv", str(table)]) == 0

@@ -113,6 +113,18 @@ def test_full_level_sum_matches_per_unit_definition(p, t):
             assert FLOAT.eq(gauss_sum_full_level(form, t, FLOAT), want.to_complex())
 
 
+def test_gauss_cache_is_keyed_by_the_character():
+    # one character presented at levels 1, 2 and 3 is one cached sum
+    chi = MultChar(5, 2, 5)
+    forms = [represent_at_level(chi, 1), chi, chi.induce(3)]
+    assert [f.level for f in forms] == [1, 2, 3]
+    local_factors._gauss_sum_at_level.cache_clear()
+    values = [gauss_sum_full_level(f, 2) for f in forms]
+    info = local_factors._gauss_sum_at_level.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+    assert values[0] is values[1] is values[2]
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([(3, 2), (5, 1), (5, 2), (7, 1)]), st.integers(1, 40), st.integers(1, 48))
 def test_gauss_twisted_argument(pa, k, c):
@@ -475,14 +487,15 @@ def test_certificate_nu_path_matches_direct():
 
 def test_certificate_multiset_shortcut():
     # pi twisted multiset literally equals the stable multiset: certificate is
-    # structural, no column computations needed
+    # structural, no column computations needed.  The level-1 tau is presented
+    # below a, so its multiset matches only once it is read at level a.
     p, a = 5, 2
-    table = CertificateTable(p, a)
-    tau = MultChar(p, 2, 1)
-    pi = principal_series(tau, trivial_char(p))
-    verdict = table.check_pairs(pi, np.arange(3))
-    assert verdict.all()
-    assert not table._mu_cache  # nothing was tabulated
+    for tau in (MultChar(p, 2, 1), MultChar(p, 1, 1)):
+        table = CertificateTable(p, a)
+        pi = principal_series(tau, trivial_char(p))
+        verdict = table.check_pairs(pi, np.arange(len(table.row_ks)))
+        assert verdict.all()
+        assert not table._mu_cache  # nothing was tabulated
 
 
 def test_certificate_slow_path_matches_fast_path(monkeypatch):
