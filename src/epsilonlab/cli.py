@@ -321,10 +321,10 @@ def cmd_stability(config: RunConfig) -> SuiteReport:
 
     The engine follows from the backend.  Under the exact backend the asserted
     n >= 2 pairs are decided by the certificate engine, one
-    CertificateTable(p, a) per rank and conductor a and one check_pairs call
-    per (pi, a); the direct engine stability_check re-decides every STRIDE-th
-    asserted case of each rank and every pair the certificate rejects, and a
-    row passes only when every engine that looked at it holds.  The float
+    CertificateTable(p, a) per conductor a, shared by every rank, and one
+    check_pairs call per (pi, a); the direct engine stability_check re-decides
+    every STRIDE-th asserted case of each rank and every pair the certificate
+    rejects, and a row passes only when every engine that looked at it holds.  The float
     backend, rank one and the out-of-regime tallies run on the direct engines
     alone.
     """
@@ -336,6 +336,21 @@ def cmd_stability(config: RunConfig) -> SuiteReport:
     ramified = [chi for chi in pool if chi.conductor_exponent >= 1]
     out_of_regime = {"equal": 0, "unequal": 0, "incomparable": 0, "skipped": 0}
     rep_counts = {}
+    # conductor a -> (table, the table rows of the ramified chi of conductor a
+    # in sweep order); ramified[i] sits at position slot[i] of its rows.  Every
+    # rank shares these tables, so each certificate column is tabulated once.
+    tables: dict = {}
+    slot = []
+    if backend.exact:
+        for chi in ramified:
+            a_chi = chi.conductor_exponent
+            if a_chi not in tables:
+                tables[a_chi] = (CertificateTable(p, a_chi), [])
+            table, table_rows = tables[a_chi]
+            slot.append(len(table_rows))
+            table_rows.append(table.index_of(chi))
+        tables = {a: (table, np.array(table_rows, dtype=np.int64))
+                  for a, (table, table_rows) in tables.items()}
 
     for n in sorted(set(config.n_list)):
         if n == 1:
@@ -362,20 +377,6 @@ def cmd_stability(config: RunConfig) -> SuiteReport:
 
         reps = [pi for pi in enumerate_reps(p, n, t) if pi.dim == n]
         rep_counts[str(n)] = len(reps)
-        # conductor a -> (table, the table rows of the ramified chi of conductor
-        # a in sweep order); ramified[i] sits at position slot[i] of its rows
-        tables: dict = {}
-        slot = []
-        if backend.exact:
-            for chi in ramified:
-                a_chi = chi.conductor_exponent
-                if a_chi not in tables:
-                    tables[a_chi] = (CertificateTable(p, a_chi), [])
-                table, table_rows = tables[a_chi]
-                slot.append(len(table_rows))
-                table_rows.append(table.index_of(chi))
-            tables = {a: (table, np.array(table_rows, dtype=np.int64))
-                      for a, (table, table_rows) in tables.items()}
         asserted = 0  # in-regime cases of this rank decided so far
         for pi_index, pi in enumerate(reps):
             pi_label = "pi[" + ",".join(

@@ -20,13 +20,16 @@ The stability theorem is checked by two engines, each with one entry point:
   collapses to a root of unity whose exponent is computed from a short sum of
   phi(p^{a(mu)}) terms, tabulated once per conductor a for every chi at once,
   making million-pair sweeps feasible.  Every collapsed value is re-recognized
-  in the cyclotomic field (a miss falls back to the slow exact computation, and
-  a genuine mismatch is reported, never repaired).
+  in the cyclotomic field: recognition compares dense int64 coordinate rows,
+  keyed by their bytes (a miss, or a row that only fits object dtype, falls
+  back to the slow exact computation, and a genuine mismatch is reported,
+  never repaired).
 
 The two engines are cross-checked against each other in the test suite, and
 in the CLI's stability suite, where under the exact backend the certificate
-engine decides every asserted pair of rank >= 2 and the direct engine re-decides
-a fixed stride of them and every pair the certificate rejects.
+engine decides every asserted pair of rank >= 2, with one table per conductor
+shared by every rank, and the direct engine re-decides a fixed stride of them
+and every pair the certificate rejects.
 """
 
 from __future__ import annotations
@@ -453,11 +456,14 @@ class CertificateTable:
         )
         # exponent matrix in zeta_M: rows chi, cols c
         E = (self.row_ks[:, None] * w_dlogs[None, :] + (M // m_s) * mu_exps[None, :]) % M
-        D_rows = _batch_root_sums(M, E)
+        D = _batch_root_sums(M, E)
         lookup = _collapsed_certificates(mu_s, M)
+        # the bytes of an object-dtype row are pointers, so such rows are
+        # never keyed: they take the slow path
+        keyed = D.dtype == np.int64
         out = np.empty(len(self.row_ks), dtype=np.int64)
-        for i, drow in enumerate(D_rows):
-            e = lookup.get(drow)
+        for i in range(len(D)):
+            e = lookup.get(D[i].tobytes()) if keyed else None
             if e is None:
                 e = self._fallback_exponent(mu_s, i)
             out[i] = e
@@ -561,18 +567,23 @@ def _represent_at_conductor(mu: MultChar) -> MultChar:
     return _represent_at_level(mu, max(mu.conductor_exponent, 1))
 
 
-def _batch_root_sums(M: int, E: np.ndarray) -> list:
-    """Canonical sparse keys of sum_j zeta_M^{E[i, j]} for every row i."""
+def _batch_root_sums(M: int, E: np.ndarray) -> np.ndarray:
+    """Canonical length-phi(M) coordinate rows of sum_j zeta_M^{E[i, j]}, one per row i."""
     n = E.shape[0]
     counts = np.zeros((n, M), dtype=np.int64)
     np.add.at(counts, (np.arange(n)[:, None], E), 1)
-    red = get_context(M).reduce_groupring(counts)
-    return [tuple((j, int(c)) for j, c in enumerate(row) if c) for row in red]
+    return get_context(M).reduce_groupring(counts)
+
+
+def _coordinate_key(vec) -> bytes:
+    """Key of a canonical coordinate vector: the bytes of its dense int64 form."""
+    return np.asarray(vec, dtype=np.int64).tobytes()
 
 
 def _collapsed_certificates(mu: MultChar, M: int) -> dict:
-    """Expected values of D: mu(v) tau(mu^{-1}) for units v; keys are canonical
-    sparse forms in Q(zeta_M), values the certificate exponents e.
+    """Expected values of D: mu(v) tau(mu^{-1}) for units v; keys are the
+    _coordinate_key of their canonical vectors in Q(zeta_M), values the
+    certificate exponents e.
 
     e is the zeta_M-exponent of mu(v) mu(-1) (= p^{a-s} tau(mu) D / q^a when D
     collapses as predicted).
@@ -588,8 +599,7 @@ def _collapsed_certificates(mu: MultChar, M: int) -> dict:
         lifted, lden = val._lift_vec(M)
         if lden != 1:
             raise ArithmeticError("Gauss-sum values must have integral coordinates")
-        key = tuple((j, int(c)) for j, c in enumerate(lifted) if c)
-        table[key] = (mu.value_exponent(v) + minus_one) * (M // m_s) % M
+        table[_coordinate_key(lifted)] = (mu.value_exponent(v) + minus_one) * (M // m_s) % M
     return table
 
 
@@ -606,13 +616,14 @@ def enumerate_reps(p: int, n_max: int, a_max: int) -> list[RepnData]:
     tau_pool = [trivial_char(p)]
     for c in range(1, a_max + 1):
         tau_pool += chars_with_conductor(p, c)
-    # candidate blocks with their conductor cost
+    # candidate blocks, and their (size, conductor cost) read once
     blocks = []
     for tau in tau_pool:
         for d in range(1, n_max + 1):
             b = Block(tau, d)
             if b.conductor_contribution <= a_max and d <= n_max:
                 blocks.append(b)
+    costs = [(b.size, b.conductor_contribution) for b in blocks]
     out = []
     seen = set()
 
@@ -632,13 +643,13 @@ def enumerate_reps(p: int, n_max: int, a_max: int) -> list[RepnData]:
             return
         pad = r - len(bs) - 1  # later slots still need size >= 1 each
         for i in range(start, len(blocks)):
-            b = blocks[i]
-            if size + b.size + pad > n_max:
+            d, c = costs[i]
+            if size + d + pad > n_max:
                 continue
-            if cost + b.conductor_contribution > a_max:
+            if cost + c > a_max:
                 continue
-            bs.append(b)
-            extend(bs, i, size + b.size, cost + b.conductor_contribution, r)
+            bs.append(blocks[i])
+            extend(bs, i, size + d, cost + c, r)
             bs.pop()
 
     for r in range(1, n_max + 1):

@@ -222,6 +222,16 @@ def test_stability_exact_checks_directly_only_the_cross_slice(monkeypatch):
     assert len(certified) == len(cells)
 
 
+def test_stability_ranks_share_each_certificate_column(monkeypatch):
+    columns = []
+    _counting(monkeypatch, cli.CertificateTable, "_exponents_uncached", columns)
+    rep = cmd_stability(config(p=7, t_max=2, n_list=(1, 2, 3)))
+    assert rep.failures == []
+    keys = [(table.a, mu.k, s) for table, mu, s in columns]
+    # one tabulation per distinct (a, mu) column, however many ranks use it
+    assert len(keys) == len(set(keys)) == 5
+
+
 def test_stability_float_never_reaches_the_certificate_engine(monkeypatch):
     direct, certified = [], []
     _counting(monkeypatch, cli, "stability_check", direct)

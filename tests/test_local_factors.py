@@ -1,4 +1,5 @@
 """Gauss sums, root numbers, epsilon monomials, and both stability engines."""
+import hashlib
 from collections import Counter
 from fractions import Fraction
 
@@ -30,6 +31,7 @@ from epsilonlab.padic import phi
 from epsilonlab.scalars import (
     EXACT,
     FLOAT,
+    CycContext,
     CycNumber,
     ScaledScalar,
     root_of_unity,
@@ -523,12 +525,67 @@ def test_certificate_slow_path_matches_fast_path(monkeypatch):
 @pytest.mark.parametrize("M,rows,cols", [(6, 4, 3), (20, 5, 7), (294, 3, 40), (2500, 2, 50)])
 def test_batch_root_sums_are_the_sparse_root_combinations(M, rows, cols):
     E = np.random.default_rng(M).integers(0, M, (rows, cols))
-    keys = local_factors._batch_root_sums(M, E)
-    assert len(keys) == rows
-    for key, erow in zip(keys, E.tolist()):
+    D = local_factors._batch_root_sums(M, E)
+    assert len(D) == rows and D.dtype == np.int64
+    for drow, erow in zip(D, E.tolist()):
         num, den = EXACT.root_combination(M, Counter(erow))._lift_vec(M)
         assert den == 1
-        assert key == tuple((j, c) for j, c in enumerate(num) if c)
+        assert drow.tolist() == num
+        # the row's bytes are the key _collapsed_certificates builds from num
+        assert drow.tobytes() == local_factors._coordinate_key(num)
+
+
+def test_certificate_object_rows_take_the_slow_path(monkeypatch):
+    # An object-dtype reduction holds pointers, so its rows must never be keyed
+    # by their bytes: each one is recognised on the slow path instead.
+    cases = [(5, 2), (3, 3)]
+    fast = {}
+    for p, a in cases:
+        table = CertificateTable(p, a)
+        fast[p, a] = [table.exponents(mu) for mu in conductor_chars(p, 1)]
+        assert table.fallback_count == 0
+    monkeypatch.setattr(CycContext, "fits_int64", lambda self, max_abs: False)
+    seen = []
+    real = CycContext.reduce_groupring
+
+    def spy(self, vec):
+        out = real(self, vec)
+        if vec.ndim == 2:
+            seen.append(out.dtype)
+        return out
+
+    monkeypatch.setattr(CycContext, "reduce_groupring", spy)
+    looked_up = []
+
+    class Recording(dict):
+        def get(self, key, default=None):
+            looked_up.append(key)
+            return super().get(key, default)
+
+    collapsed = local_factors._collapsed_certificates
+    monkeypatch.setattr(local_factors, "_collapsed_certificates",
+                        lambda mu, M: Recording(collapsed(mu, M)))
+    for p, a in cases:
+        table = CertificateTable(p, a)
+        mus = conductor_chars(p, 1)
+        for mu, want in zip(mus, fast[p, a]):
+            assert (table.exponents(mu) == want).all(), (p, a, mu)
+        assert table.fallback_count == len(mus) * len(table.row_ks)
+    assert seen == [object] * sum(len(conductor_chars(p, 1)) for p, a in cases)
+    assert looked_up == []
+
+
+def test_certificate_long_keys_at_conductor_four():
+    # M = phi(625) = 500: every in-regime column (a(mu) = 1, 2) is recognised
+    # by its dense row, and a stride of rows agrees with the slow path.
+    table = CertificateTable(5, 4)
+    mus = [mu for s in (1, 2) for mu in conductor_chars(5, s)]
+    columns = [table.exponents(mu) for mu in mus]
+    assert len(mus) == 19 and len(table.row_ks) == 400
+    assert table.fallback_count == 0
+    for mu, column in zip(mus, columns):
+        for row in range(0, len(table.row_ks), 17):
+            assert table._fallback_exponent(mu, row) == column[row], (mu, row)
 
 
 def test_certificate_fallback_agrees_with_collapse():
@@ -575,6 +632,24 @@ def test_enumerate_reps_deterministic_and_bounded():
     assert all(pi.dim <= 3 and pi.conductor_exponent <= 4 for pi in reps1)
     assert steinberg(trivial_char(5), 2) in reps1
     assert principal_series(MultChar(5, 1, 1), trivial_char(5)) in reps1
+
+
+# sha256 of repr([tuple((tau.level, tau.k, size) for each block) for each rep])
+# in output order, recorded before the block costs were read into a list.
+ENUMERATION_ORDER = [
+    pytest.param((5, 4, 4), 4011,
+                 "fb21732fc86d82246a4da4a50f3a034f44f50b429321e53f0691d37171873471", id="5-4-4"),
+    pytest.param((7, 3, 2), 174,
+                 "2138a97b004a2edc466635fd865323809bc37e7268dbfb6067964278128b4ce5", id="7-3-2"),
+]
+
+
+@pytest.mark.parametrize("args,count,digest", ENUMERATION_ORDER)
+def test_enumerate_reps_order_is_pinned(args, count, digest):
+    reps = enumerate_reps(*args)
+    keys = [tuple((b.tau.level, b.tau.k, b.size) for b in pi.blocks) for pi in reps]
+    assert len(keys) == count
+    assert hashlib.sha256(repr(keys).encode()).hexdigest() == digest
 
 
 def test_enumerate_reps_scales_to_the_full_default_pool():
