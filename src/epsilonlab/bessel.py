@@ -14,7 +14,9 @@ literal finite sums and is the normative oracle for everything else here.
 Two concrete expressions for B_pi( . ; Phi_z) are implemented:
 
 * ``bessel_charsum``  - the character-sum expansion over all chi with
-  conductor exponent exactly t = -v(z);
+  conductor exponent exactly t = -v(z).  On the shell it is a length-phi(p^t)
+  DFT of one fixed profile of epsilon values, so each call reads one entry of
+  a memoised whole-shell row, computed once per (pi, t, backend);
 * ``bessel_closedform`` - the collapsed form: an explicit constant times a
   hyper-Kloosterman sum KL_{omega^{-1}, n-1}(a(y, z); t), where omega is the
   central character of pi.
@@ -43,16 +45,20 @@ module-local; nothing outside this file sees it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Union
 
+import numpy as np
+
 from .characters import MultChar, QuasiChar, as_quasi, chars_with_conductor, represent_at_level
 from .kloosterman import KLQuery, kl_direct
 from .local_factors import EpsMonomial, RepnData, eps_gl1, eps_rep_twisted
 from .padic import PadicNumber, psi_eval, unit_group
-from .scalars import EXACT, Backend, Rational, ScaledScalar, proportionality_ratio
+from .scalars import (EXACT, Backend, QExpMismatchError, Rational, ScaledScalar,
+                      proportionality_ratio, shifted_root_sums)
 
 SIGN_CONVENTIONS = ("lemma41", "prop42")  # chi((-1)^{n-1} ...) vs chi((-1)^n ...)
 CHARSUM_PREFACTORS = ("lemma41", "lemma41_proof")
@@ -221,16 +227,16 @@ def _prefactor_scalar(n: int, t: int, q: int, prefactor: str, backend: Backend) 
     return ScaledScalar.of(backend.rational(Fraction(q, q - 1)), e)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _charsum_profile(pi: RepnData, t: int, backend: Backend) -> dict:
     """chi.k -> eps*(chi^{-1}) eps*(chi x pi) over all chi of conductor exactly t.
 
     eps* is the coefficient-conjugated epsilon value (the module's orientation
     transposition).  Under the standing assumptions every fused character
     chi tau_i keeps conductor t, so all values share the q-exponent
-    -(n+1)t/2; the strict ScaledScalar addition downstream re-checks that.
-    Characters of conductor below t contribute nothing: their full-level
-    Gauss sums vanish for t >= 2.
+    -(n+1)t/2; _charsum_row and the strict ScaledScalar addition in
+    _mellin_lhs re-check that.  Characters of conductor below t contribute
+    nothing: their full-level Gauss sums vanish for t >= 2.
     """
     coeffs = {}
     for chi in chars_with_conductor(pi.p, t):
@@ -238,6 +244,36 @@ def _charsum_profile(pi: RepnData, t: int, backend: Backend) -> dict:
         e2 = eps_rep_twisted(pi, chi, backend=backend)
         coeffs[chi.k] = _dual_scalar(e1.value, backend) * _dual_scalar(e2.value, backend)
     return coeffs
+
+
+@lru_cache(maxsize=64)
+def _charsum_row(pi: RepnData, t: int, backend: Backend) -> tuple:
+    """sum_{a(chi) = t} chi(u) eps*(chi^{-1}) eps*(chi x pi) for every unit u mod p^t,
+    indexed by d = dlog u: the length-m DFT sum_k c_k zeta_m^{k d} of the profile.
+
+    Every nonzero profile value must carry the same q-exponent, which the sum
+    keeps; a mix raises QExpMismatchError, as the strict ScaledScalar addition
+    would.  Exact rows come from one shifted group-ring stack and one batched
+    reduction (scalars.shifted_root_sums); float rows are one matrix product.
+    """
+    m = unit_group(pi.p, t).order
+    terms = [(k, c) for k, c in _charsum_profile(pi, t, backend).items()
+             if not c.is_zero_exact()]
+    qexps = sorted({c.qexp for _k, c in terms})
+    if len(qexps) > 1:
+        raise QExpMismatchError("charsum profile mixes q-exponents %s" % qexps)
+    if not terms:
+        return (ScaledScalar.of(backend.zero()),) * m
+    ks = [k for k, _c in terms]
+    coeffs = [c.coeff for _k, c in terms]
+    if backend.exact:
+        N = math.lcm(m, *(c.N for c in coeffs))
+        sums = shifted_root_sums(N, coeffs, ks, m)
+    else:
+        ds = np.arange(m)
+        W = np.exp(2j * np.pi * (np.outer(ds, ks) % m) / m)
+        sums = [complex(v) for v in W @ np.array(coeffs, dtype=complex)]
+    return tuple(ScaledScalar.of(v, qexps[0]) for v in sums)
 
 
 def _kl_value(omega: MultChar, n: int, a0: int, t: int, backend: Backend):
@@ -312,12 +348,8 @@ def bessel_charsum(pi: RepnData, z: Union[PadicNumber, TestFunction], y: PadicNu
     if y.is_zero() or y.val != n * z.val:
         return BesselValue(y, ScaledScalar.of(backend.zero()), False)
     u = sgn * y.unit_mod(t) * pow(z.unit_mod(t), -1, pm) % pm
-    ug = unit_group(pi.p, t)
-    du, m = ug.dlog(u), ug.order
-    acc = ScaledScalar.of(backend.zero())
-    for k, c in _charsum_profile(pi, t, backend).items():
-        acc = acc + c * backend.root_of_unity(k * du % m, m)
-    return BesselValue(y, pref * acc, True)
+    du = unit_group(pi.p, t).dlog(u)
+    return BesselValue(y, pref * _charsum_row(pi, t, backend)[du], True)
 
 
 def bessel_closedform(pi: RepnData, z: Union[PadicNumber, TestFunction], y: PadicNumber,
@@ -374,11 +406,11 @@ def _mellin_lhs(pi: RepnData, z: PadicNumber, chi: MultChar, sign_convention: st
         |y|^{s - (n-1)/2} * (1/phi(p^T)) sum_{y0} B(y0 pi^{n v(z)}) chi^{-1}(y0)
 
     with the summation order exchanged: for each character in the charsum
-    profile the y0-sum is a pure root-of-unity combination, handed to the
-    backend as one root_sum.  T = max(t, a(chi)) so that
-    the shell parametrization resolves chi.  Returns (monomial, float_scale);
-    float_scale is the natural magnitude of the sum, used by the float
-    backend to decide vanishing.
+    profile the y0-sum is a pure root-of-unity combination; all of them are
+    counted in one histogram and reduced by the backend in one batched pass.
+    T = max(t, a(chi)) so that the shell parametrization resolves chi.
+    Returns (monomial, float_scale); float_scale is the natural magnitude of
+    the sum, used by the float backend to decide vanishing.
     """
     n, t, _ = _standing_assumptions(pi, z)
     p = pi.p
@@ -392,9 +424,14 @@ def _mellin_lhs(pi: RepnData, z: PadicNumber, chi: MultChar, sign_convention: st
     dl_t = ug_t.dlog_table()[units2 % pm]  # y0 class at level t (drives B)
     j2 = ug2.dlog_table()[units2]          # y0 class at level T2 (drives chi)
     profile = _charsum_profile(pi, t, backend)
+    ks = np.fromiter(profile, dtype=np.int64, count=len(profile))
+    # row i holds the zeta_{m2}-exponents of the i-th y0-sum, offset by i * m2
+    # so that one bincount histograms every row
+    E = ((ks[:, None] * (d_s + dl_t)) % m * (m2 // m) - k2 * j2) % m2
+    E += m2 * np.arange(len(ks))[:, None]
+    counts = np.bincount(E.ravel(), minlength=len(ks) * m2).reshape(len(ks), m2)
     acc = ScaledScalar.of(backend.zero())
-    for k, c in profile.items():
-        inner = backend.root_sum(1, 0, m2, (k * (d_s + dl_t)) % m * (m2 // m) - k2 * j2)
+    for c, inner in zip(profile.values(), backend.root_combination_vec(m2, counts)):
         if backend.exact and inner.is_zero():
             continue
         acc = acc + c * inner

@@ -76,13 +76,10 @@ class MultChar:
             raise ValueError("cannot lower the presentation level; build a new character")
         if level == self.level:
             return self
-        big = unit_group(self.p, level)
-        # chi at the new level sends big.gen to chi(big.gen mod p^level)
-        e = self.value_exponent(big.gen % self.p ** self.level)
-        m_small, m_big = self.group_order, big.order
-        # e/m_small = k_big/m_big as angles
-        k_big = e * (m_big // m_small)
-        return MultChar(self.p, level, k_big)
+        # chi at the new level sends its generator g to chi(g mod p^level),
+        # zeta_{m_small}^{k e0}; as an angle that is k e0 (m_big / m_small) / m_big
+        e0 = _generator_dlog(self.p, self.level, level)
+        return MultChar(self.p, level, self.k * e0 * (phi(self.p, level) // self.group_order))
 
     def mul(self, other: "MultChar") -> "MultChar":
         if other.p != self.p:
@@ -106,6 +103,12 @@ class MultChar:
 
     def to_json(self) -> dict:
         return {"p": self.p, "level": self.level, "k": self.k}
+
+
+@lru_cache(maxsize=256)
+def _generator_dlog(p: int, level: int, new_level: int) -> int:
+    """dlog at `level` of the generator of the units mod p^new_level."""
+    return unit_group(p, level).dlog(unit_group(p, new_level).gen % p ** level)
 
 
 @lru_cache(maxsize=None)

@@ -46,7 +46,7 @@ import numpy as np
 
 from .characters import MultChar, represent_at_level
 from .padic import unit_group
-from .scalars import EXACT, Backend, CycNumber, Scalar, get_context
+from .scalars import EXACT, Backend, CycNumber, Scalar, shifted_root_sums
 
 
 DEFAULT_TERM_BUDGET = 2_000_000
@@ -254,27 +254,13 @@ def kl_row(
     k_om = represent_at_level(omega, table.t).k % m
     tau_n1 = table.powers(n - 1)
     A = [table.values[(k + k_om) % m] * tau_n1[k] for k in range(m)]
-    ds = np.arange(m)
     if not backend.exact:
+        ds = np.arange(m)
         W = np.exp(-2j * np.pi * (np.outer(ds, ds) % m) / m)
         row = tuple(complex(v) for v in W @ np.array(A, dtype=complex) / m)
     else:
         N = math.lcm(table.p ** table.t, m)
-        ctx = get_context(N)
-        lifted = [a._lift_vec(N) for a in A]
-        den = math.lcm(*(d for _num, d in lifted))
-        scale = [den // d for _num, d in lifted]
-        biggest = max(max(map(abs, num)) * s for (num, _d), s in zip(lifted, scale))
-        G = np.zeros((m, N), dtype=np.int64 if ctx.fits_int64(m * biggest) else object)
-        G[:, :ctx.phi] = [num for num, _d in lifted]
-        G[:, :ctx.phi] *= np.array(scale, dtype=G.dtype)[:, None]
-        # z^{-k d N/m} shifts the (m, N/m) block view of A_k by k*d block rows
-        blocks = G.reshape(m, m, N // m)
-        R = np.zeros((m, m, N // m), dtype=G.dtype)
-        for k in range(m):
-            R += blocks[k][(ds + k * ds[:, None]) % m]
-        red = ctx.reduce_groupring(R.reshape(m, N))
-        row = tuple(CycNumber.from_vec(N, r, den * m) for r in red)
+        row = shifted_root_sums(N, A, [-k for k in range(m)], m, den=m)
     table._rows[k_om, n, backend] = row
     return row
 

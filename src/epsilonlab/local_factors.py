@@ -616,13 +616,18 @@ def enumerate_reps(p: int, n_max: int, a_max: int) -> list[RepnData]:
     tau_pool = [trivial_char(p)]
     for c in range(1, a_max + 1):
         tau_pool += chars_with_conductor(p, c)
-    # candidate blocks, and their (size, conductor cost) read once
-    blocks = []
+    # candidate blocks, and their (size, conductor cost) read once.  The blocks
+    # of one tau are contiguous, start at size 1 and grow in size and cost;
+    # next_tau[i] is the index of the next tau's first block.
+    blocks, next_tau = [], []
     for tau in tau_pool:
+        first = len(blocks)
         for d in range(1, n_max + 1):
             b = Block(tau, d)
             if b.conductor_contribution <= a_max and d <= n_max:
                 blocks.append(b)
+        next_tau += [len(blocks)] * (len(blocks) - first)
+    n_blocks = len(blocks)
     costs = [(b.size, b.conductor_contribution) for b in blocks]
     out = []
     seen = set()
@@ -642,15 +647,21 @@ def enumerate_reps(p: int, n_max: int, a_max: int) -> list[RepnData]:
             emit(bs)
             return
         pad = r - len(bs) - 1  # later slots still need size >= 1 each
-        for i in range(start, len(blocks)):
+        i = start
+        while i < n_blocks:
             d, c = costs[i]
-            if size + d + pad > n_max:
-                continue
-            if cost + c > a_max:
+            if size + d + pad > n_max or cost + c > a_max:
+                # the rest of this tau is over budget too; a first block (size
+                # 1, cost a(tau)) over budget ends the walk, since the pool is
+                # ordered by conductor and every later tau costs at least as much
+                if d == 1:
+                    break
+                i = next_tau[i]
                 continue
             bs.append(blocks[i])
             extend(bs, i, size + d, cost + c, r)
             bs.pop()
+            i += 1
 
     for r in range(1, n_max + 1):
         extend([], 0, 0, 0, r)

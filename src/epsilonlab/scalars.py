@@ -559,6 +559,33 @@ def root_of_unity(e: int, N: int) -> CycNumber:
     return _make(N, vec, 1)
 
 
+def shifted_root_sums(N: int, values, mults, m: int, den: int = 1) -> tuple:
+    """sum_k values[k] * zeta_m^(mults[k] * d) / den in Q(zeta_N), for every d mod m.
+
+    N must be a multiple of m and of every value's order.  The values are put
+    over one common denominator as the rows of an integer group-ring matrix;
+    zeta_m^(j d) = z^(j d N/m) shifts the (m, N/m) block view of a row by j*d
+    block rows, so all m sums are one stack of shifted rows and one batched
+    reduction.  The stack is int64 when K rows of the largest scaled
+    coefficient pass the reduction guard, object dtype otherwise.
+    """
+    ctx = get_context(N)
+    lifted = [v._lift_vec(N) for v in values]
+    common = math.lcm(*(d for _num, d in lifted))
+    scale = [common // d for _num, d in lifted]
+    biggest = max(max(map(abs, num)) * s for (num, _d), s in zip(lifted, scale))
+    G = np.zeros((len(values), N),
+                 dtype=np.int64 if ctx.fits_int64(len(values) * biggest) else object)
+    G[:, :ctx.phi] = [num for num, _d in lifted]
+    G[:, :ctx.phi] *= np.array(scale, dtype=G.dtype)[:, None]
+    ds = np.arange(m)
+    R = np.zeros((m, m, N // m), dtype=G.dtype)
+    for j, blocks in zip(mults, G.reshape(len(values), m, N // m)):
+        R += blocks[(ds - j * ds[:, None]) % m]
+    red = ctx.reduce_groupring(R.reshape(m, N))
+    return tuple(CycNumber.from_vec(N, r, common * den) for r in red)
+
+
 def to_complex(x: Union[CycNumber, complex]) -> complex:
     if isinstance(x, CycNumber):
         return x.to_complex()
@@ -774,14 +801,20 @@ class Backend:
         e = (add % pt * (N // pt) + mul % m * (N // m)) % N
         return self.root_combination_vec(N, np.bincount(e, minlength=N))
 
-    def root_combination_vec(self, N: int, counts: np.ndarray) -> Scalar:
-        """Same as root_combination for a dense length-N integer count vector."""
-        if self.exact:
-            ctx = get_context(N)
-            red = ctx.reduce_groupring(counts.astype(np.int64, copy=False))
-            return _make(N, [int(c) for c in red], 1)
+    def root_combination_vec(self, N: int, counts: np.ndarray):
+        """Same as root_combination for a dense length-N integer count vector.
+
+        A (K, N) stack of count vectors gives a list of K values, reduced in
+        one batched pass.
+        """
         ctx = get_context(N)
-        return complex(np.dot(counts, ctx.roots_complex()))
+        if not self.exact:
+            vals = np.dot(counts, ctx.roots_complex())
+            return complex(vals) if counts.ndim == 1 else [complex(v) for v in vals]
+        red = ctx.reduce_groupring(counts.astype(np.int64, copy=False)).tolist()
+        if counts.ndim == 1:
+            return _make(N, red, 1)
+        return [_make(N, r, 1) for r in red]
 
 
 EXACT = Backend("exact")

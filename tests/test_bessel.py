@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from epsilonlab import bessel
 from epsilonlab.bessel import (
     CHARSUM_PREFACTORS,
     CLOSEDFORM_PRESETS,
@@ -24,7 +25,14 @@ from epsilonlab.characters import (
 )
 from epsilonlab.local_factors import Block, RepnData, gauss_sum, principal_series, steinberg
 from epsilonlab.padic import PadicNumber, psi_eval, unit_group
-from epsilonlab.scalars import EXACT, FLOAT, ScaledScalar, root_of_unity
+from epsilonlab.scalars import (
+    EXACT,
+    FLOAT,
+    CycContext,
+    QExpMismatchError,
+    ScaledScalar,
+    root_of_unity,
+)
 
 
 def zvec(p, t, unit=1):
@@ -196,6 +204,86 @@ def test_charsum_frozen_value():
     # and y0=1 lands on a vanishing Kloosterman class
     b0 = bessel_charsum(pi, zvec(3, 2), shell_point(3, 1, 3, 2))
     assert b0.support_flag and b0.value.is_zero_exact()
+
+
+def loop_charsum(pi, z, y, sign_convention, backend):
+    """The character sum one profile entry at a time, one root of unity and one
+    strict ScaledScalar addition per character: the whole-shell row's oracle."""
+    n, t, _ = bessel._standing_assumptions(pi, z)
+    pm = pi.p ** t
+    u = bessel._sign_unit(n, sign_convention, pm) * y.unit_mod(t) * pow(z.unit_mod(t), -1, pm) % pm
+    ug = unit_group(pi.p, t)
+    du, m = ug.dlog(u), ug.order
+    acc = ScaledScalar.of(backend.zero())
+    for k, c in bessel._charsum_profile(pi, t, backend).items():
+        acc = acc + c * backend.root_of_unity(k * du % m, m)
+    return bessel._prefactor_scalar(n, t, pi.p, "lemma41", backend) * acc
+
+
+# every shell of these (p, t) against an n = 2 probe, and at p = 3 an n = 3 one
+ROW_CASES = [pytest.param(p, t, pi, id="%d-%d-n%d" % (p, t, pi.dim))
+             for p, t in [(3, 2), (5, 2), (7, 2), (3, 3), (5, 3)]
+             for pi in [st2(p)] + ([steinberg(trivial_char(3), 3)] if p == 3 else [])]
+
+
+@pytest.mark.parametrize("p,t,pi", ROW_CASES)
+@pytest.mark.parametrize("sign_convention", SIGN_CONVENTIONS)
+def test_charsum_row_is_the_per_character_loop(p, t, pi, sign_convention):
+    z, n = zvec(p, t), pi.dim
+    for y0 in shell_units(p, t):
+        y = shell_point(p, y0, n, t)
+        got = bessel_charsum(pi, z, y, sign_convention).value
+        want = loop_charsum(pi, z, y, sign_convention, EXACT)
+        assert got == want and repr(got) == repr(want), (y0, got, want)
+        got = bessel_charsum(pi, z, y, sign_convention, backend=FLOAT).value
+        want = loop_charsum(pi, z, y, sign_convention, FLOAT)
+        assert got.qexp == want.qexp
+        assert abs(got.coeff - want.coeff) <= 1e-9 * max(1.0, abs(want.coeff)), y0
+
+
+def test_charsum_object_rows_equal_the_int64_rows(monkeypatch):
+    # rows whose stack fails the int64 guard are built in object dtype
+    cases = [(st2(5, 2), 5, 2), (steinberg(trivial_char(3), 3), 3, 3)]
+    fast = {(p, t): [bessel_charsum(pi, zvec(p, t), shell_point(p, y0, pi.dim, t)).value
+                     for y0 in shell_units(p, t)] for pi, p, t in cases}
+    monkeypatch.setattr(CycContext, "fits_int64", lambda self, max_abs: False)
+    seen = []
+    real = CycContext.reduce_groupring
+
+    def spy(self, vec):
+        out = real(self, vec)
+        if vec.ndim == 2:
+            seen.append(out.dtype)
+        return out
+
+    monkeypatch.setattr(CycContext, "reduce_groupring", spy)
+    bessel._charsum_row.cache_clear()
+    try:
+        for pi, p, t in cases:
+            slow = [bessel_charsum(pi, zvec(p, t), shell_point(p, y0, pi.dim, t)).value
+                    for y0 in shell_units(p, t)]
+            assert slow == fast[p, t]
+            assert [repr(v) for v in slow] == [repr(v) for v in fast[p, t]]
+    finally:
+        bessel._charsum_row.cache_clear()
+    assert seen == [object] * len(cases)
+
+
+def test_charsum_row_refuses_mixed_q_exponents(monkeypatch):
+    pi, p, t = st2(3), 3, 2
+    z, y = zvec(p, t), shell_point(p, 2, 2, t)
+    one = ScaledScalar.of(1)
+    mixed = {1: one, 5: one.scale_q(Fraction(1, 2))}
+    monkeypatch.setattr(bessel, "_charsum_profile", lambda pi, t, backend: mixed)
+    for backend in (EXACT, FLOAT):
+        with pytest.raises(QExpMismatchError):
+            bessel._charsum_row.__wrapped__(pi, t, backend)
+    with pytest.raises(QExpMismatchError):  # as the per-character loop does
+        loop_charsum(pi, z, y, "lemma41", EXACT)
+    # exact zeros carry no q-exponent and never mix
+    mixed[5] = ScaledScalar.of(0)
+    row = bessel._charsum_row.__wrapped__(pi, t, EXACT)
+    assert row == tuple(ScaledScalar.of(root_of_unity(d, 6)) for d in range(6))
 
 
 # ---------------------------------------------------------------------------

@@ -137,6 +137,18 @@ def test_induce_preserves_everything():
                     assert deep.eval(x) == chi.eval(x)
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_induce_reads_the_deeper_generator(p):
+    # chi at the deeper level sends its generator g to chi(g mod p^level)
+    for level in (1, 2, 3):
+        for chi in enumerate_chars(p, level):
+            for deeper in range(level + 1, 5):
+                big = unit_group(p, deeper)
+                e = chi.value_exponent(big.gen % p ** level)
+                want = MultChar(p, deeper, e * (big.order // chi.group_order))
+                assert chi.induce(deeper) == want, (chi, deeper)
+
+
 def test_mul_inv_respect_values():
     a, b = MultChar(5, 2, 3), MultChar(5, 3, 7)
     prod = a.mul(b)

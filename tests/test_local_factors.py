@@ -1,5 +1,6 @@
 """Gauss sums, root numbers, epsilon monomials, and both stability engines."""
 import hashlib
+import itertools
 from collections import Counter
 from fractions import Fraction
 
@@ -650,6 +651,32 @@ def test_enumerate_reps_order_is_pinned(args, count, digest):
     keys = [tuple((b.tau.level, b.tau.k, b.size) for b in pi.blocks) for pi in reps]
     assert len(keys) == count
     assert hashlib.sha256(repr(keys).encode()).hexdigest() == digest
+
+
+def brute_enumerate_reps(p, n_max, a_max):
+    """Every budget-respecting multiset of candidate blocks, from an unpruned
+    combinations_with_replacement, first occurrence of each block key kept."""
+    pool = [trivial_char(p)] + [chi for a in range(1, a_max + 1)
+                                for chi in conductor_chars(p, a)]
+    blocks = [Block(tau, d) for tau in pool for d in range(1, n_max + 1)
+              if Block(tau, d).conductor_contribution <= a_max]
+    out, seen = [], set()
+    for r in range(1, n_max + 1):
+        for bs in itertools.combinations_with_replacement(blocks, r):
+            if (sum(b.size for b in bs) > n_max
+                    or sum(b.conductor_contribution for b in bs) > a_max):
+                continue
+            rep = RepnData.of(*bs)
+            key = tuple(sorted((b.tau.level, b.tau.k, b.size) for b in rep.blocks))
+            if key not in seen:
+                seen.add(key)
+                out.append(rep)
+    return out
+
+
+@pytest.mark.parametrize("args", [(3, 3, 3), (5, 3, 3)])
+def test_enumerate_reps_is_the_brute_force_enumeration(args):
+    assert enumerate_reps(*args) == brute_enumerate_reps(*args)
 
 
 def test_enumerate_reps_scales_to_the_full_default_pool():

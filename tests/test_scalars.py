@@ -361,6 +361,22 @@ def test_root_combination(backend):
     assert backend.is_zero(backend.root_combination_vec(12, counts))
 
 
+@pytest.mark.parametrize("backend", [EXACT, FLOAT], ids=["exact", "float"])
+@pytest.mark.parametrize("N", [12, 100, 294])
+def test_root_combination_vec_reduces_a_stack_row_by_row(backend, N):
+    rng = np.random.default_rng(N)
+    counts = rng.integers(0, 9, (5, N))
+    counts[2] = 0
+    got = backend.root_combination_vec(N, counts)
+    assert len(got) == 5
+    for row, value in zip(counts, got):
+        assert backend.eq(value, backend.root_combination(N, dict(enumerate(row.tolist()))))
+        single = backend.root_combination_vec(N, row)
+        assert backend.eq(value, single)
+        if backend.exact:
+            assert repr(value) == repr(single)
+
+
 def test_backend_agreement_on_random_sums():
     rng = random.Random(7)
     for N in (5, 54):
