@@ -24,7 +24,7 @@ from functools import lru_cache
 from typing import Iterator, Union
 
 from .padic import is_odd_prime, phi, unit_group, unit_part_mod
-from .scalars import EXACT, Backend, Rational
+from .scalars import EXACT, Backend
 
 
 @dataclass(frozen=True)
@@ -93,13 +93,6 @@ class MultChar:
 
     def __pow__(self, n: int) -> "MultChar":
         return MultChar(self.p, self.level, self.k * n)
-
-    def same_character(self, other: "MultChar") -> bool:
-        """Equality as characters of Q_p^x (presentation level ignored)."""
-        if other.p != self.p:
-            return False
-        lvl = max(self.level, other.level)
-        return self.induce(lvl).k == other.induce(lvl).k
 
     def to_json(self) -> dict:
         return {"p": self.p, "level": self.level, "k": self.k}
@@ -186,10 +179,6 @@ class QuasiChar:
 
     finite: MultChar
     shift: Fraction = Fraction(0)
-
-    @staticmethod
-    def of(finite: MultChar, shift: Rational = 0) -> "QuasiChar":
-        return QuasiChar(finite, Fraction(shift))
 
     @property
     def p(self) -> int:

@@ -483,7 +483,7 @@ def cmd_kloosterman(config: RunConfig) -> SuiteReport:
                             rows.add((n, t, omega.k, y), case_id, "skip", str(err), **inputs)
                             continue
                     v_direct = kl_direct(query, backend, term_budget=config.budget)
-                    v_dft = kl_via_dft(query, table, backend)
+                    v_dft = kl_via_dft(query, table)
                     ok = backend.eq(v_direct, v_dft)
                     detail = "direct grid (%d terms) vs character table" % cost
                     if not ok:

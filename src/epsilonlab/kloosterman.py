@@ -170,7 +170,7 @@ class GaussTable:
     values: tuple
     backend: Backend
     _powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # (omega exponent k at level t, n, backend) -> the kl_row of that twist
+    # (omega exponent k at level t, n) -> the kl_row of that twist
     _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -183,22 +183,6 @@ class GaussTable:
         if hit is None:
             hit = self._powers[e] = tuple(v ** e for v in self.values)
         return hit
-
-    def pairing_holds(self) -> bool:
-        """tau_t(chi) tau_t(chi^{-1}) = chi(-1) q^t at full conductor, 0 below
-        it, and 1 in the Ramanujan corner (trivial chi at t = 1).  Compared in
-        the table's backend, so a float table answers within its tolerance."""
-        m = self.order
-        qt = self.p ** self.t
-        eq, is_zero = self.backend.eq, self.backend.is_zero
-        for k, v in enumerate(self.values):
-            w = self.values[(-k) % m]
-            prod = v * w
-            sign = -1 if k % 2 else 1  # chi(-1) = (-1)^k, as in MultChar.parity_sign
-            expected = (1 if self.t == 1 else 0) if k == 0 else sign * qt
-            if not (eq(prod, expected) or (k != 0 and is_zero(prod))):
-                return False
-        return True
 
 
 def build_gauss_table(
@@ -235,14 +219,10 @@ def build_gauss_table(
 # ---------------------------------------------------------------------------
 
 
-def kl_row(
-    omega: MultChar,
-    n: int,
-    table: GaussTable,
-    backend: Backend = EXACT,
-) -> tuple:
+def kl_row(omega: MultChar, n: int, table: GaussTable) -> tuple:
     """KL_{omega,n}(y; t) for every unit y mod p^t, indexed by d = dlog y:
-    m^{-1} sum_k zeta_m^{-k d} A_k with A_k = tau(omega chi_k) tau(chi_k)^{n-1}.
+    m^{-1} sum_k zeta_m^{-k d} A_k with A_k = tau(omega chi_k) tau(chi_k)^{n-1},
+    in the table's backend.
 
     Always computed afresh; the row is left on the table for kl_via_dft.
     """
@@ -254,31 +234,27 @@ def kl_row(
     k_om = represent_at_level(omega, table.t).k % m
     tau_n1 = table.powers(n - 1)
     A = [table.values[(k + k_om) % m] * tau_n1[k] for k in range(m)]
-    if not backend.exact:
+    if not table.backend.exact:
         ds = np.arange(m)
         W = np.exp(-2j * np.pi * (np.outer(ds, ds) % m) / m)
         row = tuple(complex(v) for v in W @ np.array(A, dtype=complex) / m)
     else:
         N = math.lcm(table.p ** table.t, m)
         row = shifted_root_sums(N, A, [-k for k in range(m)], m, den=m)
-    table._rows[k_om, n, backend] = row
+    table._rows[k_om, n] = row
     return row
 
 
-def kl_via_dft(
-    query: KLQuery,
-    table: GaussTable,
-    backend: Backend = EXACT,
-) -> Scalar:
+def kl_via_dft(query: KLQuery, table: GaussTable) -> Scalar:
     """KL_{omega,n}(y; t) through the Gauss-sum factorization: one entry of the
     twist's kl_row, which the table keeps, so every y of one (omega, n) shares it."""
     p, t = query.p, query.t
     if (table.p, table.t) != (p, t):
         raise ValueError("Gauss table is for (p,t)=(%d,%d)" % (table.p, table.t))
     k_om = represent_at_level(query.omega, t).k % table.order
-    row = table._rows.get((k_om, query.n, backend))
+    row = table._rows.get((k_om, query.n))
     if row is None:
-        row = kl_row(query.omega, query.n, table, backend)
+        row = kl_row(query.omega, query.n, table)
     return row[unit_group(p, t).dlog(query.y)]
 
 

@@ -149,10 +149,6 @@ class EpsMonomial:
         return self.xexp == other.xexp and self.value.eq_value(other.value, q, backend)
 
 
-def eps_one() -> EpsMonomial:
-    return EpsMonomial(ScaledScalar.of(1), 0)
-
-
 def eps_gl1(
     chi: Union[MultChar, QuasiChar],
     psi_scale: Rational = 1,
@@ -166,11 +162,7 @@ def eps_gl1(
     chi = as_quasi(chi)
     fin, s0 = chi.finite, chi.shift
     a = fin.conductor_exponent
-    if a == 0:
-        out = eps_one()
-    else:
-        w = root_number(fin, backend)
-        out = EpsMonomial(w.scale_q(-a * s0), a)
+    out = EpsMonomial(root_number(fin, backend).scale_q(-a * s0), a)
     scale = Fraction(psi_scale)
     if scale != 1:
         p = fin.p
@@ -293,10 +285,6 @@ def steinberg(tau: MultChar, size: int) -> RepnData:
     return RepnData.of(Block(tau, size))
 
 
-def principal_series(*taus: MultChar) -> RepnData:
-    return RepnData.of(*(Block(t) for t in taus))
-
-
 def eps_rep_twisted(
     pi: RepnData,
     chi: Union[MultChar, QuasiChar],
@@ -312,7 +300,7 @@ def eps_rep_twisted(
     the epsilon factor of the special representation there.
     """
     chi = as_quasi(chi)
-    out = eps_one()
+    out = EpsMonomial(ScaledScalar.of(backend.one()), 0)
     for b in pi.blocks:
         fused = chi.finite.mul(b.tau)
         if fused.conductor_exponent == 0 and b.size >= 2:

@@ -137,11 +137,6 @@ class PadicNumber:
     def __neg__(self):
         return self._wrap(-self.value)
 
-    def inverse(self) -> "PadicNumber":
-        if self.value == 0:
-            raise ZeroDivisionError
-        return self._wrap(1 / self.value)
-
     def __eq__(self, other):
         if isinstance(other, PadicNumber):
             return self.p == other.p and self.value == other.value
@@ -204,9 +199,6 @@ class UnitGroup:
         if k < 0:
             raise ValueError("%d is not a unit mod %d" % (x, self.modulus))
         return k
-
-    def exp(self, k: int) -> int:
-        return pow(self.gen, k % self.order, self.modulus)
 
     def units(self) -> np.ndarray:
         return np.flatnonzero(self._dlog >= 0)

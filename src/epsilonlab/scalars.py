@@ -26,6 +26,13 @@ bug, not a request for numerics.
 
 The float backend mirrors the same operations on complex128 with a relative
 tolerance used for equality only.
+
+The Backend is the one place that decides a scalar's type: its constants (one,
+zero, rational, root_of_unity) and its root sums are CycNumbers in exact mode
+and complex numbers in float mode.  Exact and float values never meet in one
+operation: a product or sum of a CycNumber and a complex, or a float-mode
+Backend.eq handed a CycNumber, raises TypeError instead of rounding the exact
+side.
 """
 
 from __future__ import annotations
@@ -298,14 +305,6 @@ class CycNumber:
     def is_zero(self) -> bool:
         return not any(self.num)
 
-    def is_rational(self) -> bool:
-        return self.N == 1
-
-    def as_fraction(self) -> Fraction:
-        if self.N != 1:
-            raise ValueError("not a rational value: %r" % (self,))
-        return Fraction(self.num[0], self.den)
-
     def sparse(self) -> tuple[tuple[int, int], ...]:
         return tuple((i, c) for i, c in enumerate(self.num) if c)
 
@@ -473,12 +472,11 @@ class CycNumber:
         if self.N == 1:
             return self
         ctx = get_context(self.N)
-        weights: dict[int, int] = {}
-        for i, c in enumerate(self.num):
-            if c:
-                j = (-i) % self.N
-                weights[j] = weights.get(j, 0) + c
-        return _from_groupring(self.N, weights, self.den)
+        fits = ctx.fits_int64(max(map(abs, self.num)))
+        vec = np.zeros(self.N, dtype=np.int64 if fits else object)
+        # z^i -> z^(-i): the canonical coordinates land on the exponents -i mod N
+        vec[(-np.arange(ctx.phi)) % self.N] = self.num
+        return _make(self.N, ctx.reduce_groupring(vec).tolist(), self.den)
 
     def norm_squared(self) -> "CycNumber":
         return self * self.conjugate()
@@ -525,16 +523,6 @@ def _make(N: int, num: list[int], den: int) -> CycNumber:
     if not any(num):
         return CycNumber(1, (0,), 1)
     return CycNumber(N, tuple(num), den)
-
-
-def _from_groupring(N: int, weights: Mapping[int, int], den: int = 1) -> CycNumber:
-    ctx = get_context(N)
-    fits = ctx.fits_int64(max(map(abs, weights.values()), default=0))
-    vec = np.zeros(N, dtype=np.int64 if fits else object)
-    for e, c in weights.items():
-        vec[e % N] += c
-    red = ctx.reduce_groupring(vec)
-    return _make(N, [int(c) for c in red], den)
 
 
 def _coerce(x) -> "CycNumber":
@@ -601,12 +589,13 @@ def proportionality_ratio(a: CycNumber, b: CycNumber) -> Optional[Fraction]:
     N = _common_order(a.N, b.N)
     (anum, aden) = a._lift_vec(N)
     (bnum, bden) = b._lift_vec(N)
+    # a = r b with r = (anum[bi] / aden) / (bnum[bi] / bden) exactly when every
+    # coordinate satisfies anum[i] bnum[bi] = anum[bi] bnum[i]: the denominators cancel
     bi = next(i for i, c in enumerate(bnum) if c)
-    if not anum[bi]:
+    x0, y0 = anum[bi], bnum[bi]
+    if not all(x * y0 == x0 * y for x, y in zip(anum, bnum)):
         return None
-    r = Fraction(anum[bi], aden) / Fraction(bnum[bi], bden)
-    ok = all(Fraction(x, aden) == r * Fraction(y, bden) for x, y in zip(anum, bnum))
-    return r if ok else None
+    return Fraction(x0 * bden, aden * y0)
 
 
 # ---------------------------------------------------------------------------
@@ -626,8 +615,6 @@ class ScaledScalar:
 
     @staticmethod
     def of(coeff, qexp: Rational = 0) -> "ScaledScalar":
-        if isinstance(coeff, (int, Fraction)):
-            coeff = CycNumber.rational(coeff)
         if _scalar_is_exact_zero(coeff):
             return ScaledScalar(coeff, Fraction(0))
         return ScaledScalar(coeff, Fraction(qexp))
@@ -637,11 +624,9 @@ class ScaledScalar:
 
     def __mul__(self, other):
         if isinstance(other, ScaledScalar):
-            a, b = _align_scalars(self.coeff, other.coeff)
-            return ScaledScalar.of(a * b, self.qexp + other.qexp)
+            return ScaledScalar.of(self.coeff * other.coeff, self.qexp + other.qexp)
         if isinstance(other, (int, Fraction, CycNumber, complex)):
-            a, b = _align_scalars(self.coeff, other)
-            return ScaledScalar.of(a * b, self.qexp)
+            return ScaledScalar.of(self.coeff * other, self.qexp)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -657,12 +642,9 @@ class ScaledScalar:
             raise QExpMismatchError(
                 "sum of scaled scalars with q-exponents %s and %s" % (self.qexp, other.qexp)
             )
-        a, b = _align_scalars(self.coeff, other.coeff)
-        return ScaledScalar.of(a + b, self.qexp)
+        return ScaledScalar.of(self.coeff + other.coeff, self.qexp)
 
     def __pow__(self, k: int):
-        if k == 0:
-            return ScaledScalar.of(1)
         return ScaledScalar.of(self.coeff ** k, self.qexp * k)
 
     def scale_q(self, delta: Rational) -> "ScaledScalar":
@@ -679,11 +661,8 @@ class ScaledScalar:
             return True
         delta = self.qexp - other.qexp
         if delta.denominator == 1:
-            if backend.exact:
-                lhs = self.coeff * (Fraction(q) ** int(delta))
-            else:
-                lhs = to_complex(self.coeff) * (float(q) ** int(delta))
-            return backend.eq(lhs, other.coeff)
+            scale = Fraction(q) ** int(delta) if backend.exact else float(q) ** int(delta)
+            return backend.eq(self.coeff * scale, other.coeff)
         # a fractional q-power gap: only equal if both vanish (handled above) or the
         # backend can compare numerically
         if backend.exact:
@@ -695,17 +674,6 @@ def _scalar_is_exact_zero(x: Scalar) -> bool:
     if isinstance(x, CycNumber):
         return x.is_zero()
     return x == 0
-
-
-def _align_scalars(a, b):
-    """Demote exact operands to complex when the other side is a float value."""
-    a_exact = isinstance(a, (CycNumber, int, Fraction))
-    b_exact = isinstance(b, (CycNumber, int, Fraction))
-    if a_exact and not b_exact:
-        a = to_complex(a) if isinstance(a, CycNumber) else complex(a)
-    elif b_exact and not a_exact:
-        b = to_complex(b) if isinstance(b, CycNumber) else complex(b)
-    return a, b
 
 
 # ---------------------------------------------------------------------------
@@ -761,13 +729,8 @@ class Backend:
 
     def eq(self, a, b) -> bool:
         if self.exact:
-            if isinstance(a, (int, Fraction)):
-                a = CycNumber.rational(a)
-            if isinstance(b, (int, Fraction)):
-                b = CycNumber.rational(b)
             return a == b
-        ca = a.to_complex() if isinstance(a, CycNumber) else complex(a)
-        cb = b.to_complex() if isinstance(b, CycNumber) else complex(b)
+        ca, cb = complex(a), complex(b)
         scale = max(1.0, abs(ca), abs(cb))
         return abs(ca - cb) <= self.tolerance * scale
 
@@ -777,17 +740,16 @@ class Backend:
         return abs(x) <= self.tolerance
 
     def root_combination(self, N: int, weights: Mapping[int, Rational]) -> Scalar:
-        """sum_e weights[e] * zeta_N^e, computed natively in the backend."""
-        if self.exact:
-            intw: dict[int, int] = {}
-            den = 1
-            for w in weights.values():
-                if isinstance(w, Fraction):
-                    den = math.lcm(den, w.denominator)
-            for e, w in weights.items():
-                intw[e % N] = intw.get(e % N, 0) + int(Fraction(w) * den)
-            return _from_groupring(N, intw, den)
+        """sum_e weights[e] * zeta_N^e from a sparse map of rational weights, one
+        term at a time (object dtype when exact): the reference root_sum is
+        tested against."""
         ctx = get_context(N)
+        if self.exact:
+            den = math.lcm(*(Fraction(w).denominator for w in weights.values()))
+            vec = np.zeros(N, dtype=object)
+            for e, w in weights.items():
+                vec[e % N] += int(Fraction(w) * den)
+            return _make(N, ctx.reduce_groupring(vec).tolist(), den)
         roots = ctx.roots_complex()
         acc = 0.0 + 0.0j
         for e, w in weights.items():

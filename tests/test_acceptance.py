@@ -157,7 +157,7 @@ def _kl_survey(mode: str) -> tuple:
                         skipped += 1
                         continue
                     direct = kl_direct(query, backend)
-                    viadft = kl_via_dft(query, table, backend)
+                    viadft = kl_via_dft(query, table)
                     if not backend.eq(direct, viadft):
                         mismatches.append((p, t, n, omega.k, y))
                     values[(p, t, n, omega.k, y)] = _cx(direct)

@@ -23,7 +23,7 @@ from epsilonlab.characters import (
     enumerate_chars,
     trivial_char,
 )
-from epsilonlab.local_factors import Block, RepnData, gauss_sum, principal_series, steinberg
+from epsilonlab.local_factors import Block, RepnData, gauss_sum, steinberg
 from epsilonlab.padic import PadicNumber, psi_eval, unit_group
 from epsilonlab.scalars import (
     EXACT,
@@ -54,7 +54,8 @@ def st2(p, k=1):
     return steinberg(MultChar(p, 1, k), 2)
 
 
-PI_N2 = [(3, st2(3)), (5, st2(5, 2)), (5, principal_series(MultChar(5, 1, 1), MultChar(5, 1, 3)))]
+PI_N2 = [(3, st2(3)), (5, st2(5, 2)),
+         (5, RepnData.of(Block(MultChar(5, 1, 1)), Block(MultChar(5, 1, 3))))]
 PI_N3 = [(3, steinberg(trivial_char(3), 3)),
          (3, RepnData.of(Block(MultChar(3, 1, 1), 2), Block(trivial_char(3)))),
          (5, steinberg(trivial_char(5), 3))]
@@ -272,16 +273,17 @@ def test_charsum_object_rows_equal_the_int64_rows(monkeypatch):
 def test_charsum_row_refuses_mixed_q_exponents(monkeypatch):
     pi, p, t = st2(3), 3, 2
     z, y = zvec(p, t), shell_point(p, 2, 2, t)
-    one = ScaledScalar.of(1)
-    mixed = {1: one, 5: one.scale_q(Fraction(1, 2))}
-    monkeypatch.setattr(bessel, "_charsum_profile", lambda pi, t, backend: mixed)
+    mixed = {}
+    monkeypatch.setattr(bessel, "_charsum_profile", lambda pi, t, backend: mixed[backend])
     for backend in (EXACT, FLOAT):
+        one = ScaledScalar.of(backend.one())
+        mixed[backend] = {1: one, 5: one.scale_q(Fraction(1, 2))}
         with pytest.raises(QExpMismatchError):
             bessel._charsum_row.__wrapped__(pi, t, backend)
     with pytest.raises(QExpMismatchError):  # as the per-character loop does
         loop_charsum(pi, z, y, "lemma41", EXACT)
     # exact zeros carry no q-exponent and never mix
-    mixed[5] = ScaledScalar.of(0)
+    mixed[EXACT][5] = ScaledScalar.of(0)
     row = bessel._charsum_row.__wrapped__(pi, t, EXACT)
     assert row == tuple(ScaledScalar.of(root_of_unity(d, 6)) for d in range(6))
 
@@ -395,7 +397,7 @@ def test_unknown_flags_are_rejected():
 MEASURE_GRID = [
     # (p, pi, t) covering n in {2,3,4} x t in {2,3}
     (3, st2(3), 2), (3, st2(3), 3),
-    (5, st2(5, 2), 2), (5, principal_series(MultChar(5, 1, 1), MultChar(5, 1, 3)), 3),
+    (5, st2(5, 2), 2), (5, RepnData.of(Block(MultChar(5, 1, 1)), Block(MultChar(5, 1, 3))), 3),
     (3, PI_N3[0][1], 2), (3, PI_N3[1][1], 3), (5, PI_N3[2][1], 2),
     (3, PI_N4[0][1], 2), (3, PI_N4[0][1], 3), (5, PI_N4[1][1], 2),
     (3, steinberg(trivial_char(3), 4), 3),  # n=4 through a conductor-3 block
@@ -525,11 +527,13 @@ def test_equal_central_character_pairs_have_equal_transforms():
         (3, steinberg(trivial_char(3), 3),
          RepnData.of(Block(MultChar(3, 1, 1), 2), Block(trivial_char(3)))),
         (5, steinberg(MultChar(5, 1, 2), 2),
-         principal_series(MultChar(5, 1, 1), MultChar(5, 1, 3))),
+         RepnData.of(Block(MultChar(5, 1, 1)), Block(MultChar(5, 1, 3)))),
     ]
     for p, pi1, pi2 in pairs:
         assert pi1 != pi2
-        assert pi1.central_char().finite.same_character(pi2.central_char().finite)
+        om1, om2 = pi1.central_char().finite, pi2.central_char().finite
+        level = max(om1.level, om2.level)
+        assert om1.induce(level).k == om2.induce(level).k
         assert pi1.conductor_exponent == pi2.conductor_exponent
         n, t = pi1.dim, pi1.conductor_exponent
         z = zvec(p, t)
@@ -568,7 +572,7 @@ def test_rejects_everything_outside_the_regime():
     y = PadicNumber(3, 1)
     pi_ok = steinberg(trivial_char(3), 3)
     with pytest.raises(ValueError, match="dimension >= 2"):
-        bessel_charsum(principal_series(MultChar(3, 2, 1)), zvec(3, 2), y)
+        bessel_charsum(RepnData.of(Block(MultChar(3, 2, 1))), zvec(3, 2), y)
     with pytest.raises(ValueError, match="finite order"):
         bessel_charsum(RepnData.of(Block(MultChar(3, 2, 1), 1, Fraction(1, 2)),
                                    Block(MultChar(3, 2, 2))), zvec(3, 4), y)
@@ -576,7 +580,7 @@ def test_rejects_everything_outside_the_regime():
         bessel_charsum(steinberg(trivial_char(3), 2), z_ok, y)  # a(pi) = 1
     with pytest.raises(ValueError, match="strictly below"):
         # principal series tau x trivial: a(omega) = a(tau) = a(pi)
-        bessel_charsum(principal_series(MultChar(3, 2, 1), trivial_char(3)), z_ok, y)
+        bessel_charsum(RepnData.of(Block(MultChar(3, 2, 1)), Block(trivial_char(3))), z_ok, y)
     with pytest.raises(ValueError, match="nonzero"):
         bessel_charsum(pi_ok, PadicNumber(3, 0), y)
     with pytest.raises(ValueError, match="deep enough"):

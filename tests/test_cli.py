@@ -15,6 +15,7 @@ from fractions import Fraction
 import pytest
 
 from epsilonlab import cli
+from epsilonlab.scalars import CycNumber
 from epsilonlab.cli import (
     ConfigError,
     RunConfig,
@@ -493,6 +494,40 @@ def test_report_bytes_pinned(tmp_path, capsys, argv, json_sha256, csv_sha256):
     text = json.dumps(doc, indent=2, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == json_sha256
     assert hashlib.sha256(table.read_bytes()).hexdigest() == csv_sha256
+
+
+FLOAT_RUNS = [
+    ["gauss", "--p", "7", "--t-max", "2"],
+    ["stability", "--p", "5", "--t-max", "2", "--n", "1", "2", "3"],
+    ["kloosterman", "--p", "5", "--t-max", "2", "--n", "2", "3", "4"],
+    ["bessel", "--p", "5", "--t-max", "2", "--n", "2", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", FLOAT_RUNS, ids=lambda argv: argv[0])
+def test_float_run_builds_no_exact_scalar(monkeypatch, capsys, argv):
+    """A float run takes every constant from its backend, so it constructs no
+    CycNumber; measure_prefactor is exact by design and is not counted."""
+    built, inside = [], [0]
+    real_init, real_measure = CycNumber.__init__, cli.measure_prefactor
+
+    def counting_init(self, *args):
+        if not inside[0]:
+            built.append(args)
+        real_init(self, *args)
+
+    def measure(*args, **kwargs):
+        inside[0] += 1
+        try:
+            return real_measure(*args, **kwargs)
+        finally:
+            inside[0] -= 1
+
+    monkeypatch.setattr(CycNumber, "__init__", counting_init)
+    monkeypatch.setattr(cli, "measure_prefactor", measure)
+    assert main(argv + ["--backend", "float"]) == 0
+    capsys.readouterr()
+    assert len(built) == 0, built[:3]
 
 
 def test_case_rows_are_sort_normalized():

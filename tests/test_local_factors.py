@@ -13,16 +13,15 @@ from epsilonlab.characters import MultChar, QuasiChar, represent_at_level, trivi
 from epsilonlab.local_factors import (
     Block,
     CertificateTable,
+    EpsMonomial,
     RegimeError,
     RepnData,
     enumerate_reps,
     eps_gl1,
-    eps_one,
     eps_rep_twisted,
     gauss_sum,
     gauss_sum_full_level,
     gl1_stability_check,
-    principal_series,
     root_number,
     stability_check,
     stability_rhs,
@@ -281,10 +280,12 @@ def test_block_conductor_contributions():
 
 def test_repn_invariants():
     t1, t2 = MultChar(5, 1, 1), MultChar(5, 2, 3)
-    pi = principal_series(t1, t2)
+    pi = RepnData.of(Block(t1), Block(t2))
     assert pi.dim == 2
     assert pi.conductor_exponent == 3
-    assert pi.central_char().finite.same_character(t1.mul(t2))
+    omega, want = pi.central_char().finite, t1.mul(t2)
+    level = max(omega.level, want.level)
+    assert omega.induce(level).k == want.induce(level).k
     assert pi.central_char().shift == 0
     # block order is canonical, not insertion order
     assert RepnData.of(Block(t2), Block(t1)) == RepnData.of(Block(t1), Block(t2))
@@ -301,7 +302,8 @@ def test_repn_shifted_central_char():
     pi = RepnData.of(Block(tau, 2, Fraction(1, 2)))
     omega = pi.central_char()
     assert omega.shift == 1
-    assert omega.finite.same_character(tau ** 2)
+    level = max(omega.finite.level, tau.level)
+    assert omega.finite.induce(level).k == (tau ** 2).induce(level).k
 
 
 def test_steinberg_shift_cancellation():
@@ -309,7 +311,7 @@ def test_steinberg_shift_cancellation():
     # fused character is ramified, so the block equals a clean d-th power
     chi = MultChar(5, 2, 1)
     d = 3
-    manual = eps_one()
+    manual = EpsMonomial(ScaledScalar.of(EXACT.one()), 0)
     for j in range(d):
         manual = manual * eps_gl1(QuasiChar(chi, Fraction(d - 1, 2) - j))
     assert manual.equals(eps_gl1(chi) ** d, 5, EXACT)
@@ -327,7 +329,7 @@ def test_eps_rep_unramified_inside_block_refused():
 def test_eps_rep_blockwise_product():
     t1, t2 = MultChar(5, 1, 1), MultChar(5, 1, 2)
     chi = MultChar(5, 2, 1)
-    pi = principal_series(t1, t2)
+    pi = RepnData.of(Block(t1), Block(t2))
     got = eps_rep_twisted(pi, chi)
     want = eps_gl1(t1.mul(chi)) * eps_gl1(t2.mul(chi))
     assert got.equals(want, 5, EXACT)
@@ -338,7 +340,7 @@ def test_eps_rep_blockwise_product():
 
 def test_eps_rep_psi_scale_matches_central_char():
     p = 5
-    pi = principal_series(MultChar(p, 1, 1), MultChar(p, 1, 2))
+    pi = RepnData.of(Block(MultChar(p, 1, 1)), Block(MultChar(p, 1, 2)))
     chi = MultChar(p, 2, 1)
     c = Fraction(2 * p)
     got = eps_rep_twisted(pi, chi, psi_scale=c)
@@ -361,9 +363,9 @@ def rep_zoo(p):
         steinberg(trivial_char(p), 2),
         steinberg(trivial_char(p), 3),
         steinberg(t1, 2),
-        principal_series(t1, trivial_char(p)),
-        principal_series(t1, t2),
-        principal_series(t1, t2, trivial_char(p)),
+        RepnData.of(Block(t1), Block(trivial_char(p))),
+        RepnData.of(Block(t1), Block(t2)),
+        RepnData.of(Block(t1), Block(t2), Block(trivial_char(p))),
         RepnData.of(Block(t1, 2), Block(trivial_char(p), 1)),
     ]
 
@@ -380,7 +382,7 @@ def test_stability_direct_sweep(p):
 
 
 def test_stability_hypothesis_gate():
-    pi = principal_series(MultChar(5, 2, 1), MultChar(5, 2, 3))  # conductor 4
+    pi = RepnData.of(Block(MultChar(5, 2, 1)), Block(MultChar(5, 2, 3)))  # conductor 4
     with pytest.raises(RegimeError):
         stability_check(pi, MultChar(5, 2, 1))
 
@@ -390,7 +392,7 @@ def test_stability_negative_control():
     # (bypassing the gate) must come out unequal, so the comparator is no tautology
     p = 5
     tau = MultChar(p, 2, 1)
-    pi = principal_series(tau, tau.inv())
+    pi = RepnData.of(Block(tau), Block(tau.inv()))
     chi = MultChar(p, 1, 1)  # a(chi) = 1 < a(pi) = 4
     lhs = eps_rep_twisted(pi, chi)
     rhs = stability_rhs(pi, chi)
@@ -446,7 +448,7 @@ def test_certificate_trivial_column_consistency():
     # mu = 1: tau(chi) conj(tau(chi)) = q^a, exponent 0 — via the public checker
     p, a = 5, 2
     table = CertificateTable(p, a)
-    pi = principal_series(trivial_char(p), trivial_char(p))
+    pi = RepnData.of(Block(trivial_char(p)), Block(trivial_char(p)))
     with pytest.raises(RegimeError):
         # both blocks unramified and size 1: handled, but the twisted multiset
         # shortcut answers first; build it explicitly to pin that behavior
@@ -479,7 +481,7 @@ def test_certificate_nu_path_matches_direct():
     # one block too deep for the lemma columns: handled by cancelling against omega
     p, a = 3, 3
     table = CertificateTable(p, a)
-    pi = principal_series(MultChar(3, 2, 1), MultChar(3, 1, 1))
+    pi = RepnData.of(Block(MultChar(3, 2, 1)), Block(MultChar(3, 1, 1)))
     rows = np.arange(len(table.row_ks))
     verdict = table.check_pairs(pi, rows)
     assert verdict.all()
@@ -495,7 +497,7 @@ def test_certificate_multiset_shortcut():
     p, a = 5, 2
     for tau in (MultChar(p, 2, 1), MultChar(p, 1, 1)):
         table = CertificateTable(p, a)
-        pi = principal_series(tau, trivial_char(p))
+        pi = RepnData.of(Block(tau), Block(trivial_char(p)))
         verdict = table.check_pairs(pi, np.arange(len(table.row_ks)))
         assert verdict.all()
         assert not table._mu_cache  # nothing was tabulated
@@ -615,7 +617,7 @@ def test_stability_methods_agree():
 
 
 def test_stability_float_backend():
-    pi = principal_series(MultChar(5, 1, 1), MultChar(5, 1, 2))
+    pi = RepnData.of(Block(MultChar(5, 1, 1)), Block(MultChar(5, 1, 2)))
     chi = MultChar(5, 2, 3)
     assert stability_check(pi, chi, backend=FLOAT).holds
 
@@ -632,7 +634,7 @@ def test_enumerate_reps_deterministic_and_bounded():
     assert len(set(reps1)) == len(reps1)
     assert all(pi.dim <= 3 and pi.conductor_exponent <= 4 for pi in reps1)
     assert steinberg(trivial_char(5), 2) in reps1
-    assert principal_series(MultChar(5, 1, 1), trivial_char(5)) in reps1
+    assert RepnData.of(Block(MultChar(5, 1, 1)), Block(trivial_char(5))) in reps1
 
 
 # sha256 of repr([tuple((tau.level, tau.k, size) for each block) for each rep])

@@ -112,7 +112,8 @@ def test_quadratic_gauss_sum_mod5():
 
 def test_norm_squared_is_rational_here():
     tau = _tau5()
-    assert tau.norm_squared().as_fraction() == Fraction(5)
+    x = tau.norm_squared()
+    assert x.N == 1 and x == Fraction(5)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +243,7 @@ def test_lifting_preserves_eq_and_hash(N, k, coeffs, den):
     assert x == y and y == x
     assert hash(x) == hash(y)
     assert len({x, y}) == 1
-    if not x.is_rational():
+    if x.N != 1:
         assert y.N == k * N
 
 
@@ -274,6 +275,19 @@ def test_proportionality_ratio():
     assert proportionality_ratio(CycNumber.zero(), tau) == 0
     assert proportionality_ratio(tau, root_of_unity(1, 5)) is None
     assert proportionality_ratio(tau, CycNumber.zero()) is None
+
+
+def test_proportionality_ratio_by_integer_coordinates():
+    b = CycNumber.from_vec(5, np.array([1, 2, 0, 3]), 4)
+    # proportional, over denominators 6 and 4, with a negative ratio
+    a = CycNumber.from_vec(5, np.array([-5, -10, 0, -15]), 6)
+    assert a.den != b.den
+    assert proportionality_ratio(a, b) == Fraction(-10, 3)
+    assert a == b * Fraction(-10, 3)
+    # 2b except for one coordinate that is off by 1
+    assert proportionality_ratio(CycNumber.from_vec(5, np.array([2, 4, 0, 7]), 4), b) is None
+    # a vanishes at b's first nonzero coordinate
+    assert proportionality_ratio(CycNumber.from_vec(5, np.array([0, 2, 0, 3]), 4), b) is None
 
 
 def test_negative_power_of_monomial():
@@ -326,6 +340,18 @@ def test_scaled_scalar_power_is_the_repeated_product():
             assert cmath.isclose(got.coeff, want.coeff, rel_tol=1e-12)
     assert exact ** 0 == zero ** 0 == floating ** 0 == ScaledScalar.of(1)
     assert (zero ** 3).is_zero_exact() and (zero ** 3).qexp == 0
+
+
+def test_exact_and_float_scalars_never_mix():
+    exact = ScaledScalar.of(_tau5(), Fraction(-1, 2))
+    floating = ScaledScalar.of(_tau5().to_complex(), Fraction(-1, 2))
+    for a, b in ((exact, floating), (floating, exact)):
+        with pytest.raises(TypeError):
+            a * b
+        with pytest.raises(TypeError):
+            a + b
+    with pytest.raises(TypeError):  # the float backend compares complex values only
+        FLOAT.eq(_tau5(), _tau5().to_complex())
 
 
 def test_eq_value_absorbs_integer_gaps():
