@@ -14,7 +14,8 @@ literal finite sums and is the normative oracle for everything else here.
 Two concrete expressions for B_pi( . ; Phi_z) are implemented:
 
 * ``bessel_charsum``  - the character-sum expansion over all chi with
-  conductor exponent exactly t = -v(z).  On the shell it is a length-phi(p^t)
+  conductor exponent exactly t = -v(z), with the sign (-1)^{n-1} and the
+  prefactor of the lemma41 statement.  On the shell it is a length-phi(p^t)
   DFT of one fixed profile of epsilon values, so each call reads one entry of
   a memoised whole-shell row, computed once per (pi, t, backend);
 * ``bessel_closedform`` - the collapsed form: an explicit constant times a
@@ -24,12 +25,12 @@ Two concrete expressions for B_pi( . ; Phi_z) are implemented:
 The constant in the collapsed form is exactly the sort of thing that
 accumulates typos in print: three mutually inconsistent versions of its
 q-power circulate under the labels ``lemma41``, ``prop42`` and ``cor13``.
-We expose all three as presets, but the default preset ``measured`` takes the
-constant from ``measure_prefactor``, which determines it by exact division of
-the character-sum values by the Kloosterman sums (and verifies on the way
-that the ratio really is a constant across the whole support shell).
-``PrefactorReport.to_json`` records which printed candidate, if any, agrees
-with the measured exponent.
+The closed form takes its constant only from ``measure_prefactor``, which
+determines it by exact division of the character-sum values by the
+Kloosterman sums (and verifies on the way that the ratio really is a constant
+across the whole support shell).  The report keeps the three printed
+exponents as ``candidates``, and ``matches`` records which of them, if any,
+agrees with the measured exponent.
 
 Orientation note.  Two mutually conjugate normalizations of the GL(1) root
 number circulate.  ``local_factors`` pins W(chi) = chi(-1) tau(chi) q^{-a/2},
@@ -45,7 +46,6 @@ module-local; nothing outside this file sees it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -57,43 +57,13 @@ from .characters import MultChar, QuasiChar, as_quasi, chars_with_conductor, rep
 from .kloosterman import KLQuery, kl_direct
 from .local_factors import EpsMonomial, RepnData, eps_gl1, eps_rep_twisted
 from .padic import PadicNumber, psi_eval, unit_group
-from .scalars import (EXACT, Backend, QExpMismatchError, Rational, ScaledScalar,
-                      proportionality_ratio, shifted_root_sums)
-
-SIGN_CONVENTIONS = ("lemma41", "prop42")  # chi((-1)^{n-1} ...) vs chi((-1)^n ...)
-CHARSUM_PREFACTORS = ("lemma41", "lemma41_proof")
-CLOSEDFORM_PRESETS = ("lemma41", "prop42", "cor13", "measured")
+from .scalars import (EXACT, Backend, QExpMismatchError, ScaledScalar, proportionality_ratio,
+                      shifted_root_sums)
 
 
 # ---------------------------------------------------------------------------
-# test vectors and result records
+# result records
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TestFunction:
-    """Phi_z(x) = psi(z x) restricted to the unit circle |x| = 1."""
-
-    __test__ = False  # not a pytest container, despite the name
-
-    z: PadicNumber
-
-    @property
-    def p(self) -> int:
-        return self.z.p
-
-    @property
-    def level(self) -> int:
-        """-v(z) clipped at 0: the additive depth psi(z .) reaches on units."""
-        if self.z.is_zero() or self.z.val >= 0:
-            return 0
-        return -self.z.val
-
-    def eval(self, x: Union[PadicNumber, Rational], backend: Backend = EXACT):
-        xp = x if isinstance(x, PadicNumber) else PadicNumber(self.p, Fraction(x))
-        if xp.val != 0:
-            return backend.zero()
-        return psi_eval(self.p, self.z * xp, backend)
 
 
 @dataclass(frozen=True)
@@ -114,8 +84,6 @@ class DualityReport:
     rhs: EpsMonomial
     both_vanish: bool
     passed: bool
-    sign_convention: str
-    prefactor: str
 
 
 @dataclass(frozen=True)
@@ -154,14 +122,6 @@ class PrefactorReport:
 # ---------------------------------------------------------------------------
 
 
-def _as_z(z: Union[PadicNumber, TestFunction]) -> PadicNumber:
-    if isinstance(z, TestFunction):
-        return z.z
-    if isinstance(z, PadicNumber):
-        return z
-    raise TypeError("expected a PadicNumber or TestFunction, got %r" % type(z).__name__)
-
-
 def _dual_scalar(s: ScaledScalar, backend: Backend) -> ScaledScalar:
     """Transpose to the conjugate root-number orientation (see module docstring)."""
     return ScaledScalar(backend.conjugate(s.coeff), s.qexp)
@@ -170,7 +130,8 @@ def _dual_scalar(s: ScaledScalar, backend: Backend) -> ScaledScalar:
 def _standing_assumptions(pi: RepnData, z: PadicNumber):
     """Validate the regime every transform here lives in; return (n, t, omega).
 
-    Each rejection names the specific condition that failed.
+    Each rejection names the specific condition that failed.  Every public
+    entry calls this once and passes the result on.
     """
     if z.p != pi.p:
         raise ValueError("mixed primes: pi lives over p=%d, z over p=%d" % (pi.p, z.p))
@@ -199,32 +160,12 @@ def _standing_assumptions(pi: RepnData, z: PadicNumber):
     return n, t, omega.finite
 
 
-def _sign_unit(n: int, sign_convention: str, modulus: int) -> int:
-    """(-1)^{n-1} (convention lemma41) or (-1)^n (prop42) as a unit mod p^t."""
-    if sign_convention not in SIGN_CONVENTIONS:
-        raise ValueError("unknown sign convention %r; pick one of %s"
-                         % (sign_convention, list(SIGN_CONVENTIONS)))
-    e = n - 1 if sign_convention == "lemma41" else n
-    return 1 if e % 2 == 0 else modulus - 1
-
-
-def _prefactor_scalar(n: int, t: int, q: int, prefactor: str, backend: Backend) -> ScaledScalar:
-    """The constant in front of the character sum.
-
-    ``lemma41`` is the displayed statement, q^{t((n-1)^2-2)/2} / (1 - q^{-1});
-    it is the one the duality relation certifies.  ``lemma41_proof`` is the
-    variant read off a displayed intermediate step, |z|^{(n^2+1)/2} in place of
-    the statement's power; it fails the duality relation by q^{t(n+1)} and is
-    kept only so that the discrepancy stays measurable.
-    """
-    if prefactor not in CHARSUM_PREFACTORS:
-        raise ValueError("unknown charsum prefactor %r; pick one of %s"
-                         % (prefactor, list(CHARSUM_PREFACTORS)))
-    if prefactor == "lemma41":
-        e = Fraction(t * ((n - 1) ** 2 - 2), 2)
-    else:
-        e = Fraction(t * (n * n + 1), 2)
-    return ScaledScalar.of(backend.rational(Fraction(q, q - 1)), e)
+def _prefactor_scalar(n: int, t: int, q: int, backend: Backend) -> ScaledScalar:
+    """The constant in front of the character sum, as the lemma41 statement
+    displays it: q^{t((n-1)^2-2)/2} / (1 - q^{-1}).  The duality relation
+    certifies it."""
+    return ScaledScalar.of(backend.rational(Fraction(q, q - 1)),
+                           Fraction(t * ((n - 1) ** 2 - 2), 2))
 
 
 @lru_cache(maxsize=64)
@@ -253,8 +194,7 @@ def _charsum_row(pi: RepnData, t: int, backend: Backend) -> tuple:
 
     Every nonzero profile value must carry the same q-exponent, which the sum
     keeps; a mix raises QExpMismatchError, as the strict ScaledScalar addition
-    would.  Exact rows come from one shifted group-ring stack and one batched
-    reduction (scalars.shifted_root_sums); float rows are one matrix product.
+    would.  The row is one call of scalars.shifted_root_sums.
     """
     m = unit_group(pi.p, t).order
     terms = [(k, c) for k, c in _charsum_profile(pi, t, backend).items()
@@ -264,16 +204,14 @@ def _charsum_row(pi: RepnData, t: int, backend: Backend) -> tuple:
         raise QExpMismatchError("charsum profile mixes q-exponents %s" % qexps)
     if not terms:
         return (ScaledScalar.of(backend.zero()),) * m
-    ks = [k for k, _c in terms]
-    coeffs = [c.coeff for _k, c in terms]
-    if backend.exact:
-        N = math.lcm(m, *(c.N for c in coeffs))
-        sums = shifted_root_sums(N, coeffs, ks, m)
-    else:
-        ds = np.arange(m)
-        W = np.exp(2j * np.pi * (np.outer(ds, ks) % m) / m)
-        sums = [complex(v) for v in W @ np.array(coeffs, dtype=complex)]
+    sums = shifted_root_sums([c.coeff for _k, c in terms], [k for k, _c in terms], m, backend)
     return tuple(ScaledScalar.of(v, qexps[0]) for v in sums)
+
+
+def _charsum_at(pi: RepnData, n: int, t: int, u: int, backend: Backend) -> ScaledScalar:
+    """pref * sum_{a(chi) = t} chi(u) eps*(chi^{-1}) eps*(chi x pi) at a unit u mod p^t."""
+    du = unit_group(pi.p, t).dlog(u)
+    return _prefactor_scalar(n, t, pi.p, backend) * _charsum_row(pi, t, backend)[du]
 
 
 def _kl_value(omega: MultChar, n: int, a0: int, t: int, backend: Backend):
@@ -296,7 +234,7 @@ def _kl_value(omega: MultChar, n: int, a0: int, t: int, backend: Backend):
 # ---------------------------------------------------------------------------
 
 
-def gauss_integral(chi: Union[MultChar, QuasiChar], z: Union[PadicNumber, TestFunction],
+def gauss_integral(chi: Union[MultChar, QuasiChar], z: PadicNumber,
                    backend: Backend = EXACT) -> ScaledScalar:
     """integral over |x| = 1 of chi(x) psi(z x) dx, with vol(Z_p^x) = 1.
 
@@ -307,7 +245,6 @@ def gauss_integral(chi: Union[MultChar, QuasiChar], z: Union[PadicNumber, TestFu
     """
     fin = as_quasi(chi).finite  # the unramified part is invisible on units
     p = fin.p
-    z = _as_z(z)
     if z.p != p:
         raise ValueError("mixed primes: chi lives over p=%d, z over p=%d" % (p, z.p))
     tz = 0 if (z.is_zero() or z.val >= 0) else -z.val
@@ -327,59 +264,44 @@ def gauss_integral(chi: Union[MultChar, QuasiChar], z: Union[PadicNumber, TestFu
 # ---------------------------------------------------------------------------
 
 
-def bessel_charsum(pi: RepnData, z: Union[PadicNumber, TestFunction], y: PadicNumber,
-                   sign_convention: str = "lemma41", prefactor: str = "lemma41",
+def bessel_charsum(pi: RepnData, z: PadicNumber, y: PadicNumber,
                    backend: Backend = EXACT) -> BesselValue:
     """B(y; Phi_z) as the character sum over conductor-t characters, t = -v(z).
 
-    B(y) = pref * sum_{a(chi) = t} chi(sgn * y z^{-1}) eps*(chi^{-1}) eps*(chi x pi)
+    B(y) = pref * sum_{a(chi) = t} chi((-1)^{n-1} y z^{-1}) eps*(chi^{-1}) eps*(chi x pi)
 
-    with sgn = (-1)^{n-1} under the default sign convention.  The value is
-    supported on the shell v(y) = n v(z); off the shell the result is 0 with
-    support_flag False.
+    The value is supported on the shell v(y) = n v(z); off the shell the
+    result is 0 with support_flag False.
     """
-    z = _as_z(z)
     n, t, _ = _standing_assumptions(pi, z)
     if y.p != pi.p:
         raise ValueError("mixed primes: pi lives over p=%d, y over p=%d" % (pi.p, y.p))
-    pref = _prefactor_scalar(n, t, pi.p, prefactor, backend)
-    pm = pi.p ** t
-    sgn = _sign_unit(n, sign_convention, pm)
     if y.is_zero() or y.val != n * z.val:
         return BesselValue(y, ScaledScalar.of(backend.zero()), False)
-    u = sgn * y.unit_mod(t) * pow(z.unit_mod(t), -1, pm) % pm
-    du = unit_group(pi.p, t).dlog(u)
-    return BesselValue(y, pref * _charsum_row(pi, t, backend)[du], True)
+    pm = pi.p ** t
+    u = (-1) ** (n - 1) * y.unit_mod(t) * pow(z.unit_mod(t), -1, pm) % pm
+    return BesselValue(y, _charsum_at(pi, n, t, u, backend), True)
 
 
-def bessel_closedform(pi: RepnData, z: Union[PadicNumber, TestFunction], y: PadicNumber,
-                      preset: str = "measured", report: Optional[PrefactorReport] = None,
+def bessel_closedform(pi: RepnData, z: PadicNumber, y: PadicNumber,
+                      report: Optional[PrefactorReport] = None,
                       backend: Backend = EXACT) -> BesselValue:
     """B(y; Phi_z) as constant * KL_{omega^{-1}, n-1}((-1)^n y z^{-1}; t).
 
-    The three printed presets use (1 - q^{-1})^{-(n-1)} q^E with E the labeled
-    candidate exponent; ``measured`` (the default) uses the constant from
-    ``measure_prefactor`` -- pass a precomputed report to skip re-measuring.
-    Only ``measured`` reproduces ``bessel_charsum``; that is the point.
+    The constant is cofactor * q^{measured_exponent} of a PrefactorReport;
+    without one it is measured here -- pass a precomputed report to skip
+    re-measuring.
     """
-    if preset not in CLOSEDFORM_PRESETS:
-        raise ValueError("unknown preset %r; pick one of %s" % (preset, list(CLOSEDFORM_PRESETS)))
-    z = _as_z(z)
     n, t, omega = _standing_assumptions(pi, z)
     if y.p != pi.p:
         raise ValueError("mixed primes: pi lives over p=%d, y over p=%d" % (pi.p, y.p))
     if y.is_zero() or y.val != n * z.val:
         return BesselValue(y, ScaledScalar.of(backend.zero()), False)
-    q = pi.p
-    if preset == "measured":
-        if report is None:
-            report = measure_prefactor(pi, z)
-        const = ScaledScalar.of(backend.rational(report.cofactor), report.measured_exponent)
-    else:
-        const = ScaledScalar.of(backend.rational(Fraction(q, q - 1) ** (n - 1)),
-                                _candidate_exponents(n, t)[preset])
-    pm = q ** t
-    a0 = _sign_unit(n + 1, "lemma41", pm) * y.unit_mod(t) * pow(z.unit_mod(t), -1, pm) % pm
+    if report is None:
+        report = _measure_prefactor(pi, z, n, t, omega)
+    const = ScaledScalar.of(backend.rational(report.cofactor), report.measured_exponent)
+    pm = pi.p ** t
+    a0 = (-1) ** n * y.unit_mod(t) * pow(z.unit_mod(t), -1, pm) % pm
     return BesselValue(y, const * _kl_value(omega, n, a0, t, backend), True)
 
 
@@ -397,8 +319,7 @@ def _candidate_exponents(n: int, t: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _mellin_lhs(pi: RepnData, z: PadicNumber, chi: MultChar, sign_convention: str,
-                prefactor: str, backend: Backend):
+def _mellin_lhs(pi: RepnData, z: PadicNumber, chi: MultChar, n: int, t: int, backend: Backend):
     """Mellin coefficient of B( . ; Phi_z) against chi on the shell v(y) = n v(z).
 
     This is the literal double sum
@@ -409,17 +330,17 @@ def _mellin_lhs(pi: RepnData, z: PadicNumber, chi: MultChar, sign_convention: st
     profile the y0-sum is a pure root-of-unity combination; all of them are
     counted in one histogram and reduced by the backend in one batched pass.
     T = max(t, a(chi)) so that the shell parametrization resolves chi.
+    (n, t) come from the caller's _standing_assumptions.
     Returns (monomial, float_scale); float_scale is the natural magnitude of
     the sum, used by the float backend to decide vanishing.
     """
-    n, t, _ = _standing_assumptions(pi, z)
     p = pi.p
     pm = p ** t
     T2 = max(t, chi.conductor_exponent)
     ug_t, ug2 = unit_group(p, t), unit_group(p, T2)
     m, m2 = ug_t.order, ug2.order
     k2 = represent_at_level(chi, T2).k
-    d_s = ug_t.dlog(_sign_unit(n, sign_convention, pm) * pow(z.unit_mod(t), -1, pm) % pm)
+    d_s = ug_t.dlog((-1) ** (n - 1) * pow(z.unit_mod(t), -1, pm) % pm)
     units2 = ug2.units()
     dl_t = ug_t.dlog_table()[units2 % pm]  # y0 class at level t (drives B)
     j2 = ug2.dlog_table()[units2]          # y0 class at level T2 (drives chi)
@@ -432,10 +353,12 @@ def _mellin_lhs(pi: RepnData, z: PadicNumber, chi: MultChar, sign_convention: st
     counts = np.bincount(E.ravel(), minlength=len(ks) * m2).reshape(len(ks), m2)
     acc = ScaledScalar.of(backend.zero())
     for c, inner in zip(profile.values(), backend.root_combination_vec(m2, counts)):
+        # most inner sums vanish by orthogonality; skipping them saves a full
+        # exact product each, which the addition would only drop
         if backend.exact and inner.is_zero():
             continue
         acc = acc + c * inner
-    pref = _prefactor_scalar(n, t, p, prefactor, backend)
+    pref = _prefactor_scalar(n, t, p, backend)
     # |y| = q^{nt}: |y|^{s-(n-1)/2} = q^{nt(2-n)/2} * q^{-nt(1/2-s)}
     shell = ScaledScalar.of(backend.rational(Fraction(1, m2)), Fraction(n * t * (2 - n), 2))
     mon = EpsMonomial(pref * acc * shell, -n * t)
@@ -446,8 +369,7 @@ def _mellin_lhs(pi: RepnData, z: PadicNumber, chi: MultChar, sign_convention: st
     return mon, scale
 
 
-def duality_check(pi: RepnData, z: Union[PadicNumber, TestFunction], chi: MultChar,
-                  sign_convention: str = "lemma41", prefactor: str = "lemma41",
+def duality_check(pi: RepnData, z: PadicNumber, chi: MultChar,
                   backend: Backend = EXACT) -> DualityReport:
     """Evaluate both sides of the duality relation at chi and compare.
 
@@ -460,12 +382,11 @@ def duality_check(pi: RepnData, z: Union[PadicNumber, TestFunction], chi: MultCh
     factor is only evaluated when the integral is nonzero, which keeps the
     check away from the unramified-twist regime the blockwise factor refuses.
     """
-    z = _as_z(z)
     n, t, _ = _standing_assumptions(pi, z)
     if chi.p != pi.p:
         raise ValueError("mixed primes: pi lives over p=%d, chi over p=%d" % (pi.p, chi.p))
     g = gauss_integral(chi, z, backend)
-    lhs, scale = _mellin_lhs(pi, z, chi, sign_convention, prefactor, backend)
+    lhs, scale = _mellin_lhs(pi, z, chi, n, t, backend)
     g_zero = g.is_zero_exact() if backend.exact else abs(complex(g.coeff)) <= backend.tolerance
     if g_zero:
         if backend.exact:
@@ -473,12 +394,12 @@ def duality_check(pi: RepnData, z: Union[PadicNumber, TestFunction], chi: MultCh
         else:
             passed = abs(complex(lhs.value.coeff)) <= backend.tolerance * scale
         zero = EpsMonomial(ScaledScalar.of(backend.zero()), -n * t)
-        return DualityReport(chi, lhs, zero, True, passed, sign_convention, prefactor)
+        return DualityReport(chi, lhs, zero, True, passed)
     eps = eps_rep_twisted(pi, chi, backend=backend)
     rhs = EpsMonomial(_dual_scalar(eps.value, backend), eps.xexp).reflect()
     rhs = rhs.scale(g * chi.parity_sign() ** (n - 1))
     passed = lhs.equals(rhs, pi.p, backend)
-    return DualityReport(chi, lhs, rhs, False, passed, sign_convention, prefactor)
+    return DualityReport(chi, lhs, rhs, False, passed)
 
 
 # ---------------------------------------------------------------------------
@@ -486,31 +407,32 @@ def duality_check(pi: RepnData, z: Union[PadicNumber, TestFunction], chi: MultCh
 # ---------------------------------------------------------------------------
 
 
-def measure_prefactor(pi: RepnData, z: Union[PadicNumber, TestFunction],
-                      sign_convention: str = "lemma41", prefactor: str = "lemma41",
-                      backend: Backend = EXACT) -> PrefactorReport:
+def measure_prefactor(pi: RepnData, z: PadicNumber) -> PrefactorReport:
     """Determine the constant B(y) / KL_{omega^{-1}, n-1}(a(y, z); t) exactly.
 
     Walks the whole support shell, divides the character-sum value by the
     Kloosterman sum in the cyclotomic field, and insists on one single ratio:
     y-independence is part of the claim being verified, not an assumption.
     Shell points where the Kloosterman sum vanishes must have vanishing
-    transform too, and are excluded from the division.
+    transform too, and are excluded from the division.  The division is in the
+    cyclotomic field, so the measurement is always exact.
     """
-    if not backend.exact:
-        raise ValueError("prefactor measurement divides in the cyclotomic field; "
-                         "use the exact backend")
-    z = _as_z(z)
     n, t, omega = _standing_assumptions(pi, z)
+    return _measure_prefactor(pi, z, n, t, omega)
+
+
+def _measure_prefactor(pi: RepnData, z: PadicNumber, n: int, t: int,
+                       omega: MultChar) -> PrefactorReport:
+    """measure_prefactor for the (n, t, omega) its caller has validated."""
     p = pi.p
     pm = p ** t
     z0inv = pow(z.unit_mod(t), -1, pm)
-    sgn = _sign_unit(n + 1, "lemma41", pm)  # (-1)^n: the closed form's argument
     ratios = set()
     for y0 in map(int, unit_group(p, t).units()):
-        y = PadicNumber(p, Fraction(y0) * Fraction(p) ** (n * z.val))
-        value = bessel_charsum(pi, z, y, sign_convention, prefactor, backend).value
-        kl = _kl_value(omega, n, sgn * y0 * z0inv % pm, t, backend)
+        # y = y0 p^{n v(z)}: the charsum reads (-1)^{n-1} y0 / z0, the closed form (-1)^n y0 / z0
+        u = (-1) ** (n - 1) * y0 * z0inv % pm
+        value = _charsum_at(pi, n, t, u, EXACT)
+        kl = _kl_value(omega, n, -u % pm, t, EXACT)
         if kl.is_zero():
             if not value.is_zero_exact():
                 raise ArithmeticError(

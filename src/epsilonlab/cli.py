@@ -48,7 +48,6 @@ from .kloosterman import (
     build_gauss_table,
     direct_term_count,
     kl_direct,
-    kl_result_json,
     kl_via_dft,
 )
 from .local_factors import (
@@ -492,7 +491,9 @@ def cmd_kloosterman(config: RunConfig) -> SuiteReport:
                              detail, **inputs)
                     ran += 1
                     if first_sample:
-                        samples.append(kl_result_json(query, v_direct, "direct"))
+                        value = _value_json(v_direct)
+                        samples.append(dict(query.to_json(), value_exact_repr=value["exact"],
+                                            value_complex=value["complex"], algorithm="direct"))
                         first_sample = False
             instances.append({"n": n, "t": t, "twists": ug.order, "units": ug.order,
                               "cases_run": ran})
@@ -571,7 +572,7 @@ def cmd_bessel(config: RunConfig) -> SuiteReport:
             y0 = int(y0)
             y = PadicNumber(p, Fraction(y0, p ** (n * t)))
             b_sum = bessel_charsum(pi, z, y, backend=backend)
-            b_closed = bessel_closedform(pi, z, y, preset="measured", report=pf, backend=backend)
+            b_closed = bessel_closedform(pi, z, y, report=pf, backend=backend)
             ok = (b_sum.support_flag == b_closed.support_flag
                   and b_sum.value.eq_value(b_closed.value, p, backend))
             detail = "character sum vs measured-constant closed form"

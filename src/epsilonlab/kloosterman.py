@@ -37,7 +37,6 @@ cross-check, not by fiat.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
@@ -46,7 +45,7 @@ import numpy as np
 
 from .characters import MultChar, represent_at_level
 from .padic import unit_group
-from .scalars import EXACT, Backend, CycNumber, Scalar, shifted_root_sums
+from .scalars import EXACT, Backend, Scalar, shifted_root_sums
 
 
 DEFAULT_TERM_BUDGET = 2_000_000
@@ -234,13 +233,8 @@ def kl_row(omega: MultChar, n: int, table: GaussTable) -> tuple:
     k_om = represent_at_level(omega, table.t).k % m
     tau_n1 = table.powers(n - 1)
     A = [table.values[(k + k_om) % m] * tau_n1[k] for k in range(m)]
-    if not table.backend.exact:
-        ds = np.arange(m)
-        W = np.exp(-2j * np.pi * (np.outer(ds, ds) % m) / m)
-        row = tuple(complex(v) for v in W @ np.array(A, dtype=complex) / m)
-    else:
-        N = math.lcm(table.p ** table.t, m)
-        row = shifted_root_sums(N, A, [-k for k in range(m)], m, den=m)
+    row = shifted_root_sums(A, [-k for k in range(m)], m, table.backend, den=m,
+                            order=table.p ** table.t)
     table._rows[k_om, n] = row
     return row
 
@@ -256,17 +250,3 @@ def kl_via_dft(query: KLQuery, table: GaussTable) -> Scalar:
     if row is None:
         row = kl_row(query.omega, query.n, table)
     return row[unit_group(p, t).dlog(query.y)]
-
-
-def kl_result_json(query: KLQuery, value: Scalar, algorithm: str) -> dict:
-    """CLI-facing serialization of one evaluation."""
-    out = query.to_json()
-    if isinstance(value, CycNumber):
-        z = value.to_complex()
-        out["value_exact_repr"] = value.short_str()
-    else:
-        z = complex(value)
-        out["value_exact_repr"] = None
-    out["value_complex"] = [z.real, z.imag]
-    out["algorithm"] = algorithm
-    return out

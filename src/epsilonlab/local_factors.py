@@ -288,10 +288,9 @@ def steinberg(tau: MultChar, size: int) -> RepnData:
 def eps_rep_twisted(
     pi: RepnData,
     chi: Union[MultChar, QuasiChar],
-    psi_scale: Rational = 1,
     backend: Backend = EXACT,
 ) -> EpsMonomial:
-    """Epsilon monomial of chi tensor pi against psi(psi_scale * x), blockwise.
+    """Epsilon monomial of chi tensor pi, blockwise.
 
     Within a block of size d the parameter contributes unramified shifts
     (d-1)/2 - j; when the twisted character is ramified those cancel in the
@@ -310,16 +309,6 @@ def eps_rep_twisted(
             )
         block_eps = eps_gl1(QuasiChar(fused, chi.shift + b.shift), backend=backend) ** b.size
         out = out * block_eps
-    scale = Fraction(psi_scale)
-    if scale != 1:
-        omega = pi.central_char()
-        omega = QuasiChar(omega.finite.mul(chi.finite ** pi.dim),
-                          omega.shift + pi.dim * chi.shift)
-        p = pi.p
-        v = valuation(p, scale)
-        u = unit_part_mod(p, scale, max(omega.finite.level, 1))
-        tw = ScaledScalar.of(omega.finite.eval(u, backend), -v * omega.shift)
-        out = EpsMonomial(out.value * tw, out.xexp + pi.dim * v)
     return out
 
 
@@ -489,9 +478,16 @@ class CertificateTable:
     def check_pairs(self, pi: RepnData, rows: np.ndarray) -> np.ndarray:
         """Vector of booleans: stability verdict for (pi, chi_row) over given rows.
 
-        Dispatches between the plain certificate (all ingredients small), the
-        nu-reduction when one block is too deep for the lemma regime, and the
-        structural shortcut when both sides are literally the same multiset.
+        With every block in the lemma regime (2 a(tau) <= a) the claim is
+          sum_j d_j e(chi, tau_j)  ==  e(chi, omega),
+        every column in regime since a(omega) <= max a(tau_j).  One deep block
+        of size 1 is cancelled against the omega side: with nu = chi tau_big
+        the claim becomes
+          sum_small d_j e(chi, tau_j)  ==  e(nu, sigma),
+        sigma = omega tau_big^{-1} the product of the small blocks, whose
+        conductor is at most the largest small one's; the nu rows are a
+        permutation of the chi rows.  The structural shortcut answers first
+        when both sides are literally the same multiset.
         """
         a = self.a
         if any(b.shift != 0 for b in pi.blocks):
@@ -505,46 +501,24 @@ class CertificateTable:
         rhs_multiset = sorted([_represent_at_level(omega, a).k] + [0] * (pi.dim - 1))
         if lhs_multiset == rhs_multiset:
             return np.ones(len(rows), dtype=bool)
-        big = [t for t, d in taus if 2 * t.conductor_exponent > a]
-        if not big:
-            # a(omega) <= max a(tau_i) <= a/2, so every column is in regime
-            acc = np.zeros(len(rows), dtype=np.int64)
-            for t, d in taus:
-                acc = (acc + d * self.exponents(t)[rows]) % self.M
-            target = self.exponents(omega)[rows]
-            return acc == target
-        return self._check_pairs_nu(pi, rows)
-
-    def _check_pairs_nu(self, pi: RepnData, rows: np.ndarray) -> np.ndarray:
-        """One block sits past the lemma regime: cancel it against the omega side.
-
-        With nu = chi tau_big, the claim is equivalent to
-          sum_small d_j e(chi, tau_j)  ==  e(nu, sigma),
-        sigma the product of the small blocks; every ingredient is back in the
-        lemma regime, and the nu rows are a permutation of the chi rows.
-        """
-        p, a = self.p, self.a
         bigs = [b for b in pi.blocks if 2 * b.tau.conductor_exponent > a]
-        if len(bigs) != 1 or bigs[0].size != 1:
-            raise RegimeError("certificate engine expects at most one deep block of size 1")
-        if bigs[0].tau.conductor_exponent >= a:
-            raise RegimeError("deep block must still sit strictly below a(chi)")
-        tau_big = _represent_at_level(bigs[0].tau, a)
-        smalls = [(b.tau, b.size) for b in pi.blocks if 2 * b.tau.conductor_exponent <= a]
-        sigma = trivial_char(p)
-        for t, d in smalls:
-            sigma = sigma.mul(t ** d)
-        if 2 * sigma.conductor_exponent > a:
-            raise RegimeError("small-product conductor left the lemma regime")
+        sigma, target_rows = omega, rows
+        if bigs:
+            if len(bigs) != 1 or bigs[0].size != 1:
+                raise RegimeError("certificate engine expects at most one deep block of size 1")
+            if bigs[0].tau.conductor_exponent >= a:
+                raise RegimeError("deep block must still sit strictly below a(chi)")
+            tau_big = _represent_at_level(bigs[0].tau, a)
+            sigma = omega.mul(tau_big.inv())
+            # nu = chi * tau_big: a row permutation of the table
+            target_rows = self._row_of[(self.row_ks[rows] + tau_big.k) % self.M]
+            if (target_rows < 0).any():
+                raise ArithmeticError("chi * tau_big left conductor %d" % a)
         acc = np.zeros(len(rows), dtype=np.int64)
-        for t, d in smalls:
-            acc = (acc + d * self.exponents(t)[rows]) % self.M
-        # nu = chi * tau_big: a row permutation of the table
-        target_rows = self._row_of[(self.row_ks[rows] + tau_big.k) % self.M]
-        if (target_rows < 0).any():
-            raise ArithmeticError("chi * tau_big left conductor %d" % a)
-        target = self.exponents(sigma)[target_rows]
-        return acc == (target % self.M)
+        for t, d in taus:
+            if 2 * t.conductor_exponent <= a:
+                acc = (acc + d * self.exponents(t)[rows]) % self.M
+        return acc == self.exponents(sigma)[target_rows]
 
     @property
     def fallback_count(self) -> int:

@@ -547,16 +547,23 @@ def root_of_unity(e: int, N: int) -> CycNumber:
     return _make(N, vec, 1)
 
 
-def shifted_root_sums(N: int, values, mults, m: int, den: int = 1) -> tuple:
-    """sum_k values[k] * zeta_m^(mults[k] * d) / den in Q(zeta_N), for every d mod m.
+def shifted_root_sums(values, mults, m: int, backend: "Backend", den: int = 1,
+                      order: int = 1) -> tuple:
+    """sum_k values[k] * zeta_m^(mults[k] * d) / den for every d mod m, in the backend.
 
-    N must be a multiple of m and of every value's order.  The values are put
+    Float sums are one matrix product W @ values / den.  Exact sums live in
+    Q(zeta_N), N = lcm(order, m, every value's order): the values are put
     over one common denominator as the rows of an integer group-ring matrix;
     zeta_m^(j d) = z^(j d N/m) shifts the (m, N/m) block view of a row by j*d
     block rows, so all m sums are one stack of shifted rows and one batched
     reduction.  The stack is int64 when K rows of the largest scaled
     coefficient pass the reduction guard, object dtype otherwise.
     """
+    if not backend.exact:
+        ds = np.arange(m)
+        W = np.exp(2j * np.pi * (np.outer(ds, mults) % m) / m)
+        return tuple(complex(v) for v in W @ np.array(values, dtype=complex) / den)
+    N = math.lcm(order, m, *(v.N for v in values))
     ctx = get_context(N)
     lifted = [v._lift_vec(N) for v in values]
     common = math.lcm(*(d for _num, d in lifted))

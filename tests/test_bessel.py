@@ -5,12 +5,8 @@ import pytest
 
 from epsilonlab import bessel
 from epsilonlab.bessel import (
-    CHARSUM_PREFACTORS,
-    CLOSEDFORM_PRESETS,
-    SIGN_CONVENTIONS,
     BesselValue,
     PrefactorReport,
-    TestFunction,
     bessel_charsum,
     bessel_closedform,
     duality_check,
@@ -23,7 +19,7 @@ from epsilonlab.characters import (
     enumerate_chars,
     trivial_char,
 )
-from epsilonlab.local_factors import Block, RepnData, gauss_sum, steinberg
+from epsilonlab.local_factors import Block, EpsMonomial, RepnData, gauss_sum, steinberg
 from epsilonlab.padic import PadicNumber, psi_eval, unit_group
 from epsilonlab.scalars import (
     EXACT,
@@ -144,16 +140,6 @@ def test_gauss_integral_float_agrees():
             assert abs(ve - vf) <= 1e-9 * max(1.0, abs(ve))
 
 
-def test_test_function_evaluates_psi_on_units_only():
-    phi = TestFunction(zvec(5, 2, 3))
-    assert phi.p == 5 and phi.level == 2
-    assert phi.eval(PadicNumber(5, 5)) == root_of_unity(0, 1) * 0  # off the units
-    assert phi.eval(7) == root_of_unity(3 * 7 % 25, 25)
-    assert phi.eval(Fraction(1, 7)) == root_of_unity(3 * pow(7, -1, 25) % 25, 25)
-    assert TestFunction(PadicNumber(5, 10)).level == 0
-    assert TestFunction(PadicNumber(5, 0)).level == 0
-
-
 # ---------------------------------------------------------------------------
 # support of the transform
 # ---------------------------------------------------------------------------
@@ -184,15 +170,6 @@ def test_charsum_not_identically_zero_on_shell():
         assert any(not v.is_zero_exact() for v in vals)
 
 
-def test_charsum_accepts_test_function_wrapper():
-    p, pi = PI_N2[0]
-    t = pi.conductor_exponent
-    y = shell_point(p, 2, 2, t)
-    via_z = bessel_charsum(pi, zvec(p, t), y)
-    via_phi = bessel_charsum(pi, TestFunction(zvec(p, t)), y)
-    assert via_z.value.eq_value(via_phi.value, p, EXACT)
-
-
 def test_charsum_frozen_value():
     # n=3, p=3, t=2, omega trivial, y0=2: the collapsed form gives
     # q^2 * KL_2(-2; 9) = 9 * 3 (zeta9 + zeta9^8), about 54 cos(2pi/9)
@@ -207,37 +184,50 @@ def test_charsum_frozen_value():
     assert b0.support_flag and b0.value.is_zero_exact()
 
 
-def loop_charsum(pi, z, y, sign_convention, backend):
+def loop_charsum(pi, z, y, backend, sign_exponent=None):
     """The character sum one profile entry at a time, one root of unity and one
-    strict ScaledScalar addition per character: the whole-shell row's oracle."""
+    strict ScaledScalar addition per character: the whole-shell row's oracle.
+
+    The sign is (-1)^{n-1}, as in the lemma41 statement; sign_exponent = n
+    gives the sign of the prop42 display, a negative control."""
     n, t, _ = bessel._standing_assumptions(pi, z)
     pm = pi.p ** t
-    u = bessel._sign_unit(n, sign_convention, pm) * y.unit_mod(t) * pow(z.unit_mod(t), -1, pm) % pm
+    e = n - 1 if sign_exponent is None else sign_exponent
+    u = (-1) ** e * y.unit_mod(t) * pow(z.unit_mod(t), -1, pm) % pm
     ug = unit_group(pi.p, t)
     du, m = ug.dlog(u), ug.order
     acc = ScaledScalar.of(backend.zero())
     for k, c in bessel._charsum_profile(pi, t, backend).items():
         acc = acc + c * backend.root_of_unity(k * du % m, m)
-    return bessel._prefactor_scalar(n, t, pi.p, "lemma41", backend) * acc
+    return bessel._prefactor_scalar(n, t, pi.p, backend) * acc
 
 
-# every shell of these (p, t) against an n = 2 probe, and at p = 3 an n = 3 one
-ROW_CASES = [pytest.param(p, t, pi, id="%d-%d-n%d" % (p, t, pi.dim))
+def literal_mellin(p, n, t, chi, values):
+    """Mellin coefficient of shell samples {y0: B(y0 p^{-n t})} against chi, as
+    the black-box loop: (1/phi(p^t)) q^{nt(2-n)/2} sum_{y0} B chi^{-1}(y0)."""
+    acc = ScaledScalar.of(0)
+    for y0, b in values.items():
+        acc = acc + b * chi.inv().eval(y0)
+    return acc * ScaledScalar.of(Fraction(1, len(values)), Fraction(n * t * (2 - n), 2))
+
+
+# every shell of these (p, t) against an n = 2 probe, and at p = 3 an n = 3 one;
+# the id names the lemma41 sign and prefactor the character sum uses
+ROW_CASES = [pytest.param(p, t, pi, id="lemma41-%d-%d-n%d" % (p, t, pi.dim))
              for p, t in [(3, 2), (5, 2), (7, 2), (3, 3), (5, 3)]
              for pi in [st2(p)] + ([steinberg(trivial_char(3), 3)] if p == 3 else [])]
 
 
 @pytest.mark.parametrize("p,t,pi", ROW_CASES)
-@pytest.mark.parametrize("sign_convention", SIGN_CONVENTIONS)
-def test_charsum_row_is_the_per_character_loop(p, t, pi, sign_convention):
+def test_charsum_row_is_the_per_character_loop(p, t, pi):
     z, n = zvec(p, t), pi.dim
     for y0 in shell_units(p, t):
         y = shell_point(p, y0, n, t)
-        got = bessel_charsum(pi, z, y, sign_convention).value
-        want = loop_charsum(pi, z, y, sign_convention, EXACT)
+        got = bessel_charsum(pi, z, y).value
+        want = loop_charsum(pi, z, y, EXACT)
         assert got == want and repr(got) == repr(want), (y0, got, want)
-        got = bessel_charsum(pi, z, y, sign_convention, backend=FLOAT).value
-        want = loop_charsum(pi, z, y, sign_convention, FLOAT)
+        got = bessel_charsum(pi, z, y, backend=FLOAT).value
+        want = loop_charsum(pi, z, y, FLOAT)
         assert got.qexp == want.qexp
         assert abs(got.coeff - want.coeff) <= 1e-9 * max(1.0, abs(want.coeff)), y0
 
@@ -281,7 +271,7 @@ def test_charsum_row_refuses_mixed_q_exponents(monkeypatch):
         with pytest.raises(QExpMismatchError):
             bessel._charsum_row.__wrapped__(pi, t, backend)
     with pytest.raises(QExpMismatchError):  # as the per-character loop does
-        loop_charsum(pi, z, y, "lemma41", EXACT)
+        loop_charsum(pi, z, y, EXACT)
     # exact zeros carry no q-exponent and never mix
     mixed[EXACT][5] = ScaledScalar.of(0)
     row = bessel._charsum_row.__wrapped__(pi, t, EXACT)
@@ -331,12 +321,11 @@ def test_duality_lhs_is_the_literal_mellin_sum():
     n, t = 2, 2
     z = zvec(p, t)
     m = unit_group(p, t).order
+    values = {y0: bessel_charsum(pi, z, shell_point(p, y0, n, t)).value
+              for y0 in shell_units(p, t)}
+    assert len(values) == m
     for chi in list(enumerate_chars(p, t))[:6]:
-        acc = ScaledScalar.of(0)
-        for y0 in shell_units(p, t):
-            b = bessel_charsum(pi, z, shell_point(p, y0, n, t)).value
-            acc = acc + b * chi.inv().eval(y0)
-        literal = acc * ScaledScalar.of(Fraction(1, m), Fraction(n * t * (2 - n), 2))
+        literal = literal_mellin(p, n, t, chi, values)
         rep = duality_check(pi, z, chi)
         assert rep.lhs.xexp == -n * t
         assert literal.eq_value(rep.lhs.value, p, EXACT)
@@ -344,25 +333,41 @@ def test_duality_lhs_is_the_literal_mellin_sum():
 
 def test_duality_discriminates_the_sign_convention():
     # chi((-1)^n ...) differs from chi((-1)^{n-1} ...) by chi(-1): only odd
-    # characters can see it, and for them it breaks the relation
-    pi = steinberg(trivial_char(3), 3)
-    z = zvec(3, 2)
-    odd = [c for c in chars_with_conductor(3, 2) if c.parity_sign() < 0]
-    even = [c for c in chars_with_conductor(3, 2) if c.parity_sign() > 0]
+    # characters can see it, and for them it breaks the relation.  The prop42
+    # sign is built here, as the literal Mellin sum of the per-character loop.
+    p, n, t = 3, 3, 2
+    pi = steinberg(trivial_char(p), n)
+    z = zvec(p, t)
+
+    def mellin_passes(chi, sign_exponent):
+        values = {y0: loop_charsum(pi, z, shell_point(p, y0, n, t), EXACT, sign_exponent)
+                  for y0 in shell_units(p, t)}
+        rep = duality_check(pi, z, chi)
+        assert rep.passed and not rep.both_vanish
+        return literal_mellin(p, n, t, chi, values).eq_value(rep.rhs.value, p, EXACT)
+
+    odd = [c for c in chars_with_conductor(p, t) if c.parity_sign() < 0]
+    even = [c for c in chars_with_conductor(p, t) if c.parity_sign() > 0]
     assert odd and even
-    assert not duality_check(pi, z, odd[0], sign_convention="prop42").passed
-    assert duality_check(pi, z, odd[0], sign_convention="lemma41").passed
-    assert duality_check(pi, z, even[0], sign_convention="prop42").passed
+    assert not mellin_passes(odd[0], n)
+    assert mellin_passes(odd[0], n - 1)
+    assert mellin_passes(even[0], n)
 
 
 def test_duality_rejects_the_proof_display_prefactor():
-    # the intermediate-step power is off by q^{t(n+1)}: every non-vanishing
-    # character catches it
+    # a displayed intermediate step reads |z|^{(n^2+1)/2} in place of the
+    # statement's q^{t((n-1)^2-2)/2}; that is off by q^{t(n+1)}, and every
+    # non-vanishing character catches it
     for p, pi in (PI_N2[0], PI_N3[0]):
-        t = pi.conductor_exponent
+        n, t = pi.dim, pi.conductor_exponent
         z = zvec(p, t)
+        gap = Fraction(t * (n * n + 1), 2) - Fraction(t * ((n - 1) ** 2 - 2), 2)
+        assert gap == t * (n + 1)
         for chi in chars_with_conductor(p, t)[:3]:
-            assert not duality_check(pi, z, chi, prefactor="lemma41_proof").passed
+            rep = duality_check(pi, z, chi)
+            proof = EpsMonomial(rep.lhs.value.scale_q(gap), rep.lhs.xexp)
+            assert rep.passed and not rep.both_vanish
+            assert not proof.equals(rep.rhs, p, EXACT)
 
 
 def test_duality_float_backend_agrees():
@@ -373,21 +378,6 @@ def test_duality_float_backend_agrees():
         rf = duality_check(pi, z, chi, backend=FLOAT)
         assert re_.passed and rf.passed
         assert re_.both_vanish == rf.both_vanish
-
-
-def test_unknown_flags_are_rejected():
-    pi = steinberg(trivial_char(3), 3)
-    z = zvec(3, 2)
-    y = shell_point(3, 1, 3, 2)
-    with pytest.raises(ValueError, match="sign convention"):
-        bessel_charsum(pi, z, y, sign_convention="majority vote")
-    with pytest.raises(ValueError, match="prefactor"):
-        bessel_charsum(pi, z, y, prefactor="lemma41_statement")
-    with pytest.raises(ValueError, match="preset"):
-        bessel_closedform(pi, z, y, preset="prop41")
-    assert set(SIGN_CONVENTIONS) == {"lemma41", "prop42"}
-    assert set(CHARSUM_PREFACTORS) == {"lemma41", "lemma41_proof"}
-    assert set(CLOSEDFORM_PRESETS) == {"lemma41", "prop42", "cor13", "measured"}
 
 
 # ---------------------------------------------------------------------------
@@ -449,11 +439,6 @@ def test_prefactor_report_json_schema():
     assert all(isinstance(v, bool) for v in js["matches"].values())
 
 
-def test_measure_refuses_the_float_backend():
-    with pytest.raises(ValueError, match="exact backend"):
-        measure_prefactor(PI_N3[0][1], zvec(3, 2), backend=FLOAT)
-
-
 @pytest.mark.parametrize("p,pi", [PI_N2[1], PI_N3[0], PI_N3[1], PI_N4[0]])
 def test_closedform_measured_equals_charsum_everywhere(p, pi):
     n, t = pi.dim, pi.conductor_exponent
@@ -463,7 +448,7 @@ def test_closedform_measured_equals_charsum_everywhere(p, pi):
     for y0 in shell_units(p, t):
         y = shell_point(p, y0, n, t)
         b1 = bessel_charsum(pi, z, y)
-        b2 = bessel_closedform(pi, z, y, preset="measured", report=rep)
+        b2 = bessel_closedform(pi, z, y, report=rep)
         assert b1.support_flag and b2.support_flag
         assert b1.value.eq_value(b2.value, p, EXACT), y0
         zeros += b1.value.is_zero_exact()
@@ -483,24 +468,32 @@ def test_closedform_measured_without_report_measures_itself():
 @pytest.mark.parametrize("preset", ["lemma41", "prop42", "cor13"])
 def test_printed_presets_do_not_reproduce_the_charsum(preset):
     # that failure is the finding, not a bug: none of the printed constants
-    # carries both the measured q-power and the measured (trivial) cofactor
+    # (1 - q^{-1})^{-(n-1)} q^E carries both the measured q-power and the
+    # measured (trivial) cofactor
     for p, pi in (PI_N2[1], PI_N3[0], PI_N4[0]):
         n, t = pi.dim, pi.conductor_exponent
         z = zvec(p, t)
+        omega = pi.central_char().finite
+        const = ScaledScalar.of(Fraction(p, p - 1) ** (n - 1),
+                                bessel._candidate_exponents(n, t)[preset])
+        measured = Fraction(t * (n - 1) * (n - 2), 2)
         mismatch = False
         for y0 in shell_units(p, t):
             y = shell_point(p, y0, n, t)
             b1 = bessel_charsum(pi, z, y)
-            b3 = bessel_closedform(pi, z, y, preset=preset)
+            a0 = (-1) ** n * y0 * pow(z.unit_mod(t), -1, p ** t) % p ** t
+            kl = bessel._kl_value(omega, n, a0, t, EXACT)
+            # the same construction with the measured constant is the closed form
+            assert b1.value.eq_value(ScaledScalar.of(kl, measured), p, EXACT)
             if not b1.value.is_zero_exact():
-                mismatch = mismatch or not b1.value.eq_value(b3.value, p, EXACT)
+                mismatch = mismatch or not b1.value.eq_value(const * kl, p, EXACT)
         assert mismatch, (preset, p, n)
 
 
 def test_closedform_off_shell_is_zero_flagged():
     p, pi = PI_N3[0]
     t = pi.conductor_exponent
-    b = bessel_closedform(pi, zvec(p, t), PadicNumber(p, 1), preset="cor13")
+    b = bessel_closedform(pi, zvec(p, t), PadicNumber(p, 1))
     assert not b.support_flag and b.value.is_zero_exact()
 
 
@@ -606,3 +599,27 @@ def test_bessel_value_and_report_are_plain_records():
     rep = measure_prefactor(PI_N3[0][1], zvec(3, 2))
     assert isinstance(rep, PrefactorReport)
     assert rep.candidates.keys() == rep.matches.keys()
+
+
+def test_each_public_entry_validates_once(monkeypatch):
+    # the private code behind an entry reuses the checked (n, t, omega)
+    p, pi = PI_N3[0]
+    n, t = pi.dim, pi.conductor_exponent
+    z, y = zvec(p, t), shell_point(p, 2, n, t)
+    chi = chars_with_conductor(p, t)[0]
+    real, calls = bessel._standing_assumptions, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(bessel, "_standing_assumptions", counted)
+    rep = measure_prefactor(pi, z)
+    for entry in (lambda: measure_prefactor(pi, z),
+                  lambda: bessel_charsum(pi, z, y),
+                  lambda: bessel_closedform(pi, z, y, report=rep),
+                  lambda: bessel_closedform(pi, z, y),
+                  lambda: duality_check(pi, z, chi)):
+        calls.clear()
+        entry()
+        assert calls == [(pi, z)]

@@ -308,10 +308,15 @@ def test_kloosterman_smallest_instance():
 def test_kloosterman_sample_serialization():
     rep = cmd_kloosterman(config(p=3, t_max=1, n_list=(3,)))
     sample = rep.extras["samples"][0]
+    assert set(sample) == {"p", "t", "n", "omega", "y", "value_exact_repr",
+                           "value_complex", "algorithm"}
     assert sample["algorithm"] == "direct"
-    assert sample["n"] == 3 and sample["t"] == 1
-    assert sample["value_exact_repr"] is not None
-    assert len(sample["value_complex"]) == 2
+    assert sample["p"] == 3 and sample["n"] == 3 and sample["t"] == 1
+    assert sample["omega"] == {"level": 1, "k": 0} and sample["y"] == 1
+    assert isinstance(sample["value_exact_repr"], str)
+    assert isinstance(sample["value_complex"], list) and len(sample["value_complex"]) == 2
+    flt = cmd_kloosterman(config(p=3, t_max=1, n_list=(3,), backend="float"))
+    assert flt.extras["samples"][0]["value_exact_repr"] is None
 
 
 def test_kloosterman_case_count_across_levels():

@@ -17,7 +17,6 @@ from epsilonlab.kloosterman import (
     build_gauss_table,
     direct_term_count,
     kl_direct,
-    kl_result_json,
     kl_row,
     kl_via_dft,
 )
@@ -402,12 +401,12 @@ def test_orthogonality_reconstruction():
 
 
 def test_result_json_shape():
+    from epsilonlab.cli import _value_json
+
     q = KLQuery(MultChar(5, 1, 1), 2, 3, 1)
-    out = kl_result_json(q, kl_direct(q), "direct")
-    assert out["p"] == 5 and out["t"] == 1 and out["n"] == 2 and out["y"] == 3
-    assert out["omega"] == {"level": 1, "k": 1}
-    assert out["algorithm"] == "direct"
-    assert isinstance(out["value_complex"], list) and len(out["value_complex"]) == 2
-    assert isinstance(out["value_exact_repr"], str)
-    out_f = kl_result_json(q, kl_direct(q, backend=FLOAT), "direct")
-    assert out_f["value_exact_repr"] is None
+    out = q.to_json()
+    assert out == {"p": 5, "t": 1, "n": 2, "y": 3, "omega": {"level": 1, "k": 1}}
+    value = _value_json(kl_direct(q))
+    assert isinstance(value["complex"], list) and len(value["complex"]) == 2
+    assert isinstance(value["exact"], str)
+    assert _value_json(kl_direct(q, backend=FLOAT))["exact"] is None

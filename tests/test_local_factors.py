@@ -338,19 +338,6 @@ def test_eps_rep_blockwise_product():
     assert got.equals(eps_gl1(t1.mul(chi)) ** 2, 5, EXACT)
 
 
-def test_eps_rep_psi_scale_matches_central_char():
-    p = 5
-    pi = RepnData.of(Block(MultChar(p, 1, 1)), Block(MultChar(p, 1, 2)))
-    chi = MultChar(p, 2, 1)
-    c = Fraction(2 * p)
-    got = eps_rep_twisted(pi, chi, psi_scale=c)
-    plain = eps_rep_twisted(pi, chi)
-    omega = pi.central_char().finite.mul(chi ** pi.dim)
-    want_val = plain.value * ScaledScalar.of(omega.eval(2))
-    assert got.xexp == plain.xexp + pi.dim * 1
-    assert got.value.eq_value(want_val, p, EXACT)
-
-
 # ---------------------------------------------------------------------------
 # the stability theorem: direct engine
 # ---------------------------------------------------------------------------
@@ -477,17 +464,54 @@ def test_certificate_matches_direct_exhaustively(p, a):
     assert table.fallback_count == 0  # collapse recognized everywhere
 
 
-def test_certificate_nu_path_matches_direct():
-    # one block too deep for the lemma columns: handled by cancelling against omega
-    p, a = 3, 3
-    table = CertificateTable(p, a)
-    pi = RepnData.of(Block(MultChar(3, 2, 1)), Block(MultChar(3, 1, 1)))
+
+
+def _verdicts_match_direct(table, pi):
     rows = np.arange(len(table.row_ks))
     verdict = table.check_pairs(pi, rows)
-    assert verdict.all()
-    for i in (0, len(rows) // 2, len(rows) - 1):
-        chi = table.chi_of_row(int(i))
-        assert stability_check(pi, chi).holds
+    direct = [stability_check(pi, table.chi_of_row(int(i))).holds for i in rows]
+    assert verdict.tolist() == direct, pi.describe()
+    return verdict
+
+
+def test_certificate_lemma_regime_boundary_is_shallow():
+    # 2 a(tau) = a: both blocks are still lemma columns; were either read as
+    # deep, two deep blocks would be refused
+    p, a = 5, 2
+    table = CertificateTable(p, a)
+    pi = RepnData.of(Block(MultChar(p, 1, 1)), Block(MultChar(p, 1, 2)))
+    assert [2 * b.tau.conductor_exponent for b in pi.blocks] == [a, a]
+    assert _verdicts_match_direct(table, pi).all()
+
+
+def test_certificate_nu_path_matches_direct():
+    # one block too deep for the lemma columns, at the first deep conductor
+    # 2 a(tau) = a + 1 < 2 a: handled by cancelling against omega
+    p, a = 3, 3
+    table = CertificateTable(p, a)
+    tau_big = MultChar(p, 2, 1)
+    assert 2 * tau_big.conductor_exponent == a + 1
+    pi = RepnData.of(Block(tau_big), Block(MultChar(p, 1, 1)))
+    assert _verdicts_match_direct(table, pi).all()
+    with pytest.raises(RegimeError):
+        table.exponents(tau_big)  # its own column is out of the lemma regime
+
+
+def test_certificate_refusals_at_their_boundaries():
+    p = 3
+    table = CertificateTable(p, 3)
+    rows = np.arange(len(table.row_ks))
+    deep = MultChar(p, 2, 1)  # 2 a(tau) = a + 1
+    for pi in (RepnData.of(Block(deep), Block(MultChar(p, 2, 2))),  # two deep blocks
+               RepnData.of(Block(deep, 2))):                        # one deep block of size 2
+        with pytest.raises(RegimeError, match="at most one deep block of size 1"):
+            table.check_pairs(pi, rows)
+    # a(tau) = a, and the twisted multiset {tau, tau'} is not {tau tau', 1}
+    p, a = 5, 2
+    table = CertificateTable(p, a)
+    pi = RepnData.of(Block(MultChar(p, 2, 1)), Block(MultChar(p, 1, 1)))
+    with pytest.raises(RegimeError, match="strictly below"):
+        table.check_pairs(pi, np.arange(len(table.row_ks)))
 
 
 def test_certificate_multiset_shortcut():

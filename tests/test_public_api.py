@@ -1,10 +1,14 @@
-"""Every public name in the lab has a caller in the lab.
+"""Every public name in the lab has a caller in the lab, and every import is read.
 
 Each public module-level function and class of ``src/epsilonlab`` and each
 public method of such a class must be referenced somewhere in ``src/``
 outside its own definition: as a Name, as an Attribute, or in an import.  A
 name that only tests call is test-only API; such a helper belongs in the test
 that needs it.  The allowlist names the few that stay for a reason.
+
+Every name a ``src/`` module imports must also be read in that module outside
+its import statements (``from __future__`` imports are exempt): a dead import
+is the trace of a deleted caller.
 
 Known limit: names are matched by spelling, not resolved.  A method counts as
 used when any attribute of the same name is read anywhere in ``src/`` (a
@@ -62,3 +66,25 @@ def test_allowlist_names_exist():
     defined = {qual for path in SRC.glob("*.py")
                for qual, _name, _node in _public_definitions(ast.parse(path.read_text()))}
     assert set(ALLOWED) <= defined
+
+
+def _imported_names(tree):
+    """(bound name, line) of every name the module's imports bind."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def test_every_import_is_read():
+    dead = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {sub.id for sub in ast.walk(tree)
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+        dead += ["%s:%d %s" % (path.name, line, name)
+                 for name, line in _imported_names(tree) if name not in read]
+    assert dead == [], "imported names never read: %s" % dead
