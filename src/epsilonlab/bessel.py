@@ -290,9 +290,12 @@ def bessel_closedform(pi: RepnData, z: PadicNumber, y: PadicNumber,
 
     The constant is cofactor * q^{measured_exponent} of a PrefactorReport;
     without one it is measured here -- pass a precomputed report to skip
-    re-measuring.
+    re-measuring.  A report measured for another (p, n, t) raises ValueError.
     """
     n, t, omega = _standing_assumptions(pi, z)
+    if report is not None and (report.p, report.n, report.t) != (pi.p, n, t):
+        raise ValueError("prefactor report is for (p, n, t) = (%d, %d, %d), not (%d, %d, %d)"
+                         % (report.p, report.n, report.t, pi.p, n, t))
     if y.p != pi.p:
         raise ValueError("mixed primes: pi lives over p=%d, y over p=%d" % (pi.p, y.p))
     if y.is_zero() or y.val != n * z.val:

@@ -366,7 +366,9 @@ class CertificateTable:
     The ratio eps(mu chi)/eps(chi) of central epsilon values equals
     mu(-1) zeta_M^e; the mu(-1) parities multiply out to the same factor on
     both sides of every comparison check_pairs performs, so the checks can
-    work with the exponents alone.
+    work with the exponents alone.  A column is keyed by mu's exponent k at
+    level a and scattered from the sparse canonical root rows; check_pairs
+    decides each cell on the blocks' integer exponents at level a.
     """
 
     def __init__(self, p: int, a: int):
@@ -381,7 +383,8 @@ class CertificateTable:
         # exponent k -> row, -1 for the k of conductor below a
         self._row_of = np.full(self.M, -1, dtype=np.int64)
         self._row_of[self.row_ks] = np.arange(len(self.row_ks))
-        self._mu_cache: dict[tuple[int, int], np.ndarray] = {}
+        self._mu_cache: dict[int, np.ndarray] = {}  # columns, by mu's k at level a
+        self._block_ks: dict[tuple[int, int], tuple[int, int]] = {}
         self._fallbacks = 0
 
     # -- indexing -------------------------------------------------------------
@@ -398,24 +401,25 @@ class CertificateTable:
 
     # -- certificates ----------------------------------------------------------
 
-    def exponents(self, mu: MultChar) -> np.ndarray:
-        """e(chi, mu) for every row chi; mu must satisfy 2 a(mu) <= a.
+    def exponents(self, k: int) -> np.ndarray:
+        """e(chi, mu) for every row chi, for the character mu with exponent k at
+        level a; mu must satisfy 2 a(mu) <= a.
 
         Outside that range the inner-sum factorization used below picks up
         extra mu- and chi-curvature terms, so the table refuses rather than
-        returning something subtly wrong.
+        returning something subtly wrong.  Columns are cached by k, so every
+        presentation of one character shares one column.
         """
-        s = mu.conductor_exponent
-        if 2 * s > self.a:
-            raise RegimeError("certificate columns need 2 a(mu) <= a")
-        if s == 0:
-            return np.zeros(len(self.row_ks), dtype=np.int64)
-        mu_s = _represent_at_conductor(mu)
-        key = (mu_s.k, s)
-        hit = self._mu_cache.get(key)
+        k %= self.M
+        hit = self._mu_cache.get(k)
         if hit is None:
-            hit = self._exponents_uncached(mu_s, s)
-            self._mu_cache[key] = hit
+            mu = MultChar(self.p, self.a, k)
+            s = mu.conductor_exponent
+            if 2 * s > self.a:
+                raise RegimeError("certificate columns need 2 a(mu) <= a")
+            hit = self._mu_cache[k] = (
+                self._exponents_uncached(_represent_at_level(mu, s), s) if s
+                else np.zeros(len(self.row_ks), dtype=np.int64))
         return hit
 
     def _exponents_uncached(self, mu_s: MultChar, s: int) -> np.ndarray:
@@ -478,7 +482,9 @@ class CertificateTable:
     def check_pairs(self, pi: RepnData, rows: np.ndarray) -> np.ndarray:
         """Vector of booleans: stability verdict for (pi, chi_row) over given rows.
 
-        With every block in the lemma regime (2 a(tau) <= a) the claim is
+        Each tau enters as its exponent k at level a (read once per table) and
+        omega as sum d_j k_j mod M.  With every block in the lemma regime
+        (2 a(tau) <= a) the claim is
           sum_j d_j e(chi, tau_j)  ==  e(chi, omega),
         every column in regime since a(omega) <= max a(tau_j).  One deep block
         of size 1 is cancelled against the omega side: with nu = chi tau_big
@@ -489,52 +495,62 @@ class CertificateTable:
         permutation of the chi rows.  The structural shortcut answers first
         when both sides are literally the same multiset.
         """
-        a = self.a
+        a, M = self.a, self.M
         if any(b.shift != 0 for b in pi.blocks):
             raise RegimeError("certificate engine handles shiftless blocks only")
-        omega = pi.central_char().finite
-        taus = [(b.tau, b.size) for b in pi.blocks]
+        blocks = []  # (k at level a, a(tau), d)
+        for b in pi.blocks:
+            hit = self._block_ks.get((b.tau.level, b.tau.k))
+            if hit is None:
+                hit = self._block_ks[b.tau.level, b.tau.k] = (
+                    _represent_at_level(b.tau, a).k, b.tau.conductor_exponent)
+            blocks.append(hit + (b.size,))
+        omega_k = sum(d * k for k, _s, d in blocks) % M
         # structural shortcut: if the twisted multiset {tau_i x d_i} equals the
         # stable multiset {omega, trivial x (n-1)}, both sides are literally the
         # same product of monomials
-        lhs_multiset = sorted(_represent_at_level(t, a).k for t, d in taus for _ in range(d))
-        rhs_multiset = sorted([_represent_at_level(omega, a).k] + [0] * (pi.dim - 1))
-        if lhs_multiset == rhs_multiset:
+        if sorted(k for k, _s, d in blocks for _ in range(d)) == sorted(
+                [omega_k] + [0] * (pi.dim - 1)):
             return np.ones(len(rows), dtype=bool)
-        bigs = [b for b in pi.blocks if 2 * b.tau.conductor_exponent > a]
-        sigma, target_rows = omega, rows
+        bigs = [blk for blk in blocks if 2 * blk[1] > a]
+        sigma_k, target_rows = omega_k, rows
         if bigs:
-            if len(bigs) != 1 or bigs[0].size != 1:
+            if len(bigs) != 1 or bigs[0][2] != 1:
                 raise RegimeError("certificate engine expects at most one deep block of size 1")
-            if bigs[0].tau.conductor_exponent >= a:
+            k_big, s_big, _d = bigs[0]
+            if s_big >= a:
                 raise RegimeError("deep block must still sit strictly below a(chi)")
-            tau_big = _represent_at_level(bigs[0].tau, a)
-            sigma = omega.mul(tau_big.inv())
+            sigma_k = omega_k - k_big
             # nu = chi * tau_big: a row permutation of the table
-            target_rows = self._row_of[(self.row_ks[rows] + tau_big.k) % self.M]
+            target_rows = self._row_of[(self.row_ks[rows] + k_big) % M]
             if (target_rows < 0).any():
                 raise ArithmeticError("chi * tau_big left conductor %d" % a)
-        acc = np.zeros(len(rows), dtype=np.int64)
-        for t, d in taus:
-            if 2 * t.conductor_exponent <= a:
-                acc = (acc + d * self.exponents(t)[rows]) % self.M
-        return acc == self.exponents(sigma)[target_rows]
+        acc = sum(d * self.exponents(k)[rows] for k, s, d in blocks if 2 * s <= a) % M
+        return acc == self.exponents(sigma_k)[target_rows]
 
     @property
     def fallback_count(self) -> int:
         return self._fallbacks
 
 
-def _represent_at_conductor(mu: MultChar) -> MultChar:
-    return _represent_at_level(mu, max(mu.conductor_exponent, 1))
-
-
 def _batch_root_sums(M: int, E: np.ndarray) -> np.ndarray:
-    """Canonical length-phi(M) coordinate rows of sum_j zeta_M^{E[i, j]}, one per row i."""
-    n = E.shape[0]
-    counts = np.zeros((n, M), dtype=np.int64)
-    np.add.at(counts, (np.arange(n)[:, None], E), 1)
-    return get_context(M).reduce_groupring(counts)
+    """Canonical length-phi(M) coordinate rows of sum_j zeta_M^{E[i, j]}, one per row i.
+
+    zeta_M^{q K + s}, K = M / rad M, is pow_rows[q] at the indices j K + s; those
+    entries are scattered by integer bincounts, positive and negative apart.  Past
+    the int64 guard, dense counts are reduced in object dtype instead."""
+    ctx = get_context(M)
+    n, cols = E.shape
+    if not ctx.fits_int64(cols):
+        counts = np.bincount((np.arange(n)[:, None] * M + E).ravel(), minlength=n * M)
+        return ctx.reduce_groupring(counts.reshape(n, M).astype(object))
+    q, s = np.divmod(E, ctx.K)
+    coef = ctx.pow_rows[q].ravel()
+    at = (np.arange(n)[:, None, None] * ctx.phi + s[:, :, None]
+          + np.arange(ctx.phi_rad) * ctx.K).ravel()
+    rows = np.bincount(np.repeat(at, np.maximum(coef, 0)), minlength=n * ctx.phi)
+    rows -= np.bincount(np.repeat(at, np.maximum(-coef, 0)), minlength=n * ctx.phi)
+    return rows.reshape(n, ctx.phi)
 
 
 def _coordinate_key(vec) -> bytes:

@@ -1,4 +1,5 @@
 """Bessel transforms: duality oracle, support, and the closed-form constant."""
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -488,6 +489,23 @@ def test_printed_presets_do_not_reproduce_the_charsum(preset):
             if not b1.value.is_zero_exact():
                 mismatch = mismatch or not b1.value.eq_value(const * kl, p, EXACT)
         assert mismatch, (preset, p, n)
+
+
+def test_closedform_refuses_a_report_for_another_representation():
+    # the n = 3 Steinberg's report, handed to the n = 2 probe at the same
+    # p = 3, t = 2, would scale the closed form by q^2; it is refused instead
+    z = zvec(3, 2)
+    report = measure_prefactor(steinberg(trivial_char(3), 3), z)
+    probe = steinberg(MultChar(3, 1, 1), 2)
+    y = shell_point(3, 2, 2, 2)  # y = 2/81
+    with pytest.raises(ValueError, match="prefactor report is for"):
+        bessel_closedform(probe, z, y, report=report)
+    matching = measure_prefactor(probe, z)
+    for other in (replace(matching, p=5), replace(matching, t=3)):
+        with pytest.raises(ValueError, match="prefactor report is for"):
+            bessel_closedform(probe, z, y, report=other)
+    got = bessel_closedform(probe, z, y, report=matching)
+    assert got.value.eq_value(bessel_charsum(probe, z, y).value, 3, EXACT)
 
 
 def test_closedform_off_shell_is_zero_flagged():

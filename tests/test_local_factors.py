@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from epsilonlab import local_factors
+from epsilonlab import local_factors, scalars
 from epsilonlab.characters import MultChar, QuasiChar, represent_at_level, trivial_char, v_chi
 from epsilonlab.local_factors import (
     Block,
@@ -34,6 +34,7 @@ from epsilonlab.scalars import (
     CycContext,
     CycNumber,
     ScaledScalar,
+    get_context,
     root_of_unity,
 )
 
@@ -427,8 +428,8 @@ def test_certificate_rows_are_the_conductor_a_exponents(p, a):
 def test_certificate_regime_guard():
     table = CertificateTable(5, 2)
     with pytest.raises(RegimeError):
-        table.exponents(MultChar(5, 2, 1))  # 2 a(mu) > a
-    assert (table.exponents(trivial_char(5)) == 0).all()
+        table.exponents(represent_at_level(MultChar(5, 2, 1), 2).k)  # 2 a(mu) > a
+    assert (table.exponents(represent_at_level(trivial_char(5), 2).k) == 0).all()
 
 
 def test_certificate_trivial_column_consistency():
@@ -494,7 +495,8 @@ def test_certificate_nu_path_matches_direct():
     pi = RepnData.of(Block(tau_big), Block(MultChar(p, 1, 1)))
     assert _verdicts_match_direct(table, pi).all()
     with pytest.raises(RegimeError):
-        table.exponents(tau_big)  # its own column is out of the lemma regime
+        # its own column is out of the lemma regime
+        table.exponents(represent_at_level(tau_big, a).k)
 
 
 def test_certificate_refusals_at_their_boundaries():
@@ -535,14 +537,14 @@ def test_certificate_slow_path_matches_fast_path(monkeypatch):
     fast = {}
     for p, a in cases:
         table = CertificateTable(p, a)
-        fast[p, a] = [table.exponents(mu) for mu in mus[p, a]]
+        fast[p, a] = [table.exponents(represent_at_level(mu, a).k) for mu in mus[p, a]]
         assert table.fallback_count == 0
     monkeypatch.setattr(local_factors, "_collapsed_certificates", lambda mu, M: {})
     recomputed = 0
     for p, a in cases:
         table = CertificateTable(p, a)
         for mu, want in zip(mus[p, a], fast[p, a]):
-            assert (table.exponents(mu) == want).all(), (p, a, mu)
+            assert (table.exponents(represent_at_level(mu, a).k) == want).all(), (p, a, mu)
         rows = len(mus[p, a]) * len(table.row_ks)
         assert table.fallback_count == rows
         recomputed += rows
@@ -562,6 +564,132 @@ def test_batch_root_sums_are_the_sparse_root_combinations(M, rows, cols):
         assert drow.tobytes() == local_factors._coordinate_key(num)
 
 
+def _dense_root_sums(M, E):
+    """The dense oracle for _batch_root_sums: count every exponent of each row
+    into a length-M vector, then reduce the stack of counts."""
+    counts = np.zeros((E.shape[0], M), dtype=np.int64)
+    np.add.at(counts, (np.arange(E.shape[0])[:, None], E), 1)
+    return get_context(M).reduce_groupring(counts)
+
+
+def test_sparse_columns_match_the_dense_oracle(monkeypatch):
+    # M = phi(5^5) = 2500 and 2,000 rows: one conductor-1 and one conductor-2
+    # column, each scattered sparsely and compared with the dense count matrix
+    seen = []
+    sparse = local_factors._batch_root_sums
+
+    def spy(M, E):
+        seen.append((M, E, sparse(M, E)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(local_factors, "_batch_root_sums", spy)
+    table = CertificateTable(5, 5)
+    for mu in (MultChar(5, 1, 1), MultChar(5, 2, 1)):
+        table.exponents(represent_at_level(mu, 5).k)
+    assert [E.shape for _M, E, _D in seen] == [(2000, 4), (2000, 20)]
+    for M, E, D in seen:
+        want = _dense_root_sums(M, E)
+        assert D.dtype == want.dtype == np.int64
+        assert np.array_equal(D, want)
+    assert table.fallback_count == 0
+
+
+def test_sparse_columns_int64_guard_at_its_boundary(monkeypatch):
+    # a conductor-1 column at (p, a) = (5, 2) sums phi(5) = 4 roots per row
+    p, a, cols = 5, 2, 4
+    k = represent_at_level(MultChar(p, 1, 1), a).k
+    want = CertificateTable(p, a).exponents(k)
+    M = phi(p, a)
+    ctx = get_context(M)
+    E = np.random.default_rng(M).integers(0, M, (3, cols + 1))
+    # cols is the largest column count that fits: int64 rows, keyed
+    monkeypatch.setattr(scalars, "_INT64_GUARD", (cols + 1) * ctx.reduce_gain)
+    assert ctx.fits_int64(cols) and not ctx.fits_int64(cols + 1)
+    D = local_factors._batch_root_sums(M, E[:, :cols])
+    assert D.dtype == np.int64 and D.tolist() == _dense_root_sums(M, E[:, :cols]).tolist()
+    D = local_factors._batch_root_sums(M, E)
+    assert D.dtype == object and D.tolist() == _dense_root_sums(M, E).tolist()
+    table = CertificateTable(p, a)
+    assert (table.exponents(k) == want).all() and table.fallback_count == 0
+    # one column more than fits: object rows, each recognised on the slow path
+    monkeypatch.setattr(scalars, "_INT64_GUARD", cols * ctx.reduce_gain)
+    table = CertificateTable(p, a)
+    assert (table.exponents(k) == want).all()
+    assert table.fallback_count == len(table.row_ks)
+
+
+def test_certificate_block_presented_above_a():
+    # tau = MultChar(5, 3, 25) has conductor 1 but is presented at level 3 > a;
+    # beside a second conductor-1 block it needs three columns (tau, tau',
+    # omega), not the shortcut
+    p, a = 5, 2
+    table = CertificateTable(p, a)
+    tau = MultChar(p, 3, 25)
+    assert tau.conductor_exponent == 1
+    pi = RepnData.of(Block(tau), Block(MultChar(p, 1, 2)))
+    _verdicts_match_direct(table, pi)
+    assert len(table._mu_cache) == 3
+
+
+def test_certificate_one_column_per_character():
+    # the same character in two presentations shares its column
+    p, a = 5, 2
+    table = CertificateTable(p, a)
+    tau = MultChar(p, 1, 1)
+    for shown in (tau, tau.induce(3)):
+        _verdicts_match_direct(table, RepnData.of(Block(shown), Block(MultChar(p, 1, 2))))
+        assert len(table._mu_cache) == 3
+    assert len(table._block_ks) == 3  # two presentations of tau, one of tau'
+
+
+def test_certificate_refusals_see_through_the_presentation():
+    # the deep-block refusals read a(tau), not the level tau is presented at
+    p = 3
+    table = CertificateTable(p, 3)
+    deep = MultChar(p, 2, 1).induce(4)
+    with pytest.raises(RegimeError, match="at most one deep block of size 1"):
+        table.check_pairs(RepnData.of(Block(deep, 2)), np.arange(len(table.row_ks)))
+    table = CertificateTable(5, 2)
+    pi = RepnData.of(Block(MultChar(5, 2, 1).induce(3)), Block(MultChar(5, 1, 1)))
+    with pytest.raises(RegimeError, match="strictly below"):
+        table.check_pairs(pi, np.arange(len(table.row_ks)))
+
+
+def test_certificate_cells_build_no_character(monkeypatch):
+    # once a table has read a presentation and tabulated a column, a cell is
+    # integer work: no MultChar is built and omega is never formed
+    p, a = 5, 3
+    table = CertificateTable(p, a)
+    rows = np.arange(len(table.row_ks))
+    reps = enumerate_reps(p, 3, 2)
+
+    def sweep():
+        out = []
+        for pi in reps:
+            try:
+                out.append(table.check_pairs(pi, rows).tolist())
+            except RegimeError as exc:
+                out.append(str(exc))
+        return out
+
+    first = sweep()
+    built = []
+    post_init = MultChar.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    def refuse(*args):
+        raise AssertionError("a cell built a character")
+
+    monkeypatch.setattr(MultChar, "__post_init__", counting)
+    monkeypatch.setattr(MultChar, "induce", refuse)
+    monkeypatch.setattr(RepnData, "central_char", refuse)
+    assert sweep() == first
+    assert built == []
+
+
 def test_certificate_object_rows_take_the_slow_path(monkeypatch):
     # An object-dtype reduction holds pointers, so its rows must never be keyed
     # by their bytes: each one is recognised on the slow path instead.
@@ -569,7 +697,8 @@ def test_certificate_object_rows_take_the_slow_path(monkeypatch):
     fast = {}
     for p, a in cases:
         table = CertificateTable(p, a)
-        fast[p, a] = [table.exponents(mu) for mu in conductor_chars(p, 1)]
+        fast[p, a] = [table.exponents(represent_at_level(mu, a).k)
+                      for mu in conductor_chars(p, 1)]
         assert table.fallback_count == 0
     monkeypatch.setattr(CycContext, "fits_int64", lambda self, max_abs: False)
     seen = []
@@ -596,7 +725,7 @@ def test_certificate_object_rows_take_the_slow_path(monkeypatch):
         table = CertificateTable(p, a)
         mus = conductor_chars(p, 1)
         for mu, want in zip(mus, fast[p, a]):
-            assert (table.exponents(mu) == want).all(), (p, a, mu)
+            assert (table.exponents(represent_at_level(mu, a).k) == want).all(), (p, a, mu)
         assert table.fallback_count == len(mus) * len(table.row_ks)
     assert seen == [object] * sum(len(conductor_chars(p, 1)) for p, a in cases)
     assert looked_up == []
@@ -607,7 +736,7 @@ def test_certificate_long_keys_at_conductor_four():
     # by its dense row, and a stride of rows agrees with the slow path.
     table = CertificateTable(5, 4)
     mus = [mu for s in (1, 2) for mu in conductor_chars(5, s)]
-    columns = [table.exponents(mu) for mu in mus]
+    columns = [table.exponents(represent_at_level(mu, 4).k) for mu in mus]
     assert len(mus) == 19 and len(table.row_ks) == 400
     assert table.fallback_count == 0
     for mu, column in zip(mus, columns):
@@ -619,7 +748,7 @@ def test_certificate_fallback_agrees_with_collapse():
     for p, a in [(5, 2), (3, 3)]:
         table = CertificateTable(p, a)
         mu = MultChar(p, 1, 1)
-        exps = table.exponents(mu)
+        exps = table.exponents(represent_at_level(mu, a).k)
         for row in range(len(table.row_ks)):
             assert table._fallback_exponent(mu, row) == exps[row]
 
