@@ -228,13 +228,6 @@ class ResidueClass:
             return x % self.p != 0
         return x % self.p ** self.m == self.rep and x % self.p != 0
 
-    def lifts(self) -> list[int]:
-        """All unit lifts mod p^{m+1} (used to probe representative independence)."""
-        mod = self.p ** (self.m + 1)
-        step = self.p ** self.m
-        cands = [self.rep + j * step for j in range(self.p)] if not self.vacuous else list(range(1, mod))
-        return [x for x in cands if x % self.p != 0]
-
 
 def v_chi(chi: MultChar) -> ResidueClass:
     """The class v mod p^{floor(a/2)} with chi(1 + y p^{ceil(a/2)}) = zeta_{p^{floor(a/2)}}^{v y}.

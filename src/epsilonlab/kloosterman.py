@@ -196,7 +196,7 @@ def build_gauss_table(
     x -> psi(x / p^t) (Rader 1968): with x = g^j, tau_t(chi_k) =
     sum_j zeta_m^{kj} zeta_{p^t}^{g^j}, exact in the exact backend and an FFT
     in the float backend.  The tests compare it with the sums computed one
-    character at a time by local_factors.gauss_sum_full_level.
+    character at a time.
     """
     ug = unit_group(p, t)
     m = ug.order

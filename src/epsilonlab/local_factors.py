@@ -19,11 +19,10 @@ The stability theorem is checked by two engines, each with one entry point:
   exact only: divide both sides by the invertible eps(chi)^n; each side
   collapses to a root of unity whose exponent is computed from a short sum of
   phi(p^{a(mu)}) terms, tabulated once per conductor a for every chi at once,
-  making million-pair sweeps feasible.  Every collapsed value is re-recognized
-  in the cyclotomic field: recognition compares dense int64 coordinate rows,
-  keyed by their bytes (a miss, or a row that only fits object dtype, falls
-  back to the slow exact computation, and a genuine mismatch is reported,
-  never repaired).
+  making million-pair sweeps feasible.  Every value is recognized exactly:
+  each distinct multiset of exponents is summed once in its own small
+  cyclotomic field and must be +-q^{a(mu)} times a root of unity; anything
+  else raises ArithmeticError and is never repaired.
 
 The two engines are cross-checked against each other in the test suite, and
 in the CLI's stability suite, where under the exact backend the certificate
@@ -35,6 +34,7 @@ and every pair the certificate rejects.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -55,7 +55,6 @@ from .padic import phi, unit_group, valuation, unit_part_mod
 from .scalars import (
     EXACT,
     Backend,
-    CycNumber,
     Rational,
     ScaledScalar,
     get_context,
@@ -77,18 +76,6 @@ def gauss_sum(chi: MultChar, backend: Backend = EXACT):
     if a == 0:
         raise ValueError("Gauss sum needs a ramified character")
     return _gauss_sum_at_level(chi.p, _represent_at_level(chi, a).k, a, backend)
-
-
-def gauss_sum_full_level(chi: MultChar, t: int, backend: Backend = EXACT):
-    """Same sum but over units mod p^t for any t >= a(chi).
-
-    Vanishes for a(chi) < t unless t = 1, where the trivial character gives -1.
-    """
-    if t < 1:
-        raise ValueError("level must be >= 1")
-    if chi.conductor_exponent > t:
-        raise ValueError("character does not factor through level %d" % t)
-    return _gauss_sum_at_level(chi.p, _represent_at_level(chi, t).k, t, backend)
 
 
 @functools.lru_cache(maxsize=8192)
@@ -367,8 +354,10 @@ class CertificateTable:
     mu(-1) zeta_M^e; the mu(-1) parities multiply out to the same factor on
     both sides of every comparison check_pairs performs, so the checks can
     work with the exponents alone.  A column is keyed by mu's exponent k at
-    level a and scattered from the sparse canonical root rows; check_pairs
+    level a and sums each distinct row once (see exponents); check_pairs
     decides each cell on the blocks' integer exponents at level a.
+    fallback_count counts the distinct rows whose reduction the int64 guard
+    sent to object dtype.
     """
 
     def __init__(self, p: int, a: int):
@@ -396,9 +385,6 @@ class CertificateTable:
         k = _represent_at_level(chi, self.a).k
         return int(self._row_of[k % self.M])
 
-    def chi_of_row(self, row: int) -> MultChar:
-        return MultChar(self.p, self.a, int(self.row_ks[row]))
-
     # -- certificates ----------------------------------------------------------
 
     def exponents(self, k: int) -> np.ndarray:
@@ -409,6 +395,14 @@ class CertificateTable:
         extra mu- and chi-curvature terms, so the table refuses rather than
         returning something subtly wrong.  Columns are cached by k, so every
         presentation of one character shares one column.
+
+        With s = a(mu), e is the exponent of tau(mu) D(chi) = +-p^s zeta_M^e,
+        D(chi) = sum over units c mod p^s of chi(1 + c p^{a-s}) mu^{-1}(c).
+        Every D(chi) lies in Q(zeta_L), L = lcm(p^s, phi(p^s)), and depends
+        on chi only through the multiset of its exponents there, so each
+        distinct multiset is summed once, in one batched reduction, and
+        recognised; a value that is not +-p^s times a root of unity raises
+        ArithmeticError.
         """
         k %= self.M
         hit = self._mu_cache.get(k)
@@ -424,9 +418,6 @@ class CertificateTable:
 
     def _exponents_uncached(self, mu_s: MultChar, s: int) -> np.ndarray:
         p, a, M = self.p, self.a, self.M
-        # D(chi) = sum over units c mod p^s of chi(1 + c p^{a-s}) mu^{-1}(c),
-        # computed for all chi simultaneously; then
-        # e = exponent of  p^{a-s} tau(mu) D(chi) / q^a.
         ug_s = unit_group(p, s)
         cs = [int(c) for c in ug_s.units()]
         m_s = ug_s.order
@@ -435,47 +426,34 @@ class CertificateTable:
             [self._ug.dlog((1 + c * p ** (a - s)) % self.modulus) for c in cs],
             dtype=np.int64,
         )
-        # exponent matrix in zeta_M: rows chi, cols c
+        # exponents in zeta_M of the terms of D(chi): rows chi, cols c
         E = (self.row_ks[:, None] * w_dlogs[None, :] + (M // m_s) * mu_exps[None, :]) % M
-        D = _batch_root_sums(M, E)
-        lookup = _collapsed_certificates(mu_s, M)
-        # the bytes of an object-dtype row are pointers, so such rows are
-        # never keyed: they take the slow path
-        keyed = D.dtype == np.int64
-        out = np.empty(len(self.row_ks), dtype=np.int64)
-        for i in range(len(D)):
-            e = lookup.get(D[i].tobytes()) if keyed else None
-            if e is None:
-                e = self._fallback_exponent(mu_s, i)
-            out[i] = e
-        return out
-
-    def _fallback_exponent(self, mu: MultChar, row: int) -> int:
-        """Honest slow path: build the certificate value and recognize it."""
-        self._fallbacks += 1
-        p, a, M = self.p, self.a, self.M
-        s = mu.conductor_exponent
-        chi = self.chi_of_row(row)
-        mu_inv = mu.inv()
-        acc = CycNumber.zero()
-        for c in unit_group(p, s).units():
-            c = int(c)
-            acc = acc + chi.eval((1 + c * p ** (a - s)) % self.modulus) * mu_inv.eval(c)
-        full = gauss_sum(mu) * acc  # = tau(mu) * D; must be (+-)p^s times a root
-        rt = full.as_root_times_rational()
-        if rt is None or abs(rt[1]) != p ** s:
-            raise ArithmeticError(
-                "certificate value is not q^{a(mu)} times a root of unity for "
-                "chi=%r, mu=%r; the modulus identities are broken" % (chi, mu)
-            )
-        e, r = rt
-        L = full.N
-        if M % L:
-            raise ArithmeticError("certificate root lies outside the expected field")
-        e = e * (M // L) % M
-        if r < 0:  # odd sub-order kept the sign in the rational part
-            e = (e + M // 2) % M
-        return e
+        # 1 + c p^{a-s} has order dividing p^s and mu^{-1}(c) is an m_s-th root,
+        # so every D(chi) lies in Q(zeta_L)
+        L = math.lcm(p ** s, m_s)
+        if M % L or (E % (M // L)).any():
+            raise ArithmeticError("certificate sums leave Q(zeta_%d)" % L)
+        # a row's sum depends only on its multiset of exponents: sum each
+        # distinct one once
+        rows, inverse = np.unique(np.sort(E // (M // L), axis=1), axis=0, return_inverse=True)
+        n = len(rows)
+        counts = np.bincount((np.arange(n)[:, None] * L + rows).ravel(),
+                             minlength=n * L).reshape(n, L)
+        if not get_context(L).fits_int64(counts.max()):
+            self._fallbacks += n
+        tau = gauss_sum(mu_s)
+        exps = np.empty(n, dtype=np.int64)
+        for i, d in enumerate(EXACT.root_combination_vec(L, counts)):
+            full = tau * d
+            rt = full.as_root_times_rational()
+            if rt is None or abs(rt[1]) != p ** s:
+                raise ArithmeticError(
+                    "certificate value is not q^{a(mu)} times a root of unity for "
+                    "mu=%r; the modulus identities are broken" % (mu_s,))
+            e, r = rt
+            # an odd order keeps the sign in the rational part
+            exps[i] = (e * (M // full.N) + (M // 2 if r < 0 else 0)) % M
+        return exps[inverse.ravel()]  # the inverse's shape varies across numpy versions
 
     # -- pair checking ----------------------------------------------------------
 
@@ -531,54 +509,6 @@ class CertificateTable:
     @property
     def fallback_count(self) -> int:
         return self._fallbacks
-
-
-def _batch_root_sums(M: int, E: np.ndarray) -> np.ndarray:
-    """Canonical length-phi(M) coordinate rows of sum_j zeta_M^{E[i, j]}, one per row i.
-
-    zeta_M^{q K + s}, K = M / rad M, is pow_rows[q] at the indices j K + s; those
-    entries are scattered by integer bincounts, positive and negative apart.  Past
-    the int64 guard, dense counts are reduced in object dtype instead."""
-    ctx = get_context(M)
-    n, cols = E.shape
-    if not ctx.fits_int64(cols):
-        counts = np.bincount((np.arange(n)[:, None] * M + E).ravel(), minlength=n * M)
-        return ctx.reduce_groupring(counts.reshape(n, M).astype(object))
-    q, s = np.divmod(E, ctx.K)
-    coef = ctx.pow_rows[q].ravel()
-    at = (np.arange(n)[:, None, None] * ctx.phi + s[:, :, None]
-          + np.arange(ctx.phi_rad) * ctx.K).ravel()
-    rows = np.bincount(np.repeat(at, np.maximum(coef, 0)), minlength=n * ctx.phi)
-    rows -= np.bincount(np.repeat(at, np.maximum(-coef, 0)), minlength=n * ctx.phi)
-    return rows.reshape(n, ctx.phi)
-
-
-def _coordinate_key(vec) -> bytes:
-    """Key of a canonical coordinate vector: the bytes of its dense int64 form."""
-    return np.asarray(vec, dtype=np.int64).tobytes()
-
-
-def _collapsed_certificates(mu: MultChar, M: int) -> dict:
-    """Expected values of D: mu(v) tau(mu^{-1}) for units v; keys are the
-    _coordinate_key of their canonical vectors in Q(zeta_M), values the
-    certificate exponents e.
-
-    e is the zeta_M-exponent of mu(v) mu(-1) (= p^{a-s} tau(mu) D / q^a when D
-    collapses as predicted).
-    """
-    p, s = mu.p, mu.conductor_exponent
-    tau_inv = gauss_sum(mu.inv())
-    m_s = mu.group_order
-    table: dict = {}
-    minus_one = mu.value_exponent(-1 % p ** s)
-    for v in unit_group(p, s).units():
-        v = int(v)
-        val = mu.eval(v) * tau_inv
-        lifted, lden = val._lift_vec(M)
-        if lden != 1:
-            raise ArithmeticError("Gauss-sum values must have integral coordinates")
-        table[_coordinate_key(lifted)] = (mu.value_exponent(v) + minus_one) * (M // m_s) % M
-    return table
 
 
 # ---------------------------------------------------------------------------

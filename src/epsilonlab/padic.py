@@ -111,32 +111,6 @@ class PadicNumber:
     def unit_mod(self, t: int) -> int:
         return unit_part_mod(self.p, self.value, t)
 
-    def _wrap(self, value: Fraction) -> "PadicNumber":
-        return PadicNumber(self.p, value)
-
-    def _check(self, other) -> Fraction:
-        if isinstance(other, PadicNumber):
-            if other.p != self.p:
-                raise ValueError("mixed residue characteristics %d and %d" % (self.p, other.p))
-            return other.value
-        return Fraction(other)
-
-    def __add__(self, other):
-        return self._wrap(self.value + self._check(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._wrap(self.value - self._check(other))
-
-    def __mul__(self, other):
-        return self._wrap(self.value * self._check(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self._wrap(-self.value)
-
     def __eq__(self, other):
         if isinstance(other, PadicNumber):
             return self.p == other.p and self.value == other.value

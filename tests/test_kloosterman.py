@@ -21,7 +21,7 @@ from epsilonlab.kloosterman import (
     kl_via_dft,
 )
 from epsilonlab.cli import main
-from epsilonlab.local_factors import gauss_sum_full_level
+from epsilonlab import local_factors
 from epsilonlab.padic import phi, unit_group
 from epsilonlab.scalars import (
     EXACT,
@@ -117,8 +117,9 @@ def test_term_budget():
 
 @pytest.mark.parametrize("p,t", [(3, 1), (3, 2), (5, 1), (5, 2), (7, 1)])
 def test_table_methods_agree_exactly(p, t):
-    # the oracle: every sum on its own, through the character layer
-    naive = tuple(gauss_sum_full_level(MultChar(p, t, k), t) for k in range(phi(p, t)))
+    # the oracle: every sum over the units mod p^t on its own, through the
+    # character layer's Gauss sum at level t
+    naive = tuple(local_factors._gauss_sum_at_level(p, k, t, EXACT) for k in range(phi(p, t)))
     dft = build_gauss_table(p, t)
     assert naive == dft.values
 

@@ -1,7 +1,6 @@
 """Gauss sums, root numbers, epsilon monomials, and both stability engines."""
 import hashlib
 import itertools
-from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -20,14 +19,13 @@ from epsilonlab.local_factors import (
     eps_gl1,
     eps_rep_twisted,
     gauss_sum,
-    gauss_sum_full_level,
     gl1_stability_check,
     root_number,
     stability_check,
     stability_rhs,
     steinberg,
 )
-from epsilonlab.padic import phi
+from epsilonlab.padic import phi, unit_group
 from epsilonlab.scalars import (
     EXACT,
     FLOAT,
@@ -86,6 +84,17 @@ def test_gauss_presentation_invariance():
 def test_gauss_needs_ramified():
     with pytest.raises(ValueError):
         gauss_sum(trivial_char(5))
+
+
+def gauss_sum_full_level(chi, t, backend=EXACT):
+    """The Gauss sum over units mod p^t for any t >= a(chi): the oracle for
+    build_gauss_table.  Vanishes for a(chi) < t unless t = 1, where the
+    trivial character gives -1."""
+    if t < 1:
+        raise ValueError("level must be >= 1")
+    if chi.conductor_exponent > t:
+        raise ValueError("character does not factor through level %d" % t)
+    return local_factors._gauss_sum_at_level(chi.p, represent_at_level(chi, t).k, t, backend)
 
 
 def test_full_level_degeneracies():
@@ -251,7 +260,8 @@ def test_two_char_stability_rep_independence(p, a):
         rc = v_chi(chi)
         assert not rc.vacuous
         for mu in admissible_mus(p, a):
-            reps = rc.lifts()[:3]
+            # the first three unit lifts of the class mod p^{m+1}
+            reps = [x for x in (rc.rep + j * p ** rc.m for j in range(p)) if x % p][:3]
             results = [gl1_stability_check(mu, chi, vclass_rep=r) for r in reps]
             assert all(r.holds for r in results)
 
@@ -401,11 +411,15 @@ def test_stability_shifted_blocks():
 # ---------------------------------------------------------------------------
 
 
+def _chi_of_row(table, row):
+    return MultChar(table.p, table.a, int(table.row_ks[row]))
+
+
 def test_certificate_row_indexing():
     table = CertificateTable(5, 2)
     assert len(table.row_ks) == 16  # phi(25) - phi(5) conductor-2 characters
     for row in range(len(table.row_ks)):
-        chi = table.chi_of_row(row)
+        chi = _chi_of_row(table, row)
         assert chi.conductor_exponent == 2
         assert table.index_of(chi) == row
     with pytest.raises(ValueError):
@@ -457,12 +471,12 @@ def test_certificate_matches_direct_exhaustively(p, a):
         except RegimeError:
             continue
         for i in rows:
-            chi = table.chi_of_row(int(i))
+            chi = _chi_of_row(table, int(i))
             direct = stability_check(pi, chi)
             assert direct.holds and bool(verdict[i]), (pi.describe(), chi)
             pairs += 1
     assert pairs >= 100
-    assert table.fallback_count == 0  # collapse recognized everywhere
+    assert table.fallback_count == 0  # every distinct row reduced in int64
 
 
 
@@ -470,7 +484,7 @@ def test_certificate_matches_direct_exhaustively(p, a):
 def _verdicts_match_direct(table, pi):
     rows = np.arange(len(table.row_ks))
     verdict = table.check_pairs(pi, rows)
-    direct = [stability_check(pi, table.chi_of_row(int(i))).holds for i in rows]
+    direct = [stability_check(pi, _chi_of_row(table, int(i))).holds for i in rows]
     assert verdict.tolist() == direct, pi.describe()
     return verdict
 
@@ -529,93 +543,145 @@ def test_certificate_multiset_shortcut():
         assert not table._mu_cache  # nothing was tabulated
 
 
-def test_certificate_slow_path_matches_fast_path(monkeypatch):
-    # with no collapsed certificates every row takes _fallback_exponent
-    cases = [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3)]
-    mus = {(p, a): [mu for s in range(1, a // 2 + 1) for mu in conductor_chars(p, s)]
-           for p, a in cases}
-    fast = {}
-    for p, a in cases:
+def _row_exponent(table, mu, row):
+    """The per-row reference oracle: D(chi) built term by term from chi.eval
+    in Q(zeta_M), times tau(mu), recognised as +-p^s times a root of unity."""
+    p, a, M = table.p, table.a, table.M
+    s = mu.conductor_exponent
+    chi = _chi_of_row(table, row)
+    mu_inv = mu.inv()
+    acc = CycNumber.zero()
+    for c in unit_group(p, s).units():
+        c = int(c)
+        acc = acc + chi.eval((1 + c * p ** (a - s)) % table.modulus) * mu_inv.eval(c)
+    full = gauss_sum(mu) * acc
+    e, r = full.as_root_times_rational()
+    assert abs(r) == p ** s, (chi, mu)
+    return (e * (M // full.N) + (M // 2 if r < 0 else 0)) % M
+
+
+def _lemma_mus(p, a):
+    """Every mu of conductor 1 <= a(mu) <= a/2, presented at its conductor."""
+    return [mu for s in range(1, a // 2 + 1) for mu in conductor_chars(p, s)]
+
+
+def test_certificate_slow_path_matches_fast_path():
+    # every row of every lemma column at five sizes, then a stride of rows at
+    # a = 4 and a = 5 (M = 500 and 2,500), against the per-row oracle
+    checked = 0
+    for p, a, stride in [(3, 2, 1), (3, 3, 1), (3, 4, 1), (5, 2, 1), (5, 3, 1),
+                         (5, 4, 37), (5, 5, 997)]:
         table = CertificateTable(p, a)
-        fast[p, a] = [table.exponents(represent_at_level(mu, a).k) for mu in mus[p, a]]
+        for j, mu in enumerate(_lemma_mus(p, a)):
+            column = table.exponents(represent_at_level(mu, a).k)
+            for row in range(j % stride, len(table.row_ks), stride):
+                assert _row_exponent(table, mu, row) == column[row], (p, a, mu, row)
+                checked += 1
         assert table.fallback_count == 0
-    monkeypatch.setattr(local_factors, "_collapsed_certificates", lambda mu, M: {})
-    recomputed = 0
-    for p, a in cases:
-        table = CertificateTable(p, a)
-        for mu, want in zip(mus[p, a], fast[p, a]):
-            assert (table.exponents(represent_at_level(mu, a).k) == want).all(), (p, a, mu)
-        rows = len(mus[p, a]) * len(table.row_ks)
-        assert table.fallback_count == rows
-        recomputed += rows
-    assert recomputed == 484
+    assert checked == 484 + 209 + 44
 
 
-@pytest.mark.parametrize("M,rows,cols", [(6, 4, 3), (20, 5, 7), (294, 3, 40), (2500, 2, 50)])
-def test_batch_root_sums_are_the_sparse_root_combinations(M, rows, cols):
-    E = np.random.default_rng(M).integers(0, M, (rows, cols))
-    D = local_factors._batch_root_sums(M, E)
-    assert len(D) == rows and D.dtype == np.int64
-    for drow, erow in zip(D, E.tolist()):
-        num, den = EXACT.root_combination(M, Counter(erow))._lift_vec(M)
-        assert den == 1
-        assert drow.tolist() == num
-        # the row's bytes are the key _collapsed_certificates builds from num
-        assert drow.tobytes() == local_factors._coordinate_key(num)
-
-
-def _dense_root_sums(M, E):
-    """The dense oracle for _batch_root_sums: count every exponent of each row
-    into a length-M vector, then reduce the stack of counts."""
-    counts = np.zeros((E.shape[0], M), dtype=np.int64)
-    np.add.at(counts, (np.arange(E.shape[0])[:, None], E), 1)
-    return get_context(M).reduce_groupring(counts)
-
-
-def test_sparse_columns_match_the_dense_oracle(monkeypatch):
-    # M = phi(5^5) = 2500 and 2,000 rows: one conductor-1 and one conductor-2
-    # column, each scattered sparsely and compared with the dense count matrix
-    seen = []
-    sparse = local_factors._batch_root_sums
-
-    def spy(M, E):
-        seen.append((M, E, sparse(M, E)))
-        return seen[-1][2]
-
-    monkeypatch.setattr(local_factors, "_batch_root_sums", spy)
-    table = CertificateTable(5, 5)
-    for mu in (MultChar(5, 1, 1), MultChar(5, 2, 1)):
-        table.exponents(represent_at_level(mu, 5).k)
-    assert [E.shape for _M, E, _D in seen] == [(2000, 4), (2000, 20)]
-    for M, E, D in seen:
-        want = _dense_root_sums(M, E)
-        assert D.dtype == want.dtype == np.int64
-        assert np.array_equal(D, want)
+def test_certificate_long_keys_at_conductor_four():
+    # M = phi(625) = 500: every in-regime column (a(mu) = 1, 2) is recognised
+    # with no int64 fallback, and a stride of rows agrees with the slow path.
+    table = CertificateTable(5, 4)
+    mus = _lemma_mus(5, 4)
+    columns = [table.exponents(represent_at_level(mu, 4).k) for mu in mus]
+    assert len(mus) == 19 and len(table.row_ks) == 400
     assert table.fallback_count == 0
+    for mu, column in zip(mus, columns):
+        for row in range(0, len(table.row_ks), 17):
+            assert _row_exponent(table, mu, row) == column[row], (mu, row)
 
 
-def test_sparse_columns_int64_guard_at_its_boundary(monkeypatch):
-    # a conductor-1 column at (p, a) = (5, 2) sums phi(5) = 4 roots per row
-    p, a, cols = 5, 2, 4
+def _distinct_rows(monkeypatch):
+    """Record the count matrix of every certificate column reduction."""
+    seen = []
+    real = scalars.Backend.root_combination_vec
+
+    def spy(self, N, counts):
+        if counts.ndim == 2:
+            seen.append((N, counts))
+        return real(self, N, counts)
+
+    monkeypatch.setattr(scalars.Backend, "root_combination_vec", spy)
+    return seen
+
+
+def test_certificate_recognises_each_distinct_row_once(monkeypatch):
+    # a column sums and recognises one value per distinct multiset of
+    # exponents, in Q(zeta_L) with L = lcm(p^s, phi(p^s)), not one per row
+    seen = _distinct_rows(monkeypatch)
+    recognised = []
+    real = CycNumber.as_root_times_rational
+
+    def counting(self):
+        recognised.append(self.N)
+        return real(self)
+
+    monkeypatch.setattr(CycNumber, "as_root_times_rational", counting)
+    for p, a, rows, distinct in [(5, 4, 7600, 230), (5, 5, 38000, 230), (7, 4, 72324, 902)]:
+        seen.clear()
+        recognised.clear()
+        table = CertificateTable(p, a)
+        mus = _lemma_mus(p, a)
+        for mu in mus:
+            table.exponents(represent_at_level(mu, a).k)
+        assert len(mus) * len(table.row_ks) == rows
+        assert len(seen) == len(mus)
+        assert sum(len(counts) for _N, counts in seen) == distinct
+        assert len(recognised) <= distinct
+        for mu, (N, counts) in zip(mus, seen):
+            s = mu.conductor_exponent
+            assert N == p ** s * (p - 1) and counts.shape[1] == N
+            assert (counts.sum(axis=1) == phi(p, s)).all()
+        assert table.fallback_count == 0
+
+
+def test_certificate_refuses_a_corrupted_value(monkeypatch):
+    # tau(mu) D(chi) must be +-p^s times a root of unity; twice that is
+    # refused, never turned into an exponent
+    table = CertificateTable(5, 2)
+    k = represent_at_level(MultChar(5, 1, 1), 2).k
+    real = local_factors.gauss_sum
+    monkeypatch.setattr(local_factors, "gauss_sum",
+                        lambda chi, backend=EXACT: CycNumber.rational(2) * real(chi, backend))
+    with pytest.raises(ArithmeticError, match="not q\\^\\{a\\(mu\\)\\} times a root of unity"):
+        table.exponents(k)
+    assert k not in table._mu_cache
+
+
+def test_certificate_int64_guard_at_its_boundary(monkeypatch):
+    # a conductor-1 column at (p, a) = (5, 2): L = 20, 4 roots per row
+    p, a = 5, 2
     k = represent_at_level(MultChar(p, 1, 1), a).k
+    seen = _distinct_rows(monkeypatch)
     want = CertificateTable(p, a).exponents(k)
-    M = phi(p, a)
-    ctx = get_context(M)
-    E = np.random.default_rng(M).integers(0, M, (3, cols + 1))
-    # cols is the largest column count that fits: int64 rows, keyed
-    monkeypatch.setattr(scalars, "_INT64_GUARD", (cols + 1) * ctx.reduce_gain)
-    assert ctx.fits_int64(cols) and not ctx.fits_int64(cols + 1)
-    D = local_factors._batch_root_sums(M, E[:, :cols])
-    assert D.dtype == np.int64 and D.tolist() == _dense_root_sums(M, E[:, :cols]).tolist()
-    D = local_factors._batch_root_sums(M, E)
-    assert D.dtype == object and D.tolist() == _dense_root_sums(M, E).tolist()
+    (L, counts), = seen
+    ctx = get_context(L)
+    top = int(counts.max())
+    reduced = []
+    real = CycContext.reduce_groupring
+
+    def spy(self, vec):
+        out = real(self, vec)
+        if vec.ndim == 2:
+            reduced.append(out.dtype)
+        return out
+
+    monkeypatch.setattr(CycContext, "reduce_groupring", spy)
+    # the largest count in the column is the largest that fits: int64, no fallback
+    monkeypatch.setattr(scalars, "_INT64_GUARD", (top + 1) * ctx.reduce_gain)
+    assert ctx.fits_int64(top) and not ctx.fits_int64(top + 1)
     table = CertificateTable(p, a)
     assert (table.exponents(k) == want).all() and table.fallback_count == 0
-    # one column more than fits: object rows, each recognised on the slow path
-    monkeypatch.setattr(scalars, "_INT64_GUARD", cols * ctx.reduce_gain)
+    assert reduced == [np.int64]
+    # one count more than fits: object dtype, and every distinct row is counted
+    monkeypatch.setattr(scalars, "_INT64_GUARD", top * ctx.reduce_gain)
     table = CertificateTable(p, a)
     assert (table.exponents(k) == want).all()
-    assert table.fallback_count == len(table.row_ks)
+    assert table.fallback_count == len(counts) < len(table.row_ks)
+    assert reduced == [np.int64, object]
 
 
 def test_certificate_block_presented_above_a():
@@ -691,8 +757,8 @@ def test_certificate_cells_build_no_character(monkeypatch):
 
 
 def test_certificate_object_rows_take_the_slow_path(monkeypatch):
-    # An object-dtype reduction holds pointers, so its rows must never be keyed
-    # by their bytes: each one is recognised on the slow path instead.
+    # a reduction forced to object dtype gives the same exponents, and
+    # fallback_count counts each distinct row it reduced
     cases = [(5, 2), (3, 3)]
     fast = {}
     for p, a in cases:
@@ -701,56 +767,14 @@ def test_certificate_object_rows_take_the_slow_path(monkeypatch):
                       for mu in conductor_chars(p, 1)]
         assert table.fallback_count == 0
     monkeypatch.setattr(CycContext, "fits_int64", lambda self, max_abs: False)
-    seen = []
-    real = CycContext.reduce_groupring
-
-    def spy(self, vec):
-        out = real(self, vec)
-        if vec.ndim == 2:
-            seen.append(out.dtype)
-        return out
-
-    monkeypatch.setattr(CycContext, "reduce_groupring", spy)
-    looked_up = []
-
-    class Recording(dict):
-        def get(self, key, default=None):
-            looked_up.append(key)
-            return super().get(key, default)
-
-    collapsed = local_factors._collapsed_certificates
-    monkeypatch.setattr(local_factors, "_collapsed_certificates",
-                        lambda mu, M: Recording(collapsed(mu, M)))
+    seen = _distinct_rows(monkeypatch)
     for p, a in cases:
+        seen.clear()
         table = CertificateTable(p, a)
         mus = conductor_chars(p, 1)
         for mu, want in zip(mus, fast[p, a]):
             assert (table.exponents(represent_at_level(mu, a).k) == want).all(), (p, a, mu)
-        assert table.fallback_count == len(mus) * len(table.row_ks)
-    assert seen == [object] * sum(len(conductor_chars(p, 1)) for p, a in cases)
-    assert looked_up == []
-
-
-def test_certificate_long_keys_at_conductor_four():
-    # M = phi(625) = 500: every in-regime column (a(mu) = 1, 2) is recognised
-    # by its dense row, and a stride of rows agrees with the slow path.
-    table = CertificateTable(5, 4)
-    mus = [mu for s in (1, 2) for mu in conductor_chars(5, s)]
-    columns = [table.exponents(represent_at_level(mu, 4).k) for mu in mus]
-    assert len(mus) == 19 and len(table.row_ks) == 400
-    assert table.fallback_count == 0
-    for mu, column in zip(mus, columns):
-        for row in range(0, len(table.row_ks), 17):
-            assert table._fallback_exponent(mu, row) == column[row], (mu, row)
-
-
-def test_certificate_fallback_agrees_with_collapse():
-    for p, a in [(5, 2), (3, 3)]:
-        table = CertificateTable(p, a)
-        mu = MultChar(p, 1, 1)
-        exps = table.exponents(represent_at_level(mu, a).k)
-        for row in range(len(table.row_ks)):
-            assert table._fallback_exponent(mu, row) == exps[row]
+        assert table.fallback_count == sum(len(counts) for _N, counts in seen) > 0
 
 
 def test_certificate_rejects_shifted_blocks():
