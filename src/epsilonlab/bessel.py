@@ -8,8 +8,10 @@ pi (given as block data), evaluated against the test vectors
 and characterized by a duality relation: for every character chi of the units,
 the Mellin coefficient of B_pi( . ; Phi_z) against chi on the support shell
 equals a GL(1) x GL(n) product of epsilon factors times the integral of
-chi * Phi_z.  ``duality_check`` evaluates both sides of that relation as
-literal finite sums and is the normative oracle for everything else here.
+chi * Phi_z.  ``duality_check`` evaluates both sides of that relation -- the
+integral as a literal finite sum, the Mellin side by orthogonality, which
+leaves at most chi's own profile entry -- and is the normative oracle for
+everything else here.
 
 Two concrete expressions for B_pi( . ; Phi_z) are implemented:
 
@@ -25,12 +27,12 @@ Two concrete expressions for B_pi( . ; Phi_z) are implemented:
 The constant in the collapsed form is exactly the sort of thing that
 accumulates typos in print: three mutually inconsistent versions of its
 q-power circulate under the labels ``lemma41``, ``prop42`` and ``cor13``.
-The closed form takes its constant only from ``measure_prefactor``, which
-determines it by exact division of the character-sum values by the
-Kloosterman sums (and verifies on the way that the ratio really is a constant
-across the whole support shell).  The report keeps the three printed
-exponents as ``candidates``, and ``matches`` records which of them, if any,
-agrees with the measured exponent.
+The closed form takes its constant only from the report of
+``measure_prefactor``, passed in by the caller, which determines it by exact
+division of the character-sum values by the Kloosterman sums (and verifies on
+the way that the ratio really is a constant across the whole support shell).
+The report keeps the three printed exponents as ``candidates``, and
+``matches`` records which of them, if any, agrees with the measured exponent.
 
 Orientation note.  Two mutually conjugate normalizations of the GL(1) root
 number circulate.  ``local_factors`` pins W(chi) = chi(-1) tau(chi) q^{-a/2},
@@ -49,11 +51,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Union
 
-import numpy as np
-
-from .characters import MultChar, QuasiChar, as_quasi, chars_with_conductor, represent_at_level
+from .characters import MultChar, chars_with_conductor, represent_at_level
 from .kloosterman import KLQuery, kl_direct
 from .local_factors import EpsMonomial, RepnData, eps_gl1, eps_rep_twisted
 from .padic import PadicNumber, psi_eval, unit_group
@@ -93,9 +92,8 @@ class PrefactorReport:
     measured_exponent and cofactor describe the exact constant
     cofactor * q^{measured_exponent}; the candidates are the three q-exponents
     in circulation for it, and matches flags which of them (if any) agree with
-    the measurement.  The rational cofactor is kept on the dataclass but is
-    deliberately absent from the JSON: the printed displays disagree already
-    at the level of the q-power.
+    the measurement.  to_json writes every field, each rational as an int when
+    it is integral and as "num/den" otherwise.
     """
 
     n: int
@@ -107,14 +105,19 @@ class PrefactorReport:
     matches: dict
 
     def to_json(self) -> dict:
-        me = self.measured_exponent
         return {
             "n": self.n,
             "t": self.t,
             "p": self.p,
-            "measured_exponent": int(me) if me.denominator == 1 else str(me),
+            "measured_exponent": _frac_json(self.measured_exponent),
+            "cofactor": _frac_json(self.cofactor),
+            "candidates": {name: _frac_json(e) for name, e in sorted(self.candidates.items())},
             "matches": {name: bool(self.matches[name]) for name in ("lemma41", "prop42", "cor13")},
         }
+
+
+def _frac_json(fr: Fraction):
+    return int(fr) if fr.denominator == 1 else str(fr)
 
 
 # ---------------------------------------------------------------------------
@@ -175,9 +178,8 @@ def _charsum_profile(pi: RepnData, t: int, backend: Backend) -> dict:
     eps* is the coefficient-conjugated epsilon value (the module's orientation
     transposition).  Under the standing assumptions every fused character
     chi tau_i keeps conductor t, so all values share the q-exponent
-    -(n+1)t/2; _charsum_row and the strict ScaledScalar addition in
-    _mellin_lhs re-check that.  Characters of conductor below t contribute
-    nothing: their full-level Gauss sums vanish for t >= 2.
+    -(n+1)t/2; _charsum_row re-checks that.  Characters of conductor below t
+    contribute nothing: their full-level Gauss sums vanish for t >= 2.
     """
     coeffs = {}
     for chi in chars_with_conductor(pi.p, t):
@@ -234,8 +236,7 @@ def _kl_value(omega: MultChar, n: int, a0: int, t: int, backend: Backend):
 # ---------------------------------------------------------------------------
 
 
-def gauss_integral(chi: Union[MultChar, QuasiChar], z: PadicNumber,
-                   backend: Backend = EXACT) -> ScaledScalar:
+def gauss_integral(chi: MultChar, z: PadicNumber, backend: Backend = EXACT) -> ScaledScalar:
     """integral over |x| = 1 of chi(x) psi(z x) dx, with vol(Z_p^x) = 1.
 
     Computed as the exact average over units mod p^T, T = max(a(chi), -v(z), 1).
@@ -243,16 +244,14 @@ def gauss_integral(chi: Union[MultChar, QuasiChar], z: PadicNumber,
     0 whenever a(chi) != max(-v(z), 0) except in the shallow corners:
     1 for unramified chi with v(z) >= 0, and -1/(q-1) at v(z) = -1.
     """
-    fin = as_quasi(chi).finite  # the unramified part is invisible on units
-    p = fin.p
+    p = chi.p
     if z.p != p:
         raise ValueError("mixed primes: chi lives over p=%d, z over p=%d" % (p, z.p))
     tz = 0 if (z.is_zero() or z.val >= 0) else -z.val
-    a = fin.conductor_exponent
-    T = max(a, tz, 1)
+    T = max(chi.conductor_exponent, tz, 1)
     ug = unit_group(p, T)
     units = ug.units()
-    chi_T = represent_at_level(fin, T)
+    chi_T = represent_at_level(chi, T)
     z0 = z.unit_mod(tz) if tz else 0  # psi(z x) = zeta_{p^tz}^{z0 x}, trivial at tz = 0
     total = backend.root_sum(p ** tz, z0 * units, chi_T.group_order,
                              chi_T.k * ug.dlog_table()[units])
@@ -284,24 +283,21 @@ def bessel_charsum(pi: RepnData, z: PadicNumber, y: PadicNumber,
 
 
 def bessel_closedform(pi: RepnData, z: PadicNumber, y: PadicNumber,
-                      report: Optional[PrefactorReport] = None,
-                      backend: Backend = EXACT) -> BesselValue:
+                      report: PrefactorReport, backend: Backend = EXACT) -> BesselValue:
     """B(y; Phi_z) as constant * KL_{omega^{-1}, n-1}((-1)^n y z^{-1}; t).
 
-    The constant is cofactor * q^{measured_exponent} of a PrefactorReport;
-    without one it is measured here -- pass a precomputed report to skip
-    re-measuring.  A report measured for another (p, n, t) raises ValueError.
+    The constant is cofactor * q^{measured_exponent} of the PrefactorReport
+    that measure_prefactor gives for (pi, z); a report measured for another
+    (p, n, t) raises ValueError.
     """
     n, t, omega = _standing_assumptions(pi, z)
-    if report is not None and (report.p, report.n, report.t) != (pi.p, n, t):
+    if (report.p, report.n, report.t) != (pi.p, n, t):
         raise ValueError("prefactor report is for (p, n, t) = (%d, %d, %d), not (%d, %d, %d)"
                          % (report.p, report.n, report.t, pi.p, n, t))
     if y.p != pi.p:
         raise ValueError("mixed primes: pi lives over p=%d, y over p=%d" % (pi.p, y.p))
     if y.is_zero() or y.val != n * z.val:
         return BesselValue(y, ScaledScalar.of(backend.zero()), False)
-    if report is None:
-        report = _measure_prefactor(pi, z, n, t, omega)
     const = ScaledScalar.of(backend.rational(report.cofactor), report.measured_exponent)
     pm = pi.p ** t
     a0 = (-1) ** n * y.unit_mod(t) * pow(z.unit_mod(t), -1, pm) % pm
@@ -322,54 +318,32 @@ def _candidate_exponents(n: int, t: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _mellin_lhs(pi: RepnData, z: PadicNumber, chi: MultChar, n: int, t: int, backend: Backend):
+def _mellin_lhs(pi: RepnData, z: PadicNumber, chi: MultChar, n: int, t: int,
+                backend: Backend) -> EpsMonomial:
     """Mellin coefficient of B( . ; Phi_z) against chi on the shell v(y) = n v(z).
 
     This is the literal double sum
 
         |y|^{s - (n-1)/2} * (1/phi(p^T)) sum_{y0} B(y0 pi^{n v(z)}) chi^{-1}(y0)
 
-    with the summation order exchanged: for each character in the charsum
-    profile the y0-sum is a pure root-of-unity combination; all of them are
-    counted in one histogram and reduced by the backend in one batched pass.
-    T = max(t, a(chi)) so that the shell parametrization resolves chi.
+    over units y0 mod p^T, T = max(t, a(chi)), evaluated with the summation
+    order exchanged.  The y0-sum of a profile character chi_k against chi is
+    phi(p^T) chi_k((-1)^{n-1} z0^{-1}) if chi_k = chi and 0 otherwise
+    (orthogonality).  Every profile character has conductor exactly t, so only
+    a chi with a(chi) = t has a term, its own profile entry, and its phi(p^t)
+    cancels the average's 1/phi(p^T); every other chi gets the exact zero.
     (n, t) come from the caller's _standing_assumptions.
-    Returns (monomial, float_scale); float_scale is the natural magnitude of
-    the sum, used by the float backend to decide vanishing.
     """
-    p = pi.p
-    pm = p ** t
-    T2 = max(t, chi.conductor_exponent)
-    ug_t, ug2 = unit_group(p, t), unit_group(p, T2)
-    m, m2 = ug_t.order, ug2.order
-    k2 = represent_at_level(chi, T2).k
-    d_s = ug_t.dlog((-1) ** (n - 1) * pow(z.unit_mod(t), -1, pm) % pm)
-    units2 = ug2.units()
-    dl_t = ug_t.dlog_table()[units2 % pm]  # y0 class at level t (drives B)
-    j2 = ug2.dlog_table()[units2]          # y0 class at level T2 (drives chi)
-    profile = _charsum_profile(pi, t, backend)
-    ks = np.fromiter(profile, dtype=np.int64, count=len(profile))
-    # row i holds the zeta_{m2}-exponents of the i-th y0-sum, offset by i * m2
-    # so that one bincount histograms every row
-    E = ((ks[:, None] * (d_s + dl_t)) % m * (m2 // m) - k2 * j2) % m2
-    E += m2 * np.arange(len(ks))[:, None]
-    counts = np.bincount(E.ravel(), minlength=len(ks) * m2).reshape(len(ks), m2)
-    acc = ScaledScalar.of(backend.zero())
-    for c, inner in zip(profile.values(), backend.root_combination_vec(m2, counts)):
-        # most inner sums vanish by orthogonality; skipping them saves a full
-        # exact product each, which the addition would only drop
-        if backend.exact and inner.is_zero():
-            continue
-        acc = acc + c * inner
-    pref = _prefactor_scalar(n, t, p, backend)
+    if chi.conductor_exponent != t:
+        return EpsMonomial(ScaledScalar.of(backend.zero()), -n * t)
+    pm = pi.p ** t
+    chi_t = represent_at_level(chi, t)
+    sign_z0inv = (-1) ** (n - 1) * pow(z.unit_mod(t), -1, pm) % pm
+    c = _charsum_profile(pi, t, backend)[chi_t.k]
+    pref = _prefactor_scalar(n, t, pi.p, backend)
     # |y| = q^{nt}: |y|^{s-(n-1)/2} = q^{nt(2-n)/2} * q^{-nt(1/2-s)}
-    shell = ScaledScalar.of(backend.rational(Fraction(1, m2)), Fraction(n * t * (2 - n), 2))
-    mon = EpsMonomial(pref * acc * shell, -n * t)
-    if backend.exact:
-        scale = 1.0
-    else:
-        scale = max(1.0, sum(abs(complex(c.coeff)) for c in profile.values()))
-    return mon, scale
+    shell = ScaledScalar.of(chi_t.eval(sign_z0inv, backend), Fraction(n * t * (2 - n), 2))
+    return EpsMonomial(pref * c * shell, -n * t)
 
 
 def duality_check(pi: RepnData, z: PadicNumber, chi: MultChar,
@@ -389,15 +363,10 @@ def duality_check(pi: RepnData, z: PadicNumber, chi: MultChar,
     if chi.p != pi.p:
         raise ValueError("mixed primes: pi lives over p=%d, chi over p=%d" % (pi.p, chi.p))
     g = gauss_integral(chi, z, backend)
-    lhs, scale = _mellin_lhs(pi, z, chi, n, t, backend)
-    g_zero = g.is_zero_exact() if backend.exact else abs(complex(g.coeff)) <= backend.tolerance
-    if g_zero:
-        if backend.exact:
-            passed = lhs.value.is_zero_exact()
-        else:
-            passed = abs(complex(lhs.value.coeff)) <= backend.tolerance * scale
+    lhs = _mellin_lhs(pi, z, chi, n, t, backend)
+    if backend.is_zero(g.coeff):
         zero = EpsMonomial(ScaledScalar.of(backend.zero()), -n * t)
-        return DualityReport(chi, lhs, zero, True, passed)
+        return DualityReport(chi, lhs, zero, True, lhs.value.is_zero_exact())
     eps = eps_rep_twisted(pi, chi, backend=backend)
     rhs = EpsMonomial(_dual_scalar(eps.value, backend), eps.xexp).reflect()
     rhs = rhs.scale(g * chi.parity_sign() ** (n - 1))
@@ -421,12 +390,6 @@ def measure_prefactor(pi: RepnData, z: PadicNumber) -> PrefactorReport:
     cyclotomic field, so the measurement is always exact.
     """
     n, t, omega = _standing_assumptions(pi, z)
-    return _measure_prefactor(pi, z, n, t, omega)
-
-
-def _measure_prefactor(pi: RepnData, z: PadicNumber, n: int, t: int,
-                       omega: MultChar) -> PrefactorReport:
-    """measure_prefactor for the (n, t, omega) its caller has validated."""
     p = pi.p
     pm = p ** t
     z0inv = pow(z.unit_mod(t), -1, pm)

@@ -181,18 +181,8 @@ class QuasiChar:
     shift: Fraction = Fraction(0)
 
     @property
-    def p(self) -> int:
-        return self.finite.p
-
-    @property
     def conductor_exponent(self) -> int:
         return self.finite.conductor_exponent
-
-    def mul(self, other: "QuasiChar") -> "QuasiChar":
-        return QuasiChar(self.finite.mul(other.finite), self.shift + other.shift)
-
-    def inv(self) -> "QuasiChar":
-        return QuasiChar(self.finite.inv(), -self.shift)
 
 
 def as_quasi(chi: Union[MultChar, QuasiChar]) -> QuasiChar:

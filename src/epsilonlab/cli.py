@@ -224,10 +224,6 @@ def _monomial_json(m: EpsMonomial) -> dict:
     return out
 
 
-def _frac_json(fr: Fraction):
-    return int(fr) if fr.denominator == 1 else str(fr)
-
-
 # ---------------------------------------------------------------------------
 # gauss suite
 # ---------------------------------------------------------------------------
@@ -563,10 +559,7 @@ def cmd_bessel(config: RunConfig) -> SuiteReport:
         extras["duality"].append({"n": n, "characters": m, "vanishing": vanishing})
 
         pf = measure_prefactor(pi, z)
-        pf_json = pf.to_json()
-        pf_json["cofactor"] = _frac_json(pf.cofactor)
-        pf_json["candidates"] = {name: _frac_json(v) for name, v in sorted(pf.candidates.items())}
-        extras["prefactor_reports"].append(pf_json)
+        extras["prefactor_reports"].append(pf.to_json())
 
         for y0 in unit_group(p, t).units():
             y0 = int(y0)

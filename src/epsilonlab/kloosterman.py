@@ -7,16 +7,17 @@ The object is the (n-1)-fold complete exponential sum over units mod p^t
 
 with a multiplicative twist omega on the first variable and y a unit.
 
-Two evaluation engines that share nothing past the character layer:
+Two evaluation engines:
 
 * kl_direct -- the definition, vectorized: the whole (n-1)-dimensional grid of
   unit tuples is folded into one integer histogram of root-of-unity exponents
-  and handed to the scalar backend in a single combination call.
+  and handed to the scalar backend in a single combination call.  It shares
+  nothing with the other engine past the character layer.
 
 * kl_row / kl_via_dft -- write x_n for the constrained coordinate
   y/(x_1 ... x_{n-1}); resolving the constraint x_1 ... x_n = y by
   orthogonality over the level-t character group factorizes the sum into
-  full-level Gauss sums (Katz 1988):
+  full-level Gauss sums (Katz 1988), read from local_factors:
 
       KL_{omega,n}(y; t) = phi(p^t)^{-1} * sum_{chi at level t}
           chi^{-1}(y) * tau_t(omega chi) * tau_t(chi)^{n-1}.
@@ -44,6 +45,7 @@ from typing import Optional
 import numpy as np
 
 from .characters import MultChar, represent_at_level
+from .local_factors import _gauss_sum_at_level
 from .padic import unit_group
 from .scalars import EXACT, Backend, Scalar, shifted_root_sums
 
@@ -192,25 +194,15 @@ def build_gauss_table(
 ) -> GaussTable:
     """tau_t(chi) for every level-t character chi.
 
-    The whole table is read off the discrete-logarithm reindexing of
-    x -> psi(x / p^t) (Rader 1968): with x = g^j, tau_t(chi_k) =
-    sum_j zeta_m^{kj} zeta_{p^t}^{g^j}, exact in the exact backend and an FFT
-    in the float backend.  The tests compare it with the sums computed one
-    character at a time.
+    Each entry is local_factors' Gauss sum at level t, the sum over units
+    x mod p^t of chi(x) zeta_{p^t}^x, so the table shares one cache with the
+    root numbers.  The tests compare it with that sum written out term by term.
     """
-    ug = unit_group(p, t)
-    m = ug.order
+    m = unit_group(p, t).order
     if m * m > budget:
         raise BudgetError("Gauss table needs %d operations, budget is %d" % (m * m, budget))
-    pt = p ** t
-    powers = np.array([pow(ug.gen, j, pt) for j in range(m)], dtype=np.int64)
-    if not backend.exact:
-        f = np.exp(2j * np.pi * powers / pt)
-        vals = tuple(complex(z) for z in np.fft.ifft(f) * m)
-        return GaussTable(p, t, vals, backend)
-    js = np.arange(m, dtype=np.int64)
-    vals = tuple(backend.root_sum(pt, powers, m, k * js) for k in range(m))
-    return GaussTable(p, t, vals, backend)
+    return GaussTable(p, t, tuple(_gauss_sum_at_level(p, k, t, backend) for k in range(m)),
+                      backend)
 
 
 # ---------------------------------------------------------------------------

@@ -538,21 +538,15 @@ def enumerate_reps(p: int, n_max: int, a_max: int) -> list[RepnData]:
     n_blocks = len(blocks)
     costs = [(b.size, b.conductor_contribution) for b in blocks]
     out = []
-    seen = set()
-
-    def emit(bs: list) -> None:
-        rep = RepnData.of(*bs)
-        key = tuple(sorted((b.tau.level, b.tau.k, b.size) for b in rep.blocks))
-        if key not in seen:
-            seen.add(key)
-            out.append(rep)
 
     # Enumerate index combinations i1 <= ... <= ir lexicographically, pruning
     # on the two monotone budgets (every block has size >= 1 and cost >= 0),
     # so the output order matches a filtered combinations_with_replacement.
+    # The blocks are distinct (tau, d) pairs, so distinct index multisets give
+    # distinct representations.
     def extend(bs: list, start: int, size: int, cost: int, r: int) -> None:
         if len(bs) == r:
-            emit(bs)
+            out.append(RepnData.of(*bs))
             return
         pad = r - len(bs) - 1  # later slots still need size >= 1 each
         i = start

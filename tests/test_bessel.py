@@ -203,13 +203,16 @@ def loop_charsum(pi, z, y, backend, sign_exponent=None):
     return bessel._prefactor_scalar(n, t, pi.p, backend) * acc
 
 
-def literal_mellin(p, n, t, chi, values):
-    """Mellin coefficient of shell samples {y0: B(y0 p^{-n t})} against chi, as
-    the black-box loop: (1/phi(p^t)) q^{nt(2-n)/2} sum_{y0} B chi^{-1}(y0)."""
-    acc = ScaledScalar.of(0)
-    for y0, b in values.items():
-        acc = acc + b * chi.inv().eval(y0)
-    return acc * ScaledScalar.of(Fraction(1, len(values)), Fraction(n * t * (2 - n), 2))
+def literal_mellin(p, n, t, chi, values, backend=EXACT):
+    """Mellin coefficient of shell samples {y0 mod p^t: B(y0 p^{-n t})} against
+    chi, as the black-box loop over the units y0 mod p^T, T = max(t, a(chi)):
+    (1/phi(p^T)) q^{nt(2-n)/2} sum_{y0} B(y0 mod p^t) chi^{-1}(y0)."""
+    units = shell_units(p, max(t, chi.conductor_exponent))
+    acc = ScaledScalar.of(backend.zero())
+    for y0 in units:
+        acc = acc + values[y0 % p ** t] * chi.inv().eval(y0, backend)
+    return acc * ScaledScalar.of(backend.rational(Fraction(1, len(units))),
+                                 Fraction(n * t * (2 - n), 2))
 
 
 # every shell of these (p, t) against an n = 2 probe, and at p = 3 an n = 3 one;
@@ -306,6 +309,17 @@ def test_duality_with_character_above_the_level():
     assert rep.both_vanish and rep.passed
 
 
+@pytest.mark.parametrize("backend", [EXACT, FLOAT], ids=["exact", "float"])
+def test_duality_fails_where_only_the_integral_vanishes(monkeypatch, backend):
+    # a Mellin side that survives where the integral vanishes is a failure
+    pi, z = steinberg(trivial_char(3), 3), zvec(3, 2)
+    chi = MultChar(3, 3, 1)  # conductor 3 > t: the integral vanishes
+    one = EpsMonomial(ScaledScalar.of(backend.one()), -6)
+    monkeypatch.setattr(bessel, "_mellin_lhs", lambda *args: one)
+    rep = duality_check(pi, z, chi, backend)
+    assert rep.both_vanish and not rep.passed
+
+
 def test_duality_nonvanishing_branch_has_matching_exponents():
     p, pi = PI_N3[0]
     t = pi.conductor_exponent
@@ -316,20 +330,24 @@ def test_duality_nonvanishing_branch_has_matching_exponents():
     assert not rep.lhs.value.is_zero_exact()
 
 
-def test_duality_lhs_is_the_literal_mellin_sum():
-    # the check's regrouped evaluation == the black-box loop over shell samples
-    p, pi = 5, st2(5, 2)
-    n, t = 2, 2
+@pytest.mark.parametrize("backend", [EXACT, FLOAT], ids=["exact", "float"])
+@pytest.mark.parametrize("p,t,pi", [(5, 2, st2(5, 2)), (3, 3, steinberg(trivial_char(3), 3))],
+                         ids=["p5-t2-n2", "p3-t3-n3"])
+def test_duality_lhs_is_the_literal_mellin_sum(p, t, pi, backend):
+    # the check's orthogonality shortcut == the black-box loop over shell
+    # samples, for every character at level t and one of conductor t + 1
+    n = pi.dim
     z = zvec(p, t)
-    m = unit_group(p, t).order
-    values = {y0: bessel_charsum(pi, z, shell_point(p, y0, n, t)).value
+    values = {y0: bessel_charsum(pi, z, shell_point(p, y0, n, t), backend).value
               for y0 in shell_units(p, t)}
-    assert len(values) == m
-    for chi in list(enumerate_chars(p, t))[:6]:
-        literal = literal_mellin(p, n, t, chi, values)
-        rep = duality_check(pi, z, chi)
+    assert len(values) == unit_group(p, t).order
+    deeper = chars_with_conductor(p, t + 1)[0]
+    for chi in list(enumerate_chars(p, t)) + [deeper]:
+        literal = literal_mellin(p, n, t, chi, values, backend)
+        rep = duality_check(pi, z, chi, backend)
         assert rep.lhs.xexp == -n * t
-        assert literal.eq_value(rep.lhs.value, p, EXACT)
+        assert literal.eq_value(rep.lhs.value, p, backend), chi
+        assert rep.lhs.value.is_zero_exact() == (chi.conductor_exponent != t)
 
 
 def test_duality_discriminates_the_sign_convention():
@@ -432,11 +450,12 @@ def test_prefactor_candidates_are_the_printed_exponents():
 def test_prefactor_report_json_schema():
     rep = measure_prefactor(PI_N3[0][1], zvec(3, 2))
     js = rep.to_json()
-    assert set(js) == {"n", "t", "p", "measured_exponent", "matches"}
-    assert set(js["matches"]) == {"lemma41", "prop42", "cor13"}
-    assert js == {"n": 3, "t": 2, "p": 3, "measured_exponent": 2,
+    assert set(js) == {"n", "t", "p", "measured_exponent", "cofactor", "candidates", "matches"}
+    assert set(js["matches"]) == set(js["candidates"]) == {"lemma41", "prop42", "cor13"}
+    assert js == {"n": 3, "t": 2, "p": 3, "measured_exponent": 2, "cofactor": 1,
+                  "candidates": {"lemma41": 2, "prop42": -2, "cor13": -1},
                   "matches": {"lemma41": True, "prop42": False, "cor13": False}}
-    assert isinstance(js["measured_exponent"], int)
+    assert isinstance(js["measured_exponent"], int) and isinstance(js["cofactor"], int)
     assert all(isinstance(v, bool) for v in js["matches"].values())
 
 
@@ -455,15 +474,6 @@ def test_closedform_measured_equals_charsum_everywhere(p, pi):
         zeros += b1.value.is_zero_exact()
     # vanishing Kloosterman classes are part of the agreement, when present
     assert zeros < len(shell_units(p, t))
-
-
-def test_closedform_measured_without_report_measures_itself():
-    p, pi = PI_N3[0]
-    t = pi.conductor_exponent
-    y = shell_point(p, 2, 3, t)
-    got = bessel_closedform(pi, zvec(p, t), y)
-    want = bessel_charsum(pi, zvec(p, t), y)
-    assert got.value.eq_value(want.value, p, EXACT)
 
 
 @pytest.mark.parametrize("preset", ["lemma41", "prop42", "cor13"])
@@ -510,8 +520,8 @@ def test_closedform_refuses_a_report_for_another_representation():
 
 def test_closedform_off_shell_is_zero_flagged():
     p, pi = PI_N3[0]
-    t = pi.conductor_exponent
-    b = bessel_closedform(pi, zvec(p, t), PadicNumber(p, 1))
+    z = zvec(p, pi.conductor_exponent)
+    b = bessel_closedform(pi, z, PadicNumber(p, 1), report=measure_prefactor(pi, z))
     assert not b.support_flag and b.value.is_zero_exact()
 
 
@@ -606,7 +616,7 @@ def test_rejects_everything_outside_the_regime():
         gauss_integral(MultChar(5, 1, 1), z_ok)
     # the same gate guards the other entry points
     with pytest.raises(ValueError, match="deep enough"):
-        bessel_closedform(pi_ok, zvec(3, 1), y)
+        bessel_closedform(pi_ok, zvec(3, 1), y, report=measure_prefactor(pi_ok, z_ok))
     with pytest.raises(ValueError, match="deep enough"):
         measure_prefactor(pi_ok, zvec(3, 1))
 
@@ -636,7 +646,6 @@ def test_each_public_entry_validates_once(monkeypatch):
     for entry in (lambda: measure_prefactor(pi, z),
                   lambda: bessel_charsum(pi, z, y),
                   lambda: bessel_closedform(pi, z, y, report=rep),
-                  lambda: bessel_closedform(pi, z, y),
                   lambda: duality_check(pi, z, chi)):
         calls.clear()
         entry()

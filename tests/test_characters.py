@@ -5,7 +5,6 @@ import pytest
 
 from epsilonlab.characters import (
     MultChar,
-    QuasiChar,
     ResidueClass,
     chars_with_conductor,
     conductor_ks,
@@ -155,7 +154,6 @@ def test_mul_inv_respect_values():
     for x in (2, 3, 11):
         assert prod.eval(x) == a.eval(x) * b.eval(x)
         assert a.inv().eval(x) == a.eval(x).conjugate()
-    assert QuasiChar(a, Fraction(1, 2)).inv().shift == Fraction(-1, 2)
     sq = a ** 2
     assert sq.eval(3) == a.eval(3) * a.eval(3)
 

@@ -478,6 +478,14 @@ PINNED_REPORTS = [
                  "1a34252b69c5b4a7533278e241860ab1656b2be5d33c7fe9df56910a2736d707",
                  "4422d9146afac9ea629a2b1e8d1fae5f310a9a1ffc9d737f630607af5c32e712",
                  id="stability-float"),
+    pytest.param(["bessel", "--p", "3", "--t-max", "3", "--n", "2", "3"],
+                 "07784d51c76dd1093251d165938af82c26506b7717ab770347eb6753748818f0",
+                 "f599e741db295df1ee3af857f1b2d65a00a04b9e0b131cefb7abf067708cb68b",
+                 id="bessel-p3-t3"),
+    pytest.param(["bessel", "--p", "5", "--t-max", "2", "--n", "2", "3", "--backend", "float"],
+                 "c4cc6da49ad06ebb65a105032b03b1aa5ab341217d45988910aba7f597c065c8",
+                 "964b663f45544a32c1866dee980a4c87e80525806b73b7156d1dca8288396191",
+                 id="bessel-float"),
 ]
 
 

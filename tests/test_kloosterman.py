@@ -21,7 +21,6 @@ from epsilonlab.kloosterman import (
     kl_via_dft,
 )
 from epsilonlab.cli import main
-from epsilonlab import local_factors
 from epsilonlab.padic import phi, unit_group
 from epsilonlab.scalars import (
     EXACT,
@@ -117,11 +116,16 @@ def test_term_budget():
 
 @pytest.mark.parametrize("p,t", [(3, 1), (3, 2), (5, 1), (5, 2), (7, 1)])
 def test_table_methods_agree_exactly(p, t):
-    # the oracle: every sum over the units mod p^t on its own, through the
-    # character layer's Gauss sum at level t
-    naive = tuple(local_factors._gauss_sum_at_level(p, k, t, EXACT) for k in range(phi(p, t)))
-    dft = build_gauss_table(p, t)
-    assert naive == dft.values
+    # the oracle: tau_t(chi_k) = sum over units x mod p^t of chi_k(x) zeta_{p^t}^x,
+    # one term at a time
+    naive = []
+    for k in range(phi(p, t)):
+        chi = MultChar(p, t, k)
+        acc = CycNumber.zero()
+        for x in unit_group(p, t).units():
+            acc = acc + chi.eval(int(x)) * root_of_unity(int(x), p ** t)
+        naive.append(acc)
+    assert tuple(naive) == build_gauss_table(p, t).values
 
 
 def test_table_degenerate_entries():
