@@ -55,7 +55,7 @@ from functools import lru_cache
 from .characters import MultChar, chars_with_conductor, represent_at_level
 from .kloosterman import KLQuery, kl_direct
 from .local_factors import EpsMonomial, RepnData, eps_gl1, eps_rep_twisted
-from .padic import PadicNumber, psi_eval, unit_group
+from .padic import PadicNumber, psi_eval, unit_group, valuation
 from .scalars import (EXACT, Backend, QExpMismatchError, ScaledScalar, proportionality_ratio,
                       shifted_root_sums)
 
@@ -413,11 +413,8 @@ def measure_prefactor(pi: RepnData, z: PadicNumber) -> PrefactorReport:
         raise ArithmeticError(
             "charsum/Kloosterman ratio is not constant on the shell: %s" % sorted(ratios))
     (r, qexp), = ratios
-    vp = 0
-    while r.numerator % p == 0:
-        r, vp = r / p, vp + 1
-    while r.denominator % p == 0:
-        r, vp = r * p, vp - 1
+    vp = valuation(p, r)
+    r /= Fraction(p) ** vp
     candidates = _candidate_exponents(n, t)
     measured = qexp + vp
     return PrefactorReport(

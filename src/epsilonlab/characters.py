@@ -13,7 +13,8 @@ trivial there exactly when p^{t-a} divides k; hence
 
 v_chi is the unit class attached to a ramified character by the local expansion
 chi(1 + y) = psi(v_chi * y / p^{a}) for y in the deepest relevant filtration
-step; it is found by exhaustive check and is provably unique mod p^{floor(a/2)}.
+step; the expansion is additive in y, so v_chi is read at y = 1, checked at
+every y, and is unique mod p^{floor(a/2)}.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Union
 
-from .padic import is_odd_prime, phi, unit_group, unit_part_mod
+from .padic import is_odd_prime, phi, unit_group, unit_part_mod, valuation
 from .scalars import EXACT, Backend
 
 
@@ -109,11 +110,7 @@ def _conductor_exponent(p: int, level: int, k: int) -> int:
     k %= phi(p, level)
     if k == 0:
         return 0
-    v = 0
-    while k % p == 0:
-        k //= p
-        v += 1
-    return max(level - v, 1)
+    return max(level - valuation(p, k), 1)
 
 
 def trivial_char(p: int) -> MultChar:
@@ -223,8 +220,8 @@ def v_chi(chi: MultChar) -> ResidueClass:
     """The class v mod p^{floor(a/2)} with chi(1 + y p^{ceil(a/2)}) = zeta_{p^{floor(a/2)}}^{v y}.
 
     For a(chi) = 1 the condition is empty and the vacuous class is returned.
-    Existence and uniqueness for a >= 2 follow from conductor minimality; the
-    search is exhaustive so a failure here would expose a real inconsistency.
+    Since 2 ceil(a/2) >= a, y -> chi(1 + y p^{ceil(a/2)}) is additive: v is read
+    at y = 1, and a non-unit v or a mismatch at any y is a real inconsistency.
     """
     a = chi.conductor_exponent
     if a == 0:
@@ -236,18 +233,16 @@ def v_chi(chi: MultChar) -> ResidueClass:
     mod_lo = p ** lo
     m = chi.group_order
     # chi(1 + y*p^hi) has values in the p-power roots; read each off as an exponent
-    targets = {}
+    targets = []
     for y in range(mod_lo):
         e = chi.value_exponent((1 + y * p ** hi) % p ** chi.level)
         # e / m must equal (v*y mod p^lo) / p^lo
         num = e * mod_lo
         if num % m:
             raise ArithmeticError("character value off the expected p-power lattice")
-        targets[y] = num // m % mod_lo
-    for v in range(1, mod_lo):
-        if v % p == 0:
-            continue
-        if all((v * y) % mod_lo == targets[y] for y in range(mod_lo)):
-            return ResidueClass(p, lo, v)
-    raise ArithmeticError("no unit class matches chi on the deep filtration step "
-                          "(conductor bookkeeping is broken)")
+        targets.append(num // m % mod_lo)
+    v = targets[1]
+    if v % p == 0 or any(v * y % mod_lo != e for y, e in enumerate(targets)):
+        raise ArithmeticError("no unit class matches chi on the deep filtration step "
+                              "(conductor bookkeeping is broken)")
+    return ResidueClass(p, lo, v)

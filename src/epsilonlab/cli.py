@@ -81,6 +81,11 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+def _is_int(x) -> bool:
+    """An int that is not a bool: JSON true would otherwise pass as 1."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Shared knobs for every suite; call validate() before running anything.
@@ -106,20 +111,23 @@ class RunConfig:
         return max(m, m ** (max(self.n_list) - 1))
 
     def validate(self) -> None:
-        if not isinstance(self.p, int) or not is_odd_prime(self.p):
+        if not _is_int(self.p) or not is_odd_prime(self.p):
             raise ConfigError("p must be an odd prime, got %r" % (self.p,))
-        if not isinstance(self.t_max, int) or self.t_max < 1:
+        if not _is_int(self.t_max) or self.t_max < 1:
             raise ConfigError("t_max must be an integer >= 1, got %r" % (self.t_max,))
+        if not isinstance(self.n_list, (list, tuple)):
+            raise ConfigError("n_list must be a list of ranks, got %r" % (self.n_list,))
         if not self.n_list:
             raise ConfigError("n_list must be a nonempty sequence of ranks")
         for n in self.n_list:
-            if not isinstance(n, int) or n < 1:
+            if not _is_int(n) or n < 1:
                 raise ConfigError("every rank n must be an integer >= 1, got %r" % (n,))
         if self.backend not in ("exact", "float"):
             raise ConfigError("backend must be 'exact' or 'float', got %r" % (self.backend,))
-        if not isinstance(self.tolerance, (int, float)) or not self.tolerance > 0:
-            raise ConfigError("tolerance must be a positive number, got %r" % (self.tolerance,))
-        if not isinstance(self.budget, int) or self.budget < 1:
+        tol = self.tolerance
+        if not (_is_int(tol) or isinstance(tol, float)) or not tol > 0:
+            raise ConfigError("tolerance must be a positive number, got %r" % (tol,))
+        if not _is_int(self.budget) or self.budget < 1:
             raise ConfigError("budget must be a positive integer, got %r" % (self.budget,))
         est = self.estimate()
         if est > self.budget:
@@ -692,7 +700,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         value = getattr(args, key)
         if value is not None:
             base[key] = value
-    if "n_list" in base:
+    if isinstance(base.get("n_list"), list):
         base["n_list"] = tuple(base["n_list"])
     config = RunConfig(**base)
     config.validate()

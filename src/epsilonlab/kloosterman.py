@@ -113,26 +113,18 @@ def direct_term_count(query: KLQuery) -> int:
 
 @lru_cache(maxsize=32)
 def _direct_profile(p: int, t: int, n: int):
-    """Flattened (sum, inverse-product, dlog-of-x1) profile of the unit grid."""
+    """Flattened (sum, inverse-product, dlog-of-x1) profile of the unit grid,
+    indexed by discrete logs: x_i = g^{d_i}, so (x_1 ... x_{n-1})^{-1} is
+    g^{-sum d_i}.  The per-y sums only count points, so grid order is free."""
     ug = unit_group(p, t)
-    pt = p ** t
-    units = ug.units().astype(np.int64)
-    dl = ug.dlog_table()[units].astype(np.int64)
     m = ug.order
-    # residue -> inverse residue, as a dense lookup
-    inv_lookup = np.zeros(pt, dtype=np.int64)
-    exp_by_dlog = np.zeros(m, dtype=np.int64)
-    exp_by_dlog[dl] = units
-    inv_lookup[units] = exp_by_dlog[(-dl) % m]
-    grids = np.meshgrid(*([units] * (n - 1)), indexing="ij")
-    total = grids[0].astype(np.int64).copy()
-    prod = grids[0].astype(np.int64).copy()
-    for g in grids[1:]:
-        total += g
-        prod = prod * g % pt
-    s_flat = (total % pt).ravel()
-    invp_flat = inv_lookup[prod.ravel()]
-    dlx1_flat = ug.dlog_table()[grids[0].ravel()].astype(np.int64)
+    units = ug.units()
+    by_dlog = np.empty(m, dtype=np.int64)  # g^d mod p^t
+    by_dlog[ug.dlog_table()[units]] = units
+    d = np.indices((m,) * (n - 1)).reshape(n - 1, -1)
+    s_flat = by_dlog[d].sum(axis=0) % p ** t
+    invp_flat = by_dlog[-d.sum(axis=0) % m]
+    dlx1_flat = d[0].astype(np.int64)
     for arr in (s_flat, invp_flat, dlx1_flat):
         arr.setflags(write=False)
     return s_flat, invp_flat, dlx1_flat

@@ -16,7 +16,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .scalars import EXACT, Backend, Rational
+from .scalars import EXACT, Backend, Rational, _prime_factors
 
 _TABLE_BUDGET = 4_000_000  # max residues in one dlog table
 
@@ -39,20 +39,6 @@ def is_odd_prime(p: int) -> bool:
 def phi(p: int, a: int) -> int:
     """Order of the unit group mod p^a (1 for a = 0)."""
     return p ** (a - 1) * (p - 1) if a >= 1 else 1
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +146,7 @@ class UnitGroup:
         self._dlog = table
 
     def _find_generator(self) -> int:
-        m = self.order
-        checks = [m // ell for ell in _prime_factors(m)]
+        checks = [self.order // ell for ell in _prime_factors(self.order)]
         g = 2
         while True:
             if g % self.p != 0 and all(pow(g, c, self.modulus) != 1 for c in checks):

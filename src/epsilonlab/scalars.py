@@ -63,68 +63,48 @@ class QExpMismatchError(ArithmeticError):
 # ---------------------------------------------------------------------------
 
 
-def _divisors(n: int) -> list[int]:
-    small, large = [], []
-    d = 1
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, in increasing order."""
+    out = []
+    d = 2
     while d * d <= n:
         if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
+            out.append(d)
+            while n % d == 0:
+                n //= d
         d += 1
-    return small + large[::-1]
-
-
-def _poly_divide_exact(num: list[int], den: list[int]) -> list[int]:
-    # Exact division of integer polynomials, num = q * den with den monic-ish (lc +-1).
-    num = list(num)
-    dlead = den[-1]
-    q = [0] * (len(num) - len(den) + 1)
-    for i in range(len(q) - 1, -1, -1):
-        c = num[i + len(den) - 1]
-        if c % dlead != 0:
-            raise ArithmeticError("non-exact polynomial division")
-        q[i] = c // dlead
-        if q[i]:
-            for j, dj in enumerate(den):
-                num[i + j] -= q[i] * dj
-    if any(num[: len(den) - 1]):
-        raise ArithmeticError("non-exact polynomial division")
-    return q
+    if n > 1:
+        out.append(n)
+    return out
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> tuple[int, ...]:
-    """Integer coefficients of Phi_n(x), low degree first."""
+    """Integer coefficients of Phi_n(x), low degree first.
+
+    For n > 1, Phi_n(x) is the product over d | rad(n) of (1 - x^(n/d))^mu(d),
+    applied to the coefficients up to degree phi(n): multiplying by 1 - x^e is
+    a descending stride-e subtraction, dividing by it an ascending running sum.
+    """
+    if n < 1:
+        raise ValueError("cyclotomic polynomials need n >= 1, got %d" % n)
     if n == 1:
         return (-1, 1)
-    num = [0] * (n + 1)
-    num[0], num[n] = -1, 1
-    den = [1]
-    for d in _divisors(n):
-        if d < n:
-            den = _poly_mul(den, list(cyclotomic_poly(d)))
-    return tuple(_poly_divide_exact(num, den))
-
-
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def _radical(n: int) -> int:
-    r, m, p = 1, n, 2
-    while p * p <= m:
-        if m % p == 0:
-            r *= p
-            while m % p == 0:
-                m //= p
-        p += 1
-    return r * m if m > 1 else r
+    primes = _prime_factors(n)
+    deg = n // math.prod(primes) * math.prod(q - 1 for q in primes)
+    divisors = [(1, 1)]  # (d, mu(d)) for the squarefree divisors d of n
+    for q in primes:
+        divisors += [(d * q, -mu) for d, mu in divisors]
+    coeffs = [1] + [0] * deg
+    for d, mu in divisors:
+        e = n // d
+        if mu > 0:
+            for i in range(deg, e - 1, -1):
+                coeffs[i] -= coeffs[i - e]
+        else:
+            for i in range(e, deg + 1):
+                coeffs[i] += coeffs[i - e]
+    return tuple(coeffs)
 
 
 class CycContext:
@@ -134,13 +114,13 @@ class CycContext:
         if N < 1:
             raise ValueError("cyclotomic order must be positive")
         self.N = N
-        self.rad = _radical(N)
+        self.rad = math.prod(_prime_factors(N))
         self.K = N // self.rad
-        phi_rad = len(cyclotomic_poly(self.rad)) - 1
+        poly = cyclotomic_poly(self.rad)
+        phi_rad = len(poly) - 1
         self.phi = phi_rad * self.K
         self.phi_rad = phi_rad
         # pow_rows[q] = coefficients of y^q mod Phi_rad(y), q in [0, rad)
-        poly = cyclotomic_poly(self.rad)
         head = [-c for c in poly[:-1]]  # y^phi_rad = head(y), lc is 1
         rows = [[0] * phi_rad for _ in range(self.rad)]
         for q in range(phi_rad):
@@ -233,17 +213,10 @@ class CycContext:
 
 def _primitive_root_trace(n: int) -> Fraction:
     """mu(n) / phi(n): the normalized trace of a primitive n-th root of unity."""
-    out, p = Fraction(1), 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return Fraction(0)
-            out /= 1 - p
-        p += 1
-    if n > 1:
-        out /= 1 - n
-    return out
+    primes = _prime_factors(n)
+    if math.prod(primes) != n:
+        return Fraction(0)
+    return math.prod((Fraction(1, 1 - q) for q in primes), start=Fraction(1))
 
 
 def _projectivize(sparse: tuple[tuple[int, int], ...]) -> tuple:

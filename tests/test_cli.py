@@ -57,6 +57,15 @@ def config(**kw) -> RunConfig:
     ({"tolerance": -1e-9}, "tolerance"),
     ({"budget": 0}, "budget"),
     ({"p": 5, "t_max": 2, "n_list": (3,), "budget": 100}, "exceeds the budget"),
+    # booleans are ints to Python, never to a config
+    ({"p": True}, "odd prime"),
+    ({"t_max": True}, "t_max"),
+    ({"n_list": (True,)}, "rank"),
+    ({"n_list": (2, False)}, "rank"),
+    ({"tolerance": True}, "tolerance"),
+    ({"budget": True}, "budget"),
+    ({"n_list": 3}, "list of ranks"),
+    ({"n_list": "23"}, "list of ranks"),
 ])
 def test_config_rejections(kw, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -645,6 +654,18 @@ def test_config_file_rejections(tmp_path, capsys, payload, fragment):
     cfile.write_text(payload)
     assert main(["gauss", "--config", str(cfile)]) == 2
     assert fragment in capsys.readouterr().err
+
+
+def test_config_file_with_wrong_types_exits_two(tmp_path, capsys):
+    # a scalar n_list used to escape as a TypeError traceback, and JSON true
+    # used to pass as the integer 1
+    cfile = tmp_path / "run.json"
+    for payload, fragment in [({"n_list": 3}, "list of ranks"),
+                              ({"t_max": True, "n_list": [True]}, "t_max")]:
+        cfile.write_text(json.dumps(payload))
+        assert main(["gauss", "--config", str(cfile)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and fragment in err
 
 
 def test_module_entry_point():

@@ -44,6 +44,40 @@ def test_cyclotomic_poly_known(n, coeffs):
     assert cyclotomic_poly(n) == coeffs
 
 
+def _int_poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for j, y in enumerate(b):
+        if y:
+            for i, x in enumerate(a):
+                out[i + j] += x * y
+    return out
+
+
+def test_cyclotomic_divisor_product_is_x_n_minus_one():
+    # the exact oracle: prod over d | n of Phi_d(x) = x^n - 1
+    for n in range(1, 401):
+        prod = [1]
+        for d in range(1, n + 1):
+            if n % d == 0:
+                prod = _int_poly_mul(prod, cyclotomic_poly(d))
+        assert prod == [-1] + [0] * (n - 1) + [1], n
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_cyclotomic_poly_needs_a_positive_order(n):
+    with pytest.raises(ValueError):
+        cyclotomic_poly(n)
+
+
+def test_trace_weights_are_mean_root_powers():
+    # Tr(z^i) / phi(N) is the mean of zeta_N^(i k) over the k prime to N
+    for N in range(1, 61):
+        ks = [k for k in range(1, N + 1) if math.gcd(k, N) == 1]
+        for i, w in enumerate(get_context(N).trace_weights()):
+            mean = sum(cmath.exp(2j * math.pi * i * k / N) for k in ks) / len(ks)
+            assert abs(mean - float(w)) < 1e-9, (N, i)
+
+
 @pytest.mark.parametrize("N", [4, 8, 9, 27, 54, 100, 500, 2058])
 def test_context_degree(N):
     ctx = get_context(N)
