@@ -52,7 +52,7 @@ class MultChar:
 
     def value_exponent(self, x: Union[int, Fraction]) -> int:
         """e with chi(x) = zeta_{group_order}^e; any nonzero rational (chi(p) = 1)."""
-        u = unit_part_mod(self.p, Fraction(x), self.level)
+        u = unit_part_mod(self.p, x, self.level)
         return self.k * unit_group(self.p, self.level).dlog(u) % self.group_order
 
     def eval(self, x: Union[int, Fraction], backend: Backend = EXACT):

@@ -7,12 +7,17 @@ The object is the (n-1)-fold complete exponential sum over units mod p^t
 
 with a multiplicative twist omega on the first variable and y a unit.
 
-Two evaluation engines:
+Both engines compute a whole row over y at once, in one batched integer pass
+that ends in scalars' block shift and one batched reduction.
 
-* kl_direct -- the definition, vectorized: the whole (n-1)-dimensional grid of
-  unit tuples is folded into one integer histogram of root-of-unity exponents
-  and handed to the scalar backend in a single combination call.  It shares
-  nothing with the other engine past the character layer.
+* kl_direct -- the definition, counted in another order: for one
+  (p, t, n, omega) the whole (n-1)-dimensional grid of unit tuples is
+  bincounted once into integer count vectors P_v, one per inverse product
+  v = (x_1 ... x_{n-1})^{-1}, of the exponents of zeta_{p^t}^{sum x} omega(x_1).
+  Then KL(y) = sum_v zeta_{p^t}^{v y} P_v for every unit y: the block shift
+  of the unreduced P_v with modulus p^t and multipliers v.  It uses no Gauss
+  sum and no character but omega, so it shares nothing with the other engine
+  past the character layer.
 
 * kl_row / kl_via_dft -- write x_n for the constrained coordinate
   y/(x_1 ... x_{n-1}); resolving the constraint x_1 ... x_n = y by
@@ -23,13 +28,13 @@ Two evaluation engines:
           chi^{-1}(y) * tau_t(omega chi) * tau_t(chi)^{n-1}.
 
   This is an inverse discrete Fourier transform over the unit-group dual.  The
-  Gauss-sum table is built once per (p, t) and keeps tau_t(chi)^{n-1} for
-  every twist; each (omega, n) then costs m = phi(p^t) products
-  A_k = tau_t(omega chi_k) tau_t(chi_k)^{n-1}.  With chi_k(g) = zeta_m^k and
-  d = dlog y, chi_k^{-1}(y) = z^{-k d N/m} in Q(zeta_N), N = lcm(p^t, m), so
-  the transform is a sum of cyclically shifted integer group-ring vectors,
-  evaluated for every d at once (kl_row) and reduced in one batched pass;
-  kl_via_dft is the same computation at a single d.
+  Gauss-sum table is built once per (p, t) and keeps tau_t(chi) and
+  tau_t(chi)^{n-1} as integer stacks in Q(zeta_N), N = lcm(p^t, m),
+  m = phi(p^t); the m products A_k = tau_t(omega chi_k) tau_t(chi_k)^{n-1}
+  of one (omega, n) are one stacked integer convolution, folded mod N.  With
+  chi_k(g) = zeta_m^k and d = dlog y, chi_k^{-1}(y) = z^{-k d N/m}, so the
+  transform is the block shift of the unreduced A_k, evaluated for every d at
+  once (kl_row); kl_via_dft is one entry of it.
 
 The two engines are cross-checked exhaustively in the test and acceptance
 suites; the factorization above is treated as correct only because of that
@@ -38,6 +43,7 @@ cross-check, not by fiat.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
@@ -47,7 +53,8 @@ import numpy as np
 from .characters import MultChar, represent_at_level
 from .local_factors import _gauss_sum_at_level
 from .padic import unit_group
-from .scalars import EXACT, Backend, Scalar, shifted_root_sums
+from .scalars import (EXACT, Backend, Scalar, _lifted_stack, _shifted_stack_sums,
+                      _stacked_products, shifted_root_sums)
 
 
 DEFAULT_TERM_BUDGET = 2_000_000
@@ -90,10 +97,6 @@ class KLQuery:
     def p(self) -> int:
         return self.omega.p
 
-    @property
-    def modulus(self) -> int:
-        return self.p ** self.t
-
     def to_json(self) -> dict:
         om = represent_at_level(self.omega, self.t)
         return {"p": self.p, "t": self.t, "n": self.n,
@@ -113,21 +116,41 @@ def direct_term_count(query: KLQuery) -> int:
 
 @lru_cache(maxsize=32)
 def _direct_profile(p: int, t: int, n: int):
-    """Flattened (sum, inverse-product, dlog-of-x1) profile of the unit grid,
-    indexed by discrete logs: x_i = g^{d_i}, so (x_1 ... x_{n-1})^{-1} is
-    g^{-sum d_i}.  The per-y sums only count points, so grid order is free."""
+    """The unit grid of (x_1, ..., x_{n-1}), x_i = g^{d_i}, flattened, one
+    entry per point, in powers of z = zeta_N, N = lcm(p^t, m): the exponent
+    of zeta_{p^t}^{x_1 + ... + x_{n-1}}; the dlog j = -(d_1 + ... + d_{n-1})
+    mod m of the inverse product (x_1 ... x_{n-1})^{-1} = g^j; and d_1 N/m,
+    so that omega(x_1) = z^{k d_1 N/m} for the twist of exponent k.  Last
+    come the units g^d mod p^t in dlog order.  A row only counts points, so
+    grid order is free."""
     ug = unit_group(p, t)
     m = ug.order
+    N = math.lcm(p ** t, m)
     units = ug.units()
     by_dlog = np.empty(m, dtype=np.int64)  # g^d mod p^t
     by_dlog[ug.dlog_table()[units]] = units
     d = np.indices((m,) * (n - 1)).reshape(n - 1, -1)
-    s_flat = by_dlog[d].sum(axis=0) % p ** t
-    invp_flat = by_dlog[-d.sum(axis=0) % m]
-    dlx1_flat = d[0].astype(np.int64)
-    for arr in (s_flat, invp_flat, dlx1_flat):
+    s_exp = by_dlog[d].sum(axis=0) % p ** t * (N // p ** t)
+    inv_dlog = -d.sum(axis=0) % m
+    x1_exp = d[0] * (N // m)
+    for arr in (s_exp, inv_dlog, x1_exp, by_dlog):
         arr.setflags(write=False)
-    return s_flat, invp_flat, dlx1_flat
+    return s_exp, inv_dlog, x1_exp, by_dlog
+
+
+@lru_cache(maxsize=8)
+def _direct_row(p: int, t: int, n: int, k: int, backend: Backend) -> tuple:
+    """KL_{omega,n}(y; t) for every unit y = g^d, indexed by d, where omega has
+    exponent k at level t: the grid is counted once into one vector P_j of
+    exponents of z = zeta_N per inverse product v_j = g^j, and
+    KL(y) = sum_j zeta_{p^t}^{v_j y} P_j is the block shift of those unreduced
+    count vectors, reduced in one batch.  Only the last few rows are kept:
+    callers run through every y of one twist in a row."""
+    m = unit_group(p, t).order
+    N = math.lcm(p ** t, m)
+    s_exp, inv_dlog, x1_exp, by_dlog = _direct_profile(p, t, n)
+    P = np.bincount(inv_dlog * N + (s_exp + k * x1_exp) % N, minlength=m * N)
+    return _shifted_stack_sums(P.reshape(m, N), by_dlog, p ** t, backend, by_dlog)
 
 
 def kl_direct(
@@ -135,17 +158,17 @@ def kl_direct(
     backend: Backend = EXACT,
     term_budget: Optional[int] = DEFAULT_TERM_BUDGET,
 ) -> Scalar:
-    """KL_{omega,n}(y; t) straight from the definition."""
+    """KL_{omega,n}(y; t) straight from the definition: one entry of the
+    twist's direct row, which is counted over the whole unit grid once and
+    kept while the next few rows are computed."""
     p, t, n = query.p, query.t, query.n
-    pt = query.modulus
     ug = unit_group(p, t)
     m = ug.order
     if term_budget is not None and m ** (n - 1) > term_budget:
         raise BudgetError(
             "direct sum has %d terms, budget is %d" % (m ** (n - 1), term_budget))
-    s_flat, invp_flat, dlx1_flat = _direct_profile(p, t, n)
-    omega_t = represent_at_level(query.omega, t)
-    return backend.root_sum(pt, s_flat + query.y * invp_flat, m, omega_t.k * dlx1_flat)
+    k = represent_at_level(query.omega, t).k
+    return _direct_row(p, t, n, k, backend)[ug.dlog(query.y)]
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +186,8 @@ class GaussTable:
     values: tuple
     backend: Backend
     _powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # exponent e -> (tau_t(chi_k)^e for every k as an integer stack in Q(zeta_N), denominator)
+    _stacks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # (omega exponent k at level t, n) -> the kl_row of that twist
     _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -170,11 +195,25 @@ class GaussTable:
     def order(self) -> int:
         return len(self.values)
 
+    @property
+    def _N(self) -> int:
+        return math.lcm(self.p ** self.t, self.order)
+
     def powers(self, e: int) -> tuple:
         """tau_t(chi_k)^e for every k, computed once per table and exponent."""
         hit = self._powers.get(e)
         if hit is None:
             hit = self._powers[e] = tuple(v ** e for v in self.values)
+        return hit
+
+    def _stack(self, e: int) -> tuple:
+        """tau_t(chi_k)^e for every k, lifted once per table and exponent to
+        Q(zeta_N), N = lcm(p^t, m), as rows of canonical coordinates over one
+        common denominator."""
+        hit = self._stacks.get(e)
+        if hit is None:
+            hit = self._stacks[e] = _lifted_stack(
+                self.values if e == 1 else self.powers(e), self._N)
         return hit
 
 
@@ -207,7 +246,11 @@ def kl_row(omega: MultChar, n: int, table: GaussTable) -> tuple:
     m^{-1} sum_k zeta_m^{-k d} A_k with A_k = tau(omega chi_k) tau(chi_k)^{n-1},
     in the table's backend.
 
-    Always computed afresh; the row is left on the table for kl_via_dft.
+    Exactly, the A_k are one stacked integer convolution of the table's
+    stacks of tau and tau^{n-1}, folded mod N = lcm(p^t, m) and block-shifted
+    unreduced, so the row costs one reduction.  In floats the A_k are complex
+    products.  Always computed afresh; the row is left on the table for
+    kl_via_dft.
     """
     if n < 2:
         raise ValueError("hyper-Kloosterman sums need n >= 2 (n-1 summation variables)")
@@ -215,10 +258,15 @@ def kl_row(omega: MultChar, n: int, table: GaussTable) -> tuple:
         raise ValueError("twist is a character of Q_%d, table is for p=%d" % (omega.p, table.p))
     m = table.order
     k_om = represent_at_level(omega, table.t).k % m
-    tau_n1 = table.powers(n - 1)
-    A = [table.values[(k + k_om) % m] * tau_n1[k] for k in range(m)]
-    row = shifted_root_sums(A, [-k for k in range(m)], m, table.backend, den=m,
-                            order=table.p ** table.t)
+    ks = np.arange(m)
+    if table.backend.exact:
+        (X, dx), (Y, dy) = table._stack(1), table._stack(n - 1)
+        A = _stacked_products(np.roll(X, -k_om, axis=0), Y, table._N)
+        row = _shifted_stack_sums(A, -ks, m, table.backend, ks, den=m * dx * dy)
+    else:
+        tau_n1 = table.powers(n - 1)
+        A = [table.values[(k + k_om) % m] * tau_n1[k] for k in range(m)]
+        row = shifted_root_sums(A, -ks, m, table.backend, den=m)
     table._rows[k_om, n] = row
     return row
 

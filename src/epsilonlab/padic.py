@@ -48,34 +48,32 @@ def phi(p: int, a: int) -> int:
 
 def valuation(p: int, x: Union[int, Fraction]) -> Optional[int]:
     """p-adic valuation of a rational; None for 0."""
-    fr = Fraction(x)
-    if fr == 0:
+    if x == 0:
         return None
+    if not isinstance(x, int):
+        fr = Fraction(x)
+        return valuation(p, fr.numerator) - valuation(p, fr.denominator)
     v = 0
-    n = fr.numerator
-    while n % p == 0:
-        n //= p
+    while x % p == 0:
+        x //= p
         v += 1
-    d = fr.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
     return v
 
 
 def unit_part_mod(p: int, x: Union[int, Fraction], t: int) -> int:
-    """The unit u with x = u * p^v(x), reduced mod p^t."""
-    fr = Fraction(x)
-    if fr == 0:
+    """The unit u with x = u * p^v(x), reduced mod p^t.
+
+    An integer needs only x // p^v mod p^t; any other rational is the
+    quotient of its numerator's and its denominator's unit parts.
+    """
+    if x == 0:
         raise ZeroDivisionError("zero has no unit part")
-    v = valuation(p, fr)
-    n, d = fr.numerator, fr.denominator
-    if v > 0:
-        n //= p ** v
-    elif v < 0:
-        d //= p ** (-v)
     mod = p ** t
-    return n * pow(d, -1, mod) % mod
+    if isinstance(x, int):
+        return x // p ** valuation(p, x) % mod
+    fr = Fraction(x)
+    den = unit_part_mod(p, fr.denominator, t)
+    return unit_part_mod(p, fr.numerator, t) * pow(den, -1, mod) % mod
 
 
 class PadicNumber:

@@ -163,13 +163,15 @@ class CycContext:
         return out.reshape(vec.shape[:-1] + (self.phi,))
 
     def fold_conv(self, conv: np.ndarray) -> np.ndarray:
-        """Fold a convolution result (length < 2N) into exponent classes mod N."""
-        if len(conv) <= self.N:
-            full = np.zeros(self.N, dtype=conv.dtype)
-            full[: len(conv)] = conv
-        else:
-            full = conv[: self.N].copy()
-            full[: len(conv) - self.N] += conv[self.N :]
+        """Fold a convolution result (length < 2N) into exponent classes mod N.
+
+        A stack of results (shape (..., L)) is folded row by row.
+        """
+        L = conv.shape[-1]
+        full = np.zeros(conv.shape[:-1] + (self.N,), dtype=conv.dtype)
+        full[..., : min(L, self.N)] = conv[..., : self.N]
+        if L > self.N:
+            full[..., : L - self.N] += conv[..., self.N :]
         return full
 
     # -- roots of unity -------------------------------------------------------
@@ -258,7 +260,7 @@ class CycNumber:
         ctx = get_context(N)
         if len(vec) != ctx.phi:
             raise ValueError("canonical vector has wrong length")
-        return _make(N, [int(c) for c in vec], int(den))
+        return _make(N, np.asarray(vec).tolist(), int(den))
 
     @staticmethod
     def rational(value: Rational) -> "CycNumber":
@@ -520,38 +522,95 @@ def root_of_unity(e: int, N: int) -> CycNumber:
     return _make(N, vec, 1)
 
 
-def shifted_root_sums(values, mults, m: int, backend: "Backend", den: int = 1,
-                      order: int = 1) -> tuple:
+def shifted_root_sums(values, mults, m: int, backend: "Backend", den: int = 1) -> tuple:
     """sum_k values[k] * zeta_m^(mults[k] * d) / den for every d mod m, in the backend.
 
     Float sums are one matrix product W @ values / den.  Exact sums live in
-    Q(zeta_N), N = lcm(order, m, every value's order): the values are put
-    over one common denominator as the rows of an integer group-ring matrix;
-    zeta_m^(j d) = z^(j d N/m) shifts the (m, N/m) block view of a row by j*d
-    block rows, so all m sums are one stack of shifted rows and one batched
-    reduction.  The stack is int64 when K rows of the largest scaled
-    coefficient pass the reduction guard, object dtype otherwise.
+    Q(zeta_N), N = lcm(m, every value's order): the values are put
+    over one common denominator as the rows of an integer group-ring stack,
+    which _shifted_stack_sums shifts and reduces in one batch.
     """
-    if not backend.exact:
-        ds = np.arange(m)
-        W = np.exp(2j * np.pi * (np.outer(ds, mults) % m) / m)
-        return tuple(complex(v) for v in W @ np.array(values, dtype=complex) / den)
-    N = math.lcm(order, m, *(v.N for v in values))
-    ctx = get_context(N)
-    lifted = [v._lift_vec(N) for v in values]
-    common = math.lcm(*(d for _num, d in lifted))
-    scale = [common // d for _num, d in lifted]
-    biggest = max(max(map(abs, num)) * s for (num, _d), s in zip(lifted, scale))
-    G = np.zeros((len(values), N),
-                 dtype=np.int64 if ctx.fits_int64(len(values) * biggest) else object)
-    G[:, :ctx.phi] = [num for num, _d in lifted]
-    G[:, :ctx.phi] *= np.array(scale, dtype=G.dtype)[:, None]
     ds = np.arange(m)
-    R = np.zeros((m, m, N // m), dtype=G.dtype)
-    for j, blocks in zip(mults, G.reshape(len(values), m, N // m)):
-        R += blocks[(ds - j * ds[:, None]) % m]
-    red = ctx.reduce_groupring(R.reshape(m, N))
-    return tuple(CycNumber.from_vec(N, r, common * den) for r in red)
+    if not backend.exact:
+        return _float_shifted_sums(np.array(values, dtype=complex), mults, m, ds, den)
+    N = math.lcm(m, *(v.N for v in values))
+    stack, common = _lifted_stack(values, N)
+    G = np.zeros((len(values), N), dtype=stack.dtype)
+    G[:, : stack.shape[1]] = stack
+    return _shifted_stack_sums(G, mults, m, backend, ds, common * den)
+
+
+def _lifted_stack(values, N: int) -> tuple[np.ndarray, int]:
+    """(S, den): row k of the integer stack S over den is values[k] in the
+    canonical basis of Q(zeta_N).  int64 when every entry fits, object otherwise."""
+    lifted = [v._lift_vec(N) for v in values]
+    den = math.lcm(*(d for _num, d in lifted))
+    rows = [[c * (den // d) for c in num] for num, d in lifted]
+    biggest = max((abs(c) for row in rows for c in row), default=0)
+    S = np.array(rows, dtype=np.int64 if biggest < _INT64_GUARD else object)
+    return S, den
+
+
+def _stacked_products(X: np.ndarray, Y: np.ndarray, N: int) -> np.ndarray:
+    """Row k is X[k] * Y[k] in Z[C_N], unreduced: the integer convolution of two
+    (K, phi(N)) stacks of canonical coordinates, folded mod N.
+
+    All K products are one matrix product against a sliding-window view of Y.
+    Every entry of row k, and every partial sum of it, is at most
+    sum |X[k]| * max |Y[k]|; the products run in int64 while that bound stays
+    under the guard for every row, and in object dtype otherwise.  The bound
+    is read in float64, whose rounding is far inside the factor-two headroom
+    between the guard and 2**63.
+    """
+    K, n = X.shape
+    if X.dtype != object and Y.dtype != object:
+        bound = (np.abs(X.astype(np.float64)).sum(axis=1)
+                 * np.abs(Y.astype(np.float64)).max(axis=1, initial=0)).max(initial=0)
+        dtype = np.int64 if bound < _INT64_GUARD else object
+    else:
+        dtype = object
+    padded = np.zeros((K, 3 * n - 2), dtype=dtype)
+    padded[:, n - 1: 2 * n - 1] = Y
+    windows = np.lib.stride_tricks.sliding_window_view(padded, n, axis=1)
+    conv = np.matmul(windows, X[:, ::-1, None].astype(dtype))[..., 0]
+    return get_context(N).fold_conv(conv)
+
+
+def _float_shifted_sums(values: np.ndarray, mults, m: int, ds: np.ndarray,
+                        den: int = 1) -> tuple:
+    """sum_k values[k] * zeta_m^(mults[k] * d) / den for each d in ds, in complex128."""
+    W = np.exp(2j * np.pi * (np.outer(ds, mults) % m) / m)
+    return tuple(complex(v) for v in W @ values / den)
+
+
+def _shifted_stack_sums(G: np.ndarray, mults, m: int, backend: "Backend",
+                        ds: np.ndarray, den: int = 1) -> tuple:
+    """sum_k G[k] * zeta_m^(mults[k] * d) / den for each d in ds, in the backend.
+
+    G is a (K, N) stack of unreduced integer group-ring vectors of Z[C_N],
+    m | N.  Under float each row is first evaluated at z = exp(2 pi i / N).
+    Exactly, zeta_m^(j d) = z^(j d N/m) rotates the (m, N/m) block view of a
+    row by j*d blocks: every rotation of a row is a window of the row written
+    twice, so all the sums are one stack of gathered windows and one batched
+    reduction.  The stack is int64 when K rows of the largest entry of G
+    pass the reduction guard, object dtype otherwise.
+    """
+    K, N = G.shape
+    ctx = get_context(N)
+    if not backend.exact:
+        return _float_shifted_sums(G @ ctx.roots_complex(), mults, m, ds, den)
+    if G.dtype != object and not ctx.fits_int64(
+            K * max(int(G.max(initial=0)), -int(G.min(initial=0)))):
+        G = G.astype(object)
+    block = N // m
+    # rotations[k, w] is row k rotated by -w blocks: entry i is G[k, (i + w block) mod N]
+    twice = np.concatenate([G, G[:, : N - block]], axis=1)
+    rotations = np.lib.stride_tricks.sliding_window_view(twice, N, axis=1)[:, ::block]
+    R = np.zeros((len(ds), N), dtype=G.dtype)
+    for rows, w in zip(rotations, -np.multiply.outer(mults, ds) % m):
+        R += rows[w]
+    red = ctx.reduce_groupring(R)
+    return tuple(CycNumber.from_vec(N, r, den) for r in red)
 
 
 def to_complex(x: Union[CycNumber, complex]) -> complex:

@@ -1,8 +1,11 @@
 """Hyper-Kloosterman sums: direct grid vs Gauss-sum factorization."""
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import io
+import json
+import math
 import re
 
 import numpy as np
@@ -20,7 +23,7 @@ from epsilonlab.kloosterman import (
     kl_row,
     kl_via_dft,
 )
-from epsilonlab.cli import main
+from epsilonlab.cli import RunConfig, cmd_kloosterman, main
 from epsilonlab.padic import phi, unit_group
 from epsilonlab.scalars import (
     EXACT,
@@ -107,6 +110,102 @@ def test_term_budget():
         kl_direct(q, term_budget=1000)
     assert direct_term_count(q) == 42 ** 3
     assert unit_group(q.p, q.t).order == 42  # post-table cost is linear, not cubic
+
+
+def test_term_budget_boundary_and_the_row_memo():
+    q = KLQuery(MultChar(5, 2, 3), 3, 7, 2)
+    terms = direct_term_count(q)
+    assert terms == 20 ** 2
+    value = kl_direct(q, term_budget=terms)  # the budget is inclusive
+    hits = kloosterman._direct_row.cache_info().hits
+    with pytest.raises(BudgetError, match="^direct sum has 400 terms, budget is 399$"):
+        kl_direct(q, term_budget=terms - 1)  # refused although its row is memoised
+    assert kloosterman._direct_row.cache_info().hits == hits
+    assert kl_direct(q, term_budget=None) == value
+    assert kloosterman._direct_row.cache_info().hits == hits + 1
+    maxsize = kloosterman._direct_row.cache_info().maxsize
+    assert maxsize is not None and maxsize <= 16  # a few rows, not every row of a sweep
+
+
+# sha256 of the case rows of the kloosterman suite at p = 5, t <= 2, n in {2, 3}
+# with a work budget of 100 that no validated configuration allows: the rows at
+# t = 2 are budget skips (n = 3: the direct grid; n = 2: the Gauss table), and
+# the rows at t = 1 run.  Recorded before the direct engine computed rows.
+KL_BUDGET_ROWS_SHA256 = "544a7362ad985d798d25241ff05416a1baa536fe799ac70eee330e8e09b3b925"
+
+
+def test_cli_budget_skip_rows_unchanged():
+    rep = cmd_kloosterman(RunConfig(p=5, t_max=2, n_list=(2, 3), budget=100))
+    skips = {c["detail"] for c in rep.skips}
+    assert skips == {"direct grid has 400 terms, over budget 100",
+                     "Gauss table needs 400 operations, budget is 100"}
+    assert {c["detail"] for c in rep.cases if c["status"] == "pass"} == {
+        "direct grid (4 terms) vs character table", "direct grid (16 terms) vs character table"}
+    text = json.dumps(rep.cases, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == KL_BUDGET_ROWS_SHA256
+
+
+@functools.lru_cache(maxsize=None)
+def _unit_grid(p, t, n):
+    """Every (x_1, ..., x_{n-1}) of units mod p^t, as residues: the sum of the
+    coordinates, the inverse of their product and x_1, one entry per point."""
+    pt = p ** t
+    units = np.array(units_mod(p, t), dtype=np.int64)
+    grid = np.stack(np.meshgrid(*[units] * (n - 1), indexing="ij")).reshape(n - 1, -1)
+    prod = np.ones(grid.shape[1], dtype=np.int64)
+    for row in grid:
+        prod = prod * row % pt
+    inverse = np.zeros(pt, dtype=np.int64)
+    inverse[units] = [pow(int(u), -1, pt) for u in units]
+    return grid.sum(axis=0) % pt, inverse[prod], grid[0]
+
+
+def direct_by_definition(query, backend=EXACT):
+    """KL_{omega,n}(y; t) for one y from its own grid: one histogram of the
+    exponents of zeta_{p^t}^{x_1 + ... + x_{n-1} + y / (x_1 ... x_{n-1})} omega(x_1),
+    with omega evaluated at its own level."""
+    p, t, n, om = query.p, query.t, query.n, query.omega
+    pt = p ** t
+    sums, inverses, x1 = _unit_grid(p, t, n)
+    om_exp = np.zeros(pt, dtype=np.int64)
+    for u in units_mod(p, t):
+        om_exp[u] = om.value_exponent(u)
+    return backend.root_sum(pt, sums + query.y * inverses, om.group_order, om_exp[x1])
+
+
+def every_twist(p, t):
+    """Every character of level t, conductors below t included, and each
+    character of level t - 1 in its own presentation."""
+    twists = level_chars(p, t)
+    if t > 1:
+        twists += level_chars(p, t - 1)
+    return twists
+
+
+@pytest.mark.parametrize("p,t,ns", [(5, 2, (2, 3, 4)), (3, 3, (2, 3)), (7, 2, (2, 3))])
+def test_direct_row_is_the_per_y_grid(p, t, ns):
+    for n in ns:
+        for om in every_twist(p, t):
+            for y in units_mod(p, t):
+                q = KLQuery(om, n, y, t)
+                assert kl_direct(q) == direct_by_definition(q), (p, t, n, om, y)
+
+
+@pytest.mark.parametrize("p,t,n", [(5, 2, 3), (3, 3, 2), (7, 1, 4)])
+def test_float_direct_row_is_the_per_y_grid(p, t, n, monkeypatch):
+    kloosterman._direct_row.cache_clear()  # every float row below is computed here
+    built = []
+    real_init = CycNumber.__init__
+    monkeypatch.setattr(CycNumber, "__init__",
+                        lambda self, *args: built.append(args) or real_init(self, *args))
+    got = {(om.k, y): kl_direct(KLQuery(om, n, y, t), backend=FLOAT)
+           for om in level_chars(p, t) for y in units_mod(p, t)}
+    assert built == []  # a float row builds no exact scalar
+    monkeypatch.undo()
+    for (k, y), value in got.items():
+        q = KLQuery(MultChar(p, t, k), n, y, t)
+        assert FLOAT.eq(value, direct_by_definition(q, FLOAT)), (k, y)
+        assert abs(value - to_complex(direct_by_definition(q))) < 1e-9, (k, y)
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +441,37 @@ def test_row_int64_guard_edge(over, monkeypatch):
     seen = _spy_row_reductions(monkeypatch)
     assert list(kl_row(omega, 2, table)) == want
     assert seen == [object if over else np.int64]
+
+
+def test_row_products_fit_but_their_sum_does_not(monkeypatch):
+    # Real Gauss sums scaled by c: every factor and every product A_k fits in
+    # int64, but m rows of the largest product fail the reduction guard, so
+    # the shift and the reduction take object dtype.
+    p, t, n, k_om = 5, 1, 2, 1
+    base = build_gauss_table(p, t)
+    m, N = base.order, math.lcm(p ** t, base.order)
+    gain = get_context(N).reduce_gain
+    X, _den = base._stack(1)
+    peak = int(np.abs(kloosterman._stacked_products(np.roll(X, -k_om, axis=0), X, N)).max())
+    c = math.isqrt((2 ** 62 - 1) // (m * gain * peak)) + 1
+    assert c * c * peak * m * gain >= 2 ** 62  # the summed stack does not fit
+    assert c * c * int(np.abs(X).sum(axis=1).max()) * int(np.abs(X).max()) < 2 ** 62
+    values = tuple(c * v for v in base.values)
+    table = GaussTable(p, t, values, EXACT)
+    want = []
+    for d in range(m):
+        acc = CycNumber.zero()
+        for k in range(m):
+            acc = acc + root_of_unity(-k * d, m) * values[(k + k_om) % m] * values[k] ** (n - 1)
+        want.append(acc / m)
+    products = []
+    real = kloosterman._stacked_products
+    monkeypatch.setattr(kloosterman, "_stacked_products",
+                        lambda *args: products.append(real(*args)) or products[-1])
+    seen = _spy_row_reductions(monkeypatch)
+    assert list(kl_row(MultChar(p, t, k_om), n, table)) == want
+    assert [a.dtype for a in products] == [np.int64]  # the products fit
+    assert seen == [object]
 
 
 def test_forced_object_row_equals_int64_row(monkeypatch):

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from epsilonlab import padic
 from epsilonlab.padic import (
     PadicNumber,
     TableBudgetError,
@@ -35,6 +36,33 @@ def test_valuation_and_unit_part(p):
             assert valuation(p, x) == v
             assert unit_part_mod(p, x, 3) == u % p ** 3
     assert valuation(p, 0) is None
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_integer_unit_part_matches_the_fraction_path(p, monkeypatch):
+    big = 2 ** 64 + 3 * p + 1
+    ints = [-1, -2, -p, -7 * p ** 3, p, 2 * p ** 4, p ** 9, big, -big, big * p ** 5,
+            -(3 ** 70 + 1) * p ** 12]
+    want = {(x, t): unit_part_mod(p, Fraction(x), t) for x in ints for t in (1, 2, 4)}
+    vals = {x: valuation(p, Fraction(x)) for x in ints}
+    built = []
+    real = padic.Fraction
+    monkeypatch.setattr(padic, "Fraction", lambda *a: built.append(a) or real(*a))
+    for x in ints:
+        assert valuation(p, x) == vals[x]
+        for t in (1, 2, 4):
+            assert unit_part_mod(p, x, t) == want[x, t], (x, t)
+    assert built == []  # an integer never becomes a Fraction
+    # a rational's unit part is the quotient of its numerator's and denominator's
+    for a, b in ((3, 7 * p ** 2), (-p ** 3, 11), (big, -p * 13), (2 * p, 4 * p ** 6)):
+        x = Fraction(a, b)
+        for t in (1, 3):
+            u = unit_part_mod(p, x, t)
+            assert u == unit_part_mod(p, a, t) * pow(unit_part_mod(p, b, t), -1, p ** t) % p ** t
+    for zero in (0, Fraction(0)):
+        with pytest.raises(ZeroDivisionError):
+            unit_part_mod(p, zero, 2)
+        assert valuation(p, zero) is None
 
 
 def test_unit_part_inverts_denominator():
