@@ -216,12 +216,15 @@ class ResidueClass:
         return x % self.p ** self.m == self.rep and x % self.p != 0
 
 
+@lru_cache(maxsize=4096)
 def v_chi(chi: MultChar) -> ResidueClass:
     """The class v mod p^{floor(a/2)} with chi(1 + y p^{ceil(a/2)}) = zeta_{p^{floor(a/2)}}^{v y}.
 
     For a(chi) = 1 the condition is empty and the vacuous class is returned.
     Since 2 ceil(a/2) >= a, y -> chi(1 + y p^{ceil(a/2)}) is additive: v is read
     at y = 1, and a non-unit v or a mismatch at any y is a real inconsistency.
+    Each character is checked once: a rank-one sweep pairs it with every mu.
+    An inconsistency raises and is not cached.
     """
     a = chi.conductor_exponent
     if a == 0:

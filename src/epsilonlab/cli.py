@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field, fields
@@ -66,7 +67,7 @@ from .local_factors import (
     stability_rhs,
     steinberg,
 )
-from .padic import PadicNumber, is_odd_prime, phi, unit_group
+from .padic import _TABLE_BUDGET, PadicNumber, is_odd_prime, phi, unit_group
 from .scalars import Backend, CycNumber, ScaledScalar, backend_for
 
 DEFAULT_BUDGET = 2_000_000
@@ -90,10 +91,12 @@ def _is_int(x) -> bool:
 class RunConfig:
     """Shared knobs for every suite; call validate() before running anything.
 
-    Rejection happens up front: a run is refused unless p is an odd prime and
-    the coarse work estimate max(phi, phi^(max(n)-1)) with phi = phi(p^t_max)
-    fits under the budget.  The suites still re-check their own finer
-    per-case costs and skip (never silently truncate) whatever does not fit.
+    Rejection happens up front: a run is refused unless p is an odd prime,
+    p^t_max fits the unit-group table budget of padic, the float tolerance is
+    finite and positive, and the coarse work estimate max(phi, phi^(max(n)-1))
+    with phi = phi(p^t_max) fits under the budget.  The suites still re-check
+    their own finer per-case costs and skip (never silently truncate) whatever
+    does not fit.
     """
 
     p: int = 5
@@ -125,10 +128,15 @@ class RunConfig:
         if self.backend not in ("exact", "float"):
             raise ConfigError("backend must be 'exact' or 'float', got %r" % (self.backend,))
         tol = self.tolerance
-        if not (_is_int(tol) or isinstance(tol, float)) or not tol > 0:
-            raise ConfigError("tolerance must be a positive number, got %r" % (tol,))
+        if not (_is_int(tol) or isinstance(tol, float)) or not 0 < tol < math.inf:
+            raise ConfigError("tolerance must be a finite positive number, got %r" % (tol,))
         if not _is_int(self.budget) or self.budget < 1:
             raise ConfigError("budget must be a positive integer, got %r" % (self.budget,))
+        # p^t >= 2^t passes the budget from t = its bit length on: no huge power is built
+        if self.t_max >= _TABLE_BUDGET.bit_length() or self.p ** self.t_max > _TABLE_BUDGET:
+            raise ConfigError(
+                "p^t_max = %d^%d exceeds the %d-entry unit-group table budget; "
+                "shrink p or t_max" % (self.p, self.t_max, _TABLE_BUDGET))
         est = self.estimate()
         if est > self.budget:
             raise ConfigError(

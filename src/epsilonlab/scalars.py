@@ -11,7 +11,9 @@ and never consults a tolerance.
 Reduction uses Phi_N(x) = Phi_r(x^(N/r)) with r = rad(N): writing an exponent
 e = q*(N/r) + s, the monomial x^e rewrites through the small table of
 y^q mod Phi_r(y).  Those rewrite rows have O(phi(r)) entries with tiny coefficients,
-which keeps reduction cheap even when phi(N) is in the thousands.
+which keeps reduction cheap even when phi(N) is in the thousands.  They are the
+only description of the field: a root of unity is written by placing one row,
+and recognised by finding the row it is proportional to.
 
 Multiplication is integer convolution (numpy int64 with an exact object-dtype
 fallback when a magnitude guard trips) followed by one reduction pass.  The
@@ -119,28 +121,17 @@ class CycContext:
         poly = cyclotomic_poly(self.rad)
         phi_rad = len(poly) - 1
         self.phi = phi_rad * self.K
-        self.phi_rad = phi_rad
-        # pow_rows[q] = coefficients of y^q mod Phi_rad(y), q in [0, rad)
-        head = [-c for c in poly[:-1]]  # y^phi_rad = head(y), lc is 1
-        rows = [[0] * phi_rad for _ in range(self.rad)]
-        for q in range(phi_rad):
-            rows[q][q] = 1
-        for q in range(phi_rad, self.rad):
-            prev = rows[q - 1]
-            cur = [0] * phi_rad
-            carry = prev[phi_rad - 1]
-            for j in range(phi_rad - 1, 0, -1):
-                cur[j] = prev[j - 1]
-            if carry:
-                for j in range(phi_rad):
-                    cur[j] += carry * head[j]
-            rows[q] = cur
-        self.pow_rows = np.array(rows, dtype=np.int64)
-        self._pow_rows_py = [tuple(r) for r in rows]
+        # pow_rows[q] = coefficients of y^q mod Phi_rad(y), q in [0, rad): row q is
+        # row q-1 shifted up one degree, with its carry rewritten as y^phi_rad = head(y)
+        head = -np.array(poly[:-1], dtype=np.int64)
+        rows = np.zeros((self.rad, phi_rad), dtype=np.int64)
+        rows[0, 0] = 1
+        for q in range(1, self.rad):
+            rows[q, 1:] = rows[q - 1, :-1]
+            rows[q] += rows[q - 1, -1] * head
+        self.pow_rows = rows
         # |reduced coefficient| <= max|input coefficient| * reduce_gain
         self.reduce_gain = int(np.abs(self.pow_rows).sum(axis=0).max())
-        self._root_sparse: dict[int, tuple[tuple[int, int], ...]] = {}
-        self._recog: Optional[dict[tuple, int]] = None
         self._roots_complex: Optional[np.ndarray] = None
         self._trace_weights: Optional[tuple] = None
 
@@ -176,28 +167,6 @@ class CycContext:
 
     # -- roots of unity -------------------------------------------------------
 
-    def root_sparse(self, e: int) -> tuple[tuple[int, int], ...]:
-        """Canonical form of z^e as ((index, coeff), ...)."""
-        e %= self.N
-        hit = self._root_sparse.get(e)
-        if hit is None:
-            q, s = divmod(e, self.K)
-            hit = tuple(
-                (j * self.K + s, int(c)) for j, c in enumerate(self._pow_rows_py[q]) if c
-            )
-            self._root_sparse[e] = hit
-        return hit
-
-    def recognition_table(self) -> dict[tuple, int]:
-        """Projectivized canonical sparse form -> exponent, for root recognition."""
-        if self._recog is None:
-            table: dict[tuple, int] = {}
-            for e in range(self.N):
-                key = _projectivize(self.root_sparse(e))
-                table.setdefault(key, e)
-            self._recog = table
-        return self._recog
-
     def trace_weights(self) -> tuple:
         """Tr(z^i) / phi(N) for each basis index i: mu(N/g) / phi(N/g), g = gcd(i, N)."""
         if self._trace_weights is None:
@@ -219,11 +188,6 @@ def _primitive_root_trace(n: int) -> Fraction:
     if math.prod(primes) != n:
         return Fraction(0)
     return math.prod((Fraction(1, 1 - q) for q in primes), start=Fraction(1))
-
-
-def _projectivize(sparse: tuple[tuple[int, int], ...]) -> tuple:
-    lead = Fraction(sparse[0][1])
-    return tuple((i, Fraction(c) / lead) for i, c in sparse)
 
 
 @lru_cache(maxsize=None)
@@ -280,31 +244,36 @@ class CycNumber:
     def is_zero(self) -> bool:
         return not any(self.num)
 
-    def sparse(self) -> tuple[tuple[int, int], ...]:
-        return tuple((i, c) for i, c in enumerate(self.num) if c)
-
     def as_root_times_rational(self) -> Optional[tuple[int, Fraction]]:
         """If self = r * zeta_N^e with r rational, return (e, r); else None.
 
-        For odd N the sign lives in r (so e.g. -zeta_5 returns (1, -1)).
+        root_of_unity places pow_rows[q] at the indices jK + s for z^(qK + s), so a
+        monomial lies on one residue s mod K, where its coordinates over their gcd
+        are +-row q (rows are primitive).  The least q is taken; for even N,
+        q + rad/2 also matches with the other sign, and a positive r makes the
+        two agree.  For odd N the sign lives in r (-zeta_5 returns (1, -1)).
         """
-        sp = self.sparse()
-        if not sp:
+        support = [i for i, c in enumerate(self.num) if c]
+        if not support:
             return None
         ctx = get_context(self.N)
-        e = ctx.recognition_table().get(_projectivize(sp))
-        if e is None:
+        s = support[0] % ctx.K
+        if any(i % ctx.K != s for i in support):
             return None
-        row = ctx.root_sparse(e)
-        if len(row) != len(sp):
+        coords = self.num[s :: ctx.K]
+        g = math.gcd(*coords)
+        unit = [c // g for c in coords]
+        if max(map(abs, unit)) > ctx.reduce_gain:
+            return None  # no row has an entry that large
+        sign = (ctx.pow_rows == unit).all(axis=1)
+        hits = np.flatnonzero(sign | (ctx.pow_rows == np.negative(unit)).all(axis=1))
+        if not len(hits):
             return None
-        r = Fraction(sp[0][1], self.den) / row[0][1]
-        for (i, c), (ri, rc) in zip(sp, row):
-            if i != ri or Fraction(c, self.den) != r * rc:
-                return None
+        q = int(hits[0])
+        e, r = q * ctx.K + s, Fraction(g if sign[q] else -g, self.den)
         if r < 0 and self.N % 2 == 0:
             e, r = (e + self.N // 2) % self.N, -r
-        return e % self.N, r
+        return e, r
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -314,16 +283,9 @@ class CycNumber:
             return list(self.num), self.den
         if N % self.N != 0:
             raise ValueError("cannot lift Q(zeta_%d) into Q(zeta_%d)" % (self.N, N))
+        # the canonical basis monomial z_small^i is z^(i scale), with i scale < N
         scale = N // self.N
-        ctx = get_context(N)
-        fits = ctx.fits_int64(max(map(abs, self.num)))
-        vec = np.zeros(N, dtype=np.int64 if fits else object)
-        # rewrite the canonical basis monomials of the small field in the big one
-        for i, c in enumerate(self.num):
-            if c:
-                vec[(i * scale) % N] += c
-        red = ctx.reduce_groupring(vec)
-        return [int(c) for c in red], self.den
+        return _reduce_at(N, slice(0, len(self.num) * scale, scale), self.num), self.den
 
     def __add__(self, other):
         other = _coerce(other)
@@ -446,12 +408,9 @@ class CycNumber:
     def conjugate(self) -> "CycNumber":
         if self.N == 1:
             return self
-        ctx = get_context(self.N)
-        fits = ctx.fits_int64(max(map(abs, self.num)))
-        vec = np.zeros(self.N, dtype=np.int64 if fits else object)
         # z^i -> z^(-i): the canonical coordinates land on the exponents -i mod N
-        vec[(-np.arange(ctx.phi)) % self.N] = self.num
-        return _make(self.N, ctx.reduce_groupring(vec).tolist(), self.den)
+        index = -np.arange(len(self.num)) % self.N
+        return _make(self.N, _reduce_at(self.N, index, self.num), self.den)
 
     def norm_squared(self) -> "CycNumber":
         return self * self.conjugate()
@@ -500,6 +459,15 @@ def _make(N: int, num: list[int], den: int) -> CycNumber:
     return CycNumber(N, tuple(num), den)
 
 
+def _reduce_at(N: int, index, num) -> list[int]:
+    """Canonical coordinates in Q(zeta_N) of the group-ring vector that holds
+    num at the distinct exponents index and 0 elsewhere."""
+    ctx = get_context(N)
+    vec = np.zeros(N, dtype=np.int64 if ctx.fits_int64(max(map(abs, num))) else object)
+    vec[index] = num
+    return ctx.reduce_groupring(vec).tolist()
+
+
 def _coerce(x) -> "CycNumber":
     if isinstance(x, CycNumber):
         return x
@@ -514,11 +482,12 @@ def _coerce(x) -> "CycNumber":
 
 
 def root_of_unity(e: int, N: int) -> CycNumber:
-    """zeta_N^e as a canonical CycNumber."""
+    """zeta_N^e as a canonical CycNumber: z^(qK + s) = y^q z^s with y = z^K, so
+    row q of the rewrite table lands on the canonical indices jK + s."""
     ctx = get_context(N)
+    q, s = divmod(e % N, ctx.K)
     vec = [0] * ctx.phi
-    for i, c in ctx.root_sparse(e):
-        vec[i] = c
+    vec[s :: ctx.K] = ctx.pow_rows[q].tolist()
     return _make(N, vec, 1)
 
 

@@ -202,6 +202,26 @@ def test_v_chi_solves_the_expansion(p, a):
             assert lhs == rhs
 
 
+def test_v_chi_inconsistency_raises_and_is_not_cached(monkeypatch):
+    chi = chars_with_conductor(5, 2)[3]
+    want = v_chi.__wrapped__(chi)
+    v_chi.cache_clear()
+    calls = []
+    original = MultChar.value_exponent
+
+    def off_lattice(self, x):
+        calls.append(x)
+        return original(self, x) + 1
+    monkeypatch.setattr(MultChar, "value_exponent", off_lattice)
+    for attempt in (1, 2):
+        with pytest.raises(ArithmeticError):
+            v_chi(chi)
+        assert len(calls) == attempt  # the second call evaluated chi again
+    assert v_chi.cache_info().currsize == 0
+    monkeypatch.undo()
+    assert v_chi(chi) == want
+
+
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_v_chi_vacuous_at_conductor_one(p):
     for chi in chars_with_conductor(p, 1):

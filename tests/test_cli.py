@@ -10,11 +10,13 @@ import hashlib
 import json
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from epsilonlab import cli
+from epsilonlab.characters import MultChar, chars_with_conductor, v_chi
 from epsilonlab.scalars import CycNumber
 from epsilonlab.cli import (
     ConfigError,
@@ -66,6 +68,13 @@ def config(**kw) -> RunConfig:
     ({"budget": True}, "budget"),
     ({"n_list": 3}, "list of ranks"),
     ({"n_list": "23"}, "list of ranks"),
+    # an infinite tolerance makes every float equality hold
+    ({"tolerance": float("inf")}, "tolerance"),
+    ({"tolerance": float("nan")}, "tolerance"),
+    # a unit-group table over padic's budget would fail mid-run
+    ({"p": 2003, "t_max": 2, "n_list": (2,), "budget": 10 ** 9}, "table budget"),
+    ({"p": 3, "t_max": 14, "budget": 10 ** 9}, "table budget"),  # 3^14 = 4,782,969
+    ({"t_max": 10 ** 9}, "table budget"),
 ])
 def test_config_rejections(kw, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -90,6 +99,8 @@ def test_config_estimate(p, t, ns, want):
 
 def test_budget_boundary_is_inclusive():
     config(p=5, t_max=2, n_list=(3,), budget=400)  # estimate == budget: allowed
+    # 1999 is the largest prime whose square fits padic's unit-group table budget
+    config(p=1999, t_max=2, n_list=(1,), budget=10 ** 9)
     with pytest.raises(ConfigError):
         RunConfig(p=5, t_max=2, n_list=(3,), budget=399).validate()
 
@@ -154,6 +165,25 @@ def test_stability_rank_one_is_the_two_character_lemma():
     # mu unramified pairs with all 19 ramified chi; each a(mu)=1 character
     # pairs with the 16 of conductor two; a(mu)=2 admits nothing at t_max=2
     assert len(rep.cases) == 19 + 3 * 16
+
+
+def test_stability_rank_one_reads_v_chi_once_per_character(monkeypatch):
+    # v_chi checks chi at every y of its deep filtration step; the sweep pairs
+    # each chi with every admissible mu but evaluates that step once per chi
+    v_chi.cache_clear()
+    deep = []
+    original = MultChar.value_exponent
+
+    def counting(chi, x):
+        if sys._getframe(1).f_code is v_chi.__wrapped__.__code__:
+            deep.append((chi, x))
+        return original(chi, x)
+    monkeypatch.setattr(MultChar, "value_exponent", counting)
+    rep = cmd_stability(config(p=5, t_max=2, n_list=(1,)))
+    assert rep.failures == [] and len(rep.cases) == 19 + 3 * 16
+    # the 16 characters of conductor two, each at y = 0..4
+    assert Counter(deep) == {(chi, 1 + 5 * y): 1
+                             for chi in chars_with_conductor(5, 2) for y in range(5)}
 
 
 def test_stability_rank_one_budget_skips():
@@ -585,6 +615,22 @@ def test_main_config_error_exit_two(capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, fragment", [
+    (["gauss", "--backend", "float", "--tolerance", "inf"], "tolerance"),
+    (["gauss", "--p", "2003", "--t-max", "2", "--n", "2", "--budget", "1000000000"],
+     "table budget"),
+    # the work estimate for this level has more digits than int() will print
+    (["gauss", "--t-max", "100000"], "table budget"),
+])
+def test_main_refuses_before_computing(monkeypatch, capsys, argv, fragment):
+    # each used to end otherwise: the first passed vacuously, the others
+    # raised TableBudgetError or ValueError as a traceback with exit 1
+    monkeypatch.setattr(cli, "run_suites", lambda *a: pytest.fail("a suite ran"))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and fragment in err
+
+
 def test_main_failure_exit_one(monkeypatch, capsys):
     def broken(cfg):
         return SuiteReport("gauss", [{"case": "wired", "status": "fail", "detail": "x"}])
@@ -648,6 +694,7 @@ def test_config_file_flags_win(tmp_path, capsys):
     ('{"p": 3, "n_list": "23"}', "rank"),
     ('[3]', "JSON object"),
     ('{not json', "cannot read"),
+    ('{"tolerance": Infinity}', "tolerance"),
 ])
 def test_config_file_rejections(tmp_path, capsys, payload, fragment):
     cfile = tmp_path / "run.json"

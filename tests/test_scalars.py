@@ -3,6 +3,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -78,6 +79,34 @@ def test_trace_weights_are_mean_root_powers():
             assert abs(mean - float(w)) < 1e-9, (N, i)
 
 
+def _radical(n):
+    return math.prod(q for q in range(2, n + 1)
+                     if n % q == 0 and all(q % d for d in range(2, math.isqrt(q) + 1)))
+
+
+@lru_cache(maxsize=None)
+def _powers_mod_cyclotomic(r):
+    """y^q mod Phi_r(y) for q in [0, r): multiply by y, then subtract the top
+    coefficient times the monic Phi_r."""
+    poly = list(cyclotomic_poly(r))
+    deg = len(poly) - 1
+    rows, cur = [], [1] + [0] * (deg - 1)
+    for _ in range(r):
+        rows.append(cur)
+        *cur, top = _int_poly_mul(cur, [0, 1])
+        if top:
+            cur = [c - top * f for c, f in zip(cur, poly)]
+    return rows
+
+
+def test_pow_rows_are_powers_mod_the_radical_cyclotomic():
+    for N in range(1, 401):
+        ctx = get_context(N)
+        rad = _radical(N)
+        assert (ctx.rad, ctx.K) == (rad, N // rad), N
+        assert ctx.pow_rows.tolist() == _powers_mod_cyclotomic(rad), N
+
+
 @pytest.mark.parametrize("N", [4, 8, 9, 27, 54, 100, 500, 2058])
 def test_context_degree(N):
     ctx = get_context(N)
@@ -88,6 +117,16 @@ def test_context_degree(N):
 # ---------------------------------------------------------------------------
 # roots of unity
 # ---------------------------------------------------------------------------
+
+
+RECOGNITION_ORDERS = [1, 5, 12, 54, 294, 500]
+
+
+@pytest.mark.parametrize("N", RECOGNITION_ORDERS)
+def test_root_of_unity_is_the_root_combination(N):
+    for e in range(N):
+        got, want = root_of_unity(e, N), EXACT.root_combination(N, {e: 1})
+        assert (got.N, got.num, got.den) == (want.N, want.num, want.den), e
 
 
 @pytest.mark.parametrize("N", [2, 3, 5, 8, 12, 54, 500])
@@ -297,10 +336,90 @@ def test_root_recognition_roundtrip(N):
             assert root_of_unity(ge, N) * gr == x
 
 
+def _sparse(x):
+    return tuple((i, c) for i, c in enumerate(x.num) if c)
+
+
+def _projectivize(sparse):
+    lead = Fraction(sparse[0][1])
+    return tuple((i, Fraction(c) / lead) for i, c in sparse)
+
+
+@lru_cache(maxsize=None)
+def _root_sparse_rows(N):
+    """z^e for every e mod N as ((index, coeff), ...): row q of pow_rows at the
+    indices jK + s, e = qK + s."""
+    ctx = get_context(N)
+    return [tuple((j * ctx.K + e % ctx.K, int(c))
+                  for j, c in enumerate(ctx.pow_rows[e // ctx.K]) if c) for e in range(N)]
+
+
+@lru_cache(maxsize=None)
+def _recognition_table(N):
+    """Projectivized sparse form of every z^e -> the least such e."""
+    table = {}
+    for e, row in enumerate(_root_sparse_rows(N)):
+        table.setdefault(_projectivize(row), e)
+    return table
+
+
+def _table_recognition(x):
+    """The oracle: as_root_times_rational by a lookup in a table of all N roots."""
+    sp = _sparse(x)
+    if not sp:
+        return None
+    e = _recognition_table(x.N).get(_projectivize(sp))
+    if e is None:
+        return None
+    row = _root_sparse_rows(x.N)[e]
+    if len(row) != len(sp):
+        return None
+    r = Fraction(sp[0][1], x.den) / row[0][1]
+    for (i, c), (ri, rc) in zip(sp, row):
+        if i != ri or Fraction(c, x.den) != r * rc:
+            return None
+    if r < 0 and x.N % 2 == 0:
+        e, r = (e + x.N // 2) % x.N, -r
+    return e % x.N, r
+
+
+@pytest.mark.parametrize("N", RECOGNITION_ORDERS)
+def test_recognition_matches_the_table_oracle(N):
+    # 2**70 keeps the coordinates in object dtype
+    for e in range(N):
+        for r in (Fraction(1), Fraction(-3, 4), Fraction(7), Fraction(2 ** 70)):
+            x = root_of_unity(e, N) * r
+            got = x.as_root_times_rational()
+            assert got == _table_recognition(x), (e, r)
+            ge, gr = got
+            assert root_of_unity(ge, x.N) * gr == x
+
+
+@pytest.mark.parametrize("N", [2500, 12500])
+def test_recognition_at_root_number_orders(N):
+    # orders where a table of all N roots was the expensive part
+    for e in (1, 17, N // 2 + 3, N - 1):
+        x = root_of_unity(e, N) * Fraction(-3, 4)
+        assert x.as_root_times_rational() == ((e + N // 2) % N, Fraction(3, 4))
+
+
 def test_recognition_rejects_non_monomials():
     x = root_of_unity(1, 5) + root_of_unity(2, 5)
     assert x.as_root_times_rational() is None
     assert _tau5().as_root_times_rational() is None
+    # support on two residues mod K = N / rad N
+    for N in (12, 54):
+        two = root_of_unity(1, N) + root_of_unity(2, N)
+        assert len({i % get_context(N).K for i, _c in _sparse(two)}) == 2
+        assert two.as_root_times_rational() is None
+    # one residue, proportional to no row: 1 + zeta_6 = sqrt(3) zeta_12
+    one = root_of_unity(0, 12) + root_of_unity(2, 12)
+    assert len({i % get_context(12).K for i, _c in _sparse(one)}) == 1
+    assert one.as_root_times_rational() is None
+    big = CycNumber.from_vec(5, np.array([2 ** 70, 1, 0, 0], dtype=object))
+    assert big.as_root_times_rational() is None
+    for x in (two, one, big, _tau5()):
+        assert _table_recognition(x) is None
 
 
 def test_proportionality_ratio():
