@@ -130,11 +130,13 @@ def _dual_scalar(s: ScaledScalar, backend: Backend) -> ScaledScalar:
     return ScaledScalar(backend.conjugate(s.coeff), s.qexp)
 
 
+@lru_cache(maxsize=64)
 def _standing_assumptions(pi: RepnData, z: PadicNumber):
     """Validate the regime every transform here lives in; return (n, t, omega).
 
     Each rejection names the specific condition that failed.  Every public
-    entry calls this once and passes the result on.
+    entry calls this once and passes the result on; the result is kept per
+    (pi, z), and a rejection raises again on every call.
     """
     if z.p != pi.p:
         raise ValueError("mixed primes: pi lives over p=%d, z over p=%d" % (pi.p, z.p))
@@ -171,6 +173,16 @@ def _prefactor_scalar(n: int, t: int, q: int, backend: Backend) -> ScaledScalar:
                            Fraction(t * ((n - 1) ** 2 - 2), 2))
 
 
+@lru_cache(maxsize=1024)
+def _dual_twisted_eps(pi: RepnData, chi: MultChar, backend: Backend) -> EpsMonomial:
+    """eps*(chi x pi): the twisted epsilon monomial with its coefficient
+    conjugated (the module's orientation transposition).  The profile and the
+    duality check both read it here, so each (pi, chi) is evaluated once while
+    a sweep over the characters of one level runs."""
+    eps = eps_rep_twisted(pi, chi, backend=backend)
+    return EpsMonomial(_dual_scalar(eps.value, backend), eps.xexp)
+
+
 @lru_cache(maxsize=64)
 def _charsum_profile(pi: RepnData, t: int, backend: Backend) -> dict:
     """chi.k -> eps*(chi^{-1}) eps*(chi x pi) over all chi of conductor exactly t.
@@ -183,9 +195,8 @@ def _charsum_profile(pi: RepnData, t: int, backend: Backend) -> dict:
     """
     coeffs = {}
     for chi in chars_with_conductor(pi.p, t):
-        e1 = eps_gl1(chi.inv(), backend=backend)
-        e2 = eps_rep_twisted(pi, chi, backend=backend)
-        coeffs[chi.k] = _dual_scalar(e1.value, backend) * _dual_scalar(e2.value, backend)
+        e1 = eps_gl1(chi.inv(), backend=backend).value
+        coeffs[chi.k] = _dual_scalar(e1, backend) * _dual_twisted_eps(pi, chi, backend).value
     return coeffs
 
 
@@ -367,8 +378,7 @@ def duality_check(pi: RepnData, z: PadicNumber, chi: MultChar,
     if backend.is_zero(g.coeff):
         zero = EpsMonomial(ScaledScalar.of(backend.zero()), -n * t)
         return DualityReport(chi, lhs, zero, True, lhs.value.is_zero_exact())
-    eps = eps_rep_twisted(pi, chi, backend=backend)
-    rhs = EpsMonomial(_dual_scalar(eps.value, backend), eps.xexp).reflect()
+    rhs = _dual_twisted_eps(pi, chi, backend).reflect()
     rhs = rhs.scale(g * chi.parity_sign() ** (n - 1))
     passed = lhs.equals(rhs, pi.p, backend)
     return DualityReport(chi, lhs, rhs, False, passed)

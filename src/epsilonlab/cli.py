@@ -44,6 +44,7 @@ from . import __version__
 from .bessel import bessel_charsum, bessel_closedform, duality_check, measure_prefactor
 from .characters import MultChar, enumerate_chars, trivial_char
 from .kloosterman import (
+    DEFAULT_BUDGET,
     BudgetError,
     KLQuery,
     build_gauss_table,
@@ -62,15 +63,12 @@ from .local_factors import (
     eps_rep_twisted,
     gauss_sum,
     gl1_stability_check,
-    root_number,
     stability_check,
     stability_rhs,
     steinberg,
 )
 from .padic import _TABLE_BUDGET, PadicNumber, is_odd_prime, phi, unit_group
 from .scalars import Backend, CycNumber, ScaledScalar, backend_for
-
-DEFAULT_BUDGET = 2_000_000
 
 
 class ConfigError(ValueError):
@@ -93,10 +91,10 @@ class RunConfig:
 
     Rejection happens up front: a run is refused unless p is an odd prime,
     p^t_max fits the unit-group table budget of padic, the float tolerance is
-    finite and positive, and the coarse work estimate max(phi, phi^(max(n)-1))
-    with phi = phi(p^t_max) fits under the budget.  The suites still re-check
-    their own finer per-case costs and skip (never silently truncate) whatever
-    does not fit.
+    finite and positive, and the coarse work estimate phi^e, one character
+    sweep phi = phi(p^t_max) raised to the largest rank e = max(max(n) - 1, 1),
+    fits under the budget.  The suites still re-check their own finer per-case
+    costs and skip (never silently truncate) whatever does not fit.
     """
 
     p: int = 5
@@ -107,11 +105,6 @@ class RunConfig:
     budget: int = DEFAULT_BUDGET
     out: Optional[str] = None
     csv: Optional[str] = None
-
-    def estimate(self) -> int:
-        """Dominant term count: one character sweep, raised to the largest rank."""
-        m = phi(self.p, self.t_max)
-        return max(m, m ** (max(self.n_list) - 1))
 
     def validate(self) -> None:
         if not _is_int(self.p) or not is_odd_prime(self.p):
@@ -137,13 +130,17 @@ class RunConfig:
             raise ConfigError(
                 "p^t_max = %d^%d exceeds the %d-entry unit-group table budget; "
                 "shrink p or t_max" % (self.p, self.t_max, _TABLE_BUDGET))
-        est = self.estimate()
-        if est > self.budget:
-            raise ConfigError(
-                "estimated work %d (phi(%d^%d)^%d terms) exceeds the budget %d; "
-                "raise --budget or shrink the ranges"
-                % (est, self.p, self.t_max, max(max(self.n_list) - 1, 1), self.budget)
-            )
+        # phi^e is built one factor at a time and never past the budget: a
+        # deep rank would otherwise make a number too long to print
+        m, e = phi(self.p, self.t_max), max(max(self.n_list) - 1, 1)
+        work = 1
+        for _ in range(e):
+            work *= m
+            if work > self.budget:
+                raise ConfigError(
+                    "estimated work phi(%d^%d)^%d = %d^%d terms exceeds the budget %d; "
+                    "raise --budget or shrink the ranges"
+                    % (self.p, self.t_max, e, m, e, self.budget))
 
     def make_backend(self) -> Backend:
         return backend_for(self.backend, self.tolerance)
@@ -267,9 +264,9 @@ def cmd_gauss(config: RunConfig) -> SuiteReport:
                      **inputs)
             continue
 
-        w = root_number(chi, backend)
+        e = eps_gl1(chi, backend=backend)
         entry = {"k": chi.k, "conductor": a, "parity": chi.parity_sign(),
-                 "W": _scaled_json(w)}
+                 "W": _scaled_json(e.value)}
         if a == 0:
             rows.add((chi.k, 1), "gauss %s modulus" % label, "skip",
                      "unramified character: no Gauss sum", **inputs)
@@ -282,7 +279,6 @@ def cmd_gauss(config: RunConfig) -> SuiteReport:
                      "pass" if ok else "fail", "|tau|^2 = q^%d" % a, **inputs)
         table.append(entry)
 
-        e = eps_gl1(chi, backend=backend)
         prod = e * eps_gl1(chi.inv(), backend=backend).reflect()
         want = EpsMonomial(ScaledScalar.of(backend.rational(chi.parity_sign())), 0)
         ok = prod.equals(want, p, backend)
@@ -347,21 +343,9 @@ def cmd_stability(config: RunConfig) -> SuiteReport:
     ramified = [chi for chi in pool if chi.conductor_exponent >= 1]
     out_of_regime = {"equal": 0, "unequal": 0, "incomparable": 0, "skipped": 0}
     rep_counts = {}
-    # conductor a -> (table, the table rows of the ramified chi of conductor a
-    # in sweep order); ramified[i] sits at position slot[i] of its rows.  Every
-    # rank shares these tables, so each certificate column is tabulated once.
-    tables: dict = {}
-    slot = []
-    if backend.exact:
-        for chi in ramified:
-            a_chi = chi.conductor_exponent
-            if a_chi not in tables:
-                tables[a_chi] = (CertificateTable(p, a_chi), [])
-            table, table_rows = tables[a_chi]
-            slot.append(len(table_rows))
-            table_rows.append(table.index_of(chi))
-        tables = {a: (table, np.array(table_rows, dtype=np.int64))
-                  for a, (table, table_rows) in tables.items()}
+    # conductor a -> its table.  Every rank shares these tables, so each
+    # certificate column is tabulated once.
+    tables = {a: CertificateTable(p, a) for a in range(1, t + 1)} if backend.exact else {}
 
     for n in sorted(set(config.n_list)):
         if n == 1:
@@ -400,10 +384,10 @@ def cmd_stability(config: RunConfig) -> SuiteReport:
             # has size 1 and is the only one; if a(tau) reaches a, every other
             # block is the trivial character and pi = tau + 1^{n-1}, which the
             # structural shortcut answers.
-            verdicts = {a: table.check_pairs(pi, table_rows)
-                        for a, (table, table_rows) in tables.items()
+            verdicts = {a: table.check_pairs(pi, np.arange(len(table.row_ks)))
+                        for a, table in tables.items()
                         if a >= max(a_pi, 1) and (n + 1) * phi(p, a) <= config.budget}
-            for i, chi in enumerate(ramified):
+            for chi in ramified:
                 a_chi = chi.conductor_exponent
                 inputs = {"p": p, "n": n, "pi": pi_json, "a_pi": a_pi,
                           "chi_k": chi.k, "chi_conductor": a_chi}
@@ -419,7 +403,8 @@ def cmd_stability(config: RunConfig) -> SuiteReport:
                         out_of_regime["skipped"] += 1
                     continue
                 if in_regime:
-                    holds = bool(verdicts[a_chi][slot[i]]) if backend.exact else True
+                    holds = (bool(verdicts[a_chi][tables[a_chi].index_of(chi)])
+                             if backend.exact else True)
                     if not backend.exact or not holds or asserted % STRIDE == 0:
                         res = stability_check(pi, chi, backend)
                         holds = holds and res.holds
@@ -471,28 +456,27 @@ def cmd_kloosterman(config: RunConfig) -> SuiteReport:
             continue
         for t in range(1, config.t_max + 1):
             ug = unit_group(p, t)
-            table = None
+            # every case of one (n, t) has the same grid and the same table;
+            # the last instance's table is dropped before this one is built
+            cost = direct_term_count(KLQuery(trivial_char(p), n, 1, t))
+            skip = table = None
+            if cost > config.budget:
+                skip = "direct grid has %d terms, over budget %d" % (cost, config.budget)
+            else:
+                try:
+                    table = build_gauss_table(p, t, backend=backend, budget=config.budget)
+                except BudgetError as err:
+                    skip = str(err)
             ran = 0
-            first_sample = True
             for omega in enumerate_chars(p, t):
                 for y in ug.units():
                     y = int(y)
-                    query = KLQuery(omega, n, y, t)
                     inputs = {"p": p, "n": n, "t": t, "omega_k": omega.k, "y": y}
                     case_id = "kloosterman n=%d t=%d omega[k=%d] y=%d" % (n, t, omega.k, y)
-                    cost = direct_term_count(query)
-                    if cost > config.budget:
-                        rows.add((n, t, omega.k, y), case_id, "skip",
-                                 "direct grid has %d terms, over budget %d" % (cost, config.budget),
-                                 **inputs)
+                    if skip:
+                        rows.add((n, t, omega.k, y), case_id, "skip", skip, **inputs)
                         continue
-                    if table is None:
-                        try:
-                            table = build_gauss_table(p, t, backend=backend,
-                                                      budget=config.budget)
-                        except BudgetError as err:
-                            rows.add((n, t, omega.k, y), case_id, "skip", str(err), **inputs)
-                            continue
+                    query = KLQuery(omega, n, y, t)
                     v_direct = kl_direct(query, backend, term_budget=config.budget)
                     v_dft = kl_via_dft(query, table)
                     ok = backend.eq(v_direct, v_dft)
@@ -501,12 +485,11 @@ def cmd_kloosterman(config: RunConfig) -> SuiteReport:
                         detail += ": direct %s dft %s" % (_value_json(v_direct), _value_json(v_dft))
                     rows.add((n, t, omega.k, y), case_id, "pass" if ok else "fail",
                              detail, **inputs)
-                    ran += 1
-                    if first_sample:
+                    if not ran:
                         value = _value_json(v_direct)
                         samples.append(dict(query.to_json(), value_exact_repr=value["exact"],
                                             value_complex=value["complex"], algorithm="direct"))
-                        first_sample = False
+                    ran += 1
             instances.append({"n": n, "t": t, "twists": ug.order, "units": ug.order,
                               "cases_run": ran})
 
@@ -534,7 +517,9 @@ def cmd_bessel(config: RunConfig) -> SuiteReport:
     """Per rank n: duality_check at every character of level t_max against a
     canonical probe representation, then the closed-form collapse with the
     measured constant at every point of the support shell, plus the
-    prefactor report (measured exactly regardless of the configured backend)."""
+    prefactor report (measured exactly regardless of the configured backend).
+    A rank whose closed-form Kloosterman sums exceed the engine's default
+    budget gets one skip row in place of its closed-form rows, and no report."""
     t0 = time.perf_counter()
     backend = config.make_backend()
     p, t = config.p, config.t_max
@@ -574,7 +559,13 @@ def cmd_bessel(config: RunConfig) -> SuiteReport:
                      p=p, n=n, t=t, k=chi.k, conductor=chi.conductor_exponent)
         extras["duality"].append({"n": n, "characters": m, "vanishing": vanishing})
 
-        pf = measure_prefactor(pi, z)
+        try:
+            pf = measure_prefactor(pi, z)
+        except BudgetError as err:
+            # the closed form's Kloosterman sums run at the engine's own cap
+            rows.add((n, 2, 0), "bessel n=%d closedform" % n, "skip", str(err),
+                     p=p, n=n, t=t)
+            continue
         extras["prefactor_reports"].append(pf.to_json())
 
         for y0 in unit_group(p, t).units():

@@ -57,7 +57,7 @@ from .scalars import (EXACT, Backend, Scalar, _lifted_stack, _shifted_stack_sums
                       _stacked_products, shifted_root_sums)
 
 
-DEFAULT_TERM_BUDGET = 2_000_000
+DEFAULT_BUDGET = 2_000_000  # the work budget of one case, in terms or operations
 
 
 class BudgetError(RuntimeError):
@@ -156,19 +156,17 @@ def _direct_row(p: int, t: int, n: int, k: int, backend: Backend) -> tuple:
 def kl_direct(
     query: KLQuery,
     backend: Backend = EXACT,
-    term_budget: Optional[int] = DEFAULT_TERM_BUDGET,
+    term_budget: Optional[int] = DEFAULT_BUDGET,
 ) -> Scalar:
     """KL_{omega,n}(y; t) straight from the definition: one entry of the
     twist's direct row, which is counted over the whole unit grid once and
     kept while the next few rows are computed."""
-    p, t, n = query.p, query.t, query.n
-    ug = unit_group(p, t)
-    m = ug.order
-    if term_budget is not None and m ** (n - 1) > term_budget:
-        raise BudgetError(
-            "direct sum has %d terms, budget is %d" % (m ** (n - 1), term_budget))
+    terms = direct_term_count(query)
+    if term_budget is not None and terms > term_budget:
+        raise BudgetError("direct sum has %d terms, budget is %d" % (terms, term_budget))
+    p, t = query.p, query.t
     k = represent_at_level(query.omega, t).k
-    return _direct_row(p, t, n, k, backend)[ug.dlog(query.y)]
+    return _direct_row(p, t, query.n, k, backend)[unit_group(p, t).dlog(query.y)]
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +183,6 @@ class GaussTable:
     t: int
     values: tuple
     backend: Backend
-    _powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # exponent e -> (tau_t(chi_k)^e for every k as an integer stack in Q(zeta_N), denominator)
     _stacks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # (omega exponent k at level t, n) -> the kl_row of that twist
@@ -199,21 +196,14 @@ class GaussTable:
     def _N(self) -> int:
         return math.lcm(self.p ** self.t, self.order)
 
-    def powers(self, e: int) -> tuple:
-        """tau_t(chi_k)^e for every k, computed once per table and exponent."""
-        hit = self._powers.get(e)
-        if hit is None:
-            hit = self._powers[e] = tuple(v ** e for v in self.values)
-        return hit
-
     def _stack(self, e: int) -> tuple:
-        """tau_t(chi_k)^e for every k, lifted once per table and exponent to
-        Q(zeta_N), N = lcm(p^t, m), as rows of canonical coordinates over one
-        common denominator."""
+        """tau_t(chi_k)^e for every k, raised and lifted once per table and
+        exponent to Q(zeta_N), N = lcm(p^t, m), as rows of canonical
+        coordinates over one common denominator."""
         hit = self._stacks.get(e)
         if hit is None:
             hit = self._stacks[e] = _lifted_stack(
-                self.values if e == 1 else self.powers(e), self._N)
+                self.values if e == 1 else [v ** e for v in self.values], self._N)
         return hit
 
 
@@ -221,7 +211,7 @@ def build_gauss_table(
     p: int,
     t: int,
     backend: Backend = EXACT,
-    budget: int = 10 ** 7,
+    budget: int = DEFAULT_BUDGET,
 ) -> GaussTable:
     """tau_t(chi) for every level-t character chi.
 
@@ -264,8 +254,7 @@ def kl_row(omega: MultChar, n: int, table: GaussTable) -> tuple:
         A = _stacked_products(np.roll(X, -k_om, axis=0), Y, table._N)
         row = _shifted_stack_sums(A, -ks, m, table.backend, ks, den=m * dx * dy)
     else:
-        tau_n1 = table.powers(n - 1)
-        A = [table.values[(k + k_om) % m] * tau_n1[k] for k in range(m)]
+        A = [table.values[(k + k_om) % m] * table.values[k] ** (n - 1) for k in range(m)]
         row = shifted_root_sums(A, -ks, m, table.backend, den=m)
     table._rows[k_om, n] = row
     return row

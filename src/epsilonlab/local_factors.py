@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -222,9 +222,19 @@ class Block:
 
 @dataclass(frozen=True)
 class RepnData:
-    """A representation given by its blocks, stored largest-shift-first."""
+    """A representation given by its blocks, stored largest-shift-first.
+
+    dim and conductor_exponent are read from the blocks once, at construction.
+    """
 
     blocks: tuple[Block, ...]
+    dim: int = field(init=False, repr=False, compare=False)
+    conductor_exponent: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "dim", sum(b.size for b in self.blocks))
+        object.__setattr__(self, "conductor_exponent",
+                           sum(b.conductor_contribution for b in self.blocks))
 
     @staticmethod
     def of(*blocks: Block) -> "RepnData":
@@ -239,14 +249,6 @@ class RepnData:
     @property
     def p(self) -> int:
         return self.blocks[0].tau.p
-
-    @property
-    def dim(self) -> int:
-        return sum(b.size for b in self.blocks)
-
-    @property
-    def conductor_exponent(self) -> int:
-        return sum(b.conductor_contribution for b in self.blocks)
 
     def central_char(self) -> QuasiChar:
         fin = trivial_char(self.p)

@@ -320,6 +320,19 @@ def test_duality_fails_where_only_the_integral_vanishes(monkeypatch, backend):
     assert rep.both_vanish and not rep.passed
 
 
+@pytest.mark.parametrize("backend", [EXACT, FLOAT], ids=["exact", "float"])
+def test_duality_fails_where_only_the_integral_survives(monkeypatch, backend):
+    # an integral that survives at a(chi) != t, where the Mellin side is the
+    # exact zero, is a reported failure
+    pi, z = steinberg(trivial_char(3), 3), zvec(3, 2)
+    chi = MultChar(3, 3, 1)  # conductor 3 > t
+    monkeypatch.setattr(bessel, "gauss_integral",
+                        lambda *args: ScaledScalar.of(backend.one()))
+    rep = duality_check(pi, z, chi, backend)
+    assert not rep.both_vanish and not rep.passed
+    assert rep.lhs.value.is_zero_exact() and not rep.rhs.value.is_zero_exact()
+
+
 def test_duality_nonvanishing_branch_has_matching_exponents():
     p, pi = PI_N3[0]
     t = pi.conductor_exponent

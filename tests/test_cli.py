@@ -15,9 +15,10 @@ from fractions import Fraction
 
 import pytest
 
-from epsilonlab import cli
+from epsilonlab import bessel, cli
 from epsilonlab.characters import MultChar, chars_with_conductor, v_chi
-from epsilonlab.scalars import CycNumber
+from epsilonlab.local_factors import RepnData, enumerate_reps, stability_check
+from epsilonlab.scalars import EXACT, CycNumber
 from epsilonlab.cli import (
     ConfigError,
     RunConfig,
@@ -75,6 +76,9 @@ def config(**kw) -> RunConfig:
     ({"p": 2003, "t_max": 2, "n_list": (2,), "budget": 10 ** 9}, "table budget"),
     ({"p": 3, "t_max": 14, "budget": 10 ** 9}, "table budget"),  # 3^14 = 4,782,969
     ({"t_max": 10 ** 9}, "table budget"),
+    # phi(25)^2999 has 3,900 digits: the refusal names the base and the exponent
+    ({"n_list": (3000,)},
+     r"^estimated work phi\(5\^2\)\^2999 = 20\^2999 terms exceeds the budget"),
 ])
 def test_config_rejections(kw, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -94,7 +98,10 @@ def test_config_defaults_validate():
     (7, 1, (2,), 6),
 ])
 def test_config_estimate(p, t, ns, want):
-    assert RunConfig(p=p, t_max=t, n_list=ns).estimate() == want
+    # the estimate is exactly want: a budget of want passes, one less is refused
+    config(p=p, t_max=t, n_list=ns, budget=want)
+    with pytest.raises(ConfigError, match="exceeds the budget %d;" % (want - 1)):
+        RunConfig(p=p, t_max=t, n_list=ns, budget=want - 1).validate()
 
 
 def test_budget_boundary_is_inclusive():
@@ -312,6 +319,31 @@ def test_stability_certificate_rejection_fails_with_direct_detail(tmp_path, caps
     assert row["pi"] == calls[0].describe()
 
 
+def test_stability_verdict_is_read_at_the_characters_row(tmp_path, capsys, monkeypatch):
+    # a false verdict at the row of one chi fails that (pi, chi) case and no
+    # other: a verdict read at any other position would move the failure
+    reps = [pi for pi in enumerate_reps(5, 2, 2) if pi.dim == 2]
+    pi_bad, chi_bad = reps[len(reps) // 2], chars_with_conductor(5, 2)[7]
+    original = cli.CertificateTable.check_pairs
+
+    def rejects_one_row(table, pi, rows):
+        verdict = original(table, pi, rows)
+        if pi == pi_bad and table.a == 2:
+            verdict = verdict.copy()
+            verdict[rows == table.index_of(chi_bad)] = False
+        return verdict
+    monkeypatch.setattr(cli.CertificateTable, "check_pairs", rejects_one_row)
+    code, failures = _fail_lines(tmp_path, capsys,
+                                 ["stability", "--p", "5", "--t-max", "2", "--n", "2"])
+    assert code == 1
+    (row,) = failures
+    assert (row["pi"], row["chi_k"]) == (pi_bad.describe(), chi_bad.k)
+    res = stability_check(pi_bad, chi_bad, EXACT)
+    assert res.holds  # the direct engine disagrees, and its monomials are reported
+    assert row["detail"].endswith("; lhs %s rhs %s" % (
+        cli._monomial_json(res.lhs), cli._monomial_json(res.rhs)))
+
+
 def test_stability_direct_rejection_on_the_cross_slice_fails(tmp_path, capsys,
                                                              monkeypatch):
     original = cli.stability_check
@@ -439,6 +471,48 @@ def test_bessel_budget_skip():
     assert rep.passed
     assert len(rep.cases) == 1
     assert "over budget 30" in rep.skips[0]["detail"]
+
+
+def test_bessel_closed_form_over_the_engine_budget_skips(tmp_path, capsys):
+    # the closed form's KL_{omega^{-1}, 5}( . ; 4) grid has 54^4 terms: over
+    # the Kloosterman engine's own cap, which --budget does not move.  It used
+    # to end in a BudgetError traceback.
+    out = tmp_path / "r.json"
+    assert main(["bessel", "--p", "3", "--t-max", "4", "--n", "6",
+                 "--budget", str(10 ** 9), "--out", str(out)]) == 0
+    capsys.readouterr()
+    (suite,) = json.loads(out.read_text())["suites"]
+    (skip,) = suite["skips"]
+    assert (skip["case"], skip["detail"]) == (
+        "bessel n=6 closedform", "direct sum has %d terms, budget is 2000000" % 54 ** 4)
+    assert suite["extras"]["prefactor_reports"] == []
+    # the rank's duality rows still run, one per character at level 4
+    assert suite["cases_run"] == 55 and suite["passes"] == 54
+
+
+def test_bessel_evaluates_each_regime_and_twisted_factor_once(monkeypatch):
+    for cached in (bessel._standing_assumptions, bessel._dual_twisted_eps,
+                   bessel._charsum_profile, bessel._charsum_row):
+        cached.cache_clear()
+    twisted, central = Counter(), Counter()
+    real_eps, real_central = bessel.eps_rep_twisted, RepnData.central_char
+
+    def counted_eps(pi, chi, backend):
+        twisted[pi, chi] += 1
+        return real_eps(pi, chi, backend=backend)
+
+    def counted_central(pi):
+        central[pi] += 1
+        return real_central(pi)
+    monkeypatch.setattr(bessel, "eps_rep_twisted", counted_eps)
+    monkeypatch.setattr(RepnData, "central_char", counted_central)
+    rep = cmd_bessel(config(p=5, t_max=2, n_list=(2, 3)))
+    assert rep.failures == [] and rep.skips == []
+    probes = [cli._bessel_pi(5, n) for n in (2, 3)]
+    assert central == Counter(probes)
+    # the profile and the duality check share one eps(chi x pi) per character
+    assert twisted == Counter(
+        (pi, chi) for pi in probes for chi in chars_with_conductor(5, 2))
 
 
 def test_bessel_float_same_verdicts():
@@ -621,6 +695,8 @@ def test_main_config_error_exit_two(capsys):
      "table budget"),
     # the work estimate for this level has more digits than int() will print
     (["gauss", "--t-max", "100000"], "table budget"),
+    # and so has the one for this rank
+    (["gauss", "--n", "100000"], "exceeds the budget"),
 ])
 def test_main_refuses_before_computing(monkeypatch, capsys, argv, fragment):
     # each used to end otherwise: the first passed vacuously, the others

@@ -11,7 +11,7 @@ import re
 import numpy as np
 import pytest
 
-from epsilonlab import kloosterman
+from epsilonlab import cli, kloosterman
 from epsilonlab.characters import MultChar, trivial_char
 from epsilonlab.kloosterman import (
     BudgetError,
@@ -143,6 +143,25 @@ def test_cli_budget_skip_rows_unchanged():
         "direct grid (4 terms) vs character table", "direct grid (16 terms) vs character table"}
     text = json.dumps(rep.cases, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == KL_BUDGET_ROWS_SHA256
+
+
+# sha256 of the case rows of `kloosterman --p 5 --t-max 2 --n 2 --budget 399`,
+# recorded while the suite still built the Gauss table lazily, once per case:
+# the table at t = 2 needs 400 operations, so all 400 cases there are skips.
+KL_TABLE_SKIP_ROWS_SHA256 = "14a6d4dd25bb2ab3515ca8df62aa07b5f543627c97fe97d13237d88c321e2a82"
+
+
+def test_cli_builds_one_gauss_table_per_instance(monkeypatch):
+    builds = []
+    real = cli.build_gauss_table
+    monkeypatch.setattr(cli, "build_gauss_table",
+                        lambda p, t, **kw: builds.append((p, t)) or real(p, t, **kw))
+    rep = cmd_kloosterman(RunConfig(p=5, t_max=2, n_list=(2,), budget=399))
+    assert builds == [(5, 1), (5, 2)]  # one per (n, t), the refused one too
+    assert len(rep.skips) == 400 and {c["detail"] for c in rep.skips} == {
+        "Gauss table needs 400 operations, budget is 399"}
+    text = json.dumps(rep.cases, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == KL_TABLE_SKIP_ROWS_SHA256
 
 
 @functools.lru_cache(maxsize=None)
@@ -374,7 +393,7 @@ def test_powers_computed_once_per_table(monkeypatch):
     for om in level_chars(5, 2):
         kl_row(om, 3, table)
     assert calls == [2] * table.order  # one tau^2 per character, shared by every omega
-    assert table.powers(2) is table.powers(2)
+    assert table._stack(2) is table._stack(2)
     assert build_gauss_table(5, 2) == table  # the memo is not part of the value
 
 
