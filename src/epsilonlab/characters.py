@@ -1,12 +1,15 @@
 """Multiplicative characters of Q_p^x and their invariants.
 
 A finite-order character is pinned down by a level t and an exponent k: on units
-it sends the fixed generator g of (Z/p^t)^x to zeta_{phi(p^t)}^k, and it is
-normalized to send p itself to 1 (the unramified part of a general character is
-split off as a formal |.|^s shift, see QuasiChar).  The conductor exponent
-a(chi), the least a >= 1 with chi trivial on 1 + p^a Z_p (0 for the trivial
-character), is computed from k, not stored, so it can never go stale.  The
-subgroup 1 + p^a of (Z/p^t)^x is generated by g^{(p-1) p^{a-1}}, so chi is
+it sends g, the least primitive root mod p, which generates (Z/p^t)^x at every
+level (see padic.UnitGroup), to zeta_{phi(p^t)}^k, and it sends p to 1 (the
+unramified part of a general character is split off as a formal |.|^s shift,
+see QuasiChar).  So the angle k/phi(p^t) is the same at every level: one
+level up multiplies k by p, and one level down divides it by p, which is
+exact exactly when chi factors through the lower level.  The conductor
+exponent a(chi), the least a >= 1 with chi trivial on 1 + p^a Z_p (0 for the
+trivial character), is computed from k, not stored, so it can never go stale.
+The subgroup 1 + p^a of (Z/p^t)^x is generated by g^{(p-1) p^{a-1}}, so chi is
 trivial there exactly when p^{t-a} divides k; hence
 
     a(chi) = 0 if k = 0 mod phi(p^t), else max(t - v_p(k), 1).
@@ -77,10 +80,8 @@ class MultChar:
             raise ValueError("cannot lower the presentation level; build a new character")
         if level == self.level:
             return self
-        # chi at the new level sends its generator g to chi(g mod p^level),
-        # zeta_{m_small}^{k e0}; as an angle that is k e0 (m_big / m_small) / m_big
-        e0 = _generator_dlog(self.p, self.level, level)
-        return MultChar(self.p, level, self.k * e0 * (phi(self.p, level) // self.group_order))
+        # one generator at every level: the angle k / m keeps its value
+        return MultChar(self.p, level, self.k * (phi(self.p, level) // self.group_order))
 
     def mul(self, other: "MultChar") -> "MultChar":
         if other.p != self.p:
@@ -97,12 +98,6 @@ class MultChar:
 
     def to_json(self) -> dict:
         return {"p": self.p, "level": self.level, "k": self.k}
-
-
-@lru_cache(maxsize=256)
-def _generator_dlog(p: int, level: int, new_level: int) -> int:
-    """dlog at `level` of the generator of the units mod p^new_level."""
-    return unit_group(p, level).dlog(unit_group(p, new_level).gen % p ** level)
 
 
 @lru_cache(maxsize=None)
@@ -149,20 +144,20 @@ def _conductor_chars(p: int, a: int) -> tuple[MultChar, ...]:
 
 
 def represent_at_level(chi: MultChar, level: int) -> MultChar:
-    """The same character of Q_p^x presented at the given level (>= its conductor)."""
+    """The same character of Q_p^x presented at the given level (>= its conductor).
+
+    chi(g) = zeta_m^k keeps its angle at every level, so going up is induce and
+    going down divides k by p^(chi.level - level); that division is exact
+    exactly when a(chi) <= level, and otherwise the character is refused.
+    """
     if chi.level == level:
         return chi
     if chi.level < level:
         return chi.induce(level)
-    if chi.conductor_exponent > level:
+    step = chi.p ** (chi.level - level)
+    if chi.k % step:
         raise ValueError("character does not factor through level %d" % level)
-    # values on units mod p^level determine it; read k off the generator
-    ug = unit_group(chi.p, level)
-    e = chi.value_exponent(ug.gen)
-    m_small, m_big = ug.order, chi.group_order
-    if e * m_small % m_big:
-        raise ArithmeticError("conductor bookkeeping violated while lowering level")
-    return MultChar(chi.p, level, e * m_small // m_big)
+    return MultChar(chi.p, level, chi.k // step)
 
 
 # ---------------------------------------------------------------------------

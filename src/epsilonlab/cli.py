@@ -67,8 +67,9 @@ from .local_factors import (
     stability_rhs,
     steinberg,
 )
-from .padic import _TABLE_BUDGET, PadicNumber, is_odd_prime, phi, unit_group
-from .scalars import Backend, CycNumber, ScaledScalar, backend_for
+from .padic import PadicNumber, is_odd_prime, phi, unit_group
+from .scalars import (_TABLE_BUDGET, Backend, CycNumber, ScaledScalar, _rewrite_table_size,
+                      backend_for)
 
 
 class ConfigError(ValueError):
@@ -90,10 +91,10 @@ class RunConfig:
     """Shared knobs for every suite; call validate() before running anything.
 
     Rejection happens up front: a run is refused unless p is an odd prime,
-    p^t_max fits the unit-group table budget of padic, the float tolerance is
-    finite and positive, and the coarse work estimate phi^e, one character
-    sweep phi = phi(p^t_max) raised to the largest rank e = max(max(n) - 1, 1),
-    fits under the budget.  The suites still re-check their own finer per-case
+    p^t_max and the rewrite table of its cyclotomic fields fit the table
+    budget of scalars, the float tolerance is finite and positive, and the
+    coarse work estimate phi^e, one character sweep phi = phi(p^t_max) raised
+    to the largest rank e = max(max(n) - 1, 1), fits under the budget.  The suites still re-check their own finer per-case
     costs and skip (never silently truncate) whatever does not fit.
     """
 
@@ -107,8 +108,10 @@ class RunConfig:
     csv: Optional[str] = None
 
     def validate(self) -> None:
-        if not _is_int(self.p) or not is_odd_prime(self.p):
-            raise ConfigError("p must be an odd prime, got %r" % (self.p,))
+        # p^t >= p passes the table budget from p on: no trial division of a huge p
+        if not _is_int(self.p) or self.p > _TABLE_BUDGET or not is_odd_prime(self.p):
+            raise ConfigError("p must be an odd prime within the %d-entry table budget, "
+                              "got %r" % (_TABLE_BUDGET, self.p))
         if not _is_int(self.t_max) or self.t_max < 1:
             raise ConfigError("t_max must be an integer >= 1, got %r" % (self.t_max,))
         if not isinstance(self.n_list, (list, tuple)):
@@ -130,6 +133,10 @@ class RunConfig:
             raise ConfigError(
                 "p^t_max = %d^%d exceeds the %d-entry unit-group table budget; "
                 "shrink p or t_max" % (self.p, self.t_max, _TABLE_BUDGET))
+        size = _rewrite_table_size(self.p * (self.p - 1))  # every field has rad p rad(p - 1)
+        if size > _TABLE_BUDGET:
+            raise ConfigError("p = %d needs a %d-entry cyclotomic rewrite table, over the "
+                              "%d-entry budget" % (self.p, size, _TABLE_BUDGET))
         # phi^e is built one factor at a time and never past the budget: a
         # deep rank would otherwise make a number too long to print
         m, e = phi(self.p, self.t_max), max(max(self.n_list) - 1, 1)
@@ -686,7 +693,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         try:
             with open(args.config) as fh:
                 loaded = json.load(fh)
-        except (OSError, json.JSONDecodeError) as err:
+        except (OSError, ValueError) as err:
             raise ConfigError("cannot read config file %s: %s" % (args.config, err))
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object of settings")

@@ -52,7 +52,7 @@ import numpy as np
 
 from .characters import MultChar, represent_at_level
 from .local_factors import _gauss_sum_at_level
-from .padic import unit_group
+from .padic import phi, unit_group
 from .scalars import (EXACT, Backend, Scalar, _lifted_stack, _shifted_stack_sums,
                       _stacked_products, shifted_root_sums)
 
@@ -105,8 +105,7 @@ class KLQuery:
 
 def direct_term_count(query: KLQuery) -> int:
     """Grid size of the direct evaluation."""
-    m = unit_group(query.p, query.t).order
-    return m ** (query.n - 1)
+    return phi(query.p, query.t) ** (query.n - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -123,17 +122,14 @@ def _direct_profile(p: int, t: int, n: int):
     so that omega(x_1) = z^{k d_1 N/m} for the twist of exponent k.  Last
     come the units g^d mod p^t in dlog order.  A row only counts points, so
     grid order is free."""
-    ug = unit_group(p, t)
-    m = ug.order
+    by_dlog = unit_group(p, t).powers  # g^d mod p^t
+    m = len(by_dlog)
     N = math.lcm(p ** t, m)
-    units = ug.units()
-    by_dlog = np.empty(m, dtype=np.int64)  # g^d mod p^t
-    by_dlog[ug.dlog_table()[units]] = units
     d = np.indices((m,) * (n - 1)).reshape(n - 1, -1)
     s_exp = by_dlog[d].sum(axis=0) % p ** t * (N // p ** t)
     inv_dlog = -d.sum(axis=0) % m
     x1_exp = d[0] * (N // m)
-    for arr in (s_exp, inv_dlog, x1_exp, by_dlog):
+    for arr in (s_exp, inv_dlog, x1_exp):
         arr.setflags(write=False)
     return s_exp, inv_dlog, x1_exp, by_dlog
 
@@ -146,7 +142,7 @@ def _direct_row(p: int, t: int, n: int, k: int, backend: Backend) -> tuple:
     KL(y) = sum_j zeta_{p^t}^{v_j y} P_j is the block shift of those unreduced
     count vectors, reduced in one batch.  Only the last few rows are kept:
     callers run through every y of one twist in a row."""
-    m = unit_group(p, t).order
+    m = phi(p, t)
     N = math.lcm(p ** t, m)
     s_exp, inv_dlog, x1_exp, by_dlog = _direct_profile(p, t, n)
     P = np.bincount(inv_dlog * N + (s_exp + k * x1_exp) % N, minlength=m * N)
@@ -219,7 +215,7 @@ def build_gauss_table(
     x mod p^t of chi(x) zeta_{p^t}^x, so the table shares one cache with the
     root numbers.  The tests compare it with that sum written out term by term.
     """
-    m = unit_group(p, t).order
+    m = phi(p, t)
     if m * m > budget:
         raise BudgetError("Gauss table needs %d operations, budget is %d" % (m * m, budget))
     return GaussTable(p, t, tuple(_gauss_sum_at_level(p, k, t, backend) for k in range(m)),

@@ -82,10 +82,10 @@ def gauss_sum(chi: MultChar, backend: Backend = EXACT):
 def _gauss_sum_at_level(p: int, k: int, t: int, backend: Backend):
     """The sum over units x mod p^t of chi(x) zeta_{p^t}^x, for the character
     chi(g) = zeta_m^k presented at level t: keyed by the character, so every
-    presentation of one character shares one entry."""
+    presentation of one character shares one entry.  The units are read as
+    x = g^d in dlog order, so chi(x) = zeta_m^{k d}."""
     ug = unit_group(p, t)
-    units = ug.units()
-    return backend.root_sum(p ** t, units, ug.order, k * ug.dlog_table()[units])
+    return backend.root_sum(p ** t, ug.powers, ug.order, k * np.arange(ug.order))
 
 
 def root_number(chi: MultChar, backend: Backend = EXACT) -> ScaledScalar:
@@ -420,14 +420,11 @@ class CertificateTable:
 
     def _exponents_uncached(self, mu_s: MultChar, s: int) -> np.ndarray:
         p, a, M = self.p, self.a, self.M
-        ug_s = unit_group(p, s)
-        cs = [int(c) for c in ug_s.units()]
-        m_s = ug_s.order
-        mu_exps = np.array([(-mu_s.value_exponent(c)) % m_s for c in cs], dtype=np.int64)
-        w_dlogs = np.array(
-            [self._ug.dlog((1 + c * p ** (a - s)) % self.modulus) for c in cs],
-            dtype=np.int64,
-        )
+        # the units c = g^d mod p^s in dlog order, so mu^{-1}(c) = zeta_{m_s}^{-k d}
+        cs = unit_group(p, s).powers
+        m_s = len(cs)
+        mu_exps = -mu_s.k * np.arange(m_s) % m_s
+        w_dlogs = self._ug.dlog_table()[(1 + cs * p ** (a - s)) % self.modulus]
         # exponents in zeta_M of the terms of D(chi): rows chi, cols c
         E = (self.row_ks[:, None] * w_dlogs[None, :] + (M // m_s) * mu_exps[None, :]) % M
         # 1 + c p^{a-s} has order dividing p^s and mu^{-1}(c) is an m_s-th root,

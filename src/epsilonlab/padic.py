@@ -16,24 +16,11 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .scalars import EXACT, Backend, Rational, _prime_factors
-
-_TABLE_BUDGET = 4_000_000  # max residues in one dlog table
-
-
-class TableBudgetError(ValueError):
-    """A requested residue table would be too large to build honestly."""
+from .scalars import _TABLE_BUDGET, EXACT, Backend, Rational, TableBudgetError, _prime_factors
 
 
 def is_odd_prime(p: int) -> bool:
-    if p < 3 or p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
+    return p > 2 and _prime_factors(p) == [p]
 
 
 def phi(p: int, a: int) -> int:
@@ -116,9 +103,13 @@ class PadicNumber:
 
 
 class UnitGroup:
-    """(Z/p^t)^x for odd p: cyclic of order phi(p^t), with a full dlog table.
+    """(Z/p^t)^x for odd p: cyclic of order m = phi(p^t), generated at every level
+    by the least primitive root g mod p, with powers[d] = g^d mod p^t for
+    d < m (read-only) and the dlog table that inverts it.
 
-    The generator is the smallest one, so tables are reproducible run to run.
+    g generates every level when g^(p-1) != 1 mod p^2 (Ireland and Rosen, ch.
+    4), which holds for every p <= 1999, the p whose level-2 table fits the
+    budget; so g is the least generator mod p^t wherever the table fits.
     """
 
     def __init__(self, p: int, t: int):
@@ -134,22 +125,18 @@ class UnitGroup:
         self.p = p
         self.t = t
         self.modulus = mod
-        self.order = phi(p, t)
-        self.gen = self._find_generator()
-        table = np.full(mod, -1, dtype=np.int64)
-        cur = 1
-        for k in range(self.order):
-            table[cur] = k
-            cur = cur * self.gen % mod
-        self._dlog = table
-
-    def _find_generator(self) -> int:
-        checks = [self.order // ell for ell in _prime_factors(self.order)]
-        g = 2
-        while True:
-            if g % self.p != 0 and all(pow(g, c, self.modulus) != 1 for c in checks):
-                return g
-            g += 1
+        self.order = m = phi(p, t)
+        checks = [(p - 1) // ell for ell in _prime_factors(p - 1)]
+        self.gen = next(g for g in range(2, p) if all(pow(g, c, p) != 1 for c in checks))
+        powers = np.ones(m, dtype=np.int64)
+        n = 1
+        while n < m:  # g^(n + i) = g^n g^i: each pass doubles the known prefix
+            powers[n:2 * n] = powers[:min(n, m - n)] * pow(self.gen, n, mod) % mod
+            n *= 2
+        powers.setflags(write=False)
+        self.powers = powers
+        self._dlog = np.full(mod, -1, dtype=np.int64)
+        self._dlog[powers] = np.arange(m)
 
     def dlog(self, x: int) -> int:
         k = int(self._dlog[x % self.modulus])

@@ -55,6 +55,12 @@ _INT64_GUARD = 2**62
 
 _MAX_LCM_ORDER = 10**6
 
+_TABLE_BUDGET = 4_000_000  # max entries in one dlog table or one field's rewrite table
+
+
+class TableBudgetError(ValueError):
+    """A requested residue table would be too large to build honestly."""
+
 
 class QExpMismatchError(ArithmeticError):
     """Sum of ScaledScalars with different formal q-exponents (needs a numeric fallback)."""
@@ -78,6 +84,12 @@ def _prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def _rewrite_table_size(N: int) -> int:
+    """Entries of CycContext(N).pow_rows: rad(N) rows of phi(rad(N)) coefficients."""
+    primes = _prime_factors(N)
+    return math.prod(primes) * math.prod(q - 1 for q in primes)
 
 
 @lru_cache(maxsize=None)
@@ -115,6 +127,10 @@ class CycContext:
     def __init__(self, N: int):
         if N < 1:
             raise ValueError("cyclotomic order must be positive")
+        size = _rewrite_table_size(N)
+        if size > _TABLE_BUDGET:
+            raise TableBudgetError("rewrite table for N = %d has %d entries, over the %d-entry "
+                                   "budget" % (N, size, _TABLE_BUDGET))
         self.N = N
         self.rad = math.prod(_prime_factors(N))
         self.K = N // self.rad

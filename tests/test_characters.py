@@ -9,6 +9,7 @@ from epsilonlab.characters import (
     chars_with_conductor,
     conductor_ks,
     enumerate_chars,
+    represent_at_level,
     trivial_char,
     v_chi,
 )
@@ -146,6 +147,27 @@ def test_induce_reads_the_deeper_generator(p):
                 e = chi.value_exponent(big.gen % p ** level)
                 want = MultChar(p, deeper, e * (big.order // chi.group_order))
                 assert chi.induce(deeper) == want, (chi, deeper)
+
+
+def _presented_by_value(chi, level):
+    """chi at another level, read off its value at that level's generator:
+    chi(g) = zeta_{m_chi}^e there, so the new exponent is e m_level / m_chi."""
+    ug = unit_group(chi.p, level)
+    e = chi.value_exponent(ug.gen)
+    assert e * ug.order % chi.group_order == 0, (chi, level)
+    return MultChar(chi.p, level, e * ug.order // chi.group_order)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_represent_at_level_matches_the_value_oracle(p):
+    for level in (1, 2, 3, 4):
+        for chi in enumerate_chars(p, level):
+            a = chi.conductor_exponent
+            for target in range(max(a, 1), 5):
+                assert represent_at_level(chi, target) == _presented_by_value(chi, target)
+            if a >= 2:
+                with pytest.raises(ValueError, match="does not factor through level %d" % (a - 1)):
+                    represent_at_level(chi, a - 1)
 
 
 def test_mul_inv_respect_values():

@@ -104,12 +104,37 @@ def test_config_estimate(p, t, ns, want):
         RunConfig(p=p, t_max=t, n_list=ns, budget=want - 1).validate()
 
 
-def test_budget_boundary_is_inclusive():
+def test_budget_boundary_is_inclusive(monkeypatch):
     config(p=5, t_max=2, n_list=(3,), budget=400)  # estimate == budget: allowed
-    # 1999 is the largest prime whose square fits padic's unit-group table budget
-    config(p=1999, t_max=2, n_list=(1,), budget=10 ** 9)
     with pytest.raises(ConfigError):
         RunConfig(p=5, t_max=2, n_list=(3,), budget=399).validate()
+    # p^t_max equal to the table budget is allowed, one more than it is not
+    monkeypatch.setattr(cli, "_TABLE_BUDGET", 3 ** 13)
+    config(p=3, t_max=13, n_list=(1,), budget=10 ** 9)
+    monkeypatch.setattr(cli, "_TABLE_BUDGET", 3 ** 13 - 1)
+    with pytest.raises(ConfigError, match="unit-group table budget"):
+        RunConfig(p=3, t_max=13, n_list=(1,), budget=10 ** 9).validate()
+
+
+# every field of a run at p has rad(N) = p rad(p - 1): the rewrite table has
+# p rad(p - 1) rows of phi(p rad(p - 1)) coefficients
+@pytest.mark.parametrize("p, entries", [
+    (53, 859_872), (61, 878_400), (97, 111_744), (101, 404_000),
+    (59, 5_557_328), (67, 5_837_040), (211, 446_644_800), (1999, 63_840_127_968),
+])
+def test_rewrite_table_budget(monkeypatch, p, entries):
+    if entries <= cli._TABLE_BUDGET:
+        config(p=p, t_max=1, n_list=(2,))
+    else:
+        with pytest.raises(ConfigError, match="p = %d needs a %d-entry cyclotomic rewrite "
+                                              "table" % (p, entries)):
+            RunConfig(p=p, t_max=1, n_list=(2,)).validate()
+    # the same boundary, inclusive
+    monkeypatch.setattr(cli, "_TABLE_BUDGET", entries)
+    config(p=p, t_max=1, n_list=(2,))
+    monkeypatch.setattr(cli, "_TABLE_BUDGET", entries - 1)
+    with pytest.raises(ConfigError, match="rewrite table"):
+        RunConfig(p=p, t_max=1, n_list=(2,)).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +145,21 @@ def test_budget_boundary_is_inclusive():
 @pytest.fixture(scope="module")
 def gauss52():
     return cmd_gauss(config(p=5, t_max=2))
+
+
+# sha256 of the case rows of cmd_gauss at p = 5, t_max = 2, budget 10,
+# recorded before the unit groups kept one generator for every level
+GAUSS_BUDGET_ROWS_SHA256 = "5bce4c87a0cf610c8a551ded076f8c7aabbcbaf44ae564a6a2caf8a11e07f074"
+
+
+def test_gauss_budget_skip_rows_unchanged():
+    # validate refuses this budget; an unvalidated config reaches the per-case skip
+    rep = cmd_gauss(RunConfig(p=5, t_max=2, budget=10))
+    assert len(rep.cases) == 32 and len(rep.skips) == 17
+    assert {c["detail"] for c in rep.skips} == {
+        "one Gauss sum needs 20 terms, over budget 10", "unramified character: no Gauss sum"}
+    text = json.dumps(rep.cases, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == GAUSS_BUDGET_ROWS_SHA256
 
 
 def test_gauss_sweeps_the_whole_level(gauss52):
@@ -599,6 +639,16 @@ PINNED_REPORTS = [
                  "c4cc6da49ad06ebb65a105032b03b1aa5ab341217d45988910aba7f597c065c8",
                  "964b663f45544a32c1866dee980a4c87e80525806b73b7156d1dca8288396191",
                  id="bessel-float"),
+    # p = 7, whose generator is 3 (every pin above is at p = 3 or 5, generator
+    # 2), recorded before the unit groups kept one generator for every level
+    pytest.param(["gauss", "--p", "7", "--t-max", "3"],
+                 "bad18c6ac82a01c30b8a1e01e512d7b45d0bd62dd731e462f9db47c0c86aaea7",
+                 "bc5c3aa43000dc1c0b54358fe1355adec9e7cdd2dabcab9b117cd5554e12a16c",
+                 id="gauss-p7-t3"),
+    pytest.param(["kloosterman", "--p", "7", "--t-max", "2", "--n", "2", "3"],
+                 "c8ab878a4b719dbba1be557d1ad94361f5c2a669bae7271e92e200ef52d4c4bb",
+                 "feee49f501a50084f90c44ae4b2d5b647f59f00de48628b38285215464a7b283",
+                 id="kloosterman-p7"),
 ]
 
 
@@ -697,6 +747,8 @@ def test_main_config_error_exit_two(capsys):
     (["gauss", "--t-max", "100000"], "table budget"),
     # and so has the one for this rank
     (["gauss", "--n", "100000"], "exceeds the budget"),
+    # its first Gauss sum would build a 44,310 x 10,080 rewrite table
+    (["gauss", "--p", "211", "--t-max", "1", "--n", "2"], "rewrite table"),
 ])
 def test_main_refuses_before_computing(monkeypatch, capsys, argv, fragment):
     # each used to end otherwise: the first passed vacuously, the others
@@ -705,6 +757,20 @@ def test_main_refuses_before_computing(monkeypatch, capsys, argv, fragment):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error") and fragment in err
+
+
+def test_main_refuses_a_huge_prime_without_trial_division(monkeypatch, capsys):
+    # 2^89 - 1 is prime, but p > the table budget decides the refusal first
+    def is_odd_prime(p):
+        assert p <= cli._TABLE_BUDGET, "trial division of p = %d" % p
+        return real(p)
+
+    real = cli.is_odd_prime
+    monkeypatch.setattr(cli, "is_odd_prime", is_odd_prime)
+    monkeypatch.setattr(cli, "run_suites", lambda *a: pytest.fail("a suite ran"))
+    assert main(["gauss", "--p", str(2 ** 89 - 1)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "table budget" in err
 
 
 def test_main_failure_exit_one(monkeypatch, capsys):
@@ -777,6 +843,17 @@ def test_config_file_rejections(tmp_path, capsys, payload, fragment):
     cfile.write_text(payload)
     assert main(["gauss", "--config", str(cfile)]) == 2
     assert fragment in capsys.readouterr().err
+
+
+def test_config_file_with_an_unreadable_integer_exits_two(monkeypatch, tmp_path, capsys):
+    # json.load refuses a 5,000-digit integer with a ValueError that is not a
+    # JSONDecodeError; it used to escape as a traceback with exit 1
+    monkeypatch.setattr(cli, "run_suites", lambda *a: pytest.fail("a suite ran"))
+    cfile = tmp_path / "run.json"
+    cfile.write_text('{"budget": %s}' % ("9" * 5000))
+    assert main(["gauss", "--config", str(cfile)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot read config file")
 
 
 def test_config_file_with_wrong_types_exits_two(tmp_path, capsys):

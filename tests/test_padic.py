@@ -1,5 +1,7 @@
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from epsilonlab import padic
@@ -103,6 +105,45 @@ def test_unit_group_is_cyclic_of_right_order(p, t):
     assert logs == list(range(ug.order))
     for u in units[:20]:
         assert pow(ug.gen, ug.dlog(int(u)), ug.modulus) == int(u)
+
+
+def _primes_of(n):
+    return [q for q in range(2, n + 1) if n % q == 0 and all(q % r for r in range(2, q))]
+
+
+def _least_generator(modulus, order):
+    """The least g whose powers mod `modulus` have exactly the given order,
+    checked by pow against every maximal divisor of the order."""
+    checks = [order // q for q in _primes_of(order)]
+    g = 2
+    while math.gcd(g, modulus) != 1 or any(pow(g, c, modulus) == 1 for c in checks):
+        g += 1
+    return g
+
+
+def test_least_primitive_root_generates_mod_p_squared():
+    # a primitive root g mod p with g^(p-1) != 1 mod p^2 generates every level,
+    # so one generator serves every p whose level-2 table fits the budget
+    p = 3
+    while p * p <= padic._TABLE_BUDGET:
+        if is_odd_prime(p):
+            g = _least_generator(p, p - 1)
+            assert pow(g, p - 1, p * p) != 1, (p, g)
+        p += 2
+    assert p == 2001
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+@pytest.mark.parametrize("t", [1, 2, 3, 4])
+def test_generator_is_the_least_at_every_level(p, t):
+    ug = unit_group(p, t)
+    assert ug.gen == _least_generator(p ** t, phi(p, t)) == _least_generator(p, p - 1)
+    powers = ug.powers
+    assert not powers.flags.writeable
+    assert sorted(powers.tolist()) == ug.units().tolist()
+    head = min(50, ug.order)
+    assert powers[:head].tolist() == [pow(ug.gen, d, p ** t) for d in range(head)]
+    assert (ug.dlog_table()[powers] == np.arange(ug.order)).all()
 
 
 def test_dlog_rejects_non_units():

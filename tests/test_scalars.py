@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from epsilonlab import scalars
 from epsilonlab.scalars import (
     EXACT,
     FLOAT,
@@ -18,6 +20,7 @@ from epsilonlab.scalars import (
     CycNumber,
     QExpMismatchError,
     ScaledScalar,
+    TableBudgetError,
     cyclotomic_poly,
     get_context,
     proportionality_ratio,
@@ -105,6 +108,24 @@ def test_pow_rows_are_powers_mod_the_radical_cyclotomic():
         rad = _radical(N)
         assert (ctx.rad, ctx.K) == (rad, N // rad), N
         assert ctx.pow_rows.tolist() == _powers_mod_cyclotomic(rad), N
+
+
+def test_rewrite_table_budget_refuses_before_allocating(monkeypatch):
+    # N = 44,310 = 2 * 3 * 5 * 7 * 211 would need 44,310 x 10,080 int64 entries (3.6 GB)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TableBudgetError, match="446644800 entries"):
+            CycContext(44310)
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    # the budget is inclusive: 2 * 3 * 5 * 7 = 210 rows of 48 coefficients
+    monkeypatch.setattr(scalars, "_TABLE_BUDGET", 210 * 48)
+    assert CycContext(420).pow_rows.shape == (210, 48)
+    monkeypatch.setattr(scalars, "_TABLE_BUDGET", 210 * 48 - 1)
+    with pytest.raises(TableBudgetError):
+        CycContext(420)
 
 
 @pytest.mark.parametrize("N", [4, 8, 9, 27, 54, 100, 500, 2058])
