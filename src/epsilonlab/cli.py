@@ -58,6 +58,7 @@ from .local_factors import (
     EpsMonomial,
     RegimeError,
     RepnData,
+    RootNumberForms,
     enumerate_reps,
     eps_gl1,
     eps_rep_twisted,
@@ -339,8 +340,11 @@ def cmd_stability(config: RunConfig) -> SuiteReport:
     check_pairs call per (pi, a); the direct engine stability_check re-decides
     every STRIDE-th asserted case of each rank and every pair the certificate
     rejects, and a row passes only when every engine that looked at it holds.  The float
-    backend, rank one and the out-of-regime tallies run on the direct engines
-    alone.
+    backend and rank one run on the direct engines alone.  The out-of-regime
+    tallies run on the direct monomials under the float backend; under the
+    exact backend RootNumberForms recognises each character's root number once
+    per sweep and decides each pair on integer root exponents, multiplying
+    exactly only the unrecognised root numbers that do not cancel.
     """
     t0 = time.perf_counter()
     backend = config.make_backend()
@@ -353,6 +357,9 @@ def cmd_stability(config: RunConfig) -> SuiteReport:
     # conductor a -> its table.  Every rank shares these tables, so each
     # certificate column is tabulated once.
     tables = {a: CertificateTable(p, a) for a in range(1, t + 1)} if backend.exact else {}
+    # every character of the sweep presented at level t, each root number
+    # recognised once for the out-of-regime tallies
+    forms = RootNumberForms(p, t)
 
     for n in sorted(set(config.n_list)):
         if n == 1:
@@ -422,6 +429,8 @@ def cmd_stability(config: RunConfig) -> SuiteReport:
                             _monomial_json(res.lhs), _monomial_json(res.rhs))
                     rows.add((n, pi_index + 1, chi.k, 0), case_id,
                              "pass" if holds else "fail", detail, **inputs)
+                elif backend.exact:
+                    out_of_regime[forms.stability_key(pi, chi)] += 1
                 else:
                     try:
                         lhs = eps_rep_twisted(pi, chi, backend=backend)

@@ -29,12 +29,18 @@ in the CLI's stability suite, where under the exact backend the certificate
 engine decides every asserted pair of rank >= 2, with one table per conductor
 shared by every rank, and the direct engine re-decides a fixed stride of them
 and every pair the certificate rejects.
+
+The suite's out-of-regime tallies (a(chi) < a(pi), recorded, never asserted)
+are decided under the exact backend by RootNumberForms(p, t).stability_key:
+each root number is recognised once, and a pair is integer arithmetic on root
+exponents; only unrecognised root numbers that do not cancel are multiplied.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
@@ -58,6 +64,7 @@ from .scalars import (
     Rational,
     ScaledScalar,
     get_context,
+    root_of_unity,
 )
 
 
@@ -339,6 +346,106 @@ def stability_check(
     lhs = eps_rep_twisted(pi, chi, backend=backend)
     rhs = stability_rhs(pi, chi, backend=backend)
     return StabilityReport(lhs.equals(rhs, pi.p, backend), lhs, rhs)
+
+
+# ---------------------------------------------------------------------------
+# out-of-regime tallies on recognised root numbers
+# ---------------------------------------------------------------------------
+
+
+class RootNumberForms:
+    """The root numbers of the characters presented at level t, each recognised
+    once, and the out-of-regime stability key decided on them (exact only).
+
+    W(c) = c(-1) tau(c) q^{-a/2}, and for even a(c) the coefficient
+    c(-1) tau(c) is p^{a/2} times a root of unity (Berndt, Evans and Williams,
+    Gauss and Jacobi Sums, ch. 1).  Where as_root_times_rational recognises it,
+    c is held as an angle in Z/A, A = lcm(p^t, phi(p^t)), with the sign
+    folded in (A is even, so -1 is zeta_A^{A/2}); a recognised value that is
+    not +-p^{a/2} times a root of unity raises ArithmeticError.  Otherwise c
+    is an atom, held as its exact coefficient.  Forms are keyed by c's
+    exponent k at level t.
+    """
+
+    def __init__(self, p: int, t: int):
+        self.p, self.t = p, t
+        self.m = phi(p, t)
+        self.A = math.lcm(p ** t, self.m)
+        self._forms: dict[int, tuple] = {}  # k -> (a(c), angle, atom or None)
+
+    def _form(self, k: int) -> tuple:
+        form = self._forms.get(k)
+        if form is None:
+            c = MultChar(self.p, self.t, k)
+            a, coeff = c.conductor_exponent, root_number(c).coeff
+            rt = coeff.as_root_times_rational()
+            if rt is None:
+                form = (a, 0, coeff)
+            else:
+                e, r = rt
+                if a % 2 or abs(r) != self.p ** (a // 2):
+                    raise ArithmeticError("W(%r) is not a root of unity" % (c,))
+                form = (a, (e * (self.A // coeff.N) + (self.A // 2 if r < 0 else 0)) % self.A,
+                        None)
+            self._forms[k] = form
+        return form
+
+    def _side(self, factors) -> tuple:
+        """(xexp, angle, half, atoms) of the product of the coefficients of
+        W(c)^d over (k, d): the recognised ones multiply to
+        p^half zeta_A^angle, the atoms are counted by k."""
+        xexp, angle, half, atoms = 0, 0, 0, Counter()
+        for k, d in factors:
+            a, c_angle, atom = self._form(k)
+            xexp += a * d
+            if atom is None:
+                angle += d * c_angle
+                half += d * a // 2
+            else:
+                atoms[k] += d
+        return xexp, angle % self.A, half, atoms
+
+    def _atom_product(self, atoms: Counter, start):
+        for k, d in atoms.items():
+            start = start * self._forms[k][2] ** d
+        return start
+
+    def stability_key(self, pi: RepnData, chi: MultChar) -> str:
+        """The key "equal", "unequal" or "incomparable": the verdict of
+        eps_rep_twisted(pi, chi) against stability_rhs(pi, chi) under
+        EpsMonomial.equals, "incomparable" where eps_rep_twisted refuses.
+
+        Each block's fused character chi tau_j and omega chi are integer
+        exponents at level t.  With shiftless blocks the q-exponents agree
+        whenever the xexp sums do, so the values decide.  If the atoms of the
+        two sides cancel, so do the p-powers (the xexp sums are equal), and the
+        angles decide; otherwise only the leftover atoms are multiplied,
+        exactly, against the p-power and the root of the angle difference, in
+        the root's own reduced field.
+        """
+        if any(b.shift != 0 for b in pi.blocks):
+            raise RegimeError("root-number forms handle shiftless blocks only")
+        m = self.m
+        kc = _represent_at_level(chi, self.t).k
+        blocks = []  # (k of chi tau_j at level t, d_j)
+        omega = 0
+        for b in pi.blocks:
+            kt = _represent_at_level(b.tau, self.t).k
+            omega += b.size * kt
+            blocks.append(((kc + kt) % m, b.size))
+        if any(d >= 2 and self._form(k)[0] == 0 for k, d in blocks):
+            return "incomparable"
+        lx, l_angle, l_half, l_atoms = self._side(blocks)
+        rx, r_angle, r_half, r_atoms = self._side([((omega + kc) % m, 1), (kc, pi.dim - 1)])
+        if lx != rx:
+            return "unequal"
+        left, right = l_atoms - r_atoms, r_atoms - l_atoms
+        if not left and not right:
+            return "equal" if l_angle == r_angle else "unequal"
+        g = math.gcd(l_angle - r_angle, self.A)
+        root = root_of_unity((l_angle - r_angle) // g, self.A // g)
+        lhs = self._atom_product(left, root * Fraction(self.p) ** (l_half - r_half))
+        return "equal" if lhs == self._atom_product(right, 1) else "unequal"
 
 
 # ---------------------------------------------------------------------------

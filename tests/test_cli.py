@@ -272,6 +272,16 @@ def test_stability_out_of_regime_not_asserted(stab32):
     assert stab32.passed
 
 
+@pytest.mark.parametrize("p, t_max, n_list, tally", [
+    (7, 2, (1, 2, 3), {"equal": 400, "unequal": 180, "incomparable": 10, "skipped": 0}),
+    (5, 3, (2, 3), {"equal": 3932, "unequal": 1798, "incomparable": 18, "skipped": 0}),
+])
+def test_stability_out_of_regime_tallies_pinned(p, t_max, n_list, tally):
+    # recorded while every out-of-regime pair still built both direct monomials
+    rep = cmd_stability(config(p=p, t_max=t_max, n_list=n_list))
+    assert rep.extras["out_of_regime"] == tally
+
+
 def test_stability_mixed_ranks_share_one_report():
     rep = cmd_stability(config(p=3, t_max=1, n_list=(1, 2)))
     assert rep.failures == []

@@ -1,6 +1,7 @@
 """Gauss sums, root numbers, epsilon monomials, and both stability engines."""
 import hashlib
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -8,13 +9,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from epsilonlab import local_factors, scalars
-from epsilonlab.characters import MultChar, QuasiChar, represent_at_level, trivial_char, v_chi
+from epsilonlab.characters import (MultChar, QuasiChar, enumerate_chars, represent_at_level,
+                                   trivial_char, v_chi)
 from epsilonlab.local_factors import (
     Block,
     CertificateTable,
     EpsMonomial,
     RegimeError,
     RepnData,
+    RootNumberForms,
     enumerate_reps,
     eps_gl1,
     eps_rep_twisted,
@@ -797,6 +800,114 @@ def test_stability_float_backend():
     pi = RepnData.of(Block(MultChar(5, 1, 1)), Block(MultChar(5, 1, 2)))
     chi = MultChar(5, 2, 3)
     assert stability_check(pi, chi, backend=FLOAT).holds
+
+
+# ---------------------------------------------------------------------------
+# out-of-regime tallies on recognised root numbers
+# ---------------------------------------------------------------------------
+
+
+def _direct_key(pi, chi):
+    """The out-of-regime key as the direct monomials give it: the oracle."""
+    try:
+        lhs = eps_rep_twisted(pi, chi)
+        rhs = stability_rhs(pi, chi)
+    except RegimeError:
+        return "incomparable"
+    return "equal" if lhs.equals(rhs, pi.p, EXACT) else "unequal"
+
+
+@pytest.mark.parametrize("p,t,ns", [(3, 3, (2, 3, 4)), (5, 2, (2, 3))])
+def test_root_number_forms_match_the_direct_monomials(p, t, ns):
+    # every out-of-regime (pi, chi) of `stability --p p --t-max t --n ns`
+    forms = RootNumberForms(p, t)
+    keys = Counter()
+    for n in ns:
+        for pi in (pi for pi in enumerate_reps(p, n, t) if pi.dim == n):
+            for chi in enumerate_chars(p, t):
+                if not 1 <= chi.conductor_exponent < max(pi.conductor_exponent, 1):
+                    continue
+                key = forms.stability_key(pi, chi)
+                assert key == _direct_key(pi, chi), (pi.describe(), chi)
+                keys[key] += 1
+    assert set(keys) == {"equal", "unequal", "incomparable"}
+
+
+def _leftover_products(monkeypatch):
+    """Record the atom multisets that stability_key multiplies exactly."""
+    calls = []
+    original = RootNumberForms._atom_product
+
+    def recording(forms, atoms, start):
+        calls.append(dict(atoms))
+        return original(forms, atoms, start)
+    monkeypatch.setattr(RootNumberForms, "_atom_product", recording)
+    return calls
+
+
+@pytest.mark.parametrize("p,t,blocks,chi_k,key", [
+    # W of a character of odd conductor is unrecognised (|W|^2 = p^a is no
+    # rational square); here different atoms are left on the two sides
+    (7, 2, [Block(MultChar(7, 1, 2), 2)], 7, "equal"),
+    (5, 2, [Block(MultChar(5, 1, 1), 2)], 5, "unequal"),
+    # the recognised parts differ in angle, so the root is not 1
+    (3, 4, [Block(MultChar(3, 1, 1)), Block(MultChar(3, 3, 1))], 15, "equal"),
+    # and here also their p-powers (p^1 against p^0)
+    (3, 3, [Block(MultChar(3, 3, k)) for k in (1, 2, 7)], 8, "equal"),
+])
+def test_root_number_forms_multiply_leftover_atoms(monkeypatch, p, t, blocks, chi_k, key):
+    pi, chi = RepnData.of(*blocks), MultChar(p, t, chi_k)
+    calls = _leftover_products(monkeypatch)
+    assert RootNumberForms(p, t).stability_key(pi, chi) == key == _direct_key(pi, chi)
+    assert len(calls) == 2 and calls[0] and calls[1]
+
+
+def test_root_number_forms_fold_a_negative_rational_into_the_angle(monkeypatch):
+    # every recognised W(c) of a ramified c lies in a field of even order,
+    # where as_root_times_rational returns a positive rational; a rational
+    # coefficient (order one) keeps its sign there, and -1 is zeta_A^{A/2}
+    monkeypatch.setattr(local_factors, "root_number",
+                        lambda c: ScaledScalar.of(CycNumber.rational(-5), -1))
+    forms = RootNumberForms(5, 2)
+    assert forms._form(1) == (2, forms.A // 2, None)
+
+
+def test_root_number_forms_refuse_a_recognised_value_off_the_unit_circle(monkeypatch):
+    monkeypatch.setattr(local_factors, "root_number",
+                        lambda c: ScaledScalar.of(CycNumber.rational(25), -1))
+    with pytest.raises(ArithmeticError):
+        RootNumberForms(5, 2)._form(1)
+
+
+def test_root_number_forms_decide_cancelled_atoms_by_angle(monkeypatch):
+    # pi = tau_1 + tau_2 + tau_2^{-1} has omega = tau_1, so both sides hold the
+    # atom W(chi tau_1) (conductor 3) once; the rest have conductor 2 and are
+    # recognised: W(chi tau_2) W(chi tau_2^{-1}) against W(chi)^2
+    p, t = 5, 3
+    tau_1, tau_2 = MultChar(p, t, 1), MultChar(p, t, 10)
+    pi = RepnData.of(Block(tau_1), Block(tau_2), Block(tau_2.inv()))
+    chi = MultChar(p, t, 5)
+    calls = _leftover_products(monkeypatch)
+    lhs, rhs = eps_rep_twisted(pi, chi), stability_rhs(pi, chi)
+    assert lhs.xexp == rhs.xexp  # the values, not the xexp sums, decide
+    assert RootNumberForms(p, t).stability_key(pi, chi) == "unequal" == _direct_key(pi, chi)
+    assert calls == []
+
+
+def test_root_number_forms_incomparable_where_the_direct_engine_refuses():
+    # chi tau = 1 inside a block of size two
+    p = 5
+    pi, chi = steinberg(MultChar(p, 1, 1), 2), MultChar(p, 2, 15)
+    with pytest.raises(RegimeError):
+        eps_rep_twisted(pi, chi)
+    assert RootNumberForms(p, 2).stability_key(pi, chi) == "incomparable"
+
+
+def test_root_number_forms_refuse_shifted_blocks():
+    p = 5
+    pi = RepnData.of(Block(MultChar(p, 1, 1), 1, Fraction(1, 2)))
+    with pytest.raises(RegimeError):
+        RootNumberForms(p, 2).stability_key(pi, MultChar(p, 2, 5))
 
 
 # ---------------------------------------------------------------------------
