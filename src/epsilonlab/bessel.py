@@ -52,6 +52,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from .characters import MultChar, chars_with_conductor, represent_at_level
 from .kloosterman import KLQuery, kl_direct
 from .local_factors import EpsMonomial, RepnData, eps_gl1, eps_rep_twisted
@@ -125,9 +127,9 @@ def _frac_json(fr: Fraction):
 # ---------------------------------------------------------------------------
 
 
-def _dual_scalar(s: ScaledScalar, backend: Backend) -> ScaledScalar:
+def _dual_scalar(s: ScaledScalar) -> ScaledScalar:
     """Transpose to the conjugate root-number orientation (see module docstring)."""
-    return ScaledScalar(backend.conjugate(s.coeff), s.qexp)
+    return ScaledScalar(s.coeff.conjugate(), s.qexp)
 
 
 @lru_cache(maxsize=64)
@@ -180,7 +182,7 @@ def _dual_twisted_eps(pi: RepnData, chi: MultChar, backend: Backend) -> EpsMonom
     duality check both read it here, so each (pi, chi) is evaluated once while
     a sweep over the characters of one level runs."""
     eps = eps_rep_twisted(pi, chi, backend=backend)
-    return EpsMonomial(_dual_scalar(eps.value, backend), eps.xexp)
+    return EpsMonomial(_dual_scalar(eps.value), eps.xexp)
 
 
 @lru_cache(maxsize=64)
@@ -196,7 +198,7 @@ def _charsum_profile(pi: RepnData, t: int, backend: Backend) -> dict:
     coeffs = {}
     for chi in chars_with_conductor(pi.p, t):
         e1 = eps_gl1(chi.inv(), backend=backend).value
-        coeffs[chi.k] = _dual_scalar(e1, backend) * _dual_twisted_eps(pi, chi, backend).value
+        coeffs[chi.k] = _dual_scalar(e1) * _dual_twisted_eps(pi, chi, backend).value
     return coeffs
 
 
@@ -261,11 +263,10 @@ def gauss_integral(chi: MultChar, z: PadicNumber, backend: Backend = EXACT) -> S
     tz = 0 if (z.is_zero() or z.val >= 0) else -z.val
     T = max(chi.conductor_exponent, tz, 1)
     ug = unit_group(p, T)
-    units = ug.units()
     chi_T = represent_at_level(chi, T)
     z0 = z.unit_mod(tz) if tz else 0  # psi(z x) = zeta_{p^tz}^{z0 x}, trivial at tz = 0
-    total = backend.root_sum(p ** tz, z0 * units, chi_T.group_order,
-                             chi_T.k * ug.dlog_table()[units])
+    total = backend.root_sum(p ** tz, z0 * ug.powers, chi_T.group_order,
+                             chi_T.k * np.arange(ug.order))
     return ScaledScalar.of(total) * ScaledScalar.of(backend.rational(Fraction(1, ug.order)))
 
 
@@ -404,7 +405,7 @@ def measure_prefactor(pi: RepnData, z: PadicNumber) -> PrefactorReport:
     pm = p ** t
     z0inv = pow(z.unit_mod(t), -1, pm)
     ratios = set()
-    for y0 in map(int, unit_group(p, t).units()):
+    for y0 in map(int, unit_group(p, t).powers):
         # y = y0 p^{n v(z)}: the charsum reads (-1)^{n-1} y0 / z0, the closed form (-1)^n y0 / z0
         u = (-1) ** (n - 1) * y0 * z0inv % pm
         value = _charsum_at(pi, n, t, u, EXACT)

@@ -144,9 +144,6 @@ class UnitGroup:
             raise ValueError("%d is not a unit mod %d" % (x, self.modulus))
         return k
 
-    def units(self) -> np.ndarray:
-        return np.flatnonzero(self._dlog >= 0)
-
     def dlog_table(self) -> np.ndarray:
         """Read-only view: index = residue, value = dlog (or -1 off the units)."""
         v = self._dlog.view()

@@ -15,11 +15,14 @@ which keeps reduction cheap even when phi(N) is in the thousands.  They are the
 only description of the field: a root of unity is written by placing one row,
 and recognised by finding the row it is proportional to.
 
-Multiplication is integer convolution (numpy int64 with an exact object-dtype
-fallback when a magnitude guard trips) followed by one reduction pass.  The
-reduction's own guard comes from the rewrite table: a reduced coefficient is at
-most max|input| times the largest column sum of |rows|.  Nothing in the exact
-path ever rounds.
+Multiplication is integer convolution followed by one reduction pass.  A single
+product and a stack of them share one kernel, _stacked_products: one np.convolve
+per row, in int64 while the bound sum|x| * max|y| of every row stays under a
+guard and in exact object dtype otherwise.  Coordinates enter numpy through
+_int_array: int64 where numpy infers int64, object dtype otherwise, never a
+cast.  The reduction's own guard comes from the rewrite table: a reduced
+coefficient is at most max|input| times the largest column sum of |rows|.
+Nothing in the exact path ever rounds.
 
 ScaledScalar carries a formal rational power of q next to a scalar: (c, e) means
 c * q^e.  Sums are only defined between equal exponents; a mismatch raises
@@ -340,15 +343,9 @@ class CycNumber:
         N = _common_order(self.N, other.N)
         (anum, aden) = self._lift_vec(N)
         (bnum, bden) = other._lift_vec(N)
-        ctx = get_context(N)
-        ma = max((abs(c) for c in anum), default=0)
-        mb = max((abs(c) for c in bnum), default=0)
-        if ma and mb and ma * mb * min(len(anum), len(bnum)) >= _INT64_GUARD:
-            conv = np.convolve(np.array(anum, dtype=object), np.array(bnum, dtype=object))
-        else:
-            conv = np.convolve(np.array(anum, dtype=np.int64), np.array(bnum, dtype=np.int64))
-        red = ctx.reduce_groupring(ctx.fold_conv(conv))
-        return _make(N, [int(c) for c in red], aden * bden)
+        S = _int_array([anum, bnum])
+        conv = _stacked_products(S[:1], S[1:], N)
+        return _make(N, get_context(N).reduce_groupring(conv[0]).tolist(), aden * bden)
 
     __rmul__ = __mul__
 
@@ -428,9 +425,6 @@ class CycNumber:
         index = -np.arange(len(self.num)) % self.N
         return _make(self.N, _reduce_at(self.N, index, self.num), self.den)
 
-    def norm_squared(self) -> "CycNumber":
-        return self * self.conjugate()
-
     def to_complex(self) -> complex:
         if self.N == 1:
             return complex(self.num[0] / self.den)
@@ -478,10 +472,18 @@ def _make(N: int, num: list[int], den: int) -> CycNumber:
 def _reduce_at(N: int, index, num) -> list[int]:
     """Canonical coordinates in Q(zeta_N) of the group-ring vector that holds
     num at the distinct exponents index and 0 elsewhere."""
-    ctx = get_context(N)
-    vec = np.zeros(N, dtype=np.int64 if ctx.fits_int64(max(map(abs, num))) else object)
+    num = _int_array(num)
+    vec = np.zeros(N, dtype=num.dtype)
     vec[index] = num
-    return ctx.reduce_groupring(vec).tolist()
+    return get_context(N).reduce_groupring(vec).tolist()
+
+
+def _int_array(rows) -> np.ndarray:
+    """Python ints (a vector or a list of rows) as an exact array: int64 when numpy
+    infers int64, object dtype otherwise.  Past the int64 range numpy infers
+    uint64, float64 or object, and a cast from the first two could wrap or round."""
+    arr = np.array(rows)
+    return arr if arr.dtype == np.int64 else np.array(rows, dtype=object)
 
 
 def _coerce(x) -> "CycNumber":
@@ -530,34 +532,30 @@ def _lifted_stack(values, N: int) -> tuple[np.ndarray, int]:
     canonical basis of Q(zeta_N).  int64 when every entry fits, object otherwise."""
     lifted = [v._lift_vec(N) for v in values]
     den = math.lcm(*(d for _num, d in lifted))
-    rows = [[c * (den // d) for c in num] for num, d in lifted]
-    biggest = max((abs(c) for row in rows for c in row), default=0)
-    S = np.array(rows, dtype=np.int64 if biggest < _INT64_GUARD else object)
-    return S, den
+    return _int_array([[c * (den // d) for c in num] for num, d in lifted]), den
 
 
 def _stacked_products(X: np.ndarray, Y: np.ndarray, N: int) -> np.ndarray:
     """Row k is X[k] * Y[k] in Z[C_N], unreduced: the integer convolution of two
     (K, phi(N)) stacks of canonical coordinates, folded mod N.
 
-    All K products are one matrix product against a sliding-window view of Y.
-    Every entry of row k, and every partial sum of it, is at most
-    sum |X[k]| * max |Y[k]|; the products run in int64 while that bound stays
-    under the guard for every row, and in object dtype otherwise.  The bound
-    is read in float64, whose rounding is far inside the factor-two headroom
-    between the guard and 2**63.
+    Each row is one np.convolve.  Every entry of row k, and every partial sum
+    of it, is at most sum |X[k]| * max |Y[k]|; the products run in int64 while
+    that bound stays under the guard for every row, and in object dtype
+    otherwise.  The bound is read in float64, whose rounding is far inside the
+    factor-two headroom between the guard and 2**63.
     """
-    K, n = X.shape
+    dtype = object
     if X.dtype != object and Y.dtype != object:
-        bound = (np.abs(X.astype(np.float64)).sum(axis=1)
-                 * np.abs(Y.astype(np.float64)).max(axis=1, initial=0)).max(initial=0)
-        dtype = np.int64 if bound < _INT64_GUARD else object
-    else:
-        dtype = object
-    padded = np.zeros((K, 3 * n - 2), dtype=dtype)
-    padded[:, n - 1: 2 * n - 1] = Y
-    windows = np.lib.stride_tricks.sliding_window_view(padded, n, axis=1)
-    conv = np.matmul(windows, X[:, ::-1, None].astype(dtype))[..., 0]
+        bound = (np.abs(X, dtype=np.float64).sum(axis=1)
+                 * np.abs(Y, dtype=np.float64).max(axis=1)).max(initial=0)
+        if bound < _INT64_GUARD:
+            dtype = np.int64
+    X, Y = X.astype(dtype, copy=False), Y.astype(dtype, copy=False)
+    K, n = X.shape
+    conv = np.empty((K, 2 * n - 1), dtype=dtype)
+    for k in range(K):
+        conv[k] = np.convolve(X[k], Y[k])
     return get_context(N).fold_conv(conv)
 
 
@@ -740,16 +738,6 @@ class Backend:
         if self.exact:
             return CycNumber.rational(value)
         return complex(Fraction(value))
-
-    def conjugate(self, x: Scalar) -> Scalar:
-        if isinstance(x, CycNumber):
-            return x.conjugate()
-        return complex(x).conjugate()
-
-    def norm_squared(self, x: Scalar) -> Scalar:
-        if isinstance(x, CycNumber):
-            return x.norm_squared()
-        return x * complex(x).conjugate()
 
     def eq(self, a, b) -> bool:
         if self.exact:

@@ -27,7 +27,6 @@ from epsilonlab.characters import (
     enumerate_chars,
     represent_at_level,
     trivial_char,
-    unit_group,
     v_chi,
 )
 from epsilonlab.kloosterman import (
@@ -148,7 +147,7 @@ def _kl_survey(mode: str) -> tuple:
     for (p, t) in KL_CELLS:
         table = build_gauss_table(p, t, backend=backend)
         omegas = list(enumerate_chars(p, t))
-        ys = [int(u) for u in unit_group(p, t).units()]
+        ys = [x for x in range(p ** t) if x % p]
         for n in (2, 3, 4):
             for omega in omegas:
                 for y in ys:
@@ -228,7 +227,7 @@ def test_criterion_1_gauss_sum_modulus():
         for chi in _ramified_chars(p):
             a = chi.conductor_exponent
             tau = gauss_sum(chi, EXACT)
-            if not EXACT.eq(tau.norm_squared(), Fraction(p) ** a):
+            if not EXACT.eq(tau * tau.conjugate(), Fraction(p) ** a):
                 failures.append((p, chi.level, chi.k))
             count += 1
     _report(1, failures, "norm_squared(tau(chi)) = q^a for all %d ramified "
@@ -495,7 +494,7 @@ def test_criterion_9_backend_agreement():
     for p, n, t in ((3, 3, 2), (5, 2, 2)):
         pi = steinberg(trivial_char(p), 3) if n == 3 else steinberg(MultChar(p, 1, 1), 2)
         z = PadicNumber(p, Fraction(1, p ** t))
-        for y0 in map(int, unit_group(p, t).units()):
+        for y0 in [x for x in range(p ** t) if x % p]:
             y = PadicNumber(p, Fraction(y0) * Fraction(p) ** (n * z.val))
             be = bessel_charsum(pi, z, y, backend=EXACT)
             bf = bessel_charsum(pi, z, y, backend=FLOAT)

@@ -43,7 +43,7 @@ def shell_point(p, y0, n, t):
 
 
 def shell_units(p, t):
-    return [int(u) for u in unit_group(p, t).units()]
+    return [x for x in range(p ** t) if x % p]
 
 
 # the representation zoo: (p, pi) with a(pi) = 2 unless noted

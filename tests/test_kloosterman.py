@@ -49,7 +49,7 @@ def classical_kloosterman(p, t, y):
 
 
 def units_mod(p, t):
-    return [int(u) for u in unit_group(p, t).units()]
+    return [x for x in range(p ** t) if x % p]
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +240,8 @@ def test_table_methods_agree_exactly(p, t):
     for k in range(phi(p, t)):
         chi = MultChar(p, t, k)
         acc = CycNumber.zero()
-        for x in unit_group(p, t).units():
-            acc = acc + chi.eval(int(x)) * root_of_unity(int(x), p ** t)
+        for x in [x for x in range(p ** t) if x % p]:
+            acc = acc + chi.eval(x) * root_of_unity(x, p ** t)
         naive.append(acc)
     assert tuple(naive) == build_gauss_table(p, t).values
 

@@ -28,7 +28,7 @@ from epsilonlab.local_factors import (
     stability_rhs,
     steinberg,
 )
-from epsilonlab.padic import phi, unit_group
+from epsilonlab.padic import phi
 from epsilonlab.scalars import (
     EXACT,
     FLOAT,
@@ -176,7 +176,7 @@ def test_root_number_modulus_one(p, a):
     for chi in conductor_chars(p, a):
         w = root_number(chi)
         assert w.qexp == Fraction(-a, 2)
-        assert w.coeff.norm_squared() == CycNumber.rational(p ** a)
+        assert w.coeff * w.coeff.conjugate() == CycNumber.rational(p ** a)
 
 
 def test_root_number_unramified():
@@ -554,8 +554,7 @@ def _row_exponent(table, mu, row):
     chi = _chi_of_row(table, row)
     mu_inv = mu.inv()
     acc = CycNumber.zero()
-    for c in unit_group(p, s).units():
-        c = int(c)
+    for c in [x for x in range(p ** s) if x % p]:
         acc = acc + chi.eval((1 + c * p ** (a - s)) % table.modulus) * mu_inv.eval(c)
     full = gauss_sum(mu) * acc
     e, r = full.as_root_times_rational()

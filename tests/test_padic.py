@@ -98,13 +98,13 @@ def test_unit_group_frozen_cases():
 @pytest.mark.parametrize("p,t", [(3, 1), (3, 3), (5, 2), (7, 2)])
 def test_unit_group_is_cyclic_of_right_order(p, t):
     ug = unit_group(p, t)
-    units = ug.units()
+    units = [x for x in range(p ** t) if x % p]
     assert len(units) == ug.order == p ** (t - 1) * (p - 1) == phi(p, t)
     # dlog is a bijection onto Z/order and k -> gen^k inverts it
     logs = sorted(ug.dlog(int(u)) for u in units)
     assert logs == list(range(ug.order))
     for u in units[:20]:
-        assert pow(ug.gen, ug.dlog(int(u)), ug.modulus) == int(u)
+        assert pow(ug.gen, ug.dlog(u), ug.modulus) == u
 
 
 def _primes_of(n):
@@ -140,7 +140,7 @@ def test_generator_is_the_least_at_every_level(p, t):
     assert ug.gen == _least_generator(p ** t, phi(p, t)) == _least_generator(p, p - 1)
     powers = ug.powers
     assert not powers.flags.writeable
-    assert sorted(powers.tolist()) == ug.units().tolist()
+    assert sorted(powers.tolist()) == [x for x in range(p ** t) if x % p]
     head = min(50, ug.order)
     assert powers[:head].tolist() == [pow(ug.gen, d, p ** t) for d in range(head)]
     assert (ug.dlog_table()[powers] == np.arange(ug.order)).all()

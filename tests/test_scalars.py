@@ -199,14 +199,14 @@ def _tau5():
 def test_quadratic_gauss_sum_mod5():
     tau = _tau5()
     assert abs(tau.to_complex() - 2.2360679774997896) < 1e-12
-    assert tau.norm_squared() == 5
+    assert tau * tau.conjugate() == 5
     assert tau * tau == 5  # chi(-1) = 1 here
     assert tau.conjugate() == tau
 
 
 def test_norm_squared_is_rational_here():
     tau = _tau5()
-    x = tau.norm_squared()
+    x = tau * tau.conjugate()
     assert x.N == 1 and x == Fraction(5)
 
 
@@ -309,6 +309,97 @@ def test_multiply_and_fold_guard_edge(over, monkeypatch):
     got = (x * c) * (x * d)
     assert seen == [object if over else np.int64]
     assert got == want
+
+
+def _naive_products(X, Y, N):
+    """Row k is X[k] * Y[k] in Z[C_N], one term at a time in Python ints."""
+    out = []
+    for x, y in zip(X.tolist(), Y.tolist()):
+        row = [0] * N
+        for i, a in enumerate(x):
+            for j, b in enumerate(y):
+                row[(i + j) % N] += a * b
+        out.append(row)
+    return out
+
+
+def _kernel_stack(rng, K, n, size):
+    """K rows of n coordinates below size: full rows, zero rows and
+    single-coordinate rows in turn."""
+    rows = []
+    for k in range(K):
+        row = [0] * n
+        if k % 3 == 0:
+            row = [rng.randint(-size, size) for _ in range(n)]
+        elif k % 3 == 2:
+            row[rng.randrange(n)] = rng.choice([-1, 1]) * rng.randint(1, size)
+        rows.append(row)
+    return scalars._int_array(rows)
+
+
+@pytest.mark.parametrize("N", [5, 20, 27])  # the convolution folds at 5 and 27, not at 20
+@pytest.mark.parametrize("K", [1, 3, 20])
+@pytest.mark.parametrize("sizes", [(99, 99), (99, 2 ** 70), (2 ** 70, 2 ** 70)],
+                         ids=["int64", "mixed", "object"])
+def test_stacked_products_match_the_term_by_term_oracle(N, K, sizes):
+    rng = random.Random(N * 100 + K)
+    n = get_context(N).phi
+    X, Y = (_kernel_stack(rng, K, n, size) for size in sizes)
+    got = scalars._stacked_products(X, Y, N)
+    assert got.shape == (K, N)
+    assert got.dtype == (np.int64 if sizes == (99, 99) else object)
+    assert got.tolist() == _naive_products(X, Y, N)
+
+
+@pytest.mark.parametrize("over", [False, True])
+def test_stacked_products_guard_edge(over, monkeypatch):
+    # the largest row's bound sum |X[k]| * max |Y[k]| is 3 * 7 * 5 = 105: one
+    # under the guard keeps the whole stack in int64, at the guard it all goes
+    # to object dtype
+    N = 25
+    X = np.zeros((3, 20), dtype=np.int64)
+    Y = np.zeros((3, 20), dtype=np.int64)
+    X[0, :3] = [7, -7, 7]
+    Y[0, [0, 19]] = [5, -5]
+    X[1, 4], Y[1, 2] = 2, 3
+    X[2, 0], Y[2, 0] = -1, 1
+    monkeypatch.setattr(scalars, "_INT64_GUARD", 105 + (not over))
+    got = scalars._stacked_products(X, Y, N)
+    assert got.dtype == (object if over else np.int64)
+    assert got.tolist() == _naive_products(X, Y, N)
+
+
+@pytest.mark.parametrize("row, dtype", [
+    ([0, 1, -1], np.int64),
+    ([2 ** 63 - 1, -2 ** 63], np.int64),
+    ([2 ** 63], object),
+    ([-2 ** 63 - 1], object),
+    ([2 ** 70, 3], object),
+    ([1, 2 ** 63], object),
+])
+def test_int_array_keeps_every_value(row, dtype):
+    # past int64 numpy would infer uint64, float64 or object: each goes to
+    # object dtype, with the Python ints themselves as entries
+    for rows in (row, [row, row[::-1]]):
+        arr = scalars._int_array(rows)
+        assert arr.dtype == dtype
+        assert arr.tolist() == rows
+        assert all(type(c) is int for c in arr.ravel().tolist())
+
+
+@pytest.mark.parametrize("coords", [[2 ** 63 - 1, -2 ** 63, 5, 0],
+                                    [2 ** 63, -2 ** 63 - 1, 2 ** 70, 1]])
+def test_wide_coordinates_conjugate_and_lift_exactly(coords):
+    # coordinates at and past the int64 range reach _reduce_at through
+    # conjugation and through the lift of Q(zeta_5) into Q(zeta_15)
+    x = CycNumber.from_vec(5, np.array(coords, dtype=object))
+    want_conj = EXACT.root_combination(5, {-i % 5: c for i, c in enumerate(coords)})
+    assert x.conjugate() == want_conj
+    # zeta_5^i zeta_3 = zeta_15^(3i + 5)
+    want_lift = EXACT.root_combination(15, {(3 * i + 5) % 15: c for i, c in enumerate(coords)})
+    got = x * root_of_unity(1, 3)
+    assert got.N == 15 and got == want_lift
+    assert repr(got) == repr(want_lift)
 
 
 # ---------------------------------------------------------------------------
