@@ -354,9 +354,10 @@ def cmd_stability(config: RunConfig) -> SuiteReport:
     ramified = [chi for chi in pool if chi.conductor_exponent >= 1]
     out_of_regime = {"equal": 0, "unequal": 0, "incomparable": 0, "skipped": 0}
     rep_counts = {}
-    # conductor a -> its table.  Every rank shares these tables, so each
-    # certificate column is tabulated once.
+    # conductor a -> its table and all its rows.  Every rank shares these
+    # tables, so each certificate column is tabulated once.
     tables = {a: CertificateTable(p, a) for a in range(1, t + 1)} if backend.exact else {}
+    table_rows = {a: np.arange(len(table.row_ks)) for a, table in tables.items()}
     # every character of the sweep presented at level t, each root number
     # recognised once for the out-of-regime tallies
     forms = RootNumberForms(p, t)
@@ -398,7 +399,7 @@ def cmd_stability(config: RunConfig) -> SuiteReport:
             # has size 1 and is the only one; if a(tau) reaches a, every other
             # block is the trivial character and pi = tau + 1^{n-1}, which the
             # structural shortcut answers.
-            verdicts = {a: table.check_pairs(pi, np.arange(len(table.row_ks)))
+            verdicts = {a: table.check_pairs(pi, table_rows[a])
                         for a, table in tables.items()
                         if a >= max(a_pi, 1) and (n + 1) * phi(p, a) <= config.budget}
             for chi in ramified:

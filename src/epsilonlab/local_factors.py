@@ -19,10 +19,11 @@ The stability theorem is checked by two engines, each with one entry point:
   exact only: divide both sides by the invertible eps(chi)^n; each side
   collapses to a root of unity whose exponent is computed from a short sum of
   phi(p^{a(mu)}) terms, tabulated once per conductor a for every chi at once,
-  making million-pair sweeps feasible.  Every value is recognized exactly:
-  each distinct multiset of exponents is summed once in its own small
-  cyclotomic field and must be +-q^{a(mu)} times a root of unity; anything
-  else raises ArithmeticError and is never repaired.
+  making million-pair sweeps feasible.  A cell depends on chi only through
+  its exponent mod p^{a//2}, so it is decided once per residue class.  Every
+  value is recognized exactly: each distinct multiset of exponents is summed
+  once in its own small cyclotomic field and must be +-q^{a(mu)} times a root
+  of unity; anything else raises ArithmeticError and is never repaired.
 
 The two engines are cross-checked against each other in the test suite, and
 in the CLI's stability suite, where under the exact backend the certificate
@@ -462,11 +463,18 @@ class CertificateTable:
     The ratio eps(mu chi)/eps(chi) of central epsilon values equals
     mu(-1) zeta_M^e; the mu(-1) parities multiply out to the same factor on
     both sides of every comparison check_pairs performs, so the checks can
-    work with the exponents alone.  A column is keyed by mu's exponent k at
-    level a and sums each distinct row once (see exponents); check_pairs
-    decides each cell on the blocks' integer exponents at level a.
-    fallback_count counts the distinct rows whose reduction the int64 guard
-    sent to object dtype.
+    work with the exponents alone.
+
+    Every column check_pairs reads has 2 a(mu) <= a, and e(chi, mu) depends on
+    chi only through k mod p^{a(mu)} (see exponents).  So a cell's verdict
+    depends on chi only through k mod p^h, h = a // 2: the rows fall into at
+    most phi(p^h) residue classes (20 classes for the 2,000 rows at p = 5,
+    a = 5), row_class maps each row to its class, and columns and cells are
+    computed per class.  A column is keyed by mu's exponent k at level a;
+    check_pairs decides each cell on the blocks' integer exponents at level a
+    and expands the classes to the requested rows once.  fallback_count
+    counts the distinct multisets whose reduction the int64 guard sent to
+    object dtype.
     """
 
     def __init__(self, p: int, a: int):
@@ -481,6 +489,11 @@ class CertificateTable:
         # exponent k -> row, -1 for the k of conductor below a
         self._row_of = np.full(self.M, -1, dtype=np.int64)
         self._row_of[self.row_ks] = np.arange(len(self.row_ks))
+        # the classes of k mod p^(a // 2), each presented by its first row's k
+        _, first, row_class = np.unique(
+            self.row_ks % p ** (a // 2), return_index=True, return_inverse=True)
+        self._class_ks = self.row_ks[first]
+        self.row_class = row_class.ravel()  # the inverse's shape varies across numpy versions
         self._mu_cache: dict[int, np.ndarray] = {}  # columns, by mu's k at level a
         self._block_ks: dict[tuple[int, int], tuple[int, int]] = {}
         self._fallbacks = 0
@@ -497,8 +510,9 @@ class CertificateTable:
     # -- certificates ----------------------------------------------------------
 
     def exponents(self, k: int) -> np.ndarray:
-        """e(chi, mu) for every row chi, for the character mu with exponent k at
-        level a; mu must satisfy 2 a(mu) <= a.
+        """e(chi, mu) for every residue class of chi (row r reads entry
+        row_class[r]), for the character mu with exponent k at level a; mu must
+        satisfy 2 a(mu) <= a.
 
         Outside that range the inner-sum factorization used below picks up
         extra mu- and chi-curvature terms, so the table refuses rather than
@@ -507,11 +521,13 @@ class CertificateTable:
 
         With s = a(mu), e is the exponent of tau(mu) D(chi) = +-p^s zeta_M^e,
         D(chi) = sum over units c mod p^s of chi(1 + c p^{a-s}) mu^{-1}(c).
-        Every D(chi) lies in Q(zeta_L), L = lcm(p^s, phi(p^s)), and depends
-        on chi only through the multiset of its exponents there, so each
-        distinct multiset is summed once, in one batched reduction, and
-        recognised; a value that is not +-p^s times a root of unity raises
-        ArithmeticError.
+        Each 1 + c p^{a-s} has order dividing p^s, so its discrete log is a
+        multiple of M / p^s and chi's exponent in each term depends only on
+        k mod p^s: one D per class.  Every D lies in Q(zeta_L),
+        L = lcm(p^s, phi(p^s)), and depends only on the multiset of its
+        exponents there, so each distinct multiset is summed once, in one
+        batched reduction, and recognised; a value that is not +-p^s times a
+        root of unity raises ArithmeticError.
         """
         k %= self.M
         hit = self._mu_cache.get(k)
@@ -522,7 +538,7 @@ class CertificateTable:
                 raise RegimeError("certificate columns need 2 a(mu) <= a")
             hit = self._mu_cache[k] = (
                 self._exponents_uncached(_represent_at_level(mu, s), s) if s
-                else np.zeros(len(self.row_ks), dtype=np.int64))
+                else np.zeros(len(self._class_ks), dtype=np.int64))
         return hit
 
     def _exponents_uncached(self, mu_s: MultChar, s: int) -> np.ndarray:
@@ -532,14 +548,16 @@ class CertificateTable:
         m_s = len(cs)
         mu_exps = -mu_s.k * np.arange(m_s) % m_s
         w_dlogs = self._ug.dlog_table()[(1 + cs * p ** (a - s)) % self.modulus]
-        # exponents in zeta_M of the terms of D(chi): rows chi, cols c
-        E = (self.row_ks[:, None] * w_dlogs[None, :] + (M // m_s) * mu_exps[None, :]) % M
+        if (w_dlogs % (M // p ** s)).any():
+            raise ArithmeticError("1 + c p^{a-s} has order above p^s")
+        # exponents in zeta_M of the terms of D(chi): one row per class, cols c
+        E = (self._class_ks[:, None] * w_dlogs[None, :] + (M // m_s) * mu_exps[None, :]) % M
         # 1 + c p^{a-s} has order dividing p^s and mu^{-1}(c) is an m_s-th root,
         # so every D(chi) lies in Q(zeta_L)
         L = math.lcm(p ** s, m_s)
         if M % L or (E % (M // L)).any():
             raise ArithmeticError("certificate sums leave Q(zeta_%d)" % L)
-        # a row's sum depends only on its multiset of exponents: sum each
+        # a class's sum depends only on its multiset of exponents: sum each
         # distinct one once
         rows, inverse = np.unique(np.sort(E // (M // L), axis=1), axis=0, return_inverse=True)
         n = len(rows)
@@ -559,7 +577,7 @@ class CertificateTable:
             e, r = rt
             # an odd order keeps the sign in the rational part
             exps[i] = (e * (M // full.N) + (M // 2 if r < 0 else 0)) % M
-        return exps[inverse.ravel()]  # the inverse's shape varies across numpy versions
+        return exps[inverse.ravel()]
 
     # -- pair checking ----------------------------------------------------------
 
@@ -575,9 +593,11 @@ class CertificateTable:
         the claim becomes
           sum_small d_j e(chi, tau_j)  ==  e(nu, sigma),
         sigma = omega tau_big^{-1} the product of the small blocks, whose
-        conductor is at most the largest small one's; the nu rows are a
-        permutation of the chi rows.  The structural shortcut answers first
-        when both sides are literally the same multiset.
+        conductor is at most the largest small one's; nu's class is chi's
+        class shifted by tau_big.  Every column read has 2 a(mu) <= a, so the
+        cell is decided once per residue class of chi and expanded to rows
+        once.  The structural shortcut answers first when both sides are
+        literally the same multiset.
         """
         a, M = self.a, self.M
         if any(b.shift != 0 for b in pi.blocks):
@@ -597,7 +617,7 @@ class CertificateTable:
                 [omega_k] + [0] * (pi.dim - 1)):
             return np.ones(len(rows), dtype=bool)
         bigs = [blk for blk in blocks if 2 * blk[1] > a]
-        sigma_k, target_rows = omega_k, rows
+        sigma_k, nu_class = omega_k, slice(None)
         if bigs:
             if len(bigs) != 1 or bigs[0][2] != 1:
                 raise RegimeError("certificate engine expects at most one deep block of size 1")
@@ -605,12 +625,14 @@ class CertificateTable:
             if s_big >= a:
                 raise RegimeError("deep block must still sit strictly below a(chi)")
             sigma_k = omega_k - k_big
-            # nu = chi * tau_big: a row permutation of the table
-            target_rows = self._row_of[(self.row_ks[rows] + k_big) % M]
-            if (target_rows < 0).any():
+            # nu = chi * tau_big: a permutation of the classes
+            nu_rows = self._row_of[(self._class_ks + k_big) % M]
+            if (nu_rows < 0).any():
                 raise ArithmeticError("chi * tau_big left conductor %d" % a)
-        acc = sum(d * self.exponents(k)[rows] for k, s, d in blocks if 2 * s <= a) % M
-        return acc == self.exponents(sigma_k)[target_rows]
+            nu_class = self.row_class[nu_rows]
+        acc = sum(d * self.exponents(k) for k, s, d in blocks if 2 * s <= a) % M
+        ok = acc == self.exponents(sigma_k)[nu_class]
+        return ok[self.row_class[rows]]
 
     @property
     def fallback_count(self) -> int:

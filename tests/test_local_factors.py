@@ -577,7 +577,8 @@ def test_certificate_slow_path_matches_fast_path():
         for j, mu in enumerate(_lemma_mus(p, a)):
             column = table.exponents(represent_at_level(mu, a).k)
             for row in range(j % stride, len(table.row_ks), stride):
-                assert _row_exponent(table, mu, row) == column[row], (p, a, mu, row)
+                assert (_row_exponent(table, mu, row)
+                        == column[table.row_class[row]]), (p, a, mu, row)
                 checked += 1
         assert table.fallback_count == 0
     assert checked == 484 + 209 + 44
@@ -593,7 +594,68 @@ def test_certificate_long_keys_at_conductor_four():
     assert table.fallback_count == 0
     for mu, column in zip(mus, columns):
         for row in range(0, len(table.row_ks), 17):
-            assert _row_exponent(table, mu, row) == column[row], (mu, row)
+            assert _row_exponent(table, mu, row) == column[table.row_class[row]], (mu, row)
+
+
+@pytest.mark.parametrize("p,a", [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (5, 4), (5, 5),
+                                 (7, 2), (7, 3)])
+def test_certificate_columns_depend_on_the_residue_class(p, a):
+    # 1 + c p^{a-s} has order dividing p^s, so e(chi, mu) depends on chi only
+    # through k mod p^s, and every lemma column through k mod p^(a // 2).  A
+    # copy of the table with every row in its own class computes each row's
+    # value; rows whose k agree mod p^(a // 2) carry equal exponents, and the
+    # classed table's entry for their class.
+    table = CertificateTable(p, a)
+    residues = table.row_ks % p ** (a // 2)
+    assert len(table._class_ks) == len(np.unique(residues)) == table.row_class.max() + 1
+    assert (table._class_ks[table.row_class] % p ** (a // 2) == residues).all()
+    if (p, a) == (5, 5):
+        assert len(table.row_ks) == 2000 and len(table._class_ks) == 20
+    per_row = CertificateTable(p, a)
+    per_row._class_ks, per_row.row_class = per_row.row_ks, np.arange(len(per_row.row_ks))
+    for mu in _lemma_mus(p, a):
+        k = represent_at_level(mu, a).k
+        column, rows = table.exponents(k), per_row.exponents(k)
+        assert len(column) == len(table._class_ks) and len(rows) == len(table.row_ks)
+        for r in np.unique(residues):
+            assert len(set(rows[residues == r].tolist())) == 1, (p, a, mu, r)
+        assert (column[table.row_class] == rows).all(), (p, a, mu)
+    assert table.fallback_count == per_row.fallback_count == 0
+
+
+@pytest.mark.parametrize("skew", [False, True])
+@pytest.mark.parametrize("p,n_max,a_max", [(5, 3, 3), (3, 4, 4)])
+def test_certificate_cells_on_any_rows(monkeypatch, p, n_max, a_max, skew):
+    # check_pairs expands its classes to the requested rows once: any row array
+    # reads the same verdicts as the full one, deep-block cells included.  The
+    # theorem makes every true verdict true, so a skewed copy of each column,
+    # different from class to class, gives cells whose verdicts are mixed.
+    if skew:
+        real = CertificateTable.exponents
+        monkeypatch.setattr(CertificateTable, "exponents", lambda self, k: (
+            real(self, k) + (k * k + 1) * np.arange(len(self._class_ks))) % self.M)
+    rng = np.random.default_rng(21)
+    tables = {a: CertificateTable(p, a) for a in range(1, a_max + 2)}
+    cells = deep = mixed = 0
+    for pi in enumerate_reps(p, n_max, a_max):
+        for a in range(max(pi.conductor_exponent, 1), a_max + 2):
+            table = tables[a]
+            full = np.arange(len(table.row_ks))
+            try:
+                want = table.check_pairs(pi, full)
+            except RegimeError:
+                continue
+            for rows in (full[::-1], rng.integers(0, len(full), size=len(full) // 2 + 3),
+                         full[len(full) // 3:len(full) // 3 + 1], np.array([], dtype=np.int64)):
+                got = table.check_pairs(pi, rows)
+                assert got.dtype == bool and got.tolist() == want[rows].tolist(), (pi, a)
+            cells += 1
+            mixed += 0 < np.count_nonzero(want) < len(want)
+            # a deep block beside a second ramified one: no structural shortcut
+            conductors = [b.tau.conductor_exponent for b in pi.blocks]
+            deep += max(conductors) * 2 > a and sum(c > 0 for c in conductors) > 1
+    assert cells > 900 and deep > 80
+    assert mixed > 200 if skew else mixed == 0
 
 
 def _distinct_rows(monkeypatch):
