@@ -8,7 +8,7 @@ The object is the (n-1)-fold complete exponential sum over units mod p^t
 with a multiplicative twist omega on the first variable and y a unit.
 
 Both engines compute a whole row over y at once, in one batched integer pass
-that ends in scalars' block shift and one batched reduction.
+that ends in one batched reduction.
 
 * kl_direct -- the definition, counted in another order: for one
   (p, t, n, omega) the whole (n-1)-dimensional grid of unit tuples is
@@ -27,14 +27,23 @@ that ends in scalars' block shift and one batched reduction.
       KL_{omega,n}(y; t) = phi(p^t)^{-1} * sum_{chi at level t}
           chi^{-1}(y) * tau_t(omega chi) * tau_t(chi)^{n-1}.
 
-  This is an inverse discrete Fourier transform over the unit-group dual.  The
-  Gauss-sum table is built once per (p, t) and keeps tau_t(chi) and
-  tau_t(chi)^{n-1} as integer stacks in Q(zeta_N), N = lcm(p^t, m),
-  m = phi(p^t); the m products A_k = tau_t(omega chi_k) tau_t(chi_k)^{n-1}
-  of one (omega, n) are one stacked integer convolution, folded mod N.  With
-  chi_k(g) = zeta_m^k and d = dlog y, chi_k^{-1}(y) = z^{-k d N/m}, so the
-  transform is the block shift of the unreduced A_k, evaluated for every d at
-  once (kl_row); kl_via_dft is one entry of it.
+  This is an inverse discrete Fourier transform over the unit-group dual,
+  evaluated for every y at once (kl_row); kl_via_dft is one entry of it.  The
+  Gauss-sum table is built once per (p, t) in Q(zeta_N), z = zeta_N,
+  N = lcm(p^t, m), m = phi(p^t).  With chi_k(g) = zeta_m^k and d = dlog y,
+  chi_k^{-1}(y) = z^{-k d N/m}, and A_k = tau_t(omega chi_k) tau_t(chi_k)^{n-1}.
+
+  - At t >= 2 every nonzero tau_t(chi) has conductor t, so it is a Gauss-sum
+    form (local_factors._gauss_form, recognised once per table):
+    p^{t/2} z^angle for even t and p^{(t-1)/2} z^angle g for odd t, g the
+    quadratic Gauss sum.  Each nonzero A_k is then one rational times
+    z^{angle_k}, times g when t and n are both odd, and the row is one
+    bincount of the m x m exponents angle_k - k d N/m, one multiplication by
+    g where it is left over, and one batched reduction.
+  - At t = 1 the table keeps tau_t(chi) and tau_t(chi)^{n-1} as integer
+    stacks; the A_k of one (omega, n) are one stacked integer convolution,
+    folded mod N, and the transform is scalars' block shift of the unreduced
+    A_k.
 
 The two engines are cross-checked exhaustively in the test and acceptance
 suites; the factorization above is treated as correct only because of that
@@ -51,10 +60,10 @@ from typing import Optional
 import numpy as np
 
 from .characters import MultChar, represent_at_level
-from .local_factors import _gauss_sum_at_level
+from .local_factors import _form_product, _gauss_form, _gauss_sum_at_level, _times_g
 from .padic import phi, unit_group
-from .scalars import (EXACT, Backend, Scalar, _lifted_stack, _shifted_stack_sums,
-                      _stacked_products, shifted_root_sums)
+from .scalars import (EXACT, Backend, Scalar, _lifted_stack, _shifted_stack_sums, _stack_values,
+                      _stacked_products, get_context, shifted_root_sums)
 
 
 DEFAULT_BUDGET = 2_000_000  # the work budget of one case, in terms or operations
@@ -179,8 +188,11 @@ class GaussTable:
     t: int
     values: tuple
     backend: Backend
-    # exponent e -> (tau_t(chi_k)^e for every k as an integer stack in Q(zeta_N), denominator)
+    # exponent e -> (tau_t(chi_k)^e for every k as an integer stack in Q(zeta_N), denominator);
+    # exact tables at t = 1 only
     _stacks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the angles of every tau_t(chi_k) as forms and which of them are nonzero; t >= 2 only
+    _forms: list = field(default_factory=list, init=False, repr=False, compare=False)
     # (omega exponent k at level t, n) -> the kl_row of that twist
     _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -201,6 +213,19 @@ class GaussTable:
             hit = self._stacks[e] = _lifted_stack(
                 self.values if e == 1 else [v ** e for v in self.values], self._N)
         return hit
+
+    def _form_angles(self) -> tuple:
+        """(angles, live) for t >= 2: each nonzero tau_t(chi_k) is recognised once
+        per table as the form p^(t // 2) zeta_N^angles[k] g^(t mod 2) of
+        local_factors._gauss_form, and live marks it; the others, of conductor
+        below t, vanish."""
+        if not self._forms:
+            live = np.array([not v.is_zero() for v in self.values])
+            angles = np.zeros(self.order, dtype=np.int64)
+            for k in np.flatnonzero(live):
+                angles[k] = _gauss_form(self.values[k], self.p, self.t, self._N)[0]
+            self._forms.extend((angles, live))
+        return tuple(self._forms)
 
 
 def build_gauss_table(
@@ -232,11 +257,13 @@ def kl_row(omega: MultChar, n: int, table: GaussTable) -> tuple:
     m^{-1} sum_k zeta_m^{-k d} A_k with A_k = tau(omega chi_k) tau(chi_k)^{n-1},
     in the table's backend.
 
-    Exactly, the A_k are one stacked integer convolution of the table's
-    stacks of tau and tau^{n-1}, folded mod N = lcm(p^t, m) and block-shifted
-    unreduced, so the row costs one reduction.  In floats the A_k are complex
-    products.  Always computed afresh; the row is left on the table for
-    kl_via_dft.
+    Exactly at t >= 2, each nonzero A_k is a product of Gauss-sum forms (see
+    _form_row), so the row is one count of angles and one reduction.  At
+    t = 1 the A_k are one stacked integer convolution of the table's stacks
+    of tau and tau^{n-1}, folded mod N = lcm(p^t, m) and block-shifted
+    unreduced, so the row costs one reduction too.  In floats the A_k are
+    complex products.  Always computed afresh; the row is left on the table
+    for kl_via_dft.
     """
     if n < 2:
         raise ValueError("hyper-Kloosterman sums need n >= 2 (n-1 summation variables)")
@@ -245,7 +272,9 @@ def kl_row(omega: MultChar, n: int, table: GaussTable) -> tuple:
     m = table.order
     k_om = represent_at_level(omega, table.t).k % m
     ks = np.arange(m)
-    if table.backend.exact:
+    if table.backend.exact and table.t >= 2:
+        row = _form_row(k_om, n, table)
+    elif table.backend.exact:
         (X, dx), (Y, dy) = table._stack(1), table._stack(n - 1)
         A = _stacked_products(np.roll(X, -k_om, axis=0), Y, table._N)
         row = _shifted_stack_sums(A, -ks, m, table.backend, ks, den=m * dx * dy)
@@ -254,6 +283,31 @@ def kl_row(omega: MultChar, n: int, table: GaussTable) -> tuple:
         row = shifted_root_sums(A, -ks, m, table.backend, den=m)
     table._rows[k_om, n] = row
     return row
+
+
+def _form_row(k_om: int, n: int, table: GaussTable) -> tuple:
+    """The exact kl_row at t >= 2.  Every nonzero tau_t(chi_k) has conductor t
+    and is the form p^(t // 2) zeta_N^angle_k g^f, f = t mod 2, so each
+    nonzero A_k is r zeta_N^(angle_{k+k_om} + (n-1) angle_k + c) g^F with one
+    (c, r, F) for the whole row: the form product folds the n factors of g
+    in pairs into r and c.  With zeta_m = zeta_N^(N/m), the row's m sums
+    are the rows d of one (m, N) count of the exponents
+    angle(A_k) - k d N/m over the nonzero A_k, times r g^F / m: one bincount,
+    one multiplication by g = sum_x (x/p) zeta_p^x when F = 1 (t and n odd),
+    and one batched reduction."""
+    p, m, N = table.p, table.order, table._N
+    angles, live = table._form_angles()
+    c, r, flag = _form_product(p, N, [((0, p ** (table.t // 2), table.t % 2), n)])
+    ks = np.flatnonzero(live & np.roll(live, -k_om))
+    exps = angles[(ks + k_om) % m] + (n - 1) * angles[ks] + c
+    ds = np.arange(m)
+    exps = (exps - np.multiply.outer(ds, ks) * (N // m)) % N + (ds * N)[:, None]
+    R = np.bincount(exps.ravel(), minlength=m * N).reshape(m, N)
+    if flag:
+        R = _times_g(R, p)
+    if not get_context(N).fits_int64(r * int(np.abs(R).max(initial=0))):
+        R = R.astype(object)
+    return _stack_values(N, R * r, m)
 
 
 def kl_via_dft(query: KLQuery, table: GaussTable) -> Scalar:

@@ -33,8 +33,11 @@ and every pair the certificate rejects.
 
 The suite's out-of-regime tallies (a(chi) < a(pi), recorded, never asserted)
 are decided under the exact backend by RootNumberForms(p, t).stability_key:
-each root number is recognised once, and a pair is integer arithmetic on root
-exponents; only unrecognised root numbers that do not cancel are multiplied.
+each root number is recognised once as a Gauss-sum form (an angle, a rational
+and a flag for the quadratic Gauss sum) wherever it must be one -- every
+conductor but one, and the quadratic character -- and a pair is integer
+arithmetic on forms; only the other root numbers of conductor one that do not
+cancel are multiplied.
 """
 
 from __future__ import annotations
@@ -64,6 +67,8 @@ from .scalars import (
     Backend,
     Rational,
     ScaledScalar,
+    _int_array,
+    _stack_values,
     get_context,
     root_of_unity,
 )
@@ -94,6 +99,77 @@ def _gauss_sum_at_level(p: int, k: int, t: int, backend: Backend):
     x = g^d in dlog order, so chi(x) = zeta_m^{k d}."""
     ug = unit_group(p, t)
     return backend.root_sum(p ** t, ug.powers, ug.order, k * np.arange(ug.order))
+
+
+# ---------------------------------------------------------------------------
+# Gauss sums as monomials
+# ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _quadratic_gauss_sum(p: int):
+    """g = sum over units x mod p of (x/p) zeta_p^x, the Gauss sum of the
+    quadratic character, whose exponent is (p-1)/2 at level 1;
+    g^2 = p* = (-1)^((p-1)/2) p."""
+    return _gauss_sum_at_level(p, (p - 1) // 2, 1, EXACT)
+
+
+def _times_g(R: np.ndarray, p: int) -> np.ndarray:
+    """R g for a stack (..., N) of unreduced group-ring vectors of Z[C_N], p | N.
+    g sums (-1)^d zeta_p^x over the units x = h^d mod p, h the generator, so
+    R g is one signed rotation of R by x N/p per unit: p - 1 rotations, in
+    object dtype where their sum could leave int64."""
+    N = R.shape[-1]
+    if R.dtype != object and not get_context(N).fits_int64(
+            (p - 1) * int(np.abs(R).max(initial=0))):
+        R = R.astype(object)
+    return sum((-1) ** d * np.roll(R, int(x) * (N // p), axis=-1)
+               for d, x in enumerate(unit_group(p, 1).powers))
+
+
+def _gauss_form(value, p: int, a: int, A: int) -> tuple:
+    """value = r zeta_A^angle g^flag as the form (angle mod A, r, flag), for a
+    value the size of a Gauss sum of conductor a: the rational r = p^(a // 2)
+    and flag = a mod 2.
+
+    For a >= 2, and for the quadratic character at a = 1, tau is +-p^(a/2)
+    times a root of unity when a is even, and tau g is +-p^((a+1)/2) times one
+    when a is odd (Berndt, Evans and Williams, Gauss and Jacobi Sums, ch. 1).
+    The form is read from value (times g when a is odd) by
+    as_root_times_rational, the sign folded into the angle (A is even, so -1
+    is zeta_A^(A/2)), and 1 / g = g / p*; a value that is not of that shape in
+    Q(zeta_A) raises ArithmeticError.  The form is canonical: |g| = sqrt p
+    is no rational multiple of a root of unity."""
+    if A % value.N:
+        raise ArithmeticError("%r does not lie in Q(zeta_%d)" % (value, A))
+    flag = a % 2
+    full = value
+    if flag:
+        num, den = value._lift_vec(A)
+        R = np.zeros((1, A), dtype=_int_array(num).dtype)
+        R[0, :len(num)] = num
+        full = _stack_values(A, _times_g(R, p), den)[0]
+    rt = full.as_root_times_rational()
+    if rt is None or abs(rt[1]) != p ** ((a + flag) // 2):
+        raise ArithmeticError("%r is not p^(%d/2) times a root of unity%s"
+                              % (value, a, " over g" if flag else ""))
+    e, r = rt
+    if flag and p % 4 == 3:
+        r = -r  # value = (r / p*) zeta^e g, and here p* = -p
+    return (e * (A // full.N) + (A // 2 if r < 0 else 0)) % A, p ** (a // 2), flag
+
+
+def _form_product(p: int, A: int, factors) -> tuple:
+    """The form of the product of the forms f^d over (f, d): angles add and
+    rationals multiply; each g^2 = p* goes into the rational and its sign
+    into the angle."""
+    angle, r, flags = 0, 1, 0
+    for (f_angle, f_r, f_flag), d in factors:
+        angle, r, flags = angle + d * f_angle, r * f_r ** d, flags + d * f_flag
+    pairs, flag = divmod(flags, 2)
+    if p % 4 == 3:
+        angle += pairs * (A // 2)
+    return angle % A, r * p ** pairs, flag
 
 
 def root_number(chi: MultChar, backend: Backend = EXACT) -> ScaledScalar:
@@ -358,57 +434,48 @@ class RootNumberForms:
     """The root numbers of the characters presented at level t, each recognised
     once, and the out-of-regime stability key decided on them (exact only).
 
-    W(c) = c(-1) tau(c) q^{-a/2}, and for even a(c) the coefficient
-    c(-1) tau(c) is p^{a/2} times a root of unity (Berndt, Evans and Williams,
-    Gauss and Jacobi Sums, ch. 1).  Where as_root_times_rational recognises it,
-    c is held as an angle in Z/A, A = lcm(p^t, phi(p^t)), with the sign
-    folded in (A is even, so -1 is zeta_A^{A/2}); a recognised value that is
-    not +-p^{a/2} times a root of unity raises ArithmeticError.  Otherwise c
-    is an atom, held as its exact coefficient.  Forms are keyed by c's
-    exponent k at level t.
+    W(c) = c(-1) tau(c) q^{-a/2}.  Where the coefficient c(-1) tau(c) is a
+    Gauss-sum form -- a(c) >= 2, c quadratic, or c unramified -- it is held as
+    one (see _gauss_form): the triple (angle in Z/A, r, g-flag) with
+    A = lcm(p^t, phi(p^t)), for p^{a/2} times a root of unity when a(c) is
+    even and p^{(a-1)/2} times a root of unity times the quadratic Gauss sum g
+    when a(c) is odd, c(-1) folded into the angle.  Such a value that is not
+    of that shape raises ArithmeticError.  Every other c (conductor one, not
+    quadratic) is an atom, held as its exact coefficient.  Forms are keyed by
+    c's exponent k at level t.
     """
 
     def __init__(self, p: int, t: int):
         self.p, self.t = p, t
         self.m = phi(p, t)
         self.A = math.lcm(p ** t, self.m)
-        self._forms: dict[int, tuple] = {}  # k -> (a(c), angle, atom or None)
+        self._forms: dict[int, tuple] = {}  # k -> (a(c), form, or the atom as a CycNumber)
 
     def _form(self, k: int) -> tuple:
-        form = self._forms.get(k)
-        if form is None:
+        hit = self._forms.get(k)
+        if hit is None:
             c = MultChar(self.p, self.t, k)
             a, coeff = c.conductor_exponent, root_number(c).coeff
-            rt = coeff.as_root_times_rational()
-            if rt is None:
-                form = (a, 0, coeff)
-            else:
-                e, r = rt
-                if a % 2 or abs(r) != self.p ** (a // 2):
-                    raise ArithmeticError("W(%r) is not a root of unity" % (c,))
-                form = (a, (e * (self.A // coeff.N) + (self.A // 2 if r < 0 else 0)) % self.A,
-                        None)
-            self._forms[k] = form
-        return form
+            atom = a == 1 and 2 * k != self.m
+            hit = self._forms[k] = (a, coeff if atom else _gauss_form(coeff, self.p, a, self.A))
+        return hit
 
     def _side(self, factors) -> tuple:
-        """(xexp, angle, half, atoms) of the product of the coefficients of
-        W(c)^d over (k, d): the recognised ones multiply to
-        p^half zeta_A^angle, the atoms are counted by k."""
-        xexp, angle, half, atoms = 0, 0, 0, Counter()
+        """(xexp, form, atoms) of the product of the coefficients of W(c)^d
+        over (k, d): the forms multiply to one form, the atoms are counted by k."""
+        xexp, forms, atoms = 0, [], Counter()
         for k, d in factors:
-            a, c_angle, atom = self._form(k)
+            a, form = self._form(k)
             xexp += a * d
-            if atom is None:
-                angle += d * c_angle
-                half += d * a // 2
+            if isinstance(form, tuple):
+                forms.append((form, d))
             else:
                 atoms[k] += d
-        return xexp, angle % self.A, half, atoms
+        return xexp, _form_product(self.p, self.A, forms), atoms
 
     def _atom_product(self, atoms: Counter, start):
         for k, d in atoms.items():
-            start = start * self._forms[k][2] ** d
+            start = start * self._forms[k][1] ** d
         return start
 
     def stability_key(self, pi: RepnData, chi: MultChar) -> str:
@@ -419,10 +486,10 @@ class RootNumberForms:
         Each block's fused character chi tau_j and omega chi are integer
         exponents at level t.  With shiftless blocks the q-exponents agree
         whenever the xexp sums do, so the values decide.  If the atoms of the
-        two sides cancel, so do the p-powers (the xexp sums are equal), and the
-        angles decide; otherwise only the leftover atoms are multiplied,
-        exactly, against the p-power and the root of the angle difference, in
-        the root's own reduced field.
+        two sides cancel, so do the rationals and the g-flags (the xexp sums
+        are equal), and the angles decide; otherwise only the leftover atoms
+        are multiplied, exactly, against the ratio of the rationals, the root
+        of the angle difference and g where one side's flag is left over.
         """
         if any(b.shift != 0 for b in pi.blocks):
             raise RegimeError("root-number forms handle shiftless blocks only")
@@ -436,17 +503,20 @@ class RootNumberForms:
             blocks.append(((kc + kt) % m, b.size))
         if any(d >= 2 and self._form(k)[0] == 0 for k, d in blocks):
             return "incomparable"
-        lx, l_angle, l_half, l_atoms = self._side(blocks)
-        rx, r_angle, r_half, r_atoms = self._side([((omega + kc) % m, 1), (kc, pi.dim - 1)])
+        lx, l_form, l_atoms = self._side(blocks)
+        rx, r_form, r_atoms = self._side([((omega + kc) % m, 1), (kc, pi.dim - 1)])
         if lx != rx:
             return "unequal"
         left, right = l_atoms - r_atoms, r_atoms - l_atoms
         if not left and not right:
-            return "equal" if l_angle == r_angle else "unequal"
+            return "equal" if l_form == r_form else "unequal"
+        (l_angle, l_r, l_flag), (r_angle, r_r, r_flag) = l_form, r_form
         g = math.gcd(l_angle - r_angle, self.A)
         root = root_of_unity((l_angle - r_angle) // g, self.A // g)
-        lhs = self._atom_product(left, root * Fraction(self.p) ** (l_half - r_half))
-        return "equal" if lhs == self._atom_product(right, 1) else "unequal"
+        quad = _quadratic_gauss_sum(self.p)
+        lhs = self._atom_product(left, root * Fraction(l_r, r_r) * (quad if l_flag > r_flag else 1))
+        rhs = self._atom_product(right, quad if r_flag > l_flag else 1)
+        return "equal" if lhs == rhs else "unequal"
 
 
 # ---------------------------------------------------------------------------

@@ -239,13 +239,6 @@ class CycNumber:
     # -- construction ---------------------------------------------------------
 
     @staticmethod
-    def from_vec(N: int, vec: np.ndarray, den: int = 1) -> "CycNumber":
-        ctx = get_context(N)
-        if len(vec) != ctx.phi:
-            raise ValueError("canonical vector has wrong length")
-        return _make(N, np.asarray(vec).tolist(), int(den))
-
-    @staticmethod
     def rational(value: Rational) -> "CycNumber":
         fr = Fraction(value)
         return _make(1, [fr.numerator], fr.denominator)
@@ -592,8 +585,13 @@ def _shifted_stack_sums(G: np.ndarray, mults, m: int, backend: "Backend",
     R = np.zeros((len(ds), N), dtype=G.dtype)
     for rows, w in zip(rotations, -np.multiply.outer(mults, ds) % m):
         R += rows[w]
-    red = ctx.reduce_groupring(R)
-    return tuple(CycNumber.from_vec(N, r, den) for r in red)
+    return _stack_values(N, R, den)
+
+
+def _stack_values(N: int, R: np.ndarray, den: int = 1) -> tuple:
+    """R[i] / den for each row of a (K, N) stack of unreduced group-ring vectors
+    of Z[C_N]: one batched reduction, one tolist and one _make per row."""
+    return tuple(_make(N, row, den) for row in get_context(N).reduce_groupring(R).tolist())
 
 
 def to_complex(x: Union[CycNumber, complex]) -> complex:

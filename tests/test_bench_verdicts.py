@@ -1,13 +1,16 @@
-"""The benchmark's certificate grid reaches its recorded verdicts.
+"""The benchmark's sweeps reach their recorded verdicts.
 
-``perfbench/workloads.py`` is read here as it stands, without installing it,
-and its ``cert-grid`` smoke sweep is run in-process: a change that breaks a
-grid verdict fails this suite, not only the benchmark's own self-test.
+``perfbench/workloads.py`` and ``perfbench/golden.json`` are read here as they
+stand, without installing or editing them, and each workload's smoke sweep is
+run in-process: a change that breaks a benchmark verdict fails this suite, not
+only the benchmark's own self-test.
 """
 import importlib.util
 import json
 import sys
 from pathlib import Path
+
+import pytest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -29,3 +32,12 @@ def test_cert_grid_smoke_sweep_matches_its_golden(monkeypatch):
     keys = ("cases", "digest", "cells", "all_true", "fallbacks")
     assert {key: got[key] for key in keys} == {key: want[key] for key in keys}
     assert got["failed"] == 0
+
+
+@pytest.mark.parametrize("name", ["kl-exact", "stability-exact", "bessel-exact"])
+def test_suite_smoke_sweep_matches_its_golden(monkeypatch, name):
+    workloads = _load_workloads(monkeypatch)
+    want = json.loads((PERFBENCH / "golden.json").read_text())["smoke"][name]
+    got = workloads.verdicts(name, workloads.prepare(name, "smoke", 7)())
+    assert {key: got[key] for key in want} == want
+    assert workloads.gate(name, got, want) == []

@@ -17,7 +17,7 @@ import pytest
 
 from epsilonlab import bessel, cli
 from epsilonlab.characters import MultChar, chars_with_conductor, v_chi
-from epsilonlab.local_factors import RepnData, enumerate_reps, stability_check
+from epsilonlab.local_factors import RepnData, RootNumberForms, enumerate_reps, stability_check
 from epsilonlab.scalars import EXACT, CycNumber
 from epsilonlab.cli import (
     ConfigError,
@@ -280,6 +280,18 @@ def test_stability_out_of_regime_tallies_pinned(p, t_max, n_list, tally):
     # recorded while every out-of-regime pair still built both direct monomials
     rep = cmd_stability(config(p=p, t_max=t_max, n_list=n_list))
     assert rep.extras["out_of_regime"] == tally
+
+
+def test_stability_odd_conductor_tallies_are_decided_by_integers(monkeypatch):
+    # Recorded while 768 of these pairs still multiplied leftover root numbers
+    # of conductor 1 and 3.  At p = 3 every character of odd conductor has a
+    # Gauss-sum form, so no exact product is left.
+    products = []
+    _counting(monkeypatch, RootNumberForms, "_atom_product", products)
+    rep = cmd_stability(config(p=3, t_max=4, n_list=(2, 3)))
+    assert rep.extras["out_of_regime"] == {
+        "equal": 1814, "unequal": 827, "incomparable": 16, "skipped": 0}
+    assert products == []
 
 
 def test_stability_mixed_ranks_share_one_report():
@@ -659,6 +671,13 @@ PINNED_REPORTS = [
                  "c8ab878a4b719dbba1be557d1ad94361f5c2a669bae7271e92e200ef52d4c4bb",
                  "feee49f501a50084f90c44ae4b2d5b647f59f00de48628b38285215464a7b283",
                  id="kloosterman-p7"),
+    # odd levels: at t = 3, n = 3 every A_k carries an odd power of the
+    # quadratic Gauss sum; recorded before the Kloosterman rows at t >= 2 were
+    # summed on Gauss-sum forms
+    pytest.param(["kloosterman", "--p", "3", "--t-max", "3", "--n", "2", "3"],
+                 "e7b3bf4b2905f4624990932096b9bfa4375460db16805ca9c2175fd48cb1d759",
+                 "913e255b73eb8d76a98bec4a3f6c09e7dd860224ec1d96ffb1aeebc8359b3774",
+                 id="kloosterman-p3-t3"),
 ]
 
 

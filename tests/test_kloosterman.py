@@ -376,6 +376,62 @@ def test_row_matches_direct_everywhere(p, t):
                 assert got == kl_via_dft(q, table)
 
 
+def _some_twists(p, t):
+    """The trivial twist, a faithful one, one of conductor t - 1 and the
+    quadratic one, each at level t."""
+    m = phi(p, t)
+    return [MultChar(p, t, k) for k in (0, 1, p, m // 2)]
+
+
+@pytest.mark.parametrize("p,t", [(3, 3), (5, 2), (5, 3), (7, 2)])
+def test_form_row_is_the_direct_row(p, t):
+    # at t >= 2 the rows are counted on Gauss-sum forms; the flag of g is
+    # left over when t and n are odd
+    table = build_gauss_table(p, t)
+    ys = [int(y) for y in unit_group(p, t).powers]
+    for n in (2, 3, 4):
+        for om in _some_twists(p, t):
+            want = tuple(kl_direct(KLQuery(om, n, y, t), term_budget=None) for y in ys)
+            assert kl_row(om, n, table) == want, (n, om)
+
+
+@pytest.mark.parametrize("p,t", [(7, 3), (11, 2), (13, 2)])
+def test_form_row_is_the_literal_transform(p, t):
+    # a few entries against m^{-1} sum_k zeta_m^{-k d} tau(omega chi_k) tau(chi_k)^{n-1}
+    # written out with the table's literal Gauss sums
+    table = build_gauss_table(p, t)
+    m, tau = table.order, table.values
+    for n in (2, 3):
+        for om in _some_twists(p, t)[:2]:
+            row = kl_row(om, n, table)
+            A = [(k, tau[(k + om.k) % m] * tau[k] ** (n - 1)) for k in range(m)
+                 if not tau[k].is_zero() and not tau[(k + om.k) % m].is_zero()]
+            for d in (1, m - 2):
+                literal = sum((root_of_unity(-k * d, m) * a for k, a in A), CycNumber.zero())
+                assert row[d] == literal / m, (n, om, d)
+
+
+def test_form_row_with_a_rational_past_int64():
+    # n = 41 at (3, 2): every A_k is 3^41 times a root of unity, and 3^41 > 2^63
+    table = build_gauss_table(3, 2)
+    m, tau = table.order, table.values
+    om = MultChar(3, 2, 1)
+    row = kl_row(om, 41, table)
+    for d in range(m):
+        literal = sum((root_of_unity(-k * d, m) * tau[(k + 1) % m] * tau[k] ** 40
+                       for k in range(m)), CycNumber.zero())
+        assert row[d] == literal / m, d
+
+
+def test_form_row_refuses_a_table_value_off_the_form():
+    base = build_gauss_table(5, 2)
+    values = list(base.values)
+    values[1] = values[1] + 1  # conductor 2, no longer 5 times a root of unity
+    table = GaussTable(5, 2, tuple(values), EXACT)
+    with pytest.raises(ArithmeticError):
+        kl_row(trivial_char(5), 2, table)
+
+
 def test_float_row_matches_exact_row():
     p, t, n = 5, 2, 3
     ex, fl = build_gauss_table(p, t), build_gauss_table(p, t, backend=FLOAT)
@@ -385,16 +441,35 @@ def test_float_row_matches_exact_row():
 
 
 def test_powers_computed_once_per_table(monkeypatch):
-    table = build_gauss_table(5, 2)
+    # the stacked products serve t = 1; rows at t >= 2 raise no power
+    table = build_gauss_table(5, 1)
     calls = []
     real_pow = CycNumber.__pow__
     monkeypatch.setattr(CycNumber, "__pow__",
                         lambda self, k: calls.append(k) or real_pow(self, k))
-    for om in level_chars(5, 2):
+    for om in level_chars(5, 1):
         kl_row(om, 3, table)
     assert calls == [2] * table.order  # one tau^2 per character, shared by every omega
     assert table._stack(2) is table._stack(2)
-    assert build_gauss_table(5, 2) == table  # the memo is not part of the value
+    assert build_gauss_table(5, 1) == table  # the memo is not part of the value
+    calls.clear()
+    kl_row(trivial_char(5), 3, build_gauss_table(5, 2))
+    assert calls == []
+
+
+def test_forms_recognised_once_per_table(monkeypatch):
+    table = build_gauss_table(5, 3)
+    seen = []
+    real = kloosterman._gauss_form
+    monkeypatch.setattr(kloosterman, "_gauss_form",
+                        lambda value, *args: seen.append(value) or real(value, *args))
+    for n in (2, 3):
+        for om in (trivial_char(5), MultChar(5, 3, 1), MultChar(5, 2, 5)):
+            kl_row(om, n, table)
+    # one per character of conductor 3, whatever the twist and the rank
+    assert seen == [v for v in table.values if not v.is_zero()]
+    assert len(seen) == phi(5, 3) - phi(5, 2)
+    assert build_gauss_table(5, 3) == table  # the memo is not part of the value
 
 
 def test_via_dft_computes_one_row_per_twist(monkeypatch):
@@ -496,6 +571,18 @@ def test_row_products_fit_but_their_sum_does_not(monkeypatch):
 def test_forced_object_row_equals_int64_row(monkeypatch):
     table = build_gauss_table(5, 2)
     omegas = (trivial_char(5), MultChar(5, 2, 7))
+    fast = [kl_row(om, 3, table) for om in omegas]
+    monkeypatch.setattr(CycContext, "fits_int64", lambda self, max_abs: False)
+    seen = _spy_row_reductions(monkeypatch)
+    slow = [kl_row(om, 3, table) for om in omegas]
+    assert seen == [object, object]
+    assert slow == fast
+
+
+def test_forced_object_form_row_equals_int64_row(monkeypatch):
+    # t = 3 and n = 3: the multiple of g runs in object dtype too
+    table = build_gauss_table(3, 3)
+    omegas = (trivial_char(3), MultChar(3, 3, 5))
     fast = [kl_row(om, 3, table) for om in omegas]
     monkeypatch.setattr(CycContext, "fits_int64", lambda self, max_abs: False)
     seen = _spy_row_reductions(monkeypatch)

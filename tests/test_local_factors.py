@@ -160,6 +160,94 @@ def test_gauss_twisted_argument(pa, k, c):
 
 
 # ---------------------------------------------------------------------------
+# Gauss sums as monomials
+# ---------------------------------------------------------------------------
+
+
+def _legendre(x, p):
+    """(x/p) by Euler's criterion."""
+    return {0: 0, 1: 1, p - 1: -1}[pow(x, (p - 1) // 2, p)]
+
+
+def _written_back(form, p, A):
+    """The CycNumber r zeta_A^angle g^flag, with g = sum_x (x/p) zeta_p^x placed
+    term by term into one count vector."""
+    angle, r, flag = form
+    if not flag:
+        return r * root_of_unity(angle, A)
+    vec = np.zeros(A, dtype=np.int64)
+    for x in range(1, p):
+        vec[(angle + x * (A // p)) % A] = r * _legendre(x, p)
+    return EXACT.root_combination_vec(A, vec)
+
+
+def _field(p, a):
+    return p ** a * (p - 1)  # lcm(p^a, phi(p^a)) for odd p
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_quadratic_gauss_sum_squares_to_p_star(p):
+    g = local_factors._quadratic_gauss_sum(p)
+    assert g == _written_back((0, 1, 1), p, p)  # the sum by Euler's criterion
+    p_star = _legendre(p - 1, p) * p
+    assert g * g == CycNumber.rational(p_star)
+    assert g.conjugate() == _legendre(p - 1, p) * g
+    # the quadratic character at conductor one is g itself, and its form says so
+    A = _field(p, 1)
+    assert local_factors._gauss_form(g, p, 1, A) == (0, 1, 1)
+    assert local_factors._form_product(p, A, [((0, 1, 1), 2)]) == (
+        0 if p_star > 0 else A // 2, p, 0)
+
+
+@pytest.mark.parametrize("p,a", [(3, 2), (3, 3), (3, 4), (3, 5), (5, 2), (5, 3), (5, 4), (5, 5),
+                                 (7, 2), (7, 3), (7, 4)])
+def test_gauss_form_round_trip(p, a):
+    A = _field(p, a)
+    for chi in conductor_chars(p, a):
+        tau = gauss_sum(chi)
+        form = local_factors._gauss_form(tau, p, a, A)
+        assert form[1:] == (p ** (a // 2), a % 2)
+        assert _written_back(form, p, A) == tau, chi
+    # read in a larger field, the angle scales with it
+    assert local_factors._gauss_form(tau, p, a, A * p) == (form[0] * p,) + form[1:]
+
+
+@pytest.mark.parametrize("p,a,b", [(3, 3, 3), (3, 2, 5), (5, 3, 3), (5, 2, 3), (7, 3, 3)])
+def test_gauss_form_products(p, a, b):
+    A = _field(p, max(a, b))
+    taus = [gauss_sum(chi) for chi in conductor_chars(p, a)[:3] + conductor_chars(p, b)[-3:]]
+    forms = [local_factors._gauss_form(tau, p, chi_a, A)
+             for tau, chi_a in zip(taus, [a] * 3 + [b] * 3)]
+    for i, j in [(0, 3), (1, 4), (2, 5), (0, 1)]:
+        product = local_factors._form_product(p, A, [(forms[i], 1), (forms[j], 1)])
+        assert _written_back(product, p, A) == taus[i] * taus[j], (i, j)
+    for d in (2, 3):
+        product = local_factors._form_product(p, A, [(forms[0], d), (forms[5], 1)])
+        assert _written_back(product, p, A) == taus[0] ** d * taus[5], d
+
+
+@pytest.mark.parametrize("p,a", [(3, 3), (5, 2), (7, 1)])
+def test_gauss_form_refuses_a_value_that_does_not_fit(p, a):
+    A = _field(p, a)
+    tau = gauss_sum(MultChar(p, a, 1) if a > 1 else MultChar(p, 1, (p - 1) // 2))
+    local_factors._gauss_form(tau, p, a, A)
+    for patched in (tau + 1, 2 * tau, tau * root_of_unity(1, 4 * A)):
+        with pytest.raises(ArithmeticError):
+            local_factors._gauss_form(patched, p, a, A)
+    with pytest.raises(ArithmeticError):
+        local_factors._gauss_form(tau, p, a + 1, A)  # the wrong size, and g on the wrong side
+
+
+def test_root_number_forms_refuse_a_ramified_value_off_the_form(monkeypatch):
+    # a(c) = 2 must give a form; the value here is no monomial, and it is not
+    # taken as an atom
+    monkeypatch.setattr(local_factors, "root_number",
+                        lambda c: ScaledScalar.of(CycNumber.rational(5) + root_of_unity(1, 5), -1))
+    with pytest.raises(ArithmeticError):
+        RootNumberForms(5, 2)._form(1)
+
+
+# ---------------------------------------------------------------------------
 # root numbers and GL(1) epsilon monomials
 # ---------------------------------------------------------------------------
 
@@ -894,33 +982,68 @@ def test_root_number_forms_match_the_direct_monomials(p, t, ns):
     assert set(keys) == {"equal", "unequal", "incomparable"}
 
 
-def _leftover_products(monkeypatch):
-    """Record the atom multisets that stability_key multiplies exactly."""
+def _leftover_products(monkeypatch, values=None):
+    """Record the atom multisets that stability_key multiplies exactly, and
+    into values the products it compares."""
     calls = []
     original = RootNumberForms._atom_product
 
     def recording(forms, atoms, start):
         calls.append(dict(atoms))
-        return original(forms, atoms, start)
+        out = original(forms, atoms, start)
+        if values is not None:
+            values.append(out)
+        return out
     monkeypatch.setattr(RootNumberForms, "_atom_product", recording)
     return calls
 
 
-@pytest.mark.parametrize("p,t,blocks,chi_k,key", [
-    # W of a character of odd conductor is unrecognised (|W|^2 = p^a is no
-    # rational square); here different atoms are left on the two sides
-    (7, 2, [Block(MultChar(7, 1, 2), 2)], 7, "equal"),
-    (5, 2, [Block(MultChar(5, 1, 1), 2)], 5, "unequal"),
-    # the recognised parts differ in angle, so the root is not 1
-    (3, 4, [Block(MultChar(3, 1, 1)), Block(MultChar(3, 3, 1))], 15, "equal"),
-    # and here also their p-powers (p^1 against p^0)
-    (3, 3, [Block(MultChar(3, 3, k)) for k in (1, 2, 7)], 8, "equal"),
+def _coefficient_product(factors):
+    """The product of the coefficients c(-1) tau(c) of W(c)^d over (c, d), by
+    CycNumber products."""
+    out = CycNumber.one()
+    for c, d in factors:
+        out = out * root_number(c).coeff ** d
+    return out
+
+
+@pytest.mark.parametrize("p,t,blocks,chi_k,key,products", [
+    # W of a character of conductor one that is not quadratic is an atom
+    # (|W|^2 = p is no rational square); the quadratic one is a form that
+    # carries g.  Here chi tau is quadratic, so the left side is all forms
+    pytest.param(7, 2, [Block(MultChar(7, 1, 2), 2)], 7, "equal", [{}, {35: 1, 7: 1}],
+                 id="7-2-blocks0-7-equal"),
+    pytest.param(5, 2, [Block(MultChar(5, 1, 1), 2)], 5, "unequal", [{}, {15: 1, 5: 1}],
+                 id="5-2-blocks1-5-unequal"),
+    # at p = 3 the only character of conductor one is quadratic, so nothing
+    # is left to multiply: the forms differ in angle, and here also in their
+    # rationals and g-flags, and the integers decide
+    pytest.param(3, 4, [Block(MultChar(3, 1, 1)), Block(MultChar(3, 3, 1))], 15, "equal", [],
+                 id="3-4-blocks2-15-equal"),
+    pytest.param(3, 3, [Block(MultChar(3, 3, k)) for k in (1, 2, 7)], 8, "equal", [],
+                 id="3-3-blocks3-8-equal"),
+    # different atoms on the two sides
+    pytest.param(5, 2, [Block(MultChar(5, 1, 2), 2)], 5, "unequal", [{15: 2}, {5: 2}],
+                 id="5-2-atoms-both-sides"),
+    # and W(omega chi) is quadratic, so g is left over on the right
+    pytest.param(7, 2, [Block(MultChar(7, 1, 1), 2)], 7, "unequal", [{14: 2}, {7: 1}],
+                 id="7-2-g-left-over"),
+    # and here W(chi tau_1) is quadratic, so g is left over on the left
+    pytest.param(7, 2, [Block(MultChar(7, 1, 1)), Block(MultChar(7, 1, 2))], 7, "unequal",
+                 [{14: 1}, {28: 1, 7: 1}], id="7-2-g-left-over-on-the-left"),
 ])
-def test_root_number_forms_multiply_leftover_atoms(monkeypatch, p, t, blocks, chi_k, key):
+def test_root_number_forms_multiply_leftover_atoms(monkeypatch, p, t, blocks, chi_k, key,
+                                                   products):
     pi, chi = RepnData.of(*blocks), MultChar(p, t, chi_k)
-    calls = _leftover_products(monkeypatch)
+    values = []
+    calls = _leftover_products(monkeypatch, values)
     assert RootNumberForms(p, t).stability_key(pi, chi) == key == _direct_key(pi, chi)
-    assert len(calls) == 2 and calls[0] and calls[1]
+    assert calls == products
+    if products:
+        # the two compared products have the ratio of the full sides' coefficients
+        lhs = _coefficient_product([(chi.mul(b.tau), b.size) for b in pi.blocks])
+        rhs = _coefficient_product([(pi.central_char().finite.mul(chi), 1), (chi, pi.dim - 1)])
+        assert values[0] * rhs == values[1] * lhs
 
 
 def test_root_number_forms_fold_a_negative_rational_into_the_angle(monkeypatch):
@@ -930,7 +1053,7 @@ def test_root_number_forms_fold_a_negative_rational_into_the_angle(monkeypatch):
     monkeypatch.setattr(local_factors, "root_number",
                         lambda c: ScaledScalar.of(CycNumber.rational(-5), -1))
     forms = RootNumberForms(5, 2)
-    assert forms._form(1) == (2, forms.A // 2, None)
+    assert forms._form(1) == (2, (forms.A // 2, 5, 0))
 
 
 def test_root_number_forms_refuse_a_recognised_value_off_the_unit_circle(monkeypatch):

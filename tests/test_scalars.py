@@ -28,6 +28,12 @@ from epsilonlab.scalars import (
 )
 
 
+def from_vec(N, vec, den=1):
+    """The element with canonical coordinates vec over den in Q(zeta_N)."""
+    assert len(vec) == get_context(N).phi
+    return scalars._make(N, np.asarray(vec).tolist(), den)
+
+
 # ---------------------------------------------------------------------------
 # cyclotomic polynomials (against hand values)
 # ---------------------------------------------------------------------------
@@ -218,7 +224,7 @@ def test_norm_squared_is_rational_here():
 def _random_elt(rng, N):
     ctx = get_context(N)
     vec = np.array([rng.randint(-3, 3) for _ in range(ctx.phi)])
-    return CycNumber.from_vec(N, vec, rng.randint(1, 4))
+    return from_vec(N, vec, rng.randint(1, 4))
 
 
 @pytest.mark.parametrize("N", [5, 12, 54, 500])
@@ -239,8 +245,8 @@ def test_ring_laws_sweep(N):
        st.lists(st.integers(-9, 9), min_size=4, max_size=4))
 @settings(max_examples=60, deadline=None)
 def test_conjugation_is_multiplicative(u, v):
-    a = CycNumber.from_vec(5, np.array(u))
-    b = CycNumber.from_vec(5, np.array(v))
+    a = from_vec(5, np.array(u))
+    b = from_vec(5, np.array(v))
     assert (a * b).conjugate() == a.conjugate() * b.conjugate()
     assert (a + b).conjugate() == a.conjugate() + b.conjugate()
 
@@ -248,8 +254,8 @@ def test_conjugation_is_multiplicative(u, v):
 def test_big_coefficient_fallback():
     # force the object-dtype path: coefficients way past the int64 guard
     big = 2 ** 70
-    a = CycNumber.from_vec(5, np.array([big, 1, 0, -big], dtype=object))
-    b = CycNumber.from_vec(5, np.array([1, big, 0, 0], dtype=object))
+    a = from_vec(5, np.array([big, 1, 0, -big], dtype=object))
+    b = from_vec(5, np.array([1, big, 0, 0], dtype=object))
     prod = a * b
     assert prod == b * a
     na, nb = complex(a.to_complex()), complex(b.to_complex())
@@ -302,7 +308,7 @@ def test_multiply_and_fold_guard_edge(over, monkeypatch):
     # x = 1 + z + z^2 + z^3 in Q(zeta_5): x*x convolves to 1,2,3,4,3,2,1, whose
     # tail folds onto the head, and the convolution stays in int64 exactly
     # while |a| |b| phi(5) = 4 c d < 2**62
-    x = CycNumber.from_vec(5, np.array([1, 1, 1, 1]))
+    x = from_vec(5, np.array([1, 1, 1, 1]))
     c, d = 2 ** 30, 2 ** 30 - 1 + over
     want = (x * x) * (c * d)
     seen = _spy_reduce_inputs(monkeypatch)
@@ -392,7 +398,7 @@ def test_int_array_keeps_every_value(row, dtype):
 def test_wide_coordinates_conjugate_and_lift_exactly(coords):
     # coordinates at and past the int64 range reach _reduce_at through
     # conjugation and through the lift of Q(zeta_5) into Q(zeta_15)
-    x = CycNumber.from_vec(5, np.array(coords, dtype=object))
+    x = from_vec(5, np.array(coords, dtype=object))
     want_conj = EXACT.root_combination(5, {-i % 5: c for i, c in enumerate(coords)})
     assert x.conjugate() == want_conj
     # zeta_5^i zeta_3 = zeta_15^(3i + 5)
@@ -422,7 +428,7 @@ def test_equal_values_across_orders_hash_equal():
 @settings(max_examples=80, deadline=None)
 def test_lifting_preserves_eq_and_hash(N, k, coeffs, den):
     phi = get_context(N).phi
-    x = CycNumber.from_vec(N, np.array(coeffs[:phi]), den)
+    x = from_vec(N, np.array(coeffs[:phi]), den)
     # the same value written in Q(zeta_kN): zeta_N^i = zeta_kN^(k i)
     y = EXACT.root_combination(k * N, {k * i: Fraction(c, x.den) for i, c in enumerate(x.num)})
     assert x == y and y == x
@@ -528,7 +534,7 @@ def test_recognition_rejects_non_monomials():
     one = root_of_unity(0, 12) + root_of_unity(2, 12)
     assert len({i % get_context(12).K for i, _c in _sparse(one)}) == 1
     assert one.as_root_times_rational() is None
-    big = CycNumber.from_vec(5, np.array([2 ** 70, 1, 0, 0], dtype=object))
+    big = from_vec(5, np.array([2 ** 70, 1, 0, 0], dtype=object))
     assert big.as_root_times_rational() is None
     for x in (two, one, big, _tau5()):
         assert _table_recognition(x) is None
@@ -543,16 +549,16 @@ def test_proportionality_ratio():
 
 
 def test_proportionality_ratio_by_integer_coordinates():
-    b = CycNumber.from_vec(5, np.array([1, 2, 0, 3]), 4)
+    b = from_vec(5, np.array([1, 2, 0, 3]), 4)
     # proportional, over denominators 6 and 4, with a negative ratio
-    a = CycNumber.from_vec(5, np.array([-5, -10, 0, -15]), 6)
+    a = from_vec(5, np.array([-5, -10, 0, -15]), 6)
     assert a.den != b.den
     assert proportionality_ratio(a, b) == Fraction(-10, 3)
     assert a == b * Fraction(-10, 3)
     # 2b except for one coordinate that is off by 1
-    assert proportionality_ratio(CycNumber.from_vec(5, np.array([2, 4, 0, 7]), 4), b) is None
+    assert proportionality_ratio(from_vec(5, np.array([2, 4, 0, 7]), 4), b) is None
     # a vanishes at b's first nonzero coordinate
-    assert proportionality_ratio(CycNumber.from_vec(5, np.array([0, 2, 0, 3]), 4), b) is None
+    assert proportionality_ratio(from_vec(5, np.array([0, 2, 0, 3]), 4), b) is None
 
 
 def test_negative_power_of_monomial():
