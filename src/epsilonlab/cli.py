@@ -10,8 +10,9 @@ configured range and reports every case:
                      block-built pi and every sufficiently ramified chi;
                      less ramified chi are recorded, never asserted.  Under
                      the exact backend the certificate engine decides the
-                     asserted pairs of rank >= 2 and the direct engine
-                     re-checks a fixed stride of them and every rejection;
+                     asserted pairs of rank >= 2 and a direct comparison on
+                     Gauss-sum forms re-checks a fixed stride of them and
+                     every rejection;
 * ``kloosterman``  - the direct unit-grid evaluation of hyper-Kloosterman
                      sums against the character-table factorization;
 * ``bessel``       - Bessel-transform duality, the closed-form collapse with
@@ -320,7 +321,7 @@ def cmd_gauss(config: RunConfig) -> SuiteReport:
 
 
 # Every STRIDE-th in-regime case of each rank, starting with the first, is
-# re-decided by the direct engine when the certificate engine gives the verdict.
+# re-decided by the direct comparison when the certificate engine gives the verdict.
 STRIDE = 32
 
 
@@ -334,17 +335,23 @@ def cmd_stability(config: RunConfig) -> SuiteReport:
     a(chi) >= max(a(pi), 1) and only recorded (equal / unequal / incomparable
     tallies in extras) below that threshold.
 
-    The engine follows from the backend.  Under the exact backend the asserted
-    n >= 2 pairs are decided by the certificate engine, one
-    CertificateTable(p, a) per conductor a, shared by every rank, and one
-    check_pairs call per (pi, a); the direct engine stability_check re-decides
-    every STRIDE-th asserted case of each rank and every pair the certificate
-    rejects, and a row passes only when every engine that looked at it holds.  The float
-    backend and rank one run on the direct engines alone.  The out-of-regime
-    tallies run on the direct monomials under the float backend; under the
-    exact backend RootNumberForms recognises each character's root number once
-    per sweep and decides each pair on integer root exponents, multiplying
-    exactly only the unrecognised root numbers that do not cancel.
+    The engine follows from the backend.  The float backend runs on the direct
+    engines alone: gl1_stability_check for rank one, stability_check for the
+    asserted pairs, and the direct monomials for the out-of-regime tallies.
+
+    Under the exact backend the asserted n >= 2 pairs are decided by the
+    certificate engine, one CertificateTable(p, a) per conductor a, shared by
+    every rank, and one check_pairs call per (pi, a); each ramified chi's row
+    is looked up once.  Every STRIDE-th asserted case of each rank and every
+    pair the certificate rejects is re-decided directly, and a row passes only
+    when every engine that looked at it holds.  The direct decisions -- that
+    cross-slice, rank one and the out-of-regime tallies -- are made on one
+    RootNumberForms(p, t), which recognises each character's root number once
+    per sweep as a Gauss-sum form: stability_key for pairs (pi, chi) and
+    gl1_verdict for rank one, multiplying exactly only the unrecognised root
+    numbers that do not cancel.  stability_check or gl1_stability_check runs
+    only for a failing row, to write its lhs and rhs into the detail; an
+    in-regime pair the forms call incomparable raises RegimeError there.
     """
     t0 = time.perf_counter()
     backend = config.make_backend()
@@ -358,8 +365,11 @@ def cmd_stability(config: RunConfig) -> SuiteReport:
     # tables, so each certificate column is tabulated once.
     tables = {a: CertificateTable(p, a) for a in range(1, t + 1)} if backend.exact else {}
     table_rows = {a: np.arange(len(table.row_ks)) for a, table in tables.items()}
+    # each ramified chi's row in the table of its conductor, looked up once
+    chi_rows = {chi.k: tables[chi.conductor_exponent].index_of(chi)
+                for chi in ramified} if backend.exact else {}
     # every character of the sweep presented at level t, each root number
-    # recognised once for the out-of-regime tallies
+    # recognised once for the exact direct checks and the out-of-regime tallies
     forms = RootNumberForms(p, t)
 
     for n in sorted(set(config.n_list)):
@@ -377,12 +387,18 @@ def cmd_stability(config: RunConfig) -> SuiteReport:
                                  "needs %d terms, over budget %d" % (cost, config.budget),
                                  **inputs)
                         continue
-                    res = gl1_stability_check(mu, chi, backend)
-                    detail = "eps(mu chi) = mu(v_chi) eps(chi), v class rep %d" % res.vclass_rep
-                    if not res.holds:
+                    if backend.exact:
+                        res = None
+                        holds, rep = forms.gl1_verdict(mu, chi)
+                    else:
+                        res = gl1_stability_check(mu, chi, backend)
+                        holds, rep = res.holds, res.vclass_rep
+                    detail = "eps(mu chi) = mu(v_chi) eps(chi), v class rep %d" % rep
+                    if not holds:
+                        res = res or gl1_stability_check(mu, chi, backend)
                         detail += "; lhs %s rhs %s" % (_scaled_json(res.lhs), _scaled_json(res.rhs))
                     rows.add((1, 0, mu.k, chi.k), case_id,
-                             "pass" if res.holds else "fail", detail, **inputs)
+                             "pass" if holds else "fail", detail, **inputs)
             continue
 
         reps = [pi for pi in enumerate_reps(p, n, t) if pi.dim == n]
@@ -418,14 +434,19 @@ def cmd_stability(config: RunConfig) -> SuiteReport:
                         out_of_regime["skipped"] += 1
                     continue
                 if in_regime:
-                    holds = (bool(verdicts[a_chi][tables[a_chi].index_of(chi)])
-                             if backend.exact else True)
-                    if not backend.exact or not holds or asserted % STRIDE == 0:
+                    if backend.exact:
+                        res = None
+                        holds = bool(verdicts[a_chi][chi_rows[chi.k]])
+                        if not holds or asserted % STRIDE == 0:
+                            holds = forms.stability_key(pi, chi) == "equal" and holds
+                    else:
                         res = stability_check(pi, chi, backend)
-                        holds = holds and res.holds
+                        holds = res.holds
                     asserted += 1
                     detail = "a(chi)=%d >= a(pi)=%d: asserted" % (a_chi, a_pi)
                     if not holds:
+                        # the direct monomials; an "incomparable" pair raises here
+                        res = res or stability_check(pi, chi, backend)
                         detail += "; lhs %s rhs %s" % (
                             _monomial_json(res.lhs), _monomial_json(res.rhs))
                     rows.add((n, pi_index + 1, chi.k, 0), case_id,

@@ -28,16 +28,20 @@ The stability theorem is checked by two engines, each with one entry point:
 The two engines are cross-checked against each other in the test suite, and
 in the CLI's stability suite, where under the exact backend the certificate
 engine decides every asserted pair of rank >= 2, with one table per conductor
-shared by every rank, and the direct engine re-decides a fixed stride of them
-and every pair the certificate rejects.
+shared by every rank, and the direct comparison re-decides a fixed stride of
+them and every pair the certificate rejects.
 
-The suite's out-of-regime tallies (a(chi) < a(pi), recorded, never asserted)
-are decided under the exact backend by RootNumberForms(p, t).stability_key:
-each root number is recognised once as a Gauss-sum form (an angle, a rational
-and a flag for the quadratic Gauss sum) wherever it must be one -- every
-conductor but one, and the quadratic character -- and a pair is integer
-arithmetic on forms; only the other root numbers of conductor one that do not
-cancel are multiplied.
+Under the exact backend the suite makes its direct comparisons on
+RootNumberForms(p, t): each root number is recognised once, from its own
+literal Gauss sum, as a Gauss-sum form (an angle, a rational and a flag for
+the quadratic Gauss sum) wherever it must be one -- every conductor but one,
+and the quadratic character -- and a pair is integer arithmetic on forms;
+only the other root numbers of conductor one that do not cancel are
+multiplied.  stability_key decides the in-regime cross-slice and the
+out-of-regime tallies (a(chi) < a(pi), recorded, never asserted), and
+gl1_verdict the rank-one lemma.  stability_check and gl1_stability_check,
+which build the monomials, stay the float backend's engines and the tests'
+oracles; the exact suite calls them only to report a failing row.
 """
 
 from __future__ import annotations
@@ -257,14 +261,10 @@ class Gl1StabilityResult:
     vclass_rep: int
 
 
-def gl1_stability_check(
-    mu: MultChar, chi: MultChar, backend: Backend = EXACT, vclass_rep: Optional[int] = None
-) -> Gl1StabilityResult:
-    """Check eps(mu*chi) = mu(v_chi) * eps(chi) at the central point.
-
-    Requires 2 a(mu) <= a(chi) (the lemma's hypothesis); a specific unit
-    representative of the v_chi class may be supplied to probe independence.
-    """
+def _gl1_vclass_rep(mu: MultChar, chi: MultChar, vclass_rep: Optional[int]) -> int:
+    """The unit at which the lemma reads mu(v_chi): vclass_rep, else the v_chi
+    class's own rep (1 for the vacuous class).  Refuses a pair outside the
+    lemma's hypothesis 2 a(mu) <= a(chi) and a rep outside the class."""
     a_chi = chi.conductor_exponent
     if a_chi < 1 or 2 * mu.conductor_exponent > a_chi:
         raise RegimeError(
@@ -275,6 +275,18 @@ def gl1_stability_check(
     rep = vclass_rep if vclass_rep is not None else (1 if rc.vacuous else rc.rep)
     if not rc.contains(rep):
         raise ValueError("representative %d is not in the v_chi class" % rep)
+    return rep
+
+
+def gl1_stability_check(
+    mu: MultChar, chi: MultChar, backend: Backend = EXACT, vclass_rep: Optional[int] = None
+) -> Gl1StabilityResult:
+    """Check eps(mu*chi) = mu(v_chi) * eps(chi) at the central point.
+
+    Requires 2 a(mu) <= a(chi) (the lemma's hypothesis); a specific unit
+    representative of the v_chi class may be supplied to probe independence.
+    """
+    rep = _gl1_vclass_rep(mu, chi, vclass_rep)
     lhs = eps_gl1(mu.mul(chi), backend=backend).value
     rhs = ScaledScalar.of(mu.eval(rep, backend)) * eps_gl1(chi, backend=backend).value
     return Gl1StabilityResult(lhs.eq_value(rhs, chi.p, backend), lhs, rhs, rep)
@@ -432,7 +444,8 @@ def stability_check(
 
 class RootNumberForms:
     """The root numbers of the characters presented at level t, each recognised
-    once, and the out-of-regime stability key decided on them (exact only).
+    once, and the stability checks decided on them (exact only): the key of a
+    pair (pi, chi) in or out of regime, and the rank-one lemma.
 
     W(c) = c(-1) tau(c) q^{-a/2}.  Where the coefficient c(-1) tau(c) is a
     Gauss-sum form -- a(c) >= 2, c quadratic, or c unramified -- it is held as
@@ -517,6 +530,30 @@ class RootNumberForms:
         lhs = self._atom_product(left, root * Fraction(l_r, r_r) * (quad if l_flag > r_flag else 1))
         rhs = self._atom_product(right, quad if r_flag > l_flag else 1)
         return "equal" if lhs == rhs else "unequal"
+
+    def gl1_verdict(self, mu: MultChar, chi: MultChar,
+                    vclass_rep: Optional[int] = None) -> tuple[bool, int]:
+        """(holds, rep): the verdict of gl1_stability_check(mu, chi, vclass_rep)
+        and the unit rep of the v_chi class it reads mu at.
+
+        With 2 a(mu) <= a(chi), mu chi has conductor a(chi), so the q-exponents
+        of W(mu chi) and W(chi) agree and the coefficients decide: the form of
+        W(mu chi) against the form of W(chi) turned by mu(rep), whose angle in
+        Z/A is A/m times mu's value exponent at level t.  Forms are canonical,
+        so equal forms are equal values.  An atom has conductor one, where mu
+        is trivial and mu chi = chi, and is compared exactly.
+        """
+        rep = _gl1_vclass_rep(mu, chi, vclass_rep)
+        m = self.m
+        mu_t = _represent_at_level(mu, self.t)
+        kc = _represent_at_level(chi, self.t).k
+        _a, lhs = self._form((mu_t.k + kc) % m)
+        _a, rhs = self._form(kc)
+        if isinstance(rhs, tuple):
+            angle, r, flag = rhs
+            turned = ((angle + mu_t.value_exponent(rep) * (self.A // m)) % self.A, r, flag)
+            return lhs == turned, rep
+        return lhs == mu_t.eval(rep) * rhs, rep
 
 
 # ---------------------------------------------------------------------------

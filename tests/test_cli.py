@@ -5,7 +5,6 @@ The mathematical content of each suite is tested in its own module; here we
 check the orchestration around it, so most runs use the smallest prime.
 """
 
-import dataclasses
 import hashlib
 import json
 import subprocess
@@ -17,7 +16,8 @@ import pytest
 
 from epsilonlab import bessel, cli
 from epsilonlab.characters import MultChar, chars_with_conductor, v_chi
-from epsilonlab.local_factors import RepnData, RootNumberForms, enumerate_reps, stability_check
+from epsilonlab.local_factors import (RepnData, RootNumberForms, enumerate_reps,
+                                      gl1_stability_check, stability_check)
 from epsilonlab.scalars import EXACT, CycNumber
 from epsilonlab.cli import (
     ConfigError,
@@ -312,9 +312,15 @@ def _counting(monkeypatch, owner, name, record):
     return original
 
 
+def _in_regime(pi, chi):
+    return chi.conductor_exponent >= max(pi.conductor_exponent, 1)
+
+
 def test_stability_exact_checks_directly_only_the_cross_slice(monkeypatch):
-    direct, certified = [], []
+    keyed, direct, gl1, certified = [], [], [], []
+    _counting(monkeypatch, cli.RootNumberForms, "stability_key", keyed)
     _counting(monkeypatch, cli, "stability_check", direct)
+    _counting(monkeypatch, cli, "gl1_stability_check", gl1)
     _counting(monkeypatch, cli.CertificateTable, "check_pairs", certified)
     rep = cmd_stability(config(p=5, t_max=2, n_list=(1, 2, 3)))
     assert rep.failures == [] and rep.skips == []
@@ -324,7 +330,10 @@ def test_stability_exact_checks_directly_only_the_cross_slice(monkeypatch):
         asserted = [c for c in rep.cases if c["n"] == n]
         assert len(asserted) > 2 * cli.STRIDE
         want += [(c["pi"], c["chi_k"]) for c in asserted[::cli.STRIDE]]
-    assert [(pi.describe(), chi.k) for pi, chi, _backend in direct] == want
+    assert [(pi.describe(), chi.k) for _forms, pi, chi in keyed
+            if _in_regime(pi, chi)] == want
+    # the forms decide every direct check; no passing row builds monomials
+    assert direct == [] and gl1 == []
     # one check_pairs call per (pi, conductor) cell in regime
     cells = {(c["n"], json.dumps(c["pi"], sort_keys=True), c["chi_conductor"])
              for c in rep.cases if c["n"] >= 2}
@@ -408,14 +417,16 @@ def test_stability_verdict_is_read_at_the_characters_row(tmp_path, capsys, monke
 
 def test_stability_direct_rejection_on_the_cross_slice_fails(tmp_path, capsys,
                                                              monkeypatch):
-    original = cli.stability_check
+    original = cli.RootNumberForms.stability_key
     calls = []
 
-    def rejects_first(pi, chi, backend):
-        res = original(pi, chi, backend)
+    def rejects_first(forms, pi, chi):
+        key = original(forms, pi, chi)
+        if not _in_regime(pi, chi):
+            return key
         calls.append((pi, chi))
-        return dataclasses.replace(res, holds=False) if len(calls) == 1 else res
-    monkeypatch.setattr(cli, "stability_check", rejects_first)
+        return "unequal" if len(calls) == 1 else key
+    monkeypatch.setattr(cli.RootNumberForms, "stability_key", rejects_first)
     code, failures = _fail_lines(tmp_path, capsys,
                                  ["stability", "--p", "3", "--t-max", "2", "--n", "2"])
     assert code == 1
@@ -423,6 +434,29 @@ def test_stability_direct_rejection_on_the_cross_slice_fails(tmp_path, capsys,
     pi, chi = calls[0]
     assert (row["pi"], row["chi_k"]) == (pi.describe(), chi.k)
     assert "; lhs {" in row["detail"]
+
+
+def test_stability_rank_one_rejection_fails_with_direct_detail(tmp_path, capsys,
+                                                               monkeypatch):
+    original = cli.RootNumberForms.gl1_verdict
+    calls = []
+
+    def rejects_first(forms, mu, chi):
+        holds, rep = original(forms, mu, chi)
+        calls.append((mu, chi))
+        return holds and len(calls) > 1, rep
+    monkeypatch.setattr(cli.RootNumberForms, "gl1_verdict", rejects_first)
+    code, failures = _fail_lines(tmp_path, capsys,
+                                 ["stability", "--p", "3", "--t-max", "2", "--n", "1"])
+    assert code == 1
+    (row,) = failures
+    mu, chi = calls[0]
+    assert (row["mu_k"], row["chi_k"]) == (mu.k, chi.k)
+    res = gl1_stability_check(mu, chi, EXACT)
+    assert res.holds  # the direct engine disagrees, and its values are reported
+    assert row["detail"] == (
+        "eps(mu chi) = mu(v_chi) eps(chi), v class rep %d; lhs %s rhs %s"
+        % (res.vclass_rep, cli._scaled_json(res.lhs), cli._scaled_json(res.rhs)))
 
 
 # ---------------------------------------------------------------------------
@@ -678,6 +712,17 @@ PINNED_REPORTS = [
                  "e7b3bf4b2905f4624990932096b9bfa4375460db16805ca9c2175fd48cb1d759",
                  "913e255b73eb8d76a98bec4a3f6c09e7dd860224ec1d96ffb1aeebc8359b3774",
                  id="kloosterman-p3-t3"),
+    # recorded before the exact stability suite decided its direct checks on
+    # Gauss-sum forms: the bench config, and rank one with odd conductors at
+    # p = 3 mod 4, where g^2 = -p folds a sign into the angle
+    pytest.param(["stability", "--p", "7", "--t-max", "2", "--n", "1", "2", "3"],
+                 "578fe6de9b7e1a0c2e9f3461c04ffb528b9241415e7e7b38f2670a499d937a79",
+                 "f66b53c81a36a91eee7fd9f716ec9dca9c62834aa0cf5a137059a95d014cc162",
+                 id="stability-p7"),
+    pytest.param(["stability", "--p", "3", "--t-max", "3", "--n", "1"],
+                 "6897858aeccbc561dedd83c884d22488dda7ca9146792a9803b68a86991a77a8",
+                 "c9b3ec99eeff460ec2220476314302682fbf6abe9a006ca230a01261a6c5a67d",
+                 id="stability-p3-rank1"),
 ]
 
 

@@ -1094,6 +1094,75 @@ def test_root_number_forms_refuse_shifted_blocks():
         RootNumberForms(p, 2).stability_key(pi, MultChar(p, 2, 5))
 
 
+@pytest.mark.parametrize("p,t", [(3, 4), (5, 3), (7, 2)])
+def test_root_number_forms_decide_rank_one_as_the_direct_engine(p, t):
+    # every admissible (mu, chi) at level t, read at every unit rep of the
+    # v_chi class mod p^a(chi)
+    forms = RootNumberForms(p, t)
+    seen = Counter()
+    for chi in enumerate_chars(p, t):
+        a = chi.conductor_exponent
+        if a == 0:
+            continue
+        rc = v_chi(chi)
+        reps = [x for x in range(1, p ** a) if rc.contains(x)]
+        for mu in enumerate_chars(p, t):
+            if 2 * mu.conductor_exponent > a:
+                continue
+            for rep in reps:
+                assert forms.gl1_verdict(mu, chi, rep) == (
+                    gl1_stability_check(mu, chi, vclass_rep=rep).holds, rep), (mu, chi, rep)
+            assert forms.gl1_verdict(mu, chi)[1] == gl1_stability_check(mu, chi).vclass_rep
+            seen["boundary"] += 2 * mu.conductor_exponent == a >= 2
+            seen["quadratic"] += a == 1 and 2 * chi.k == chi.group_order
+    assert seen["boundary"] and seen["quadratic"]
+
+
+def test_root_number_forms_refuse_rank_one_as_the_direct_engine():
+    forms = RootNumberForms(5, 2)
+    for mu, chi, rep, err in [
+            (MultChar(5, 2, 1), MultChar(5, 2, 3), None, RegimeError),  # 2 a(mu) > a(chi)
+            (trivial_char(5), trivial_char(5), None, RegimeError),  # a(chi) = 0
+            (trivial_char(5), MultChar(5, 2, 1), 5, ValueError)]:  # not a unit
+        with pytest.raises(err):
+            gl1_stability_check(mu, chi, vclass_rep=rep)
+        with pytest.raises(err):
+            forms.gl1_verdict(mu, chi, rep)
+
+
+@pytest.mark.parametrize("p,t", [(3, 3), (5, 2)])
+def test_root_number_forms_decide_in_regime_as_the_direct_engine(p, t):
+    forms = RootNumberForms(p, t)
+    boundary = 0
+    for pi in enumerate_reps(p, 3, t):
+        for chi in enumerate_chars(p, t):
+            if chi.conductor_exponent < max(pi.conductor_exponent, 1):
+                continue
+            key = forms.stability_key(pi, chi)
+            assert key != "incomparable"
+            assert (key == "equal") == stability_check(pi, chi).holds, (pi.describe(), chi)
+            boundary += chi.conductor_exponent == pi.conductor_exponent
+    assert boundary
+
+
+def _skewed(forms, k):
+    """forms with the angle of W(c)'s form, c of exponent k, moved by one."""
+    a, (angle, r, flag) = forms._form(k)
+    forms._forms[k] = (a, ((angle + 1) % forms.A, r, flag))
+    return forms
+
+
+def test_root_number_forms_with_a_skewed_angle_flip_the_verdict():
+    p, t = 5, 2
+    chi, mu = MultChar(p, t, 3), MultChar(p, t, 5)  # a(chi) = 2, a(mu) = 1
+    pi = RepnData.of(Block(MultChar(p, 1, 1)), Block(MultChar(p, 1, 2)))
+    assert RootNumberForms(p, t).stability_key(pi, chi) == "equal"
+    assert RootNumberForms(p, t).gl1_verdict(mu, chi)[0]
+    # W(chi) enters only the right side of both checks
+    assert _skewed(RootNumberForms(p, t), chi.k).stability_key(pi, chi) == "unequal"
+    assert not _skewed(RootNumberForms(p, t), chi.k).gl1_verdict(mu, chi)[0]
+
+
 # ---------------------------------------------------------------------------
 # sweep enumeration
 # ---------------------------------------------------------------------------
