@@ -146,10 +146,6 @@ def _standing_assumptions(pi: RepnData, z: PadicNumber):
     if n < 2:
         raise ValueError("representation must have dimension >= 2, got dim=%d" % n)
     omega = pi.central_char()
-    if omega.shift != 0:
-        raise ValueError(
-            "central character must be of finite order: it carries the "
-            "unramified shift |.|^%s" % omega.shift)
     a_pi = pi.conductor_exponent
     if a_pi <= 1:
         raise ValueError(
@@ -164,7 +160,7 @@ def _standing_assumptions(pi: RepnData, z: PadicNumber):
     if t < a_pi:
         raise ValueError(
             "test vector must be deep enough: -v(z)=%d is below a(pi)=%d" % (t, a_pi))
-    return n, t, omega.finite
+    return n, t, omega
 
 
 def _prefactor_scalar(n: int, t: int, q: int, backend: Backend) -> ScaledScalar:

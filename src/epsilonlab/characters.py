@@ -2,15 +2,14 @@
 
 A finite-order character is pinned down by a level t and an exponent k: on units
 it sends g, the least primitive root mod p, which generates (Z/p^t)^x at every
-level (see padic.UnitGroup), to zeta_{phi(p^t)}^k, and it sends p to 1 (the
-unramified part of a general character is split off as a formal |.|^s shift,
-see QuasiChar).  So the angle k/phi(p^t) is the same at every level: one
-level up multiplies k by p, and one level down divides it by p, which is
-exact exactly when chi factors through the lower level.  The conductor
-exponent a(chi), the least a >= 1 with chi trivial on 1 + p^a Z_p (0 for the
-trivial character), is computed from k, not stored, so it can never go stale.
-The subgroup 1 + p^a of (Z/p^t)^x is generated by g^{(p-1) p^{a-1}}, so chi is
-trivial there exactly when p^{t-a} divides k; hence
+level (see padic.UnitGroup), to zeta_{phi(p^t)}^k, and it sends p to 1.  So
+the angle k/phi(p^t) is the same at every level: one level up multiplies k by
+p, and one level down divides it by p, which is exact exactly when chi
+factors through the lower level.  The conductor exponent a(chi), the least
+a >= 1 with chi trivial on 1 + p^a Z_p (0 for the trivial character), is
+computed from k, not stored, so it can never go stale.  The subgroup 1 + p^a
+of (Z/p^t)^x is generated by g^{(p-1) p^{a-1}}, so chi is trivial there
+exactly when p^{t-a} divides k; hence
 
     a(chi) = 0 if k = 0 mod phi(p^t), else max(t - v_p(k), 1).
 
@@ -158,29 +157,6 @@ def represent_at_level(chi: MultChar, level: int) -> MultChar:
     if chi.k % step:
         raise ValueError("character does not factor through level %d" % level)
     return MultChar(chi.p, level, chi.k // step)
-
-
-# ---------------------------------------------------------------------------
-# quasi-characters: finite part times |.|^shift
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class QuasiChar:
-    """chi = finite * |.|^shift.  The shift only ever moves formal q-exponents."""
-
-    finite: MultChar
-    shift: Fraction = Fraction(0)
-
-    @property
-    def conductor_exponent(self) -> int:
-        return self.finite.conductor_exponent
-
-
-def as_quasi(chi: Union[MultChar, QuasiChar]) -> QuasiChar:
-    if isinstance(chi, MultChar):
-        return QuasiChar(chi)
-    return chi
 
 
 # ---------------------------------------------------------------------------

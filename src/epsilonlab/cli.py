@@ -411,10 +411,10 @@ def cmd_stability(config: RunConfig) -> SuiteReport:
             a_pi = pi.conductor_exponent
             # One check_pairs call per in-regime conductor.  It raises RegimeError
             # only for a block too deep for its lemma columns, which cannot arise
-            # here: pi is shiftless and a(pi) <= a, so a deep block (2 a(tau) > a)
-            # has size 1 and is the only one; if a(tau) reaches a, every other
-            # block is the trivial character and pi = tau + 1^{n-1}, which the
-            # structural shortcut answers.
+            # here: a(pi) <= a, so a deep block (2 a(tau) > a) has size 1 and is
+            # the only one; if a(tau) reaches a, every other block is the trivial
+            # character and pi = tau + 1^{n-1}, which the structural shortcut
+            # answers.
             verdicts = {a: table.check_pairs(pi, table_rows[a])
                         for a, table in tables.items()
                         if a >= max(a_pi, 1) and (n + 1) * phi(p, a) <= config.budget}
@@ -668,19 +668,18 @@ def write_csv(path: str, reports: Sequence[SuiteReport]) -> None:
                                  case.get("detail", "")])
 
 
-def _print_summary(reports: Sequence[SuiteReport], stream=None) -> None:
-    stream = stream if stream is not None else sys.stdout
+def _print_summary(reports: Sequence[SuiteReport]) -> None:
     for r in reports:
         print("%-12s %5d cases  %3d failed  %3d skipped  %7.2fs  [%s]"
               % (r.suite, len(r.cases), len(r.failures), len(r.skips),
-                 r.elapsed, "PASS" if r.passed else "FAIL"), file=stream)
+                 r.elapsed, "PASS" if r.passed else "FAIL"))
         for case in r.failures:
-            print("  FAIL %s: %s" % (case["case"], case.get("detail", "")), file=stream)
+            print("  FAIL %s: %s" % (case["case"], case.get("detail", "")))
     total_failures = sum(len(r.failures) for r in reports)
     if total_failures:
-        print("RESULT FAIL  (%d failing cases)" % total_failures, file=stream)
+        print("RESULT FAIL  (%d failing cases)" % total_failures)
     else:
-        print("RESULT PASS  (%d suites)" % len(reports), file=stream)
+        print("RESULT PASS  (%d suites)" % len(reports))
 
 
 def build_parser() -> argparse.ArgumentParser:

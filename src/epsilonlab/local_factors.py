@@ -5,11 +5,12 @@ complex variable s: `value` is a ScaledScalar pinned at the central point and
 `xexp` is an integer.  All identities the lab verifies are identities of such
 monomials, so comparing them is two exact comparisons and never a limit.
 
-Representations enter as block data: a block (tau, d, shift) is the d-dimensional
-twist-of-Steinberg built on the finite-order character tau times |.|^shift, and a
+Representations enter as block data: a block (tau, d) is the d-dimensional
+twist-of-Steinberg built on the finite-order character tau, and a
 representation is a product of blocks.  Epsilon factors of blocks are computed
-blockwise from GL(1); the one configuration where that formula is not a theorem
-(an unramified factor inside a block of size >= 2) is refused, not guessed.
+blockwise from GL(1); the one configuration where that formula is not a
+theorem (an unramified factor inside a block of size >= 2) is refused, not
+guessed.
 
 The stability theorem is checked by two engines, each with one entry point:
 
@@ -51,14 +52,12 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from .characters import (
     MultChar,
-    QuasiChar,
-    as_quasi,
     chars_with_conductor,
     conductor_ks,
     represent_at_level as _represent_at_level,
@@ -224,27 +223,19 @@ class EpsMonomial:
         return self.xexp == other.xexp and self.value.eq_value(other.value, q, backend)
 
 
-def eps_gl1(
-    chi: Union[MultChar, QuasiChar],
-    psi_scale: Rational = 1,
-    backend: Backend = EXACT,
-) -> EpsMonomial:
-    """Epsilon monomial of a quasi-character against psi(psi_scale * x).
+def eps_gl1(chi: MultChar, psi_scale: Rational = 1, backend: Backend = EXACT) -> EpsMonomial:
+    """Epsilon monomial of a character against psi(psi_scale * x).
 
     The additive twist enters through the standard axiom: rescaling psi by a
     multiplies the factor by chi(a)|a|^{s-1/2}.
     """
-    chi = as_quasi(chi)
-    fin, s0 = chi.finite, chi.shift
-    a = fin.conductor_exponent
-    out = EpsMonomial(root_number(fin, backend).scale_q(-a * s0), a)
+    out = EpsMonomial(root_number(chi, backend), chi.conductor_exponent)
     scale = Fraction(psi_scale)
     if scale != 1:
-        p = fin.p
+        p = chi.p
         v = valuation(p, scale)
-        u = unit_part_mod(p, scale, max(fin.level, 1))
-        tw = ScaledScalar.of(fin.eval(u, backend), -v * s0)
-        out = EpsMonomial(out.value * tw, out.xexp + v)
+        u = unit_part_mod(p, scale, max(chi.level, 1))
+        out = EpsMonomial(out.value * ScaledScalar.of(chi.eval(u, backend)), out.xexp + v)
     return out
 
 
@@ -299,16 +290,14 @@ def gl1_stability_check(
 
 @dataclass(frozen=True)
 class Block:
-    """The d-dimensional Steinberg-type block on tau * |.|^shift (d = 1: just the character)."""
+    """The d-dimensional Steinberg-type block on tau (d = 1: just the character)."""
 
     tau: MultChar
     size: int = 1
-    shift: Fraction = Fraction(0)
 
     def __post_init__(self):
         if self.size < 1:
             raise ValueError("block size must be >= 1")
-        object.__setattr__(self, "shift", Fraction(self.shift))
 
     @property
     def conductor_contribution(self) -> int:
@@ -318,7 +307,7 @@ class Block:
 
 @dataclass(frozen=True)
 class RepnData:
-    """A representation given by its blocks, stored largest-shift-first.
+    """A representation given by its blocks, stored in (conductor, level, k, size) order.
 
     dim and conductor_exponent are read from the blocks once, at construction.
     """
@@ -339,28 +328,27 @@ class RepnData:
         p = blocks[0].tau.p
         if any(b.tau.p != p for b in blocks):
             raise ValueError("mixed primes in one representation")
-        key = lambda b: (-b.shift, b.tau.conductor_exponent, b.tau.level, b.tau.k, b.size)
+        key = lambda b: (b.tau.conductor_exponent, b.tau.level, b.tau.k, b.size)
         return RepnData(tuple(sorted(blocks, key=key)))
 
     @property
     def p(self) -> int:
         return self.blocks[0].tau.p
 
-    def central_char(self) -> QuasiChar:
-        fin = trivial_char(self.p)
-        shift = Fraction(0)
+    def central_char(self) -> MultChar:
+        omega = trivial_char(self.p)
         for b in self.blocks:
-            fin = fin.mul(b.tau ** b.size)
-            shift += b.size * b.shift
-        return QuasiChar(fin, shift)
+            omega = omega.mul(b.tau ** b.size)
+        return omega
 
     def describe(self) -> dict:
         return {
             "p": self.p,
             "dim": self.dim,
             "conductor": self.conductor_exponent,
+            # "shift" stays in the report format; every block is unshifted
             "blocks": [
-                {"tau": b.tau.to_json(), "size": b.size, "shift": str(b.shift)}
+                {"tau": b.tau.to_json(), "size": b.size, "shift": "0"}
                 for b in self.blocks
             ],
         }
@@ -370,30 +358,25 @@ def steinberg(tau: MultChar, size: int) -> RepnData:
     return RepnData.of(Block(tau, size))
 
 
-def eps_rep_twisted(
-    pi: RepnData,
-    chi: Union[MultChar, QuasiChar],
-    backend: Backend = EXACT,
-) -> EpsMonomial:
+def eps_rep_twisted(pi: RepnData, chi: MultChar, backend: Backend = EXACT) -> EpsMonomial:
     """Epsilon monomial of chi tensor pi, blockwise.
 
-    Within a block of size d the parameter contributes unramified shifts
-    (d-1)/2 - j; when the twisted character is ramified those cancel in the
-    value and the block is a clean d-th power.  An unramified twisted character
-    inside a d >= 2 block is refused (RegimeError): the blockwise product is not
-    the epsilon factor of the special representation there.
+    Within a block of size d the parameter contributes the exponents
+    (d-1)/2 - j, which sum to zero; when the twisted character chi tau is
+    ramified the block is the clean d-th power eps(chi tau)^d.  An unramified
+    twisted character inside a d >= 2 block is refused (RegimeError): the
+    blockwise product is not the epsilon factor of the special representation
+    there.
     """
-    chi = as_quasi(chi)
     out = EpsMonomial(ScaledScalar.of(backend.one()), 0)
     for b in pi.blocks:
-        fused = chi.finite.mul(b.tau)
+        fused = chi.mul(b.tau)
         if fused.conductor_exponent == 0 and b.size >= 2:
             raise RegimeError(
                 "unramified character inside a size-%d block: blockwise epsilon "
                 "is not valid there" % b.size
             )
-        block_eps = eps_gl1(QuasiChar(fused, chi.shift + b.shift), backend=backend) ** b.size
-        out = out * block_eps
+        out = out * eps_gl1(fused, backend=backend) ** b.size
     return out
 
 
@@ -411,8 +394,7 @@ class StabilityReport:
 
 def stability_rhs(pi: RepnData, chi: MultChar, backend: Backend = EXACT) -> EpsMonomial:
     """eps(omega*chi) * eps(chi)^{n-1}: the stable shape the theorem predicts."""
-    omega = pi.central_char()
-    first = eps_gl1(QuasiChar(omega.finite.mul(chi), omega.shift), backend=backend)
+    first = eps_gl1(pi.central_char().mul(chi), backend=backend)
     rest = eps_gl1(chi, backend=backend) ** (pi.dim - 1)
     return first * rest
 
@@ -497,15 +479,13 @@ class RootNumberForms:
         EpsMonomial.equals, "incomparable" where eps_rep_twisted refuses.
 
         Each block's fused character chi tau_j and omega chi are integer
-        exponents at level t.  With shiftless blocks the q-exponents agree
-        whenever the xexp sums do, so the values decide.  If the atoms of the
+        exponents at level t.  The q-exponents agree whenever the xexp sums
+        do, so the values decide.  If the atoms of the
         two sides cancel, so do the rationals and the g-flags (the xexp sums
         are equal), and the angles decide; otherwise only the leftover atoms
         are multiplied, exactly, against the ratio of the rationals, the root
         of the angle difference and g where one side's flag is left over.
         """
-        if any(b.shift != 0 for b in pi.blocks):
-            raise RegimeError("root-number forms handle shiftless blocks only")
         m = self.m
         kc = _represent_at_level(chi, self.t).k
         blocks = []  # (k of chi tau_j at level t, d_j)
@@ -520,9 +500,9 @@ class RootNumberForms:
         rx, r_form, r_atoms = self._side([((omega + kc) % m, 1), (kc, pi.dim - 1)])
         if lx != rx:
             return "unequal"
-        left, right = l_atoms - r_atoms, r_atoms - l_atoms
-        if not left and not right:
+        if l_atoms == r_atoms:
             return "equal" if l_form == r_form else "unequal"
+        left, right = l_atoms - r_atoms, r_atoms - l_atoms
         (l_angle, l_r, l_flag), (r_angle, r_r, r_flag) = l_form, r_form
         g = math.gcd(l_angle - r_angle, self.A)
         root = root_of_unity((l_angle - r_angle) // g, self.A // g)
@@ -707,8 +687,6 @@ class CertificateTable:
         literally the same multiset.
         """
         a, M = self.a, self.M
-        if any(b.shift != 0 for b in pi.blocks):
-            raise RegimeError("certificate engine handles shiftless blocks only")
         blocks = []  # (k at level a, a(tau), d)
         for b in pi.blocks:
             hit = self._block_ks.get((b.tau.level, b.tau.k))
@@ -753,8 +731,8 @@ class CertificateTable:
 
 def enumerate_reps(p: int, n_max: int, a_max: int) -> list[RepnData]:
     """All representations with dim <= n_max and conductor <= a_max whose blocks
-    draw from the trivial character and every character of conductor <= a_max,
-    shifts zero.  Deterministic order.
+    draw from the trivial character and every character of conductor <= a_max.
+    Deterministic order.
     """
     tau_pool = [trivial_char(p)]
     for c in range(1, a_max + 1):

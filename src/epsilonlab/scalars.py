@@ -667,11 +667,6 @@ class ScaledScalar:
     def __pow__(self, k: int):
         return ScaledScalar.of(self.coeff ** k, self.qexp * k)
 
-    def scale_q(self, delta: Rational) -> "ScaledScalar":
-        if self.is_zero_exact():
-            return self
-        return ScaledScalar(self.coeff, self.qexp + Fraction(delta))
-
     def to_complex(self, q: int) -> complex:
         return to_complex(self.coeff) * (float(q) ** float(self.qexp))
 

@@ -337,9 +337,8 @@ def test_criterion_5_equal_central_char_pairs():
                     if r.dim != n:
                         continue
                     om = r.central_char()
-                    fin = represent_at_level(
-                        om.finite, max(om.finite.conductor_exponent, 1))
-                    groups.setdefault((fin.level, fin.k, om.shift), []).append(r)
+                    fin = represent_at_level(om, max(om.conductor_exponent, 1))
+                    groups.setdefault((fin.level, fin.k), []).append(r)
                 pairs = sum(len(g) * (len(g) - 1) // 2 for g in groups.values())
                 if pairs >= 20:
                     break

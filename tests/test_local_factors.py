@@ -9,12 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from epsilonlab import local_factors, scalars
-from epsilonlab.characters import (MultChar, QuasiChar, enumerate_chars, represent_at_level,
-                                   trivial_char, v_chi)
+from epsilonlab.characters import (MultChar, enumerate_chars, represent_at_level, trivial_char,
+                                   v_chi)
 from epsilonlab.local_factors import (
     Block,
     CertificateTable,
-    EpsMonomial,
     RegimeError,
     RepnData,
     RootNumberForms,
@@ -290,22 +289,6 @@ def test_eps_gl1_shape():
     assert eps_gl1(trivial_char(5)).value.eq_value(ScaledScalar.of(1), 5, EXACT)
 
 
-def test_eps_gl1_unramified_shift_is_trivial_monomial():
-    # |.|^{s0} alone contributes nothing: conductor 0, value 1
-    e = eps_gl1(QuasiChar(trivial_char(5), Fraction(3, 2)))
-    assert e.xexp == 0 and e.value.eq_value(ScaledScalar.of(1), 5, EXACT)
-
-
-def test_eps_gl1_quasi_shift_scales_value():
-    chi = MultChar(5, 2, 3)
-    s0 = Fraction(1, 2)
-    shifted = eps_gl1(QuasiChar(chi, s0))
-    plain = eps_gl1(chi)
-    assert shifted.xexp == plain.xexp
-    assert shifted.value.qexp == plain.value.qexp - 2 * s0
-    assert shifted.value.coeff == plain.value.coeff
-
-
 @pytest.mark.parametrize(
     "p,a,u,v",
     [(5, 2, 2, 1), (5, 2, 3, -1), (3, 2, 2, 2), (7, 1, 3, 1), (7, 2, 5, -2)],
@@ -385,10 +368,13 @@ def test_repn_invariants():
     pi = RepnData.of(Block(t1), Block(t2))
     assert pi.dim == 2
     assert pi.conductor_exponent == 3
-    omega, want = pi.central_char().finite, t1.mul(t2)
+    omega, want = pi.central_char(), t1.mul(t2)
     level = max(omega.level, want.level)
     assert omega.induce(level).k == want.induce(level).k
-    assert pi.central_char().shift == 0
+    # one block of size d has central character tau^d
+    omega, want = steinberg(t1, 2).central_char(), t1 ** 2
+    level = max(omega.level, want.level)
+    assert omega.induce(level).k == want.induce(level).k
     # block order is canonical, not insertion order
     assert RepnData.of(Block(t2), Block(t1)) == RepnData.of(Block(t1), Block(t2))
     st2 = steinberg(trivial_char(5), 2)
@@ -397,26 +383,6 @@ def test_repn_invariants():
         RepnData.of(Block(t1), Block(MultChar(3, 1, 1)))
     with pytest.raises(ValueError):
         RepnData.of()
-
-
-def test_repn_shifted_central_char():
-    tau = MultChar(5, 1, 1)
-    pi = RepnData.of(Block(tau, 2, Fraction(1, 2)))
-    omega = pi.central_char()
-    assert omega.shift == 1
-    level = max(omega.finite.level, tau.level)
-    assert omega.finite.induce(level).k == (tau ** 2).induce(level).k
-
-
-def test_steinberg_shift_cancellation():
-    # the internal |.|^{(d-1)/2 - j} shifts of a size-d block cancel when the
-    # fused character is ramified, so the block equals a clean d-th power
-    chi = MultChar(5, 2, 1)
-    d = 3
-    manual = EpsMonomial(ScaledScalar.of(EXACT.one()), 0)
-    for j in range(d):
-        manual = manual * eps_gl1(QuasiChar(chi, Fraction(d - 1, 2) - j))
-    assert manual.equals(eps_gl1(chi) ** d, 5, EXACT)
 
 
 def test_eps_rep_unramified_inside_block_refused():
@@ -486,15 +452,6 @@ def test_stability_negative_control():
     lhs = eps_rep_twisted(pi, chi)
     rhs = stability_rhs(pi, chi)
     assert not lhs.equals(rhs, p, EXACT)
-
-
-def test_stability_shifted_blocks():
-    # unramified shifts ride along: same verdict with a |.|^{1/2} block twist
-    p = 5
-    pi = RepnData.of(Block(MultChar(p, 1, 1), 1, Fraction(1, 2)),
-                     Block(trivial_char(p), 1, Fraction(-1, 2)))
-    chi = MultChar(p, 2, 1)
-    assert stability_check(pi, chi).holds
 
 
 # ---------------------------------------------------------------------------
@@ -929,14 +886,6 @@ def test_certificate_object_rows_take_the_slow_path(monkeypatch):
         assert table.fallback_count == sum(len(counts) for _N, counts in seen) > 0
 
 
-def test_certificate_rejects_shifted_blocks():
-    p = 5
-    table = CertificateTable(p, 2)
-    pi = RepnData.of(Block(MultChar(p, 1, 1), 1, Fraction(1, 2)))
-    with pytest.raises(RegimeError):
-        table.check_pairs(pi, np.arange(1))
-
-
 def test_stability_methods_agree():
     pi = steinberg(trivial_char(5), 2)
     chi = MultChar(5, 2, 1)
@@ -1042,7 +991,7 @@ def test_root_number_forms_multiply_leftover_atoms(monkeypatch, p, t, blocks, ch
     if products:
         # the two compared products have the ratio of the full sides' coefficients
         lhs = _coefficient_product([(chi.mul(b.tau), b.size) for b in pi.blocks])
-        rhs = _coefficient_product([(pi.central_char().finite.mul(chi), 1), (chi, pi.dim - 1)])
+        rhs = _coefficient_product([(pi.central_char().mul(chi), 1), (chi, pi.dim - 1)])
         assert values[0] * rhs == values[1] * lhs
 
 
@@ -1085,13 +1034,6 @@ def test_root_number_forms_incomparable_where_the_direct_engine_refuses():
     with pytest.raises(RegimeError):
         eps_rep_twisted(pi, chi)
     assert RootNumberForms(p, 2).stability_key(pi, chi) == "incomparable"
-
-
-def test_root_number_forms_refuse_shifted_blocks():
-    p = 5
-    pi = RepnData.of(Block(MultChar(p, 1, 1), 1, Fraction(1, 2)))
-    with pytest.raises(RegimeError):
-        RootNumberForms(p, 2).stability_key(pi, MultChar(p, 2, 5))
 
 
 @pytest.mark.parametrize("p,t", [(3, 4), (5, 3), (7, 2)])
