@@ -190,8 +190,9 @@ class SuiteReport:
     """Everything one suite did, with every case row in normalized order.
 
     ``extras`` carries suite-specific tabulations (root numbers, out-of-regime
-    tallies, prefactor reports).  ``elapsed`` is wall time and is the one
-    field of the JSON form that varies between identical runs.
+    tallies, prefactor reports).  ``elapsed`` is the wall time run_suites
+    measured and is the one field of the JSON form that varies between
+    identical runs.
     """
 
     suite: str
@@ -256,7 +257,6 @@ def cmd_gauss(config: RunConfig) -> SuiteReport:
     check, per character: |tau|^2 = q^a, the functional equation
     eps(s, chi) eps(1-s, chi^{-1}) = chi(-1), and the additive twist law for
     the unit-group generator and for the uniformizer."""
-    t0 = time.perf_counter()
     backend = config.make_backend()
     p, t = config.p, config.t_max
     ug = unit_group(p, t)
@@ -309,10 +309,8 @@ def cmd_gauss(config: RunConfig) -> SuiteReport:
                  "pass" if ok else "fail",
                  "psi(x) -> psi(p x) shifts the exponent by one", **inputs)
 
-    report = SuiteReport("gauss", rows.sorted(),
-                         extras={"characters": ug.order, "root_numbers": table})
-    report.elapsed = time.perf_counter() - t0
-    return report
+    return SuiteReport("gauss", rows.sorted(),
+                       extras={"characters": ug.order, "root_numbers": table})
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +351,6 @@ def cmd_stability(config: RunConfig) -> SuiteReport:
     only for a failing row, to write its lhs and rhs into the detail; an
     in-regime pair the forms call incomparable raises RegimeError there.
     """
-    t0 = time.perf_counter()
     backend = config.make_backend()
     p, t = config.p, config.t_max
     rows = _Rows()
@@ -463,9 +460,7 @@ def cmd_stability(config: RunConfig) -> SuiteReport:
                     out_of_regime[key] += 1
 
     extras = {"out_of_regime": out_of_regime, "representations": rep_counts}
-    report = SuiteReport("stability", rows.sorted(), extras=extras)
-    report.elapsed = time.perf_counter() - t0
-    return report
+    return SuiteReport("stability", rows.sorted(), extras=extras)
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +474,6 @@ def cmd_kloosterman(config: RunConfig) -> SuiteReport:
     hyper-Kloosterman sum twice - as the direct (n-1)-fold unit grid and
     through the Gauss-sum table - and require equality.  The table keeps the
     row over y of each (n, omega), so the table side is computed once per row."""
-    t0 = time.perf_counter()
     backend = config.make_backend()
     p = config.p
     rows = _Rows()
@@ -532,9 +526,7 @@ def cmd_kloosterman(config: RunConfig) -> SuiteReport:
                               "cases_run": ran})
 
     extras = {"instances": instances, "samples": samples}
-    report = SuiteReport("kloosterman", rows.sorted(), extras=extras)
-    report.elapsed = time.perf_counter() - t0
-    return report
+    return SuiteReport("kloosterman", rows.sorted(), extras=extras)
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +550,6 @@ def cmd_bessel(config: RunConfig) -> SuiteReport:
     prefactor report (measured exactly regardless of the configured backend).
     A rank whose closed-form Kloosterman sums exceed the engine's default
     budget gets one skip row in place of its closed-form rows, and no report."""
-    t0 = time.perf_counter()
     backend = config.make_backend()
     p, t = config.p, config.t_max
     rows = _Rows()
@@ -620,9 +611,7 @@ def cmd_bessel(config: RunConfig) -> SuiteReport:
             rows.add((n, 2, y0), "bessel n=%d closedform y0=%d" % (n, y0),
                      "pass" if ok else "fail", detail, p=p, n=n, t=t, y0=y0)
 
-    report = SuiteReport("bessel", rows.sorted(), extras=extras)
-    report.elapsed = time.perf_counter() - t0
-    return report
+    return SuiteReport("bessel", rows.sorted(), extras=extras)
 
 
 # ---------------------------------------------------------------------------
@@ -640,8 +629,14 @@ SUITES: dict = {
 
 
 def run_suites(names: Sequence[str], config: RunConfig) -> tuple:
-    """Run the named suites in canonical order; returns (reports, document)."""
-    reports = [SUITES[name](config) for name in names]
+    """Run the named suites in canonical order, each timed in wall-clock
+    seconds; returns (reports, document)."""
+    reports = []
+    for name in names:
+        t0 = time.perf_counter()
+        report = SUITES[name](config)
+        report.elapsed = time.perf_counter() - t0
+        reports.append(report)
     doc = {
         "version": __version__,
         "config": config.to_json(),

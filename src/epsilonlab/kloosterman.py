@@ -40,10 +40,9 @@ that ends in one batched reduction.
     z^{angle_k}, times g when t and n are both odd, and the row is one
     bincount of the m x m exponents angle_k - k d N/m, one multiplication by
     g where it is left over, and one batched reduction.
-  - At t = 1 the table keeps tau_t(chi) and tau_t(chi)^{n-1} as integer
-    stacks; the A_k of one (omega, n) are one stacked integer convolution,
-    folded mod N, and the transform is scalars' block shift of the unreduced
-    A_k.
+  - Every other row, exact at t = 1 or in floats, multiplies out the A_k
+    and hands them to scalars.shifted_root_sums, the transform Bessel's
+    character sums use too.
 
 The two engines are cross-checked exhaustively in the test and acceptance
 suites; the factorization above is treated as correct only because of that
@@ -62,8 +61,8 @@ import numpy as np
 from .characters import MultChar, represent_at_level
 from .local_factors import _form_product, _gauss_form, _gauss_sum_at_level, _times_g
 from .padic import phi, unit_group
-from .scalars import (EXACT, Backend, Scalar, _lifted_stack, _shifted_stack_sums, _stack_values,
-                      _stacked_products, get_context, shifted_root_sums)
+from .scalars import (EXACT, Backend, Scalar, _shifted_stack_sums, _stack_values, get_context,
+                      shifted_root_sums)
 
 
 DEFAULT_BUDGET = 2_000_000  # the work budget of one case, in terms or operations
@@ -188,9 +187,6 @@ class GaussTable:
     t: int
     values: tuple
     backend: Backend
-    # exponent e -> (tau_t(chi_k)^e for every k as an integer stack in Q(zeta_N), denominator);
-    # exact tables at t = 1 only
-    _stacks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # the angles of every tau_t(chi_k) as forms and which of them are nonzero; t >= 2 only
     _forms: list = field(default_factory=list, init=False, repr=False, compare=False)
     # (omega exponent k at level t, n) -> the kl_row of that twist
@@ -203,16 +199,6 @@ class GaussTable:
     @property
     def _N(self) -> int:
         return math.lcm(self.p ** self.t, self.order)
-
-    def _stack(self, e: int) -> tuple:
-        """tau_t(chi_k)^e for every k, raised and lifted once per table and
-        exponent to Q(zeta_N), N = lcm(p^t, m), as rows of canonical
-        coordinates over one common denominator."""
-        hit = self._stacks.get(e)
-        if hit is None:
-            hit = self._stacks[e] = _lifted_stack(
-                self.values if e == 1 else [v ** e for v in self.values], self._N)
-        return hit
 
     def _form_angles(self) -> tuple:
         """(angles, live) for t >= 2: each nonzero tau_t(chi_k) is recognised once
@@ -258,12 +244,11 @@ def kl_row(omega: MultChar, n: int, table: GaussTable) -> tuple:
     in the table's backend.
 
     Exactly at t >= 2, each nonzero A_k is a product of Gauss-sum forms (see
-    _form_row), so the row is one count of angles and one reduction.  At
-    t = 1 the A_k are one stacked integer convolution of the table's stacks
-    of tau and tau^{n-1}, folded mod N = lcm(p^t, m) and block-shifted
-    unreduced, so the row costs one reduction too.  In floats the A_k are
-    complex products.  Always computed afresh; the row is left on the table
-    for kl_via_dft.
+    _form_row), so the row is one count of angles and one reduction.
+    Otherwise, exactly at t = 1 or in floats, the A_k are multiplied out in
+    the backend and shifted_root_sums transforms them, in one batched
+    reduction when exact.  Always computed afresh; the row is left on the
+    table for kl_via_dft.
     """
     if n < 2:
         raise ValueError("hyper-Kloosterman sums need n >= 2 (n-1 summation variables)")
@@ -271,16 +256,11 @@ def kl_row(omega: MultChar, n: int, table: GaussTable) -> tuple:
         raise ValueError("twist is a character of Q_%d, table is for p=%d" % (omega.p, table.p))
     m = table.order
     k_om = represent_at_level(omega, table.t).k % m
-    ks = np.arange(m)
     if table.backend.exact and table.t >= 2:
         row = _form_row(k_om, n, table)
-    elif table.backend.exact:
-        (X, dx), (Y, dy) = table._stack(1), table._stack(n - 1)
-        A = _stacked_products(np.roll(X, -k_om, axis=0), Y, table._N)
-        row = _shifted_stack_sums(A, -ks, m, table.backend, ks, den=m * dx * dy)
     else:
         A = [table.values[(k + k_om) % m] * table.values[k] ** (n - 1) for k in range(m)]
-        row = shifted_root_sums(A, -ks, m, table.backend, den=m)
+        row = shifted_root_sums(A, -np.arange(m), m, table.backend, den=m)
     table._rows[k_om, n] = row
     return row
 

@@ -613,8 +613,9 @@ class CertificateTable:
         k mod p^s: one D per class.  Every D lies in Q(zeta_L),
         L = lcm(p^s, phi(p^s)), and depends only on the multiset of its
         exponents there, so each distinct multiset is summed once, in one
-        batched reduction, and recognised; a value that is not +-p^s times a
-        root of unity raises ArithmeticError.
+        batched reduction.  tau(mu) D(chi) has the form of a Gauss sum of
+        conductor 2s, so _gauss_form recognises it; a value that is not
+        +-p^s times a root of unity raises ArithmeticError.
         """
         k %= self.M
         hit = self._mu_cache.get(k)
@@ -652,18 +653,10 @@ class CertificateTable:
                              minlength=n * L).reshape(n, L)
         if not get_context(L).fits_int64(counts.max()):
             self._fallbacks += n
+        # tau(mu) D(chi) = +-p^s zeta_M^e is the form of a conductor-2s Gauss sum
         tau = gauss_sum(mu_s)
-        exps = np.empty(n, dtype=np.int64)
-        for i, d in enumerate(EXACT.root_combination_vec(L, counts)):
-            full = tau * d
-            rt = full.as_root_times_rational()
-            if rt is None or abs(rt[1]) != p ** s:
-                raise ArithmeticError(
-                    "certificate value is not q^{a(mu)} times a root of unity for "
-                    "mu=%r; the modulus identities are broken" % (mu_s,))
-            e, r = rt
-            # an odd order keeps the sign in the rational part
-            exps[i] = (e * (M // full.N) + (M // 2 if r < 0 else 0)) % M
+        exps = np.array([_gauss_form(tau * d, p, 2 * s, M)[0]
+                         for d in EXACT.root_combination_vec(L, counts)], dtype=np.int64)
         return exps[inverse.ravel()]
 
     # -- pair checking ----------------------------------------------------------

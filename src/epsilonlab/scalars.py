@@ -15,14 +15,14 @@ which keeps reduction cheap even when phi(N) is in the thousands.  They are the
 only description of the field: a root of unity is written by placing one row,
 and recognised by finding the row it is proportional to.
 
-Multiplication is integer convolution followed by one reduction pass.  A single
-product and a stack of them share one kernel, _stacked_products: one np.convolve
-per row, in int64 while the bound sum|x| * max|y| of every row stays under a
-guard and in exact object dtype otherwise.  Coordinates enter numpy through
-_int_array: int64 where numpy infers int64, object dtype otherwise, never a
-cast.  The reduction's own guard comes from the rewrite table: a reduced
-coefficient is at most max|input| times the largest column sum of |rows|.
-Nothing in the exact path ever rounds.
+Multiplication is integer convolution followed by one reduction pass.  The
+kernel, _groupring_product, is one np.convolve of the two coordinate vectors,
+in int64 while the bound sum|x| * max|y| stays under a guard and in exact
+object dtype otherwise.  Coordinates enter numpy through _int_array: int64
+where numpy infers int64, object dtype otherwise, never a cast.  The
+reduction's own guard comes from the rewrite table: a reduced coefficient is
+at most max|input| times the largest column sum of |rows|.  Nothing in the
+exact path ever rounds.
 
 ScaledScalar carries a formal rational power of q next to a scalar: (c, e) means
 c * q^e.  Sums are only defined between equal exponents; a mismatch raises
@@ -173,15 +173,12 @@ class CycContext:
         return out.reshape(vec.shape[:-1] + (self.phi,))
 
     def fold_conv(self, conv: np.ndarray) -> np.ndarray:
-        """Fold a convolution result (length < 2N) into exponent classes mod N.
-
-        A stack of results (shape (..., L)) is folded row by row.
-        """
-        L = conv.shape[-1]
-        full = np.zeros(conv.shape[:-1] + (self.N,), dtype=conv.dtype)
-        full[..., : min(L, self.N)] = conv[..., : self.N]
+        """Fold a convolution result (length < 2N) into exponent classes mod N."""
+        L = len(conv)
+        full = np.zeros(self.N, dtype=conv.dtype)
+        full[: min(L, self.N)] = conv[: self.N]
         if L > self.N:
-            full[..., : L - self.N] += conv[..., self.N :]
+            full[: L - self.N] += conv[self.N :]
         return full
 
     # -- roots of unity -------------------------------------------------------
@@ -336,9 +333,9 @@ class CycNumber:
         N = _common_order(self.N, other.N)
         (anum, aden) = self._lift_vec(N)
         (bnum, bden) = other._lift_vec(N)
-        S = _int_array([anum, bnum])
-        conv = _stacked_products(S[:1], S[1:], N)
-        return _make(N, get_context(N).reduce_groupring(conv[0]).tolist(), aden * bden)
+        x, y = _int_array([anum, bnum])
+        conv = _groupring_product(x, y, N)
+        return _make(N, get_context(N).reduce_groupring(conv).tolist(), aden * bden)
 
     __rmul__ = __mul__
 
@@ -351,12 +348,8 @@ class CycNumber:
         return NotImplemented
 
     def __pow__(self, k: int):
-        if k < 0:
-            rt = self.as_root_times_rational()
-            if rt is None:
-                raise ArithmeticError("inverse only available for rational multiples of roots")
-            e, r = rt
-            return root_of_unity((e * k) % self.N, self.N) * (r ** k)
+        if k < 0:  # square-and-multiply never ends on one: -1 >> 1 == -1
+            raise ValueError("CycNumber powers need an exponent >= 0, got %d" % k)
         out = CycNumber.one()
         base = self
         while k:
@@ -528,27 +521,22 @@ def _lifted_stack(values, N: int) -> tuple[np.ndarray, int]:
     return _int_array([[c * (den // d) for c in num] for num, d in lifted]), den
 
 
-def _stacked_products(X: np.ndarray, Y: np.ndarray, N: int) -> np.ndarray:
-    """Row k is X[k] * Y[k] in Z[C_N], unreduced: the integer convolution of two
-    (K, phi(N)) stacks of canonical coordinates, folded mod N.
+def _groupring_product(x: np.ndarray, y: np.ndarray, N: int) -> np.ndarray:
+    """x * y in Z[C_N], unreduced: the integer convolution of two vectors of
+    canonical coordinates, folded mod N.
 
-    Each row is one np.convolve.  Every entry of row k, and every partial sum
-    of it, is at most sum |X[k]| * max |Y[k]|; the products run in int64 while
-    that bound stays under the guard for every row, and in object dtype
-    otherwise.  The bound is read in float64, whose rounding is far inside the
-    factor-two headroom between the guard and 2**63.
+    Every entry of the convolution, and every partial sum of it, is at most
+    sum |x| * max |y|; the product runs in int64 while that bound stays under
+    the guard, and in object dtype otherwise.  The bound is read in float64,
+    whose rounding is far inside the factor-two headroom between the guard
+    and 2**63.
     """
     dtype = object
-    if X.dtype != object and Y.dtype != object:
-        bound = (np.abs(X, dtype=np.float64).sum(axis=1)
-                 * np.abs(Y, dtype=np.float64).max(axis=1)).max(initial=0)
+    if x.dtype != object and y.dtype != object:
+        bound = np.abs(x, dtype=np.float64).sum() * np.abs(y, dtype=np.float64).max(initial=0)
         if bound < _INT64_GUARD:
             dtype = np.int64
-    X, Y = X.astype(dtype, copy=False), Y.astype(dtype, copy=False)
-    K, n = X.shape
-    conv = np.empty((K, 2 * n - 1), dtype=dtype)
-    for k in range(K):
-        conv[k] = np.convolve(X[k], Y[k])
+    conv = np.convolve(x.astype(dtype, copy=False), y.astype(dtype, copy=False))
     return get_context(N).fold_conv(conv)
 
 

@@ -11,7 +11,7 @@ import re
 import numpy as np
 import pytest
 
-from epsilonlab import cli, kloosterman
+from epsilonlab import cli, kloosterman, scalars
 from epsilonlab.characters import MultChar, trivial_char
 from epsilonlab.kloosterman import (
     BudgetError,
@@ -395,7 +395,7 @@ def test_form_row_is_the_direct_row(p, t):
             assert kl_row(om, n, table) == want, (n, om)
 
 
-@pytest.mark.parametrize("p,t", [(7, 3), (11, 2), (13, 2)])
+@pytest.mark.parametrize("p,t", [(7, 1), (13, 1), (7, 3), (11, 2), (13, 2)])
 def test_form_row_is_the_literal_transform(p, t):
     # a few entries against m^{-1} sum_k zeta_m^{-k d} tau(omega chi_k) tau(chi_k)^{n-1}
     # written out with the table's literal Gauss sums
@@ -441,18 +441,11 @@ def test_float_row_matches_exact_row():
 
 
 def test_powers_computed_once_per_table(monkeypatch):
-    # the stacked products serve t = 1; rows at t >= 2 raise no power
-    table = build_gauss_table(5, 1)
+    # exact rows at t >= 2 read Gauss-sum forms and raise no power
     calls = []
     real_pow = CycNumber.__pow__
     monkeypatch.setattr(CycNumber, "__pow__",
                         lambda self, k: calls.append(k) or real_pow(self, k))
-    for om in level_chars(5, 1):
-        kl_row(om, 3, table)
-    assert calls == [2] * table.order  # one tau^2 per character, shared by every omega
-    assert table._stack(2) is table._stack(2)
-    assert build_gauss_table(5, 1) == table  # the memo is not part of the value
-    calls.clear()
     kl_row(trivial_char(5), 3, build_gauss_table(5, 2))
     assert calls == []
 
@@ -521,7 +514,7 @@ def test_row_int64_guard_edge(over, monkeypatch):
     # int64 precisely while m * X * reduce_gain < 2**62.
     p, t, k_om = 5, 1, 1
     m = unit_group(p, t).order
-    gain = get_context(20).reduce_gain  # N = lcm(5, 4)
+    gain = get_context(m).reduce_gain  # rational A_k: the sums live in Q(zeta_m)
     X = (2 ** 62 - 1) // (m * gain) + over
     values = (CycNumber.rational(X),) + (CycNumber.one(),) * (m - 1)
     table = GaussTable(p, t, values, EXACT)
@@ -538,18 +531,21 @@ def test_row_int64_guard_edge(over, monkeypatch):
 
 
 def test_row_products_fit_but_their_sum_does_not(monkeypatch):
-    # Real Gauss sums scaled by c: every factor and every product A_k fits in
-    # int64, but m rows of the largest product fail the reduction guard, so
-    # the shift and the reduction take object dtype.
+    # Real Gauss sums scaled by c: every product A_k fits in int64, but m rows
+    # of the largest A_k fail the reduction guard, so the shift and the
+    # reduction take object dtype.
     p, t, n, k_om = 5, 1, 2, 1
     base = build_gauss_table(p, t)
     m, N = base.order, math.lcm(p ** t, base.order)
     gain = get_context(N).reduce_gain
-    X, _den = base._stack(1)
-    peak = int(np.abs(kloosterman._stacked_products(np.roll(X, -k_om, axis=0), X, N)).max())
+    tau = [v._lift_vec(N)[0] for v in base.values]
+    assert all(v.den == 1 for v in base.values)
+    peak = max(max(map(abs, (base.values[(k + k_om) % m] * base.values[k])._lift_vec(N)[0]))
+               for k in range(m))
     c = math.isqrt((2 ** 62 - 1) // (m * gain * peak)) + 1
-    assert c * c * peak * m * gain >= 2 ** 62  # the summed stack does not fit
-    assert c * c * int(np.abs(X).sum(axis=1).max()) * int(np.abs(X).max()) < 2 ** 62
+    assert c * c * peak * m * gain >= 2 ** 62  # the stack of the A_k does not fit
+    bound = max(sum(map(abs, x)) for x in tau) * max(max(map(abs, y)) for y in tau)
+    assert c * c * bound < 2 ** 62  # every product's kernel bound
     values = tuple(c * v for v in base.values)
     table = GaussTable(p, t, values, EXACT)
     want = []
@@ -559,12 +555,12 @@ def test_row_products_fit_but_their_sum_does_not(monkeypatch):
             acc = acc + root_of_unity(-k * d, m) * values[(k + k_om) % m] * values[k] ** (n - 1)
         want.append(acc / m)
     products = []
-    real = kloosterman._stacked_products
-    monkeypatch.setattr(kloosterman, "_stacked_products",
+    real = scalars._groupring_product
+    monkeypatch.setattr(scalars, "_groupring_product",
                         lambda *args: products.append(real(*args)) or products[-1])
     seen = _spy_row_reductions(monkeypatch)
     assert list(kl_row(MultChar(p, t, k_om), n, table)) == want
-    assert [a.dtype for a in products] == [np.int64]  # the products fit
+    assert products and {a.dtype for a in products} == {np.dtype(np.int64)}  # the products fit
     assert seen == [object]
 
 

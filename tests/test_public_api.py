@@ -1,10 +1,12 @@
-"""Every public name in the lab has a caller in the lab, and every import is read.
+"""Every name in the lab has a caller in the lab, and every import is read.
 
-Each public module-level function and class of ``src/epsilonlab`` and each
-public method of such a class must be referenced somewhere in ``src/``
-outside its own definition: as a Name, as an Attribute, or in an import.  A
-name that only tests call is test-only API; such a helper belongs in the test
-that needs it.  The allowlist names the few that stay for a reason.
+Each module-level function and class of ``src/epsilonlab`` and each method
+of such a class must be referenced somewhere in ``src/`` outside its own
+definition: as a Name, as an Attribute, or in an import.  Public and private
+names are checked alike; dunders are exempt, since Python calls them.  A
+name that only tests call is test-only API; such a helper belongs in the
+test that needs it.  The allowlist names the few public ones that stay for a
+reason.
 
 Every name a ``src/`` module imports must also be read in that module outside
 its import statements (``from __future__`` imports are exempt): a dead import
@@ -40,31 +42,44 @@ def _references(node) -> Counter:
     return refs
 
 
-def _public_definitions(tree):
-    """(qualified name, short name, definition node) of every public def and class."""
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _definitions(tree):
+    """(qualified name, short name, definition node) of every def and class
+    at module level and every method of such a class, dunders excluded."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for node in tree.body:
-        if isinstance(node, defs) and not node.name.startswith("_"):
+        if isinstance(node, defs) and not _is_dunder(node.name):
             yield node.name, node.name, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
-                if isinstance(item, defs[:2]) and not item.name.startswith("_"):
+                if isinstance(item, defs[:2]) and not _is_dunder(item.name):
                     yield "%s.%s" % (node.name, item.name), item.name, item
 
 
-def _callers_in_src() -> dict:
-    """Qualified name of every public definition -> its references in src/
-    outside its own definition."""
+def _callers_in_src(private: bool = False) -> dict:
+    """Qualified name of every public (or every private) definition -> its
+    references in src/ outside its own definition."""
     trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
     everywhere = sum((_references(tree) for tree in trees), Counter())
     return {qual: everywhere[name] - _references(node)[name]
-            for tree in trees for qual, name, node in _public_definitions(tree)}
+            for tree in trees for qual, name, node in _definitions(tree)
+            if name.startswith("_") == private}
 
 
 def test_every_public_name_has_a_caller_in_src():
     unused = sorted(qual for qual, refs in _callers_in_src().items()
                     if refs <= 0 and qual not in ALLOWED)
     assert unused == [], "public names with no caller in src/: %s" % unused
+
+
+def test_every_private_name_has_a_caller_in_src():
+    # a private helper whose last caller went, such as a method kept on a
+    # class after the path that read it was deleted
+    unused = sorted(qual for qual, refs in _callers_in_src(private=True).items() if refs <= 0)
+    assert unused == [], "private names with no caller in src/: %s" % unused
 
 
 def test_allowlist_names_exist():
