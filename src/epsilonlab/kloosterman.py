@@ -40,9 +40,9 @@ that ends in one batched reduction.
     z^{angle_k}, times g when t and n are both odd, and the row is one
     bincount of the m x m exponents angle_k - k d N/m, one multiplication by
     g where it is left over, and one batched reduction.
-  - Every other row, exact at t = 1 or in floats, multiplies out the A_k
-    and hands them to scalars.shifted_root_sums, the transform Bessel's
-    character sums use too.
+  - Every other row, exact at t = 1 or in floats, hands the two factors of
+    each A_k to scalars.shifted_root_sums, Bessel's transform too, which
+    keeps exact products unreduced until its one batched reduction.
 
 The two engines are cross-checked exhaustively in the test and acceptance
 suites; the factorization above is treated as correct only because of that
@@ -187,6 +187,8 @@ class GaussTable:
     t: int
     values: tuple
     backend: Backend
+    # exponent e -> tau_t(chi_k)^e for every k, in the backend; t = 1 and float tables only
+    _powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # the angles of every tau_t(chi_k) as forms and which of them are nonzero; t >= 2 only
     _forms: list = field(default_factory=list, init=False, repr=False, compare=False)
     # (omega exponent k at level t, n) -> the kl_row of that twist
@@ -245,10 +247,10 @@ def kl_row(omega: MultChar, n: int, table: GaussTable) -> tuple:
 
     Exactly at t >= 2, each nonzero A_k is a product of Gauss-sum forms (see
     _form_row), so the row is one count of angles and one reduction.
-    Otherwise, exactly at t = 1 or in floats, the A_k are multiplied out in
-    the backend and shifted_root_sums transforms them, in one batched
-    reduction when exact.  Always computed afresh; the row is left on the
-    table for kl_via_dft.
+    Otherwise, exactly at t = 1 or in floats, shifted_root_sums multiplies
+    the A_k out and transforms them, exactly as unreduced products and one
+    batched reduction; each tau(chi_k)^{n-1} is raised once per table.
+    Always computed afresh; the row is left on the table for kl_via_dft.
     """
     if n < 2:
         raise ValueError("hyper-Kloosterman sums need n >= 2 (n-1 summation variables)")
@@ -259,8 +261,11 @@ def kl_row(omega: MultChar, n: int, table: GaussTable) -> tuple:
     if table.backend.exact and table.t >= 2:
         row = _form_row(k_om, n, table)
     else:
-        A = [table.values[(k + k_om) % m] * table.values[k] ** (n - 1) for k in range(m)]
-        row = shifted_root_sums(A, -np.arange(m), m, table.backend, den=m)
+        powers = table._powers.get(n - 1)
+        if powers is None:
+            powers = table._powers[n - 1] = tuple(v ** (n - 1) for v in table.values)
+        shifted = [table.values[(k + k_om) % m] for k in range(m)]
+        row = shifted_root_sums(shifted, -np.arange(m), m, table.backend, den=m, times=powers)
     table._rows[k_om, n] = row
     return row
 

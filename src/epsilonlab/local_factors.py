@@ -655,9 +655,13 @@ class CertificateTable:
             self._fallbacks += n
         # tau(mu) D(chi) = +-p^s zeta_M^e is the form of a conductor-2s Gauss sum
         tau = gauss_sum(mu_s)
-        exps = np.array([_gauss_form(tau * d, p, 2 * s, M)[0]
-                         for d in EXACT.root_combination_vec(L, counts)], dtype=np.int64)
-        return exps[inverse.ravel()]
+        try:
+            exps = [_gauss_form(tau * d, p, 2 * s, M)[0]
+                    for d in EXACT.root_combination_vec(L, counts)]
+        except ArithmeticError as err:
+            raise ArithmeticError("certificate value is not q^{a(mu)} times a root of unity for "
+                                  "mu=%r; the modulus identities are broken" % (mu_s,)) from err
+        return np.array(exps, dtype=np.int64)[inverse.ravel()]
 
     # -- pair checking ----------------------------------------------------------
 

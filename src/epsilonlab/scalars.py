@@ -172,15 +172,6 @@ class CycContext:
         out = rows @ vec.reshape(vec.shape[:-1] + (self.rad, self.K))
         return out.reshape(vec.shape[:-1] + (self.phi,))
 
-    def fold_conv(self, conv: np.ndarray) -> np.ndarray:
-        """Fold a convolution result (length < 2N) into exponent classes mod N."""
-        L = len(conv)
-        full = np.zeros(self.N, dtype=conv.dtype)
-        full[: min(L, self.N)] = conv[: self.N]
-        if L > self.N:
-            full[: L - self.N] += conv[self.N :]
-        return full
-
     # -- roots of unity -------------------------------------------------------
 
     def trace_weights(self) -> tuple:
@@ -292,6 +283,8 @@ class CycNumber:
             return list(self.num), self.den
         if N % self.N != 0:
             raise ValueError("cannot lift Q(zeta_%d) into Q(zeta_%d)" % (self.N, N))
+        if self.N == 1:  # the basis monomial 1 is coordinate 0
+            return [self.num[0]] + [0] * (get_context(N).phi - 1), self.den
         # the canonical basis monomial z_small^i is z^(i scale), with i scale < N
         scale = N // self.N
         return _reduce_at(N, slice(0, len(self.num) * scale, scale), self.num), self.den
@@ -495,21 +488,31 @@ def root_of_unity(e: int, N: int) -> CycNumber:
     return _make(N, vec, 1)
 
 
-def shifted_root_sums(values, mults, m: int, backend: "Backend", den: int = 1) -> tuple:
-    """sum_k values[k] * zeta_m^(mults[k] * d) / den for every d mod m, in the backend.
+def shifted_root_sums(values, mults, m: int, backend: "Backend", den: int = 1,
+                      times=None) -> tuple:
+    """sum_k values[k] * times[k] * zeta_m^(mults[k] * d) / den for every d mod m,
+    in the backend; without times the products are the values.
 
-    Float sums are one matrix product W @ values / den.  Exact sums live in
-    Q(zeta_N), N = lcm(m, every value's order): the values are put
+    Float sums are one matrix product W @ products / den.  Exact sums live in
+    Q(zeta_N), N = lcm(m, every factor's order): each factor sequence is put
     over one common denominator as the rows of an integer group-ring stack,
-    which _shifted_stack_sums shifts and reduces in one batch.
+    the products are one _groupring_product per row, left unreduced, and
+    _shifted_stack_sums shifts and reduces them in one batch.
     """
     ds = np.arange(m)
     if not backend.exact:
+        if times is not None:
+            values = [v * w for v, w in zip(values, times)]
         return _float_shifted_sums(np.array(values, dtype=complex), mults, m, ds, den)
-    N = math.lcm(m, *(v.N for v in values))
+    N = math.lcm(m, *(v.N for v in values), *(v.N for v in times or ()))
     stack, common = _lifted_stack(values, N)
-    G = np.zeros((len(values), N), dtype=stack.dtype)
-    G[:, : stack.shape[1]] = stack
+    if times is None:
+        G = np.zeros((len(values), N), dtype=stack.dtype)
+        G[:, : stack.shape[1]] = stack
+    else:
+        other, other_den = _lifted_stack(times, N)
+        G = np.array([_groupring_product(x, y, N) for x, y in zip(stack, other)])
+        common *= other_den
     return _shifted_stack_sums(G, mults, m, backend, ds, common * den)
 
 
@@ -518,7 +521,7 @@ def _lifted_stack(values, N: int) -> tuple[np.ndarray, int]:
     canonical basis of Q(zeta_N).  int64 when every entry fits, object otherwise."""
     lifted = [v._lift_vec(N) for v in values]
     den = math.lcm(*(d for _num, d in lifted))
-    return _int_array([[c * (den // d) for c in num] for num, d in lifted]), den
+    return _int_array([v if d == den else [c * (den // d) for c in v] for v, d in lifted]), den
 
 
 def _groupring_product(x: np.ndarray, y: np.ndarray, N: int) -> np.ndarray:
@@ -537,7 +540,9 @@ def _groupring_product(x: np.ndarray, y: np.ndarray, N: int) -> np.ndarray:
         if bound < _INT64_GUARD:
             dtype = np.int64
     conv = np.convolve(x.astype(dtype, copy=False), y.astype(dtype, copy=False))
-    return get_context(N).fold_conv(conv)
+    full = np.zeros(2 * N, dtype=dtype)  # the convolution is shorter than 2N
+    full[: len(conv)] = conv
+    return full[:N] + full[N:]
 
 
 def _float_shifted_sums(values: np.ndarray, mults, m: int, ds: np.ndarray,

@@ -723,8 +723,7 @@ PINNED_REPORTS = [
                  "6897858aeccbc561dedd83c884d22488dda7ca9146792a9803b68a86991a77a8",
                  "c9b3ec99eeff460ec2220476314302682fbf6abe9a006ca230a01261a6c5a67d",
                  id="stability-p3-rank1"),
-    # t = 1 only: every row takes the values path of kl_row; recorded before
-    # the exact rows at t = 1 left the stacked Gauss-table products
+    # every row takes kl_row's values path at t = 1
     pytest.param(["kloosterman", "--p", "11", "--t-max", "1", "--n", "2", "3", "4"],
                  "cb67cb8d3906658f589827a0acc9cdc73d16c331ca1aa42d5ce7bc6e900f0b2f",
                  "dfa8325b6a5f3be6050472037a87a2c0a551d7f2d2568b50f44a6a46614a08cb",

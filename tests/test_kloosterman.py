@@ -441,11 +441,18 @@ def test_float_row_matches_exact_row():
 
 
 def test_powers_computed_once_per_table(monkeypatch):
-    # exact rows at t >= 2 read Gauss-sum forms and raise no power
+    # at t = 1 each tau^{n-1} is raised once per table and rank; rows at
+    # t >= 2 raise no power
+    table = build_gauss_table(5, 1)
     calls = []
     real_pow = CycNumber.__pow__
     monkeypatch.setattr(CycNumber, "__pow__",
                         lambda self, k: calls.append(k) or real_pow(self, k))
+    for om in level_chars(5, 1):
+        kl_row(om, 3, table)
+    assert calls == [2] * table.order  # one tau^2 per character, shared by every omega
+    assert build_gauss_table(5, 1) == table  # the memo is not part of the value
+    calls.clear()
     kl_row(trivial_char(5), 3, build_gauss_table(5, 2))
     assert calls == []
 
@@ -532,16 +539,16 @@ def test_row_int64_guard_edge(over, monkeypatch):
 
 def test_row_products_fit_but_their_sum_does_not(monkeypatch):
     # Real Gauss sums scaled by c: every product A_k fits in int64, but m rows
-    # of the largest A_k fail the reduction guard, so the shift and the
-    # reduction take object dtype.
+    # of the largest unreduced A_k fail the reduction guard, so the shift and
+    # the reduction take object dtype.
     p, t, n, k_om = 5, 1, 2, 1
     base = build_gauss_table(p, t)
     m, N = base.order, math.lcm(p ** t, base.order)
     gain = get_context(N).reduce_gain
     tau = [v._lift_vec(N)[0] for v in base.values]
     assert all(v.den == 1 for v in base.values)
-    peak = max(max(map(abs, (base.values[(k + k_om) % m] * base.values[k])._lift_vec(N)[0]))
-               for k in range(m))
+    peak = max(int(np.abs(scalars._groupring_product(
+        np.array(tau[(k + k_om) % m]), np.array(tau[k]), N)).max()) for k in range(m))
     c = math.isqrt((2 ** 62 - 1) // (m * gain * peak)) + 1
     assert c * c * peak * m * gain >= 2 ** 62  # the stack of the A_k does not fit
     bound = max(sum(map(abs, x)) for x in tau) * max(max(map(abs, y)) for y in tau)

@@ -755,8 +755,11 @@ def test_certificate_refuses_a_corrupted_value(monkeypatch):
     real = local_factors.gauss_sum
     monkeypatch.setattr(local_factors, "gauss_sum",
                         lambda chi, backend=EXACT: CycNumber.rational(2) * real(chi, backend))
-    with pytest.raises(ArithmeticError, match=r"is not p\^\(2/2\) times a root of unity"):
+    with pytest.raises(ArithmeticError,
+                       match="not q\\^\\{a\\(mu\\)\\} times a root of unity") as err:
         table.exponents(k)
+    assert "mu=" in str(err.value)
+    assert isinstance(err.value.__cause__, ArithmeticError)  # _gauss_form's refusal
     assert k not in table._mu_cache
 
 

@@ -326,7 +326,7 @@ def _naive_product(x, y, N):
     return row
 
 
-def _kernel_stack(rng, K, n, size):
+def _coordinate_rows(rng, K, n, size):
     """K rows of n coordinates below size: full rows, zero rows and
     single-coordinate rows in turn."""
     rows = []
@@ -348,7 +348,7 @@ def test_stacked_products_match_the_term_by_term_oracle(N, K, sizes):
     # K products, one kernel call each: full, zero and single-coordinate vectors
     rng = random.Random(N * 100 + K)
     n = get_context(N).phi
-    X, Y = (_kernel_stack(rng, K, n, size) for size in sizes)
+    X, Y = (_coordinate_rows(rng, K, n, size) for size in sizes)
     for x, y in zip(X, Y):
         got = scalars._groupring_product(x, y, N)
         assert got.shape == (N,)
@@ -369,6 +369,20 @@ def test_stacked_products_guard_edge(over, monkeypatch):
     got = scalars._groupring_product(x, y, N)
     assert got.dtype == (object if over else np.int64)
     assert got.tolist() == _naive_product(x, y, N)
+
+
+def test_shifted_root_sums_of_two_factors():
+    # factors from Q(zeta_4), Q(zeta_5), Q(zeta_20) and Q, one product past int64:
+    # the unreduced products give the sums of the multiplied-out values
+    values = [_tau5(), root_of_unity(3, 20) / 3, CycNumber.rational(2 ** 70),
+              root_of_unity(1, 4) + 1]
+    times = [root_of_unity(1, 4), _tau5() + 2, root_of_unity(7, 20), CycNumber.rational(5)]
+    mults, m = [0, 1, 3, 2], 4
+    want = scalars.shifted_root_sums([v * w for v, w in zip(values, times)], mults, m, EXACT, 7)
+    assert scalars.shifted_root_sums(values, mults, m, EXACT, 7, times=times) == want
+    got = scalars.shifted_root_sums([v.to_complex() for v in values], mults, m, FLOAT, 7,
+                                    times=[w.to_complex() for w in times])
+    assert all(cmath.isclose(g, w.to_complex(), rel_tol=1e-12) for g, w in zip(got, want))
 
 
 @pytest.mark.parametrize("row, dtype", [
