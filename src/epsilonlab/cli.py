@@ -344,8 +344,8 @@ def cmd_stability(config: RunConfig) -> SuiteReport:
     pair the certificate rejects is re-decided directly, and a row passes only
     when every engine that looked at it holds.  The direct decisions -- that
     cross-slice, rank one and the out-of-regime tallies -- are made on one
-    RootNumberForms(p, t), which recognises each character's root number once
-    per sweep as a Gauss-sum form: stability_key for pairs (pi, chi) and
+    RootNumberForms(p, t), which reads each character's root number from the
+    level table of Gauss-sum forms: stability_key for pairs (pi, chi) and
     gl1_verdict for rank one, multiplying exactly only the unrecognised root
     numbers that do not cancel.  stability_check or gl1_stability_check runs
     only for a failing row, to write its lhs and rhs into the detail; an
@@ -365,9 +365,9 @@ def cmd_stability(config: RunConfig) -> SuiteReport:
     # each ramified chi's row in the table of its conductor, looked up once
     chi_rows = {chi.k: tables[chi.conductor_exponent].index_of(chi)
                 for chi in ramified} if backend.exact else {}
-    # every character of the sweep presented at level t, each root number
-    # recognised once for the exact direct checks and the out-of-regime tallies
-    forms = RootNumberForms(p, t)
+    # the root numbers at level t for the exact direct checks and the
+    # out-of-regime tallies; a float run builds no level table
+    forms = RootNumberForms(p, t) if backend.exact else None
 
     for n in sorted(set(config.n_list)):
         if n == 1:

@@ -34,9 +34,10 @@ that ends in one batched reduction.
   chi_k^{-1}(y) = z^{-k d N/m}, and A_k = tau_t(omega chi_k) tau_t(chi_k)^{n-1}.
 
   - At t >= 2 every nonzero tau_t(chi) has conductor t, so it is a Gauss-sum
-    form (local_factors._gauss_form, recognised once per table):
-    p^{t/2} z^angle for even t and p^{(t-1)/2} z^angle g for odd t, g the
-    quadratic Gauss sum.  Each nonzero A_k is then one rational times
+    form, p^{t/2} z^angle for even t and p^{(t-1)/2} z^angle g for odd t, g
+    the quadratic Gauss sum, whose angle is read from the level table
+    local_factors._level_forms(p, t), recognised once per (p, t) and shared
+    with the stability checks.  Each nonzero A_k is then one rational times
     z^{angle_k}, times g when t and n are both odd, and the row is one
     bincount of the m x m exponents angle_k - k d N/m, one multiplication by
     g where it is left over, and one batched reduction.
@@ -59,7 +60,7 @@ from typing import Optional
 import numpy as np
 
 from .characters import MultChar, represent_at_level
-from .local_factors import _form_product, _gauss_form, _gauss_sum_at_level, _times_g
+from .local_factors import _form_product, _gauss_sum_at_level, _level_forms, _times_g
 from .padic import phi, unit_group
 from .scalars import (EXACT, Backend, Scalar, _shifted_stack_sums, _stack_values, get_context,
                       shifted_root_sums)
@@ -181,7 +182,8 @@ def kl_direct(
 @dataclass(frozen=True)
 class GaussTable:
     """All full-level Gauss sums tau_t(chi), indexed by the character exponent k,
-    with the backend they were computed in."""
+    with the backend they were computed in.  The exact rows at t >= 2 read the
+    level table of forms instead (see _form_row)."""
 
     p: int
     t: int
@@ -189,31 +191,12 @@ class GaussTable:
     backend: Backend
     # exponent e -> tau_t(chi_k)^e for every k, in the backend; t = 1 and float tables only
     _powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # the angles of every tau_t(chi_k) as forms and which of them are nonzero; t >= 2 only
-    _forms: list = field(default_factory=list, init=False, repr=False, compare=False)
     # (omega exponent k at level t, n) -> the kl_row of that twist
     _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def order(self) -> int:
         return len(self.values)
-
-    @property
-    def _N(self) -> int:
-        return math.lcm(self.p ** self.t, self.order)
-
-    def _form_angles(self) -> tuple:
-        """(angles, live) for t >= 2: each nonzero tau_t(chi_k) is recognised once
-        per table as the form p^(t // 2) zeta_N^angles[k] g^(t mod 2) of
-        local_factors._gauss_form, and live marks it; the others, of conductor
-        below t, vanish."""
-        if not self._forms:
-            live = np.array([not v.is_zero() for v in self.values])
-            angles = np.zeros(self.order, dtype=np.int64)
-            for k in np.flatnonzero(live):
-                angles[k] = _gauss_form(self.values[k], self.p, self.t, self._N)[0]
-            self._forms.extend((angles, live))
-        return tuple(self._forms)
 
 
 def build_gauss_table(
@@ -245,8 +228,8 @@ def kl_row(omega: MultChar, n: int, table: GaussTable) -> tuple:
     m^{-1} sum_k zeta_m^{-k d} A_k with A_k = tau(omega chi_k) tau(chi_k)^{n-1},
     in the table's backend.
 
-    Exactly at t >= 2, each nonzero A_k is a product of Gauss-sum forms (see
-    _form_row), so the row is one count of angles and one reduction.
+    Exactly at t >= 2, each nonzero A_k is a product of Gauss-sum forms read
+    from the level table (see _form_row): one count of angles and one reduction.
     Otherwise, exactly at t = 1 or in floats, shifted_root_sums multiplies
     the A_k out and transforms them, exactly as unreduced products and one
     batched reduction; each tau(chi_k)^{n-1} is raised once per table.
@@ -271,18 +254,22 @@ def kl_row(omega: MultChar, n: int, table: GaussTable) -> tuple:
 
 
 def _form_row(k_om: int, n: int, table: GaussTable) -> tuple:
-    """The exact kl_row at t >= 2.  Every nonzero tau_t(chi_k) has conductor t
-    and is the form p^(t // 2) zeta_N^angle_k g^f, f = t mod 2, so each
+    """The exact kl_row at t >= 2, read from the level table _level_forms(p, t),
+    not from table.values.  tau_t(chi_k) is nonzero where a(chi_k) = t, and
+    there it is the form p^(t // 2) zeta_N^angle_k g^(t mod 2), so each
     nonzero A_k is r zeta_N^(angle_{k+k_om} + (n-1) angle_k + c) g^F with one
-    (c, r, F) for the whole row: the form product folds the n factors of g
-    in pairs into r and c.  With zeta_m = zeta_N^(N/m), the row's m sums
+    (c, r, F) for the whole row, from the form product (c, s = t n) of its n
+    factors.  With zeta_m = zeta_N^(N/m), the row's m sums
     are the rows d of one (m, N) count of the exponents
     angle(A_k) - k d N/m over the nonzero A_k, times r g^F / m: one bincount,
     one multiplication by g = sum_x (x/p) zeta_p^x when F = 1 (t and n odd),
     and one batched reduction."""
-    p, m, N = table.p, table.order, table._N
-    angles, live = table._form_angles()
-    c, r, flag = _form_product(p, N, [((0, p ** (table.t // 2), table.t % 2), n)])
+    p, t, m = table.p, table.t, table.order
+    N = math.lcm(p ** t, m)
+    conductors, angles, _atoms = _level_forms(p, t)
+    c, s = _form_product(p, N, [(0, t, n)])
+    r, flag = p ** (s // 2), s % 2
+    live = conductors == t
     ks = np.flatnonzero(live & np.roll(live, -k_om))
     exps = angles[(ks + k_om) % m] + (n - 1) * angles[ks] + c
     ds = np.arange(m)

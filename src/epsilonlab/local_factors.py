@@ -33,12 +33,12 @@ shared by every rank, and the direct comparison re-decides a fixed stride of
 them and every pair the certificate rejects.
 
 Under the exact backend the suite makes its direct comparisons on
-RootNumberForms(p, t): each root number is recognised once, from its own
-literal Gauss sum, as a Gauss-sum form (an angle, a rational and a flag for
-the quadratic Gauss sum) wherever it must be one -- every conductor but one,
-and the quadratic character -- and a pair is integer arithmetic on forms;
-only the other root numbers of conductor one that do not cancel are
-multiplied.  stability_key decides the in-regime cross-slice and the
+RootNumberForms(p, t), which reads the level table _level_forms(p, t), shared
+with the Kloosterman rows: each literal Gauss sum is recognised there once
+per (p, t) as a Gauss-sum form, held as its angle, wherever it must be one --
+every conductor but one, and the quadratic character.  A pair is integer
+arithmetic on angles and conductors; only the other root numbers of
+conductor one that do not cancel are multiplied.  stability_key decides the in-regime cross-slice and the
 out-of-regime tallies (a(chi) < a(pi), recorded, never asserted), and
 gl1_verdict the rank-one lemma.  stability_check and gl1_stability_check,
 which build the monomials, stay the float backend's engines and the tests'
@@ -52,6 +52,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Optional
 
 import numpy as np
@@ -130,17 +131,16 @@ def _times_g(R: np.ndarray, p: int) -> np.ndarray:
                for d, x in enumerate(unit_group(p, 1).powers))
 
 
-def _gauss_form(value, p: int, a: int, A: int) -> tuple:
-    """value = r zeta_A^angle g^flag as the form (angle mod A, r, flag), for a
-    value the size of a Gauss sum of conductor a: the rational r = p^(a // 2)
-    and flag = a mod 2.
+def _gauss_form(value, p: int, a: int, A: int) -> int:
+    """The angle of value = p^(a // 2) zeta_A^angle g^(a mod 2) in Z/A, for a
+    value the size of a Gauss sum of conductor a: its form.
 
     For a >= 2, and for the quadratic character at a = 1, tau is +-p^(a/2)
     times a root of unity when a is even, and tau g is +-p^((a+1)/2) times one
     when a is odd (Berndt, Evans and Williams, Gauss and Jacobi Sums, ch. 1).
-    The form is read from value (times g when a is odd) by
-    as_root_times_rational, the sign folded into the angle (A is even, so -1
-    is zeta_A^(A/2)), and 1 / g = g / p*; a value that is not of that shape in
+    The angle is read from value (times g when a is odd) by
+    as_root_times_rational, the sign folded into it (A is even, so -1 is
+    zeta_A^(A/2)), and 1 / g = g / p*; a value that is not of that shape in
     Q(zeta_A) raises ArithmeticError.  The form is canonical: |g| = sqrt p
     is no rational multiple of a root of unity."""
     if A % value.N:
@@ -159,20 +159,45 @@ def _gauss_form(value, p: int, a: int, A: int) -> tuple:
     e, r = rt
     if flag and p % 4 == 3:
         r = -r  # value = (r / p*) zeta^e g, and here p* = -p
-    return (e * (A // full.N) + (A // 2 if r < 0 else 0)) % A, p ** (a // 2), flag
+    return (e * (A // full.N) + (A // 2 if r < 0 else 0)) % A
 
 
 def _form_product(p: int, A: int, factors) -> tuple:
-    """The form of the product of the forms f^d over (f, d): angles add and
-    rationals multiply; each g^2 = p* goes into the rational and its sign
-    into the angle."""
-    angle, r, flags = 0, 1, 0
-    for (f_angle, f_r, f_flag), d in factors:
-        angle, r, flags = angle + d * f_angle, r * f_r ** d, flags + d * f_flag
-    pairs, flag = divmod(flags, 2)
+    """(angle, s) of the product of the forms f^d over the factors (angle, a, d),
+    f = p^(a // 2) zeta_A^angle g^(a mod 2): angles add and s = sum a d, so the
+    product is p^(s // 2) zeta_A^angle g^(s mod 2), with the sign of each
+    g^2 = p* folded into the angle."""
+    angle, s, flags = 0, 0, 0
+    for f_angle, a, d in factors:
+        angle, s, flags = angle + d * f_angle, s + a * d, flags + d * (a % 2)
     if p % 4 == 3:
-        angle += pairs * (A // 2)
-    return angle % A, r * p ** pairs, flag
+        angle += flags // 2 * (A // 2)
+    return angle % A, s
+
+
+@functools.lru_cache(maxsize=16)
+def _level_forms(p: int, t: int) -> tuple:
+    """(conductors, angles, atoms), indexed by the exponent k of chi_k at
+    level t: the only place a Gauss sum at level t is read as a form, exactly.
+
+    conductors[k] = a(chi_k), and tau(chi_k) = p^(a // 2) zeta_A^angles[k]
+    g^(a mod 2), A = lcm(p^t, phi(p^t)) (see _gauss_form), a = 0 and angle 0
+    for the trivial character.  The atoms, of conductor one and not
+    quadratic, are no forms: atoms maps their k to tau(chi_k).  All three are
+    read-only, since the cache hands them to every caller."""
+    m = phi(p, t)
+    A = math.lcm(p ** t, m)
+    conductors, angles, atoms = np.zeros(m, dtype=np.int64), np.zeros(m, dtype=np.int64), {}
+    for k in range(1, m):
+        c = MultChar(p, t, k)
+        a = conductors[k] = c.conductor_exponent
+        if a == 1 and 2 * k != m:
+            atoms[k] = gauss_sum(c)
+        else:
+            angles[k] = _gauss_form(gauss_sum(c), p, a, A)
+    for arr in (conductors, angles):
+        arr.setflags(write=False)
+    return conductors, angles, MappingProxyType(atoms)
 
 
 def root_number(chi: MultChar, backend: Backend = EXACT) -> ScaledScalar:
@@ -425,53 +450,65 @@ def stability_check(
 
 
 class RootNumberForms:
-    """The root numbers of the characters presented at level t, each recognised
-    once, and the stability checks decided on them (exact only): the key of a
-    pair (pi, chi) in or out of regime, and the rank-one lemma.
+    """The root numbers of the characters presented at level t, read from
+    _level_forms(p, t), and the stability checks decided on them (exact
+    only): the key of a pair (pi, chi) in or out of regime, and rank one.
 
-    W(c) = c(-1) tau(c) q^{-a/2}.  Where the coefficient c(-1) tau(c) is a
-    Gauss-sum form -- a(c) >= 2, c quadratic, or c unramified -- it is held as
-    one (see _gauss_form): the triple (angle in Z/A, r, g-flag) with
-    A = lcm(p^t, phi(p^t)), for p^{a/2} times a root of unity when a(c) is
-    even and p^{(a-1)/2} times a root of unity times the quadratic Gauss sum g
-    when a(c) is odd, c(-1) folded into the angle.  Such a value that is not
-    of that shape raises ArithmeticError.  Every other c (conductor one, not
-    quadratic) is an atom, held as its exact coefficient.  Forms are keyed by
-    c's exponent k at level t.
+    W(c) = c(-1) tau(c) q^{-a/2}, and c(-1) = (-1)^k for c of exponent k at
+    level t.  Where tau(c) is a Gauss-sum form it is held as the table's
+    angle in Z/A, its conductor fixing the rest; an atom as its exact tau.
     """
 
     def __init__(self, p: int, t: int):
         self.p, self.t = p, t
         self.m = phi(p, t)
         self.A = math.lcm(p ** t, self.m)
-        self._forms: dict[int, tuple] = {}  # k -> (a(c), form, or the atom as a CycNumber)
-
-    def _form(self, k: int) -> tuple:
-        hit = self._forms.get(k)
-        if hit is None:
-            c = MultChar(self.p, self.t, k)
-            a, coeff = c.conductor_exponent, root_number(c).coeff
-            atom = a == 1 and 2 * k != self.m
-            hit = self._forms[k] = (a, coeff if atom else _gauss_form(coeff, self.p, a, self.A))
-        return hit
+        conductors, angles, self._atoms = _level_forms(p, t)
+        # as Python ints: the checks read them one pair at a time
+        self.conductors, self.angles = conductors.tolist(), angles.tolist()
 
     def _side(self, factors) -> tuple:
-        """(xexp, form, atoms) of the product of the coefficients of W(c)^d
-        over (k, d): the forms multiply to one form, the atoms are counted by k."""
-        xexp, forms, atoms = 0, [], Counter()
+        """(xexp, angle, s, atoms) of the product of the coefficients
+        c(-1) tau(c) of W(c)^d over (k, d): the forms multiply to
+        p^(s // 2) zeta_A^angle g^(s mod 2), each c(-1)^d = (-1)^(k d) turns
+        the angle by A/2, and the atoms are counted by k."""
+        xexp, parity, forms, atoms = 0, 0, [], Counter()
         for k, d in factors:
-            a, form = self._form(k)
+            a = self.conductors[k]
             xexp += a * d
-            if isinstance(form, tuple):
-                forms.append((form, d))
-            else:
+            parity += k * d
+            if k in self._atoms:
                 atoms[k] += d
-        return xexp, _form_product(self.p, self.A, forms), atoms
+            else:
+                forms.append((self.angles[k], a, d))
+        angle, s = _form_product(self.p, self.A, forms)
+        return xexp, (angle + parity % 2 * (self.A // 2)) % self.A, s, atoms
 
     def _atom_product(self, atoms: Counter, start):
         for k, d in atoms.items():
-            start = start * self._forms[k][1] ** d
+            start = start * self._atoms[k] ** d
         return start
+
+    def _key(self, left, right, turn: int = 0) -> str:
+        """"equal" or "unequal": the product of the W(c)^d over the factors
+        (k, d) of left against that of right times zeta_A^turn.  The
+        q-exponents agree whenever the xexp sums do, so the values decide.
+        If the atoms of the two sides cancel, so do the powers of p and g (the
+        xexp sums are equal), and the angles decide; otherwise only the
+        leftover atoms are multiplied, exactly, against the rest."""
+        lx, l_angle, l_s, l_atoms = self._side(left)
+        rx, r_angle, r_s, r_atoms = self._side(right)
+        if lx != rx:
+            return "unequal"
+        diff = (l_angle - r_angle - turn) % self.A
+        if l_atoms == r_atoms:
+            return "equal" if diff == 0 else "unequal"
+        p, g = self.p, math.gcd(diff, self.A)
+        root = root_of_unity(diff // g, self.A // g) * Fraction(p ** (l_s // 2), p ** (r_s // 2))
+        quad = _quadratic_gauss_sum(p)
+        lhs = self._atom_product(l_atoms - r_atoms, root * (quad if l_s % 2 > r_s % 2 else 1))
+        rhs = self._atom_product(r_atoms - l_atoms, quad if r_s % 2 > l_s % 2 else 1)
+        return "equal" if lhs == rhs else "unequal"
 
     def stability_key(self, pi: RepnData, chi: MultChar) -> str:
         """The key "equal", "unequal" or "incomparable": the verdict of
@@ -479,12 +516,7 @@ class RootNumberForms:
         EpsMonomial.equals, "incomparable" where eps_rep_twisted refuses.
 
         Each block's fused character chi tau_j and omega chi are integer
-        exponents at level t.  The q-exponents agree whenever the xexp sums
-        do, so the values decide.  If the atoms of the
-        two sides cancel, so do the rationals and the g-flags (the xexp sums
-        are equal), and the angles decide; otherwise only the leftover atoms
-        are multiplied, exactly, against the ratio of the rationals, the root
-        of the angle difference and g where one side's flag is left over.
+        exponents at level t, and _key compares the two sides.
         """
         m = self.m
         kc = _represent_at_level(chi, self.t).k
@@ -494,22 +526,9 @@ class RootNumberForms:
             kt = _represent_at_level(b.tau, self.t).k
             omega += b.size * kt
             blocks.append(((kc + kt) % m, b.size))
-        if any(d >= 2 and self._form(k)[0] == 0 for k, d in blocks):
+        if any(d >= 2 and self.conductors[k] == 0 for k, d in blocks):
             return "incomparable"
-        lx, l_form, l_atoms = self._side(blocks)
-        rx, r_form, r_atoms = self._side([((omega + kc) % m, 1), (kc, pi.dim - 1)])
-        if lx != rx:
-            return "unequal"
-        if l_atoms == r_atoms:
-            return "equal" if l_form == r_form else "unequal"
-        left, right = l_atoms - r_atoms, r_atoms - l_atoms
-        (l_angle, l_r, l_flag), (r_angle, r_r, r_flag) = l_form, r_form
-        g = math.gcd(l_angle - r_angle, self.A)
-        root = root_of_unity((l_angle - r_angle) // g, self.A // g)
-        quad = _quadratic_gauss_sum(self.p)
-        lhs = self._atom_product(left, root * Fraction(l_r, r_r) * (quad if l_flag > r_flag else 1))
-        rhs = self._atom_product(right, quad if r_flag > l_flag else 1)
-        return "equal" if lhs == rhs else "unequal"
+        return self._key(blocks, [((omega + kc) % m, 1), (kc, pi.dim - 1)])
 
     def gl1_verdict(self, mu: MultChar, chi: MultChar,
                     vclass_rep: Optional[int] = None) -> tuple[bool, int]:
@@ -517,23 +536,15 @@ class RootNumberForms:
         and the unit rep of the v_chi class it reads mu at.
 
         With 2 a(mu) <= a(chi), mu chi has conductor a(chi), so the q-exponents
-        of W(mu chi) and W(chi) agree and the coefficients decide: the form of
-        W(mu chi) against the form of W(chi) turned by mu(rep), whose angle in
-        Z/A is A/m times mu's value exponent at level t.  Forms are canonical,
-        so equal forms are equal values.  An atom has conductor one, where mu
-        is trivial and mu chi = chi, and is compared exactly.
+        agree, and W(mu chi) is compared with W(chi) turned by mu(rep), whose
+        angle in Z/A is A/m times mu's value exponent at level t.  An atom has
+        conductor one, where mu is trivial, mu chi = chi and the atoms cancel.
         """
         rep = _gl1_vclass_rep(mu, chi, vclass_rep)
-        m = self.m
         mu_t = _represent_at_level(mu, self.t)
         kc = _represent_at_level(chi, self.t).k
-        _a, lhs = self._form((mu_t.k + kc) % m)
-        _a, rhs = self._form(kc)
-        if isinstance(rhs, tuple):
-            angle, r, flag = rhs
-            turned = ((angle + mu_t.value_exponent(rep) * (self.A // m)) % self.A, r, flag)
-            return lhs == turned, rep
-        return lhs == mu_t.eval(rep) * rhs, rep
+        turn = mu_t.value_exponent(rep) * (self.A // self.m)
+        return self._key([((mu_t.k + kc) % self.m, 1)], [(kc, 1)], turn) == "equal", rep
 
 
 # ---------------------------------------------------------------------------
@@ -656,7 +667,7 @@ class CertificateTable:
         # tau(mu) D(chi) = +-p^s zeta_M^e is the form of a conductor-2s Gauss sum
         tau = gauss_sum(mu_s)
         try:
-            exps = [_gauss_form(tau * d, p, 2 * s, M)[0]
+            exps = [_gauss_form(tau * d, p, 2 * s, M)
                     for d in EXACT.root_combination_vec(L, counts)]
         except ArithmeticError as err:
             raise ArithmeticError("certificate value is not q^{a(mu)} times a root of unity for "

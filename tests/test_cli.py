@@ -6,7 +6,9 @@ check the orchestration around it, so most runs use the smallest prime.
 """
 
 import hashlib
+import importlib
 import json
+import pkgutil
 import subprocess
 import sys
 from collections import Counter
@@ -14,6 +16,7 @@ from fractions import Fraction
 
 import pytest
 
+import epsilonlab
 from epsilonlab import bessel, cli
 from epsilonlab.characters import MultChar, chars_with_conductor, v_chi
 from epsilonlab.local_factors import (RepnData, RootNumberForms, enumerate_reps,
@@ -751,6 +754,17 @@ def test_report_bytes_pinned(tmp_path, capsys, argv, json_sha256, csv_sha256):
     assert hashlib.sha256(table.read_bytes()).hexdigest() == csv_sha256
 
 
+def _lab_caches():
+    """Every function of the lab's modules that has a cache_clear."""
+    for info in pkgutil.iter_modules(epsilonlab.__path__):
+        if info.name.startswith("__"):
+            continue  # __main__ runs the command line when imported
+        module = importlib.import_module("epsilonlab." + info.name)
+        for value in vars(module).values():
+            if callable(getattr(value, "cache_clear", None)):
+                yield value
+
+
 FLOAT_RUNS = [
     ["gauss", "--p", "7", "--t-max", "2"],
     ["stability", "--p", "5", "--t-max", "2", "--n", "1", "2", "3"],
@@ -762,7 +776,11 @@ FLOAT_RUNS = [
 @pytest.mark.parametrize("argv", FLOAT_RUNS, ids=lambda argv: argv[0])
 def test_float_run_builds_no_exact_scalar(monkeypatch, capsys, argv):
     """A float run takes every constant from its backend, so it constructs no
-    CycNumber; measure_prefactor is exact by design and is not counted."""
+    CycNumber; measure_prefactor is exact by design and is not counted.  The
+    run starts from cold caches, so an exact value an earlier test left in a
+    lab cache cannot hide one the float run would build."""
+    for cached in _lab_caches():
+        cached.cache_clear()
     built, inside = [], [0]
     real_init, real_measure = CycNumber.__init__, cli.measure_prefactor
 

@@ -11,8 +11,8 @@ import re
 import numpy as np
 import pytest
 
-from epsilonlab import cli, kloosterman, scalars
-from epsilonlab.characters import MultChar, trivial_char
+from epsilonlab import cli, kloosterman, local_factors, scalars
+from epsilonlab.characters import MultChar, enumerate_chars, trivial_char
 from epsilonlab.kloosterman import (
     BudgetError,
     GaussTable,
@@ -24,6 +24,7 @@ from epsilonlab.kloosterman import (
     kl_via_dft,
 )
 from epsilonlab.cli import RunConfig, cmd_kloosterman, main
+from epsilonlab.local_factors import RootNumberForms, enumerate_reps, gauss_sum
 from epsilonlab.padic import phi, unit_group
 from epsilonlab.scalars import (
     EXACT,
@@ -423,13 +424,13 @@ def test_form_row_with_a_rational_past_int64():
         assert row[d] == literal / m, d
 
 
-def test_form_row_refuses_a_table_value_off_the_form():
-    base = build_gauss_table(5, 2)
-    values = list(base.values)
-    values[1] = values[1] + 1  # conductor 2, no longer 5 times a root of unity
-    table = GaussTable(5, 2, tuple(values), EXACT)
+def test_form_row_refuses_a_table_value_off_the_form(level_forms):
+    # the exact row reads the level table, which here reads tau(chi_1) of
+    # conductor 2 as a value that is no longer 5 times a root of unity
+    chi = MultChar(5, 2, 1)
+    level_forms(chi, gauss_sum(chi) + 1)
     with pytest.raises(ArithmeticError):
-        kl_row(trivial_char(5), 2, table)
+        kl_row(trivial_char(5), 2, build_gauss_table(5, 2))
 
 
 def test_float_row_matches_exact_row():
@@ -457,18 +458,30 @@ def test_powers_computed_once_per_table(monkeypatch):
     assert calls == []
 
 
-def test_forms_recognised_once_per_table(monkeypatch):
-    table = build_gauss_table(5, 3)
+def test_forms_recognised_once_per_table(monkeypatch, level_forms):
+    # the Kloosterman rows and the stability checks read one level table of
+    # forms: each ramified character that is not an atom is recognised once
+    # per (p, t), whatever the Gauss table, the twist, the rank or the check
     seen = []
-    real = kloosterman._gauss_form
-    monkeypatch.setattr(kloosterman, "_gauss_form",
+    real = local_factors._gauss_form
+    monkeypatch.setattr(local_factors, "_gauss_form",
                         lambda value, *args: seen.append(value) or real(value, *args))
-    for n in (2, 3):
-        for om in (trivial_char(5), MultChar(5, 3, 1), MultChar(5, 2, 5)):
-            kl_row(om, n, table)
-    # one per character of conductor 3, whatever the twist and the rank
-    assert seen == [v for v in table.values if not v.is_zero()]
-    assert len(seen) == phi(5, 3) - phi(5, 2)
+    for _ in range(2):
+        table = build_gauss_table(5, 3)
+        for n in (2, 3):
+            for om in (trivial_char(5), MultChar(5, 3, 1), MultChar(5, 2, 5)):
+                kl_row(om, n, table)
+    forms = RootNumberForms(5, 3)
+    chars = list(enumerate_chars(5, 3))
+    for chi in chars[1:]:
+        for pi in enumerate_reps(5, 2, 3):
+            forms.stability_key(pi, chi)
+        for mu in chars:
+            if 2 * mu.conductor_exponent <= chi.conductor_exponent:
+                forms.gl1_verdict(mu, chi)
+    # the atoms, of conductor one and not quadratic, are k = 25 and 75
+    assert seen == [gauss_sum(chi) for chi in chars[1:] if chi.k not in (25, 75)]
+    assert len(seen) == phi(5, 3) - 3
     assert build_gauss_table(5, 3) == table  # the memo is not part of the value
 
 

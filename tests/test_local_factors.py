@@ -168,10 +168,10 @@ def _legendre(x, p):
     return {0: 0, 1: 1, p - 1: -1}[pow(x, (p - 1) // 2, p)]
 
 
-def _written_back(form, p, A):
-    """The CycNumber r zeta_A^angle g^flag, with g = sum_x (x/p) zeta_p^x placed
-    term by term into one count vector."""
-    angle, r, flag = form
+def _written_back(angle, s, p, A):
+    """The CycNumber r zeta_A^angle g^flag, r = p^(s // 2) and flag = s mod 2,
+    with g = sum_x (x/p) zeta_p^x placed term by term into one count vector."""
+    r, flag = p ** (s // 2), s % 2
     if not flag:
         return r * root_of_unity(angle, A)
     vec = np.zeros(A, dtype=np.int64)
@@ -187,15 +187,14 @@ def _field(p, a):
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_quadratic_gauss_sum_squares_to_p_star(p):
     g = local_factors._quadratic_gauss_sum(p)
-    assert g == _written_back((0, 1, 1), p, p)  # the sum by Euler's criterion
+    assert g == _written_back(0, 1, p, p)  # the sum by Euler's criterion
     p_star = _legendre(p - 1, p) * p
     assert g * g == CycNumber.rational(p_star)
     assert g.conjugate() == _legendre(p - 1, p) * g
     # the quadratic character at conductor one is g itself, and its form says so
     A = _field(p, 1)
-    assert local_factors._gauss_form(g, p, 1, A) == (0, 1, 1)
-    assert local_factors._form_product(p, A, [((0, 1, 1), 2)]) == (
-        0 if p_star > 0 else A // 2, p, 0)
+    assert local_factors._gauss_form(g, p, 1, A) == 0
+    assert local_factors._form_product(p, A, [(0, 1, 2)]) == (0 if p_star > 0 else A // 2, 2)
 
 
 @pytest.mark.parametrize("p,a", [(3, 2), (3, 3), (3, 4), (3, 5), (5, 2), (5, 3), (5, 4), (5, 5),
@@ -204,25 +203,27 @@ def test_gauss_form_round_trip(p, a):
     A = _field(p, a)
     for chi in conductor_chars(p, a):
         tau = gauss_sum(chi)
-        form = local_factors._gauss_form(tau, p, a, A)
-        assert form[1:] == (p ** (a // 2), a % 2)
-        assert _written_back(form, p, A) == tau, chi
+        angle = local_factors._gauss_form(tau, p, a, A)
+        assert 0 <= angle < A
+        assert _written_back(angle, a, p, A) == tau, chi
     # read in a larger field, the angle scales with it
-    assert local_factors._gauss_form(tau, p, a, A * p) == (form[0] * p,) + form[1:]
+    assert local_factors._gauss_form(tau, p, a, A * p) == angle * p
 
 
 @pytest.mark.parametrize("p,a,b", [(3, 3, 3), (3, 2, 5), (5, 3, 3), (5, 2, 3), (7, 3, 3)])
 def test_gauss_form_products(p, a, b):
     A = _field(p, max(a, b))
     taus = [gauss_sum(chi) for chi in conductor_chars(p, a)[:3] + conductor_chars(p, b)[-3:]]
-    forms = [local_factors._gauss_form(tau, p, chi_a, A)
-             for tau, chi_a in zip(taus, [a] * 3 + [b] * 3)]
+    conductors = [a] * 3 + [b] * 3
+    angles = [local_factors._gauss_form(tau, p, chi_a, A) for tau, chi_a in zip(taus, conductors)]
     for i, j in [(0, 3), (1, 4), (2, 5), (0, 1)]:
-        product = local_factors._form_product(p, A, [(forms[i], 1), (forms[j], 1)])
-        assert _written_back(product, p, A) == taus[i] * taus[j], (i, j)
+        product = local_factors._form_product(
+            p, A, [(angles[i], conductors[i], 1), (angles[j], conductors[j], 1)])
+        assert product[1] == conductors[i] + conductors[j]
+        assert _written_back(*product, p, A) == taus[i] * taus[j], (i, j)
     for d in (2, 3):
-        product = local_factors._form_product(p, A, [(forms[0], d), (forms[5], 1)])
-        assert _written_back(product, p, A) == taus[0] ** d * taus[5], d
+        product = local_factors._form_product(p, A, [(angles[0], a, d), (angles[5], b, 1)])
+        assert _written_back(*product, p, A) == taus[0] ** d * taus[5], d
 
 
 @pytest.mark.parametrize("p,a", [(3, 3), (5, 2), (7, 1)])
@@ -237,13 +238,12 @@ def test_gauss_form_refuses_a_value_that_does_not_fit(p, a):
         local_factors._gauss_form(tau, p, a + 1, A)  # the wrong size, and g on the wrong side
 
 
-def test_root_number_forms_refuse_a_ramified_value_off_the_form(monkeypatch):
+def test_root_number_forms_refuse_a_ramified_value_off_the_form(level_forms):
     # a(c) = 2 must give a form; the value here is no monomial, and it is not
     # taken as an atom
-    monkeypatch.setattr(local_factors, "root_number",
-                        lambda c: ScaledScalar.of(CycNumber.rational(5) + root_of_unity(1, 5), -1))
+    level_forms(MultChar(5, 2, 1), CycNumber.rational(5) + root_of_unity(1, 5))
     with pytest.raises(ArithmeticError):
-        RootNumberForms(5, 2)._form(1)
+        RootNumberForms(5, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -998,21 +998,21 @@ def test_root_number_forms_multiply_leftover_atoms(monkeypatch, p, t, blocks, ch
         assert values[0] * rhs == values[1] * lhs
 
 
-def test_root_number_forms_fold_a_negative_rational_into_the_angle(monkeypatch):
-    # every recognised W(c) of a ramified c lies in a field of even order,
+def test_root_number_forms_fold_a_negative_rational_into_the_angle(level_forms):
+    # every recognised tau(c) of a ramified c lies in a field of even order,
     # where as_root_times_rational returns a positive rational; a rational
-    # coefficient (order one) keeps its sign there, and -1 is zeta_A^{A/2}
-    monkeypatch.setattr(local_factors, "root_number",
-                        lambda c: ScaledScalar.of(CycNumber.rational(-5), -1))
+    # value (order one) keeps its sign there, and -1 is zeta_A^{A/2}
+    level_forms(MultChar(5, 2, 1), CycNumber.rational(-5))
     forms = RootNumberForms(5, 2)
-    assert forms._form(1) == (2, (forms.A // 2, 5, 0))
+    assert (forms.conductors[1], forms.angles[1]) == (2, forms.A // 2)
+    # c is odd, so W(c) = c(-1) tau(c) / 5 = 1: the parity turns the angle back
+    assert forms._side([(1, 1)]) == (2, 0, 2, Counter())
 
 
-def test_root_number_forms_refuse_a_recognised_value_off_the_unit_circle(monkeypatch):
-    monkeypatch.setattr(local_factors, "root_number",
-                        lambda c: ScaledScalar.of(CycNumber.rational(25), -1))
+def test_root_number_forms_refuse_a_recognised_value_off_the_unit_circle(level_forms):
+    level_forms(MultChar(5, 2, 1), CycNumber.rational(25))
     with pytest.raises(ArithmeticError):
-        RootNumberForms(5, 2)._form(1)
+        RootNumberForms(5, 2)
 
 
 def test_root_number_forms_decide_cancelled_atoms_by_angle(monkeypatch):
@@ -1091,9 +1091,9 @@ def test_root_number_forms_decide_in_regime_as_the_direct_engine(p, t):
 
 
 def _skewed(forms, k):
-    """forms with the angle of W(c)'s form, c of exponent k, moved by one."""
-    a, (angle, r, flag) = forms._form(k)
-    forms._forms[k] = (a, ((angle + 1) % forms.A, r, flag))
+    """forms with the table's angle of tau(c), c of exponent k, moved by one
+    (the list is the object's own, so the cached table stays as it is)."""
+    forms.angles[k] = (forms.angles[k] + 1) % forms.A
     return forms
 
 

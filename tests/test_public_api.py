@@ -12,6 +12,10 @@ Every name a ``src/`` module imports must also be read in that module outside
 its import statements (``from __future__`` imports are exempt): a dead import
 is the trace of a deleted caller.
 
+Every ``lru_cache`` in ``src/`` must have an integer ``maxsize``, so that a
+long run cannot grow a cache without bound; the few unbounded ones are listed
+with the reason each stays.
+
 Known limit: names are matched by spelling, not resolved.  A method counts as
 used when any attribute of the same name is read anywhere in ``src/`` (a
 method ``exp`` would pass through ``np.exp``), so this catches a name with no
@@ -113,3 +117,38 @@ def test_every_import_is_read():
         dead += ["%s:%d %s" % (path.name, line, name)
                  for name, line in _imported_names(tree) if name not in read]
     assert dead == [], "imported names never read: %s" % dead
+
+
+UNBOUNDED_CACHES = {
+    "get_context": "one CycContext per field order N, read by every exact product; "
+                   "a run meets a few dozen orders",
+    "cyclotomic_poly": "one coefficient tuple per order, read only while a CycContext is built",
+    "unit_group": "one unit group per (p, t), read by every character evaluation",
+    "_conductor_exponent": "one int per (p, level, k), read for every character",
+    "_quadratic_gauss_sum": "one Gauss sum per prime p",
+}
+
+
+def _lru_caches():
+    """(function name, the decorator's maxsize node or None) of every function
+    in src/ decorated with lru_cache or cache."""
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for dec in node.decorator_list:
+                call = dec if isinstance(dec, ast.Call) else None
+                target = call.func if call else dec
+                if (getattr(target, "id", None) or getattr(target, "attr", None)) not in (
+                        "lru_cache", "cache"):  # functools.cache is an unbounded lru_cache
+                    continue
+                sizes = ([kw.value for kw in call.keywords if kw.arg == "maxsize"]
+                         + call.args[:1]) if call else []
+                yield node.name, sizes[0] if sizes else None
+
+
+def test_every_cache_is_bounded():
+    unbounded = sorted(name for name, size in _lru_caches()
+                       if not (isinstance(size, ast.Constant) and type(size.value) is int))
+    assert unbounded == sorted(UNBOUNDED_CACHES), "caches without an integer maxsize: %s" % [
+        name for name in unbounded if name not in UNBOUNDED_CACHES]

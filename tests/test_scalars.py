@@ -344,7 +344,7 @@ def _coordinate_rows(rng, K, n, size):
 @pytest.mark.parametrize("K", [1, 3, 20])
 @pytest.mark.parametrize("sizes", [(99, 99), (99, 2 ** 70), (2 ** 70, 2 ** 70)],
                          ids=["int64", "mixed", "object"])
-def test_stacked_products_match_the_term_by_term_oracle(N, K, sizes):
+def test_groupring_product_matches_the_term_by_term_oracle(N, K, sizes):
     # K products, one kernel call each: full, zero and single-coordinate vectors
     rng = random.Random(N * 100 + K)
     n = get_context(N).phi
@@ -357,7 +357,7 @@ def test_stacked_products_match_the_term_by_term_oracle(N, K, sizes):
 
 
 @pytest.mark.parametrize("over", [False, True])
-def test_stacked_products_guard_edge(over, monkeypatch):
+def test_groupring_product_guard_edge(over, monkeypatch):
     # the bound sum |x| * max |y| is 3 * 7 * 5 = 105: one under the guard keeps
     # the product in int64, at the guard it goes to object dtype
     N = 25
