@@ -237,7 +237,7 @@ def _kl_value(omega: MultChar, n: int, a0: int, t: int, backend: Backend):
     if n == 2:
         w = omega.inv()
         return w.eval(a0, backend) * psi_eval(p, Fraction(a0, p ** t), backend)
-    return kl_direct(KLQuery(omega=omega.inv(), n=n - 1, y=a0, t=t), backend)
+    return kl_direct(KLQuery(omega.inv(), n - 1, t), backend)[unit_group(p, t).dlog(a0)]
 
 
 # ---------------------------------------------------------------------------

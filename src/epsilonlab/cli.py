@@ -469,11 +469,10 @@ def cmd_stability(config: RunConfig) -> SuiteReport:
 
 
 def cmd_kloosterman(config: RunConfig) -> SuiteReport:
-    """For every rank n >= 2 in n_list, every level t <= t_max, every twist
-    presented at level t and every unit argument y, evaluate the
-    hyper-Kloosterman sum twice - as the direct (n-1)-fold unit grid and
-    through the Gauss-sum table - and require equality.  The table keeps the
-    row over y of each (n, omega), so the table side is computed once per row."""
+    """For every rank n >= 2 in n_list, every level t <= t_max and every twist
+    presented at level t, evaluate the row of hyper-Kloosterman sums over the
+    unit arguments y twice - as the direct (n-1)-fold unit grid and through
+    the Gauss-sum table - and require equality at every y."""
     backend = config.make_backend()
     p = config.p
     rows = _Rows()
@@ -488,9 +487,10 @@ def cmd_kloosterman(config: RunConfig) -> SuiteReport:
             continue
         for t in range(1, config.t_max + 1):
             ug = unit_group(p, t)
+            ys = [int(y) for y in ug.powers]  # y = g^d at index d, as the rows are
             # every case of one (n, t) has the same grid and the same table;
             # the last instance's table is dropped before this one is built
-            cost = direct_term_count(KLQuery(trivial_char(p), n, 1, t))
+            cost = direct_term_count(KLQuery(trivial_char(p), n, t))
             skip = table = None
             if cost > config.budget:
                 skip = "direct grid has %d terms, over budget %d" % (cost, config.budget)
@@ -501,16 +501,17 @@ def cmd_kloosterman(config: RunConfig) -> SuiteReport:
                     skip = str(err)
             ran = 0
             for omega in enumerate_chars(p, t):
-                for y in ug.powers:
-                    y = int(y)
+                if not skip:
+                    query = KLQuery(omega, n, t)
+                    direct = kl_direct(query, backend, term_budget=config.budget)
+                    dft = kl_via_dft(omega, n, table)
+                for d, y in enumerate(ys):
                     inputs = {"p": p, "n": n, "t": t, "omega_k": omega.k, "y": y}
                     case_id = "kloosterman n=%d t=%d omega[k=%d] y=%d" % (n, t, omega.k, y)
                     if skip:
                         rows.add((n, t, omega.k, y), case_id, "skip", skip, **inputs)
                         continue
-                    query = KLQuery(omega, n, y, t)
-                    v_direct = kl_direct(query, backend, term_budget=config.budget)
-                    v_dft = kl_via_dft(query, table)
+                    v_direct, v_dft = direct[d], dft[d]
                     ok = backend.eq(v_direct, v_dft)
                     detail = "direct grid (%d terms) vs character table" % cost
                     if not ok:
@@ -519,7 +520,7 @@ def cmd_kloosterman(config: RunConfig) -> SuiteReport:
                              detail, **inputs)
                     if not ran:
                         value = _value_json(v_direct)
-                        samples.append(dict(query.to_json(), value_exact_repr=value["exact"],
+                        samples.append(dict(query.to_json(), y=y, value_exact_repr=value["exact"],
                                             value_complex=value["complex"], algorithm="direct"))
                     ran += 1
             instances.append({"n": n, "t": t, "twists": ug.order, "units": ug.order,

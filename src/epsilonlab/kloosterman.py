@@ -7,8 +7,9 @@ The object is the (n-1)-fold complete exponential sum over units mod p^t
 
 with a multiplicative twist omega on the first variable and y a unit.
 
-Both engines compute a whole row over y at once, in one batched integer pass
-that ends in one batched reduction.
+The row is the unit of both engines: each returns KL(y) for every unit y at
+once, indexed by d = dlog y, in one batched integer pass that ends in one
+batched reduction.
 
 * kl_direct -- the definition, counted in another order: for one
   (p, t, n, omega) the whole (n-1)-dimensional grid of unit tuples is
@@ -19,7 +20,7 @@ that ends in one batched reduction.
   sum and no character but omega, so it shares nothing with the other engine
   past the character layer.
 
-* kl_row / kl_via_dft -- write x_n for the constrained coordinate
+* kl_via_dft -- write x_n for the constrained coordinate
   y/(x_1 ... x_{n-1}); resolving the constraint x_1 ... x_n = y by
   orthogonality over the level-t character group factorizes the sum into
   full-level Gauss sums (Katz 1988), read from local_factors:
@@ -28,10 +29,10 @@ that ends in one batched reduction.
           chi^{-1}(y) * tau_t(omega chi) * tau_t(chi)^{n-1}.
 
   This is an inverse discrete Fourier transform over the unit-group dual,
-  evaluated for every y at once (kl_row); kl_via_dft is one entry of it.  The
-  Gauss-sum table is built once per (p, t) in Q(zeta_N), z = zeta_N,
-  N = lcm(p^t, m), m = phi(p^t).  With chi_k(g) = zeta_m^k and d = dlog y,
-  chi_k^{-1}(y) = z^{-k d N/m}, and A_k = tau_t(omega chi_k) tau_t(chi_k)^{n-1}.
+  evaluated for every y at once.  The Gauss-sum table is built once per
+  (p, t) in Q(zeta_N), z = zeta_N, N = lcm(p^t, m), m = phi(p^t).  With
+  chi_k(g) = zeta_m^k and d = dlog y, chi_k^{-1}(y) = z^{-k d N/m}, and
+  A_k = tau_t(omega chi_k) tau_t(chi_k)^{n-1}.
 
   - At t >= 2 every nonzero tau_t(chi) has conductor t, so it is a Gauss-sum
     form, p^{t/2} z^angle for even t and p^{(t-1)/2} z^angle g for odd t, g
@@ -62,7 +63,7 @@ import numpy as np
 from .characters import MultChar, represent_at_level
 from .local_factors import _form_product, _gauss_sum_at_level, _level_forms, _times_g
 from .padic import phi, unit_group
-from .scalars import (EXACT, Backend, Scalar, _shifted_stack_sums, _stack_values, get_context,
+from .scalars import (EXACT, Backend, _shifted_stack_sums, _stack_values, get_context,
                       shifted_root_sums)
 
 
@@ -80,11 +81,10 @@ class BudgetError(RuntimeError):
 
 @dataclass(frozen=True)
 class KLQuery:
-    """One hyper-Kloosterman evaluation: twist omega, dimension n, argument y, level t."""
+    """One row of hyper-Kloosterman sums over y: twist omega, dimension n, level t."""
 
     omega: MultChar
     n: int
-    y: int
     t: int
 
     def __post_init__(self):
@@ -97,10 +97,6 @@ class KLQuery:
             raise ValueError(
                 "twist of conductor %d does not factor through level %d"
                 % (self.omega.conductor_exponent, self.t))
-        modulus = self.p ** self.t
-        if self.y % self.p == 0:
-            raise ValueError("argument y must be a unit")
-        object.__setattr__(self, "y", self.y % modulus)
 
     @property
     def p(self) -> int:
@@ -109,7 +105,7 @@ class KLQuery:
     def to_json(self) -> dict:
         om = represent_at_level(self.omega, self.t)
         return {"p": self.p, "t": self.t, "n": self.n,
-                "omega": {"level": om.level, "k": om.k}, "y": self.y}
+                "omega": {"level": om.level, "k": om.k}}
 
 
 def direct_term_count(query: KLQuery) -> int:
@@ -150,7 +146,7 @@ def _direct_row(p: int, t: int, n: int, k: int, backend: Backend) -> tuple:
     exponents of z = zeta_N per inverse product v_j = g^j, and
     KL(y) = sum_j zeta_{p^t}^{v_j y} P_j is the block shift of those unreduced
     count vectors, reduced in one batch.  Only the last few rows are kept:
-    callers run through every y of one twist in a row."""
+    bessel_closedform reads one point of a row per call."""
     m = phi(p, t)
     N = math.lcm(p ** t, m)
     s_exp, inv_dlog, x1_exp, by_dlog = _direct_profile(p, t, n)
@@ -162,16 +158,15 @@ def kl_direct(
     query: KLQuery,
     backend: Backend = EXACT,
     term_budget: Optional[int] = DEFAULT_BUDGET,
-) -> Scalar:
-    """KL_{omega,n}(y; t) straight from the definition: one entry of the
-    twist's direct row, which is counted over the whole unit grid once and
-    kept while the next few rows are computed."""
+) -> tuple:
+    """KL_{omega,n}(y; t) straight from the definition for every unit y mod p^t,
+    indexed by d = dlog y: the whole unit grid counted once.  The budget is
+    checked before the memo of the last few rows is read."""
     terms = direct_term_count(query)
     if term_budget is not None and terms > term_budget:
         raise BudgetError("direct sum has %d terms, budget is %d" % (terms, term_budget))
-    p, t = query.p, query.t
-    k = represent_at_level(query.omega, t).k
-    return _direct_row(p, t, query.n, k, backend)[unit_group(p, t).dlog(query.y)]
+    k = represent_at_level(query.omega, query.t).k
+    return _direct_row(query.p, query.t, query.n, k, backend)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +178,8 @@ def kl_direct(
 class GaussTable:
     """All full-level Gauss sums tau_t(chi), indexed by the character exponent k,
     with the backend they were computed in.  The exact rows at t >= 2 read the
-    level table of forms instead (see _form_row)."""
+    level table of forms instead (see _form_row).  The table keeps no rows:
+    kl_via_dft computes each row afresh."""
 
     p: int
     t: int
@@ -191,8 +187,6 @@ class GaussTable:
     backend: Backend
     # exponent e -> tau_t(chi_k)^e for every k, in the backend; t = 1 and float tables only
     _powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # (omega exponent k at level t, n) -> the kl_row of that twist
-    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def order(self) -> int:
@@ -223,7 +217,7 @@ def build_gauss_table(
 # ---------------------------------------------------------------------------
 
 
-def kl_row(omega: MultChar, n: int, table: GaussTable) -> tuple:
+def kl_via_dft(omega: MultChar, n: int, table: GaussTable) -> tuple:
     """KL_{omega,n}(y; t) for every unit y mod p^t, indexed by d = dlog y:
     m^{-1} sum_k zeta_m^{-k d} A_k with A_k = tau(omega chi_k) tau(chi_k)^{n-1},
     in the table's backend.
@@ -233,7 +227,6 @@ def kl_row(omega: MultChar, n: int, table: GaussTable) -> tuple:
     Otherwise, exactly at t = 1 or in floats, shifted_root_sums multiplies
     the A_k out and transforms them, exactly as unreduced products and one
     batched reduction; each tau(chi_k)^{n-1} is raised once per table.
-    Always computed afresh; the row is left on the table for kl_via_dft.
     """
     if n < 2:
         raise ValueError("hyper-Kloosterman sums need n >= 2 (n-1 summation variables)")
@@ -242,20 +235,17 @@ def kl_row(omega: MultChar, n: int, table: GaussTable) -> tuple:
     m = table.order
     k_om = represent_at_level(omega, table.t).k % m
     if table.backend.exact and table.t >= 2:
-        row = _form_row(k_om, n, table)
-    else:
-        powers = table._powers.get(n - 1)
-        if powers is None:
-            powers = table._powers[n - 1] = tuple(v ** (n - 1) for v in table.values)
-        shifted = [table.values[(k + k_om) % m] for k in range(m)]
-        row = shifted_root_sums(shifted, -np.arange(m), m, table.backend, den=m, times=powers)
-    table._rows[k_om, n] = row
-    return row
+        return _form_row(k_om, n, table)
+    powers = table._powers.get(n - 1)
+    if powers is None:
+        powers = table._powers[n - 1] = tuple(v ** (n - 1) for v in table.values)
+    shifted = [table.values[(k + k_om) % m] for k in range(m)]
+    return shifted_root_sums(shifted, -np.arange(m), m, table.backend, den=m, times=powers)
 
 
 def _form_row(k_om: int, n: int, table: GaussTable) -> tuple:
-    """The exact kl_row at t >= 2, read from the level table _level_forms(p, t),
-    not from table.values.  tau_t(chi_k) is nonzero where a(chi_k) = t, and
+    """The exact kl_via_dft row at t >= 2, read from the level table
+    _level_forms(p, t), not from table.values.  tau_t(chi_k) is nonzero where a(chi_k) = t, and
     there it is the form p^(t // 2) zeta_N^angle_k g^(t mod 2), so each
     nonzero A_k is r zeta_N^(angle_{k+k_om} + (n-1) angle_k + c) g^F with one
     (c, r, F) for the whole row, from the form product (c, s = t n) of its n
@@ -281,15 +271,3 @@ def _form_row(k_om: int, n: int, table: GaussTable) -> tuple:
         R = R.astype(object)
     return _stack_values(N, R * r, m)
 
-
-def kl_via_dft(query: KLQuery, table: GaussTable) -> Scalar:
-    """KL_{omega,n}(y; t) through the Gauss-sum factorization: one entry of the
-    twist's kl_row, which the table keeps, so every y of one (omega, n) shares it."""
-    p, t = query.p, query.t
-    if (table.p, table.t) != (p, t):
-        raise ValueError("Gauss table is for (p,t)=(%d,%d)" % (table.p, table.t))
-    k_om = represent_at_level(query.omega, t).k % table.order
-    row = table._rows.get((k_om, query.n))
-    if row is None:
-        row = kl_row(query.omega, query.n, table)
-    return row[unit_group(p, t).dlog(query.y)]

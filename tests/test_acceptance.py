@@ -50,7 +50,7 @@ from epsilonlab.local_factors import (
     stability_rhs,
     steinberg,
 )
-from epsilonlab.padic import PadicNumber
+from epsilonlab.padic import PadicNumber, unit_group
 from epsilonlab.scalars import EXACT, FLOAT, CycNumber, ScaledScalar
 
 GL1_PRIMES = (3, 5, 7)
@@ -138,7 +138,8 @@ def _direct_slice(mode: str) -> list:
 
 @functools.lru_cache(maxsize=None)
 def _kl_survey(mode: str) -> tuple:
-    """kl_direct vs kl_via_dft on every instance under the term cap.
+    """kl_direct vs kl_via_dft, row against row, on every instance under the
+    term cap.
 
     Returns (mismatch list, {instance: complex value of kl_direct}, skipped).
     """
@@ -147,19 +148,19 @@ def _kl_survey(mode: str) -> tuple:
     for (p, t) in KL_CELLS:
         table = build_gauss_table(p, t, backend=backend)
         omegas = list(enumerate_chars(p, t))
-        ys = [x for x in range(p ** t) if x % p]
+        ys = [int(y) for y in unit_group(p, t).powers]  # y = g^d at index d, as the rows are
         for n in (2, 3, 4):
             for omega in omegas:
-                for y in ys:
-                    query = KLQuery(omega, n, y, t)
-                    if direct_term_count(query) > KL_TERM_CAP:
-                        skipped += 1
-                        continue
-                    direct = kl_direct(query, backend)
-                    viadft = kl_via_dft(query, table)
-                    if not backend.eq(direct, viadft):
+                query = KLQuery(omega, n, t)
+                if direct_term_count(query) > KL_TERM_CAP:
+                    skipped += len(ys)
+                    continue
+                direct = kl_direct(query, backend)
+                viadft = kl_via_dft(omega, n, table)
+                for y, a, b in zip(ys, direct, viadft, strict=True):
+                    if not backend.eq(a, b):
                         mismatches.append((p, t, n, omega.k, y))
-                    values[(p, t, n, omega.k, y)] = _cx(direct)
+                    values[(p, t, n, omega.k, y)] = _cx(a)
     return mismatches, values, skipped
 
 

@@ -18,7 +18,7 @@ import pytest
 
 import epsilonlab
 from epsilonlab import bessel, cli
-from epsilonlab.characters import MultChar, chars_with_conductor, v_chi
+from epsilonlab.characters import MultChar, chars_with_conductor, enumerate_chars, v_chi
 from epsilonlab.local_factors import (RepnData, RootNumberForms, enumerate_reps,
                                       gl1_stability_check, stability_check)
 from epsilonlab.scalars import EXACT, CycNumber
@@ -502,6 +502,32 @@ def test_kloosterman_rank_one_structural_skip():
     assert "n >= 2" in rep.skips[0]["detail"]
 
 
+@pytest.mark.parametrize("budget, levels", [pytest.param(None, (1, 2), id="default-budget"),
+                                            pytest.param(100, (1,), id="t2-over-budget")])
+def test_kloosterman_computes_one_row_per_twist(monkeypatch, budget, levels):
+    # each engine is called once per (n, t, omega) for the whole row over y,
+    # and never for an instance skipped on budget (t = 2 under a budget of 100)
+    calls = {"kl_direct": Counter(), "kl_via_dft": Counter()}
+    real_direct, real_dft = cli.kl_direct, cli.kl_via_dft
+
+    def direct(query, *args, **kw):
+        calls["kl_direct"][query.n, query.t, query.omega] += 1
+        return real_direct(query, *args, **kw)
+
+    def via_dft(omega, n, table):
+        calls["kl_via_dft"][n, table.t, omega] += 1
+        return real_dft(omega, n, table)
+    monkeypatch.setattr(cli, "kl_direct", direct)
+    monkeypatch.setattr(cli, "kl_via_dft", via_dft)
+    kw = {} if budget is None else {"budget": budget}  # 100 is below what validate() allows
+    rep = cmd_kloosterman(RunConfig(p=5, t_max=2, n_list=(2, 3), **kw))
+    assert rep.failures == []
+    want = Counter((n, t, omega) for n in (2, 3) for t in levels
+                   for omega in enumerate_chars(5, t))
+    assert sum(want.values()) == (48 if budget is None else 8)
+    assert calls == {"kl_direct": want, "kl_via_dft": want}
+
+
 def test_kloosterman_float_same_verdicts():
     exact = cmd_kloosterman(config(p=3, t_max=2, n_list=(2,)))
     flt = cmd_kloosterman(config(p=3, t_max=2, n_list=(2,), backend="float"))
@@ -726,7 +752,7 @@ PINNED_REPORTS = [
                  "6897858aeccbc561dedd83c884d22488dda7ca9146792a9803b68a86991a77a8",
                  "c9b3ec99eeff460ec2220476314302682fbf6abe9a006ca230a01261a6c5a67d",
                  id="stability-p3-rank1"),
-    # every row takes kl_row's values path at t = 1
+    # every row takes kl_via_dft's values path at t = 1
     pytest.param(["kloosterman", "--p", "11", "--t-max", "1", "--n", "2", "3", "4"],
                  "cb67cb8d3906658f589827a0acc9cdc73d16c331ca1aa42d5ce7bc6e900f0b2f",
                  "dfa8325b6a5f3be6050472037a87a2c0a551d7f2d2568b50f44a6a46614a08cb",

@@ -35,7 +35,7 @@ INPUT_TYPES = {
 
 # (entry points of one engine, entry points of the other, the pair's allowlist)
 PAIRS = [
-    (["kl_direct"], ["kl_row"], {}),
+    (["kl_direct"], ["kl_via_dft"], {}),
     (["CertificateTable.__init__", "CertificateTable.check_pairs"],
      ["RootNumberForms.__init__", "RootNumberForms.stability_key", "RootNumberForms.gl1_verdict"],
      {"gauss_sum": "the literal Gauss sums, which test_full_level_sum_matches_per_unit_definition "
@@ -114,6 +114,8 @@ def test_the_walk_follows_names_aliases_and_self():
     defs, aliases = _lab()
     kl = _reached(["kl_direct"], defs, aliases)
     assert {"_direct_row", "_direct_profile", "KLQuery.__post_init__"} <= set(kl)
+    dft = _reached(["kl_via_dft"], defs, aliases)
+    assert {"_form_row", "shifted_root_sums"} <= set(dft)
     assert "represent_at_level" in kl  # imported under its own name
     forms = _reached(["RootNumberForms.stability_key"], defs, aliases)
     assert {"RootNumberForms._key", "RootNumberForms._side", "_form_product"} <= set(forms)

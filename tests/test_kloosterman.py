@@ -20,7 +20,6 @@ from epsilonlab.kloosterman import (
     build_gauss_table,
     direct_term_count,
     kl_direct,
-    kl_row,
     kl_via_dft,
 )
 from epsilonlab.cli import RunConfig, cmd_kloosterman, main
@@ -53,6 +52,11 @@ def units_mod(p, t):
     return [x for x in range(p ** t) if x % p]
 
 
+def at(row, p, t, y):
+    """The entry of a row over y = g^d, indexed by d, at the unit y."""
+    return row[unit_group(p, t).dlog(y)]
+
+
 # ---------------------------------------------------------------------------
 # the direct engine
 # ---------------------------------------------------------------------------
@@ -60,53 +64,41 @@ def units_mod(p, t):
 
 def test_frozen_classical_value():
     # S(1,1;5) = 2 + zeta_5^2 + zeta_5^3
-    q = KLQuery(trivial_char(5), 2, 1, 1)
-    got = kl_direct(q)
+    q = KLQuery(trivial_char(5), 2, 1)
+    got = at(kl_direct(q), 5, 1, 1)
     want = CycNumber.rational(2) + root_of_unity(2, 5) + root_of_unity(3, 5)
     assert got == want
     assert abs(got.to_complex() - 0.3819660112501051) < 1e-12
-    assert abs(kl_direct(q, backend=FLOAT) - 0.3819660112501051) < 1e-12
+    assert abs(at(kl_direct(q, backend=FLOAT), 5, 1, 1) - 0.3819660112501051) < 1e-12
 
 
 @pytest.mark.parametrize("p,t", [(3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (7, 2)])
 def test_direct_matches_independent_n2_oracle(p, t):
+    row = kl_direct(KLQuery(trivial_char(p), 2, t))
     for y in units_mod(p, t):
-        q = KLQuery(trivial_char(p), 2, y, t)
-        assert kl_direct(q) == classical_kloosterman(p, t, y)
-
-
-def test_argument_reduction():
-    # the sum only sees y mod p^t
-    p, t = 5, 2
-    a = KLQuery(trivial_char(p), 3, 7, t)
-    b = KLQuery(trivial_char(p), 3, 7 + p ** t, t)
-    assert a.y == b.y == 7
-    assert kl_direct(a) == kl_direct(b)
+        assert at(row, p, t, y) == classical_kloosterman(p, t, y)
 
 
 def test_query_validation():
     with pytest.raises(ValueError):
-        KLQuery(trivial_char(5), 1, 1, 1)  # no summation variables
+        KLQuery(trivial_char(5), 1, 1)  # no summation variables
     with pytest.raises(ValueError):
-        KLQuery(trivial_char(5), 2, 10, 1)  # y not a unit
+        KLQuery(trivial_char(5), 2, 0)  # level must be positive
     with pytest.raises(ValueError):
-        KLQuery(trivial_char(5), 2, 1, 0)  # level must be positive
-    with pytest.raises(ValueError):
-        KLQuery(MultChar(5, 2, 1), 2, 1, 1)  # twist conductor exceeds level
+        KLQuery(MultChar(5, 2, 1), 2, 1)  # twist conductor exceeds level
 
 
 def test_twist_presentation_invariance():
     # the same omega presented at a deeper level gives the same sum
     om1 = MultChar(5, 1, 1)
     om3 = om1.induce(3)
-    q1 = KLQuery(om1, 2, 3, 2)
-    q3 = KLQuery(om3, 2, 3, 2)
-    assert kl_direct(q1) == kl_direct(q3)
-    assert kl_via_dft(q1, build_gauss_table(5, 2)) == kl_via_dft(q3, build_gauss_table(5, 2))
+    assert kl_direct(KLQuery(om1, 2, 2)) == kl_direct(KLQuery(om3, 2, 2))
+    table = build_gauss_table(5, 2)
+    assert kl_via_dft(om1, 2, table) == kl_via_dft(om3, 2, table)
 
 
 def test_term_budget():
-    q = KLQuery(trivial_char(7), 4, 1, 2)
+    q = KLQuery(trivial_char(7), 4, 2)
     with pytest.raises(BudgetError):
         kl_direct(q, term_budget=1000)
     assert direct_term_count(q) == 42 ** 3
@@ -114,7 +106,7 @@ def test_term_budget():
 
 
 def test_term_budget_boundary_and_the_row_memo():
-    q = KLQuery(MultChar(5, 2, 3), 3, 7, 2)
+    q = KLQuery(MultChar(5, 2, 3), 3, 2)
     terms = direct_term_count(q)
     assert terms == 20 ** 2
     value = kl_direct(q, term_budget=terms)  # the budget is inclusive
@@ -180,7 +172,7 @@ def _unit_grid(p, t, n):
     return grid.sum(axis=0) % pt, inverse[prod], grid[0]
 
 
-def direct_by_definition(query, backend=EXACT):
+def direct_by_definition(query, y, backend=EXACT):
     """KL_{omega,n}(y; t) for one y from its own grid: one histogram of the
     exponents of zeta_{p^t}^{x_1 + ... + x_{n-1} + y / (x_1 ... x_{n-1})} omega(x_1),
     with omega evaluated at its own level."""
@@ -190,7 +182,7 @@ def direct_by_definition(query, backend=EXACT):
     om_exp = np.zeros(pt, dtype=np.int64)
     for u in units_mod(p, t):
         om_exp[u] = om.value_exponent(u)
-    return backend.root_sum(pt, sums + query.y * inverses, om.group_order, om_exp[x1])
+    return backend.root_sum(pt, sums + y * inverses, om.group_order, om_exp[x1])
 
 
 def every_twist(p, t):
@@ -206,9 +198,10 @@ def every_twist(p, t):
 def test_direct_row_is_the_per_y_grid(p, t, ns):
     for n in ns:
         for om in every_twist(p, t):
+            q = KLQuery(om, n, t)
+            row = kl_direct(q)
             for y in units_mod(p, t):
-                q = KLQuery(om, n, y, t)
-                assert kl_direct(q) == direct_by_definition(q), (p, t, n, om, y)
+                assert at(row, p, t, y) == direct_by_definition(q, y), (p, t, n, om, y)
 
 
 @pytest.mark.parametrize("p,t,n", [(5, 2, 3), (3, 3, 2), (7, 1, 4)])
@@ -218,14 +211,15 @@ def test_float_direct_row_is_the_per_y_grid(p, t, n, monkeypatch):
     real_init = CycNumber.__init__
     monkeypatch.setattr(CycNumber, "__init__",
                         lambda self, *args: built.append(args) or real_init(self, *args))
-    got = {(om.k, y): kl_direct(KLQuery(om, n, y, t), backend=FLOAT)
-           for om in level_chars(p, t) for y in units_mod(p, t)}
+    got = {om.k: kl_direct(KLQuery(om, n, t), backend=FLOAT) for om in level_chars(p, t)}
     assert built == []  # a float row builds no exact scalar
     monkeypatch.undo()
-    for (k, y), value in got.items():
-        q = KLQuery(MultChar(p, t, k), n, y, t)
-        assert FLOAT.eq(value, direct_by_definition(q, FLOAT)), (k, y)
-        assert abs(value - to_complex(direct_by_definition(q))) < 1e-9, (k, y)
+    for k, row in got.items():
+        q = KLQuery(MultChar(p, t, k), n, t)
+        for y in units_mod(p, t):
+            value = at(row, p, t, y)
+            assert FLOAT.eq(value, direct_by_definition(q, y, FLOAT)), (k, y)
+            assert abs(value - to_complex(direct_by_definition(q, y))) < 1e-9, (k, y)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +305,7 @@ def test_table_budget_and_lookup_errors():
         build_gauss_table(5, 2, budget=10)
     table = build_gauss_table(5, 1)
     with pytest.raises(ValueError):
-        kl_via_dft(KLQuery(trivial_char(5), 2, 1, 2), table)
+        kl_via_dft(MultChar(5, 2, 1), 2, table)  # a twist the level-1 table cannot hold
 
 
 # ---------------------------------------------------------------------------
@@ -340,21 +334,18 @@ def test_cross_algorithm(p, t, ns, omegas):
         trivial_char(p), MultChar(p, t, 1), MultChar(p, t, 2)]
     for n in ns:
         for om in oms:
-            for y in units_mod(p, t):
-                q = KLQuery(om, n, y, t)
-                assert kl_direct(q) == kl_via_dft(q, table), (p, t, n, om, y)
+            assert kl_direct(KLQuery(om, n, t)) == kl_via_dft(om, n, table), (p, t, n, om)
 
 
 def test_cross_algorithm_float():
     p, t = 5, 1
     table = build_gauss_table(p, t, backend=FLOAT)
-    for y in units_mod(p, t):
-        q = KLQuery(MultChar(p, 1, 1), 3, y, t)
-        direct = kl_direct(q, backend=FLOAT)
-        dft = kl_via_dft(q, table)
-        exact = to_complex(kl_direct(q))
-        assert abs(direct - exact) < 1e-9
-        assert abs(dft - exact) < 1e-9
+    om = MultChar(p, 1, 1)
+    q = KLQuery(om, 3, t)
+    rows = zip(kl_direct(q, backend=FLOAT), kl_via_dft(om, 3, table), kl_direct(q))
+    for direct, dft, exact in rows:
+        assert abs(direct - to_complex(exact)) < 1e-9
+        assert abs(dft - to_complex(exact)) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -368,13 +359,12 @@ def test_row_matches_direct_everywhere(p, t):
     ug = unit_group(p, t)
     for n in (2, 3, 4):
         for om in level_chars(p, t):
-            row = kl_row(om, n, table)
+            row = kl_via_dft(om, n, table)
             assert len(row) == ug.order
+            q = KLQuery(om, n, t)
+            assert row == kl_direct(q), (p, t, n, om)
             for y in units_mod(p, t):
-                q = KLQuery(om, n, y, t)
-                got = row[ug.dlog(y)]
-                assert got == kl_direct(q), (p, t, n, om, y)
-                assert got == kl_via_dft(q, table)
+                assert at(row, p, t, y) == direct_by_definition(q, y), (p, t, n, om, y)
 
 
 def _some_twists(p, t):
@@ -389,11 +379,10 @@ def test_form_row_is_the_direct_row(p, t):
     # at t >= 2 the rows are counted on Gauss-sum forms; the flag of g is
     # left over when t and n are odd
     table = build_gauss_table(p, t)
-    ys = [int(y) for y in unit_group(p, t).powers]
     for n in (2, 3, 4):
         for om in _some_twists(p, t):
-            want = tuple(kl_direct(KLQuery(om, n, y, t), term_budget=None) for y in ys)
-            assert kl_row(om, n, table) == want, (n, om)
+            want = kl_direct(KLQuery(om, n, t), term_budget=None)
+            assert kl_via_dft(om, n, table) == want, (n, om)
 
 
 @pytest.mark.parametrize("p,t", [(7, 1), (13, 1), (7, 3), (11, 2), (13, 2)])
@@ -404,7 +393,7 @@ def test_form_row_is_the_literal_transform(p, t):
     m, tau = table.order, table.values
     for n in (2, 3):
         for om in _some_twists(p, t)[:2]:
-            row = kl_row(om, n, table)
+            row = kl_via_dft(om, n, table)
             A = [(k, tau[(k + om.k) % m] * tau[k] ** (n - 1)) for k in range(m)
                  if not tau[k].is_zero() and not tau[(k + om.k) % m].is_zero()]
             for d in (1, m - 2):
@@ -417,7 +406,7 @@ def test_form_row_with_a_rational_past_int64():
     table = build_gauss_table(3, 2)
     m, tau = table.order, table.values
     om = MultChar(3, 2, 1)
-    row = kl_row(om, 41, table)
+    row = kl_via_dft(om, 41, table)
     for d in range(m):
         literal = sum((root_of_unity(-k * d, m) * tau[(k + 1) % m] * tau[k] ** 40
                        for k in range(m)), CycNumber.zero())
@@ -430,14 +419,14 @@ def test_form_row_refuses_a_table_value_off_the_form(level_forms):
     chi = MultChar(5, 2, 1)
     level_forms(chi, gauss_sum(chi) + 1)
     with pytest.raises(ArithmeticError):
-        kl_row(trivial_char(5), 2, build_gauss_table(5, 2))
+        kl_via_dft(trivial_char(5), 2, build_gauss_table(5, 2))
 
 
 def test_float_row_matches_exact_row():
     p, t, n = 5, 2, 3
     ex, fl = build_gauss_table(p, t), build_gauss_table(p, t, backend=FLOAT)
     for om in (trivial_char(p), MultChar(p, 1, 1), MultChar(p, t, 3)):
-        for a, b in zip(kl_row(om, n, ex), kl_row(om, n, fl)):
+        for a, b in zip(kl_via_dft(om, n, ex), kl_via_dft(om, n, fl)):
             assert FLOAT.eq(to_complex(a), b)
 
 
@@ -450,11 +439,11 @@ def test_powers_computed_once_per_table(monkeypatch):
     monkeypatch.setattr(CycNumber, "__pow__",
                         lambda self, k: calls.append(k) or real_pow(self, k))
     for om in level_chars(5, 1):
-        kl_row(om, 3, table)
+        kl_via_dft(om, 3, table)
     assert calls == [2] * table.order  # one tau^2 per character, shared by every omega
     assert build_gauss_table(5, 1) == table  # the memo is not part of the value
     calls.clear()
-    kl_row(trivial_char(5), 3, build_gauss_table(5, 2))
+    kl_via_dft(trivial_char(5), 3, build_gauss_table(5, 2))
     assert calls == []
 
 
@@ -470,7 +459,7 @@ def test_forms_recognised_once_per_table(monkeypatch, level_forms):
         table = build_gauss_table(5, 3)
         for n in (2, 3):
             for om in (trivial_char(5), MultChar(5, 3, 1), MultChar(5, 2, 5)):
-                kl_row(om, n, table)
+                kl_via_dft(om, n, table)
     forms = RootNumberForms(5, 3)
     chars = list(enumerate_chars(5, 3))
     for chi in chars[1:]:
@@ -485,32 +474,14 @@ def test_forms_recognised_once_per_table(monkeypatch, level_forms):
     assert build_gauss_table(5, 3) == table  # the memo is not part of the value
 
 
-def test_via_dft_computes_one_row_per_twist(monkeypatch):
-    p, t, n = 5, 2, 3
-    table = build_gauss_table(p, t)
-    ug = unit_group(p, t)
-    omega = MultChar(p, 1, 1)  # presented below t: keyed by its exponent at level t
-    rows = []
-    real = kloosterman.kl_row
-    monkeypatch.setattr(kloosterman, "kl_row", lambda *args: rows.append(args) or real(*args))
-    got = [kl_via_dft(KLQuery(omega, n, y, t), table) for y in units_mod(p, t)]
-    got += [kl_via_dft(KLQuery(omega.induce(t), n, y, t), table) for y in units_mod(p, t)]
-    assert len(rows) == 1  # 2 m calls, one row
-    want = real(omega, n, table)
-    assert got == [want[ug.dlog(y)] for y in units_mod(p, t)] * 2
-    kl_via_dft(KLQuery(omega, n + 1, 2, t), table)
-    assert len(rows) == 2  # another n is another row
-    assert table._rows and build_gauss_table(p, t) == table  # the memo is not part of the value
-
-
 def test_row_rejects_bad_inputs():
     table = build_gauss_table(5, 1)
     with pytest.raises(ValueError):
-        kl_row(trivial_char(5), 1, table)  # no summation variables
+        kl_via_dft(trivial_char(5), 1, table)  # no summation variables
     with pytest.raises(ValueError):
-        kl_row(MultChar(5, 2, 1), 2, table)  # conductor 2 does not factor through level 1
+        kl_via_dft(MultChar(5, 2, 1), 2, table)  # conductor 2 does not factor through level 1
     with pytest.raises(ValueError):
-        kl_row(trivial_char(3), 2, table)  # character of another Q_p
+        kl_via_dft(trivial_char(3), 2, table)  # character of another Q_p
 
 
 def _spy_row_reductions(monkeypatch):
@@ -546,7 +517,7 @@ def test_row_int64_guard_edge(over, monkeypatch):
             acc = acc + root_of_unity(-k * d, m) * values[(k + k_om) % m] * values[k]
         want.append(acc / m)
     seen = _spy_row_reductions(monkeypatch)
-    assert list(kl_row(omega, 2, table)) == want
+    assert list(kl_via_dft(omega, 2, table)) == want
     assert seen == [object if over else np.int64]
 
 
@@ -579,7 +550,7 @@ def test_row_products_fit_but_their_sum_does_not(monkeypatch):
     monkeypatch.setattr(scalars, "_groupring_product",
                         lambda *args: products.append(real(*args)) or products[-1])
     seen = _spy_row_reductions(monkeypatch)
-    assert list(kl_row(MultChar(p, t, k_om), n, table)) == want
+    assert list(kl_via_dft(MultChar(p, t, k_om), n, table)) == want
     assert products and {a.dtype for a in products} == {np.dtype(np.int64)}  # the products fit
     assert seen == [object]
 
@@ -587,10 +558,10 @@ def test_row_products_fit_but_their_sum_does_not(monkeypatch):
 def test_forced_object_row_equals_int64_row(monkeypatch):
     table = build_gauss_table(5, 2)
     omegas = (trivial_char(5), MultChar(5, 2, 7))
-    fast = [kl_row(om, 3, table) for om in omegas]
+    fast = [kl_via_dft(om, 3, table) for om in omegas]
     monkeypatch.setattr(CycContext, "fits_int64", lambda self, max_abs: False)
     seen = _spy_row_reductions(monkeypatch)
-    slow = [kl_row(om, 3, table) for om in omegas]
+    slow = [kl_via_dft(om, 3, table) for om in omegas]
     assert seen == [object, object]
     assert slow == fast
 
@@ -599,10 +570,10 @@ def test_forced_object_form_row_equals_int64_row(monkeypatch):
     # t = 3 and n = 3: the multiple of g runs in object dtype too
     table = build_gauss_table(3, 3)
     omegas = (trivial_char(3), MultChar(3, 3, 5))
-    fast = [kl_row(om, 3, table) for om in omegas]
+    fast = [kl_via_dft(om, 3, table) for om in omegas]
     monkeypatch.setattr(CycContext, "fits_int64", lambda self, max_abs: False)
     seen = _spy_row_reductions(monkeypatch)
-    slow = [kl_row(om, 3, table) for om in omegas]
+    slow = [kl_via_dft(om, 3, table) for om in omegas]
     assert seen == [object, object]
     assert slow == fast
 
@@ -637,9 +608,10 @@ def test_conjugation_symmetry():
     for n in (2, 3):
         for om in level_chars(p, t):
             par = om.eval(-1 % pt)
+            row, row_inv = kl_direct(KLQuery(om, n, t)), kl_direct(KLQuery(om.inv(), n, t))
             for y in units_mod(p, t):
-                lhs = kl_direct(KLQuery(om, n, y, t)).conjugate()
-                rhs = par * kl_direct(KLQuery(om.inv(), n, (-1) ** n * y % pt, t))
+                lhs = at(row, p, t, y).conjugate()
+                rhs = par * at(row_inv, p, t, (-1) ** n * y % pt)
                 assert lhs == rhs, (n, om, y)
 
 
@@ -648,7 +620,8 @@ def test_orthogonality_reconstruction():
     p, t, n = 3, 1, 3
     table = build_gauss_table(p, t)
     for om in level_chars(p, t):
-        kls = {y: kl_direct(KLQuery(om, n, y, t)) for y in units_mod(p, t)}
+        row = kl_direct(KLQuery(om, n, t))
+        kls = {y: at(row, p, t, y) for y in units_mod(p, t)}
         for chi in level_chars(p, t):
             acc = CycNumber.zero()
             for y, v in kls.items():
@@ -660,10 +633,10 @@ def test_orthogonality_reconstruction():
 def test_result_json_shape():
     from epsilonlab.cli import _value_json
 
-    q = KLQuery(MultChar(5, 1, 1), 2, 3, 1)
+    q = KLQuery(MultChar(5, 1, 1), 2, 1)
     out = q.to_json()
-    assert out == {"p": 5, "t": 1, "n": 2, "y": 3, "omega": {"level": 1, "k": 1}}
-    value = _value_json(kl_direct(q))
+    assert out == {"p": 5, "t": 1, "n": 2, "omega": {"level": 1, "k": 1}}
+    value = _value_json(at(kl_direct(q), 5, 1, 3))
     assert isinstance(value["complex"], list) and len(value["complex"]) == 2
     assert isinstance(value["exact"], str)
-    assert _value_json(kl_direct(q, backend=FLOAT))["exact"] is None
+    assert _value_json(at(kl_direct(q, backend=FLOAT), 5, 1, 3))["exact"] is None

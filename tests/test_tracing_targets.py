@@ -10,6 +10,9 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from epsilonlab.characters import MultChar
+from epsilonlab.kloosterman import KLQuery, direct_term_count
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
@@ -48,3 +51,13 @@ def test_every_traced_cache_has_cache_info():
     for mod, attr in caches:
         fn = getattr(importlib.import_module("epsilonlab." + mod), attr)
         assert callable(getattr(fn, "cache_info", None)), "epsilonlab.%s.%s" % (mod, attr)
+
+
+def test_the_term_counter_reads_one_row_grid():
+    # the counter reads .p, .t and .n off kl_direct's query: one call adds
+    # the m^(n-1) points of one row's unit grid
+    count = _load_tracing().Tracer("t")._counter("kloosterman.kl_direct")
+    counts = {"kloosterman.kl_direct.terms": 0}
+    query = KLQuery(MultChar(5, 2, 3), 3, 2)
+    count(counts, (query,), None)
+    assert counts["kloosterman.kl_direct.terms"] == 20 ** 2 == direct_term_count(query)
