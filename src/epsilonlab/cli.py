@@ -472,7 +472,12 @@ def cmd_kloosterman(config: RunConfig) -> SuiteReport:
     """For every rank n >= 2 in n_list, every level t <= t_max and every twist
     presented at level t, evaluate the row of hyper-Kloosterman sums over the
     unit arguments y twice - as the direct (n-1)-fold unit grid and through
-    the Gauss-sum table - and require equality at every y."""
+    the Gauss-sum table - and require equality at every y.
+
+    One Backend.eq_rows call gives the verdicts of a pair of rows at every y:
+    exact rows are CycRows compared as whole integer stacks, float rows are
+    compared entry by entry within the tolerance.  A CycNumber is built only
+    for each instance's sample and for the two values of a failing case."""
     backend = config.make_backend()
     p = config.p
     rows = _Rows()
@@ -505,21 +510,22 @@ def cmd_kloosterman(config: RunConfig) -> SuiteReport:
                     query = KLQuery(omega, n, t)
                     direct = kl_direct(query, backend, term_budget=config.budget)
                     dft = kl_via_dft(omega, n, table)
+                    agree = backend.eq_rows(direct, dft)
                 for d, y in enumerate(ys):
                     inputs = {"p": p, "n": n, "t": t, "omega_k": omega.k, "y": y}
                     case_id = "kloosterman n=%d t=%d omega[k=%d] y=%d" % (n, t, omega.k, y)
                     if skip:
                         rows.add((n, t, omega.k, y), case_id, "skip", skip, **inputs)
                         continue
-                    v_direct, v_dft = direct[d], dft[d]
-                    ok = backend.eq(v_direct, v_dft)
+                    ok = agree[d]
                     detail = "direct grid (%d terms) vs character table" % cost
                     if not ok:
-                        detail += ": direct %s dft %s" % (_value_json(v_direct), _value_json(v_dft))
+                        detail += ": direct %s dft %s" % (_value_json(direct[d]),
+                                                          _value_json(dft[d]))
                     rows.add((n, t, omega.k, y), case_id, "pass" if ok else "fail",
                              detail, **inputs)
                     if not ran:
-                        value = _value_json(v_direct)
+                        value = _value_json(direct[d])
                         samples.append(dict(query.to_json(), y=y, value_exact_repr=value["exact"],
                                             value_complex=value["complex"], algorithm="direct"))
                     ran += 1

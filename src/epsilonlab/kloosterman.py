@@ -9,7 +9,11 @@ with a multiplicative twist omega on the first variable and y a unit.
 
 The row is the unit of both engines: each returns KL(y) for every unit y at
 once, indexed by d = dlog y, in one batched integer pass that ends in one
-batched reduction.
+batched reduction.  An exact row is a scalars.CycRow, that reduction's
+output kept as one integer stack: an entry becomes a CycNumber only when it
+is read, and two rows compare as whole stacks (Backend.eq_rows), so the
+suite's cross-check builds no value it does not report.  A float row is a
+tuple of complex.
 
 * kl_direct -- the definition, counted in another order: for one
   (p, t, n, omega) the whole (n-1)-dimensional grid of unit tuples is
@@ -42,9 +46,11 @@ batched reduction.
     z^{angle_k}, times g when t and n are both odd, and the row is one
     bincount of the m x m exponents angle_k - k d N/m, one multiplication by
     g where it is left over, and one batched reduction.
-  - Every other row, exact at t = 1 or in floats, hands the two factors of
-    each A_k to scalars.shifted_root_sums, Bessel's transform too, which
-    keeps exact products unreduced until its one batched reduction.
+  - At t = 1 the table lifts its values and each power tau^{n-1} once, as
+    one stack each; a twist rolls the value stack, and the products A_k
+    stay unreduced until one batched reduction (scalars._shifted_products).
+    Float rows multiply the A_k out and hand them to
+    scalars.shifted_root_sums, Bessel's transform too.
 
 The two engines are cross-checked exhaustively in the test and acceptance
 suites; the factorization above is treated as correct only because of that
@@ -63,8 +69,8 @@ import numpy as np
 from .characters import MultChar, represent_at_level
 from .local_factors import _form_product, _gauss_sum_at_level, _level_forms, _times_g
 from .padic import phi, unit_group
-from .scalars import (EXACT, Backend, _shifted_stack_sums, _stack_values, get_context,
-                      shifted_root_sums)
+from .scalars import (EXACT, Backend, CycRow, _lifted_row, _shifted_products,
+                      _shifted_stack_sums, _stack_values, get_context, shifted_root_sums)
 
 
 DEFAULT_BUDGET = 2_000_000  # the work budget of one case, in terms or operations
@@ -140,7 +146,7 @@ def _direct_profile(p: int, t: int, n: int):
 
 
 @lru_cache(maxsize=8)
-def _direct_row(p: int, t: int, n: int, k: int, backend: Backend) -> tuple:
+def _direct_row(p: int, t: int, n: int, k: int, backend: Backend):
     """KL_{omega,n}(y; t) for every unit y = g^d, indexed by d, where omega has
     exponent k at level t: the grid is counted once into one vector P_j of
     exponents of z = zeta_N per inverse product v_j = g^j, and
@@ -158,9 +164,10 @@ def kl_direct(
     query: KLQuery,
     backend: Backend = EXACT,
     term_budget: Optional[int] = DEFAULT_BUDGET,
-) -> tuple:
+):
     """KL_{omega,n}(y; t) straight from the definition for every unit y mod p^t,
-    indexed by d = dlog y: the whole unit grid counted once.  The budget is
+    indexed by d = dlog y, a CycRow when exact and a tuple of complex in
+    floats: the whole unit grid counted once.  The budget is
     checked before the memo of the last few rows is read."""
     terms = direct_term_count(query)
     if term_budget is not None and terms > term_budget:
@@ -185,7 +192,8 @@ class GaussTable:
     t: int
     values: tuple
     backend: Backend
-    # exponent e -> tau_t(chi_k)^e for every k, in the backend; t = 1 and float tables only
+    # exponent e -> tau_t(chi_k)^e for every k (see _power_row); t = 1 and float
+    # tables only: the values (e = 1, exact) and e = n - 1 for each rank n read
     _powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -217,16 +225,17 @@ def build_gauss_table(
 # ---------------------------------------------------------------------------
 
 
-def kl_via_dft(omega: MultChar, n: int, table: GaussTable) -> tuple:
+def kl_via_dft(omega: MultChar, n: int, table: GaussTable):
     """KL_{omega,n}(y; t) for every unit y mod p^t, indexed by d = dlog y:
     m^{-1} sum_k zeta_m^{-k d} A_k with A_k = tau(omega chi_k) tau(chi_k)^{n-1},
-    in the table's backend.
+    in the table's backend: a CycRow when exact, a tuple of complex in floats.
 
     Exactly at t >= 2, each nonzero A_k is a product of Gauss-sum forms read
     from the level table (see _form_row): one count of angles and one reduction.
-    Otherwise, exactly at t = 1 or in floats, shifted_root_sums multiplies
-    the A_k out and transforms them, exactly as unreduced products and one
-    batched reduction; each tau(chi_k)^{n-1} is raised once per table.
+    Exactly at t = 1, the A_k are the products of two stacks the table lifts
+    once, its values rolled by the twist and the (n-1)-th powers, kept
+    unreduced until one batched reduction (scalars._shifted_products).  In
+    floats they are multiplied out and handed to shifted_root_sums.
     """
     if n < 2:
         raise ValueError("hyper-Kloosterman sums need n >= 2 (n-1 summation variables)")
@@ -236,14 +245,32 @@ def kl_via_dft(omega: MultChar, n: int, table: GaussTable) -> tuple:
     k_om = represent_at_level(omega, table.t).k % m
     if table.backend.exact and table.t >= 2:
         return _form_row(k_om, n, table)
-    powers = table._powers.get(n - 1)
-    if powers is None:
-        powers = table._powers[n - 1] = tuple(v ** (n - 1) for v in table.values)
-    shifted = [table.values[(k + k_om) % m] for k in range(m)]
-    return shifted_root_sums(shifted, -np.arange(m), m, table.backend, den=m, times=powers)
+    powers = _power_row(table, n - 1)
+    if table.backend.exact:
+        values = _power_row(table, 1)
+        shifted = CycRow(values.N, np.roll(values.coords, -k_om, axis=0), values.den)
+        return _shifted_products(shifted, powers, -np.arange(m), m, m)
+    products = [table.values[(k + k_om) % m] * powers[k] for k in range(m)]
+    return shifted_root_sums(products, -np.arange(m), m, table.backend, den=m)
 
 
-def _form_row(k_om: int, n: int, table: GaussTable) -> tuple:
+def _power_row(table: GaussTable, e: int):
+    """tau_t(chi_k)^e for every k, computed once per table and exponent: one
+    CycRow of Q(zeta_N), N = lcm(m, the values' orders), when exact, and a
+    tuple of complex in floats."""
+    row = table._powers.get(e)
+    if row is None:
+        values = table.values
+        if table.backend.exact:
+            powers = values if e == 1 else [v ** e for v in values]
+            row = _lifted_row(powers, math.lcm(table.order, *(v.N for v in values)))
+        else:
+            row = tuple(v ** e for v in values)
+        table._powers[e] = row
+    return row
+
+
+def _form_row(k_om: int, n: int, table: GaussTable) -> CycRow:
     """The exact kl_via_dft row at t >= 2, read from the level table
     _level_forms(p, t), not from table.values.  tau_t(chi_k) is nonzero where a(chi_k) = t, and
     there it is the form p^(t // 2) zeta_N^angle_k g^(t mod 2), so each

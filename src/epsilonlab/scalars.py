@@ -24,6 +24,11 @@ reduction's own guard comes from the rewrite table: a reduced coefficient is
 at most max|input| times the largest column sum of |rows|.  Nothing in the
 exact path ever rounds.
 
+A batched reduction returns a CycRow: a row of values of one field, held as
+the reduced (K, phi(N)) stack over one denominator.  Its entries become
+CycNumbers only when they are read, and two rows of one field compare on the
+integers, by cross-multiplied denominators (Backend.eq_rows).
+
 ScaledScalar carries a formal rational power of q next to a scalar: (c, e) means
 c * q^e.  Sums are only defined between equal exponents; a mismatch raises
 QExpMismatchError, because in the identities computed here a mismatched sum is a
@@ -488,40 +493,38 @@ def root_of_unity(e: int, N: int) -> CycNumber:
     return _make(N, vec, 1)
 
 
-def shifted_root_sums(values, mults, m: int, backend: "Backend", den: int = 1,
-                      times=None) -> tuple:
-    """sum_k values[k] * times[k] * zeta_m^(mults[k] * d) / den for every d mod m,
-    in the backend; without times the products are the values.
-
-    Float sums are one matrix product W @ products / den.  Exact sums live in
-    Q(zeta_N), N = lcm(m, every factor's order): each factor sequence is put
-    over one common denominator as the rows of an integer group-ring stack,
-    the products are one _groupring_product per row, left unreduced, and
-    _shifted_stack_sums shifts and reduces them in one batch.
-    """
+def shifted_root_sums(values, mults, m: int, backend: "Backend", den: int = 1):
+    """sum_k values[k] * zeta_m^(mults[k] * d) / den for every d mod m, in the
+    backend: a tuple of complex in floats, one matrix product W @ values / den.
+    Exactly, the values are lifted to one integer stack in Q(zeta_N),
+    N = lcm(m, every value's order), and _shifted_stack_sums shifts and reduces
+    it in one batch into a CycRow."""
     ds = np.arange(m)
     if not backend.exact:
-        if times is not None:
-            values = [v * w for v, w in zip(values, times)]
         return _float_shifted_sums(np.array(values, dtype=complex), mults, m, ds, den)
-    N = math.lcm(m, *(v.N for v in values), *(v.N for v in times or ()))
-    stack, common = _lifted_stack(values, N)
-    if times is None:
-        G = np.zeros((len(values), N), dtype=stack.dtype)
-        G[:, : stack.shape[1]] = stack
-    else:
-        other, other_den = _lifted_stack(times, N)
-        G = np.array([_groupring_product(x, y, N) for x, y in zip(stack, other)])
-        common *= other_den
-    return _shifted_stack_sums(G, mults, m, backend, ds, common * den)
+    row = _lifted_row(values, math.lcm(m, *(v.N for v in values)))
+    G = np.zeros((len(row), row.N), dtype=row.coords.dtype)
+    G[:, : row.coords.shape[1]] = row.coords
+    return _shifted_stack_sums(G, mults, m, backend, ds, row.den * den)
 
 
-def _lifted_stack(values, N: int) -> tuple[np.ndarray, int]:
-    """(S, den): row k of the integer stack S over den is values[k] in the
-    canonical basis of Q(zeta_N).  int64 when every entry fits, object otherwise."""
+def _shifted_products(a: "CycRow", b: "CycRow", mults, m: int, den: int) -> "CycRow":
+    """sum_k a[k] * b[k] * zeta_m^(mults[k] * d) / den for every d mod m, exactly:
+    each product is one unreduced _groupring_product of the two rows' stacks,
+    and _shifted_stack_sums shifts and reduces them in one batch.  The rows
+    hold values of one field Q(zeta_N)."""
+    G = np.array([_groupring_product(x, y, a.N) for x, y in zip(a.coords, b.coords, strict=True)])
+    return _shifted_stack_sums(G, mults, m, EXACT, np.arange(m), a.den * b.den * den)
+
+
+def _lifted_row(values, N: int) -> "CycRow":
+    """The values as one CycRow of Q(zeta_N): row k of its integer stack, over
+    the common denominator, is values[k] in the canonical basis.  int64 when
+    every entry fits, object otherwise."""
     lifted = [v._lift_vec(N) for v in values]
     den = math.lcm(*(d for _num, d in lifted))
-    return _int_array([v if d == den else [c * (den // d) for c in v] for v, d in lifted]), den
+    stack = _int_array([v if d == den else [c * (den // d) for c in v] for v, d in lifted])
+    return CycRow(N, stack, den)
 
 
 def _groupring_product(x: np.ndarray, y: np.ndarray, N: int) -> np.ndarray:
@@ -581,10 +584,75 @@ def _shifted_stack_sums(G: np.ndarray, mults, m: int, backend: "Backend",
     return _stack_values(N, R, den)
 
 
-def _stack_values(N: int, R: np.ndarray, den: int = 1) -> tuple:
+def _stack_values(N: int, R: np.ndarray, den: int = 1) -> "CycRow":
     """R[i] / den for each row of a (K, N) stack of unreduced group-ring vectors
-    of Z[C_N]: one batched reduction, one tolist and one _make per row."""
-    return tuple(_make(N, row, den) for row in get_context(N).reduce_groupring(R).tolist())
+    of Z[C_N], as one CycRow: one batched reduction and no per-value work."""
+    return CycRow(N, get_context(N).reduce_groupring(R), den)
+
+
+def _times_int(coords: np.ndarray, f: int) -> np.ndarray:
+    """coords * f exactly: int64 while the product passes the guard, object otherwise."""
+    if f == 1:
+        return coords
+    if coords.dtype == object or max(int(coords.max(initial=0)),
+                                     -int(coords.min(initial=0))) * f >= _INT64_GUARD:
+        coords = coords.astype(object)
+    return coords * f
+
+
+class CycRow:
+    """A row of values of one field Q(zeta_N): entry i is row i of the read-only
+    (K, phi(N)) integer stack coords over the one positive denominator den, in
+    the canonical power basis (int64, or object dtype past the guard).
+
+    The row is what a batched reduction returns.  len, indexing and iteration
+    behave as a tuple of the entries; an entry is built on demand as the same
+    canonical CycNumber _make gives, so nothing is paid for the entries nobody
+    reads.  Equality is value equality: of two rows it is decided on the
+    integers by entries_equal, and a row equals the tuple of its entries.
+    """
+
+    __slots__ = ("N", "coords", "den")
+
+    def __init__(self, N: int, coords: np.ndarray, den: int):
+        # internal: assumes canonical coordinates and den > 0
+        coords.setflags(write=False)
+        self.N = N
+        self.coords = coords
+        self.den = den
+
+    def __len__(self):
+        return len(self.coords)
+
+    def __getitem__(self, i) -> CycNumber:
+        return _make(self.N, self.coords[i].tolist(), self.den)
+
+    def __iter__(self):
+        return (_make(self.N, c, self.den) for c in self.coords.tolist())
+
+    def entries_equal(self, other: "CycRow") -> np.ndarray:
+        """The boolean array of entries i with self[i] == other[i], from one
+        comparison of the stacks: canonical coordinates make a / da == b / db
+        the integer equality a * (db / g) == b * (da / g), g = gcd(da, db).
+        Every row of the lab is built in its construction's field, so rows of
+        different fields, or lengths, raise instead of being lifted."""
+        if self.N != other.N or len(self) != len(other):
+            raise ValueError("rows of %d values of Q(zeta_%d) and %d of Q(zeta_%d) do not "
+                             "compare" % (len(self), self.N, len(other), other.N))
+        g = math.gcd(self.den, other.den)
+        a = _times_int(self.coords, other.den // g)
+        b = _times_int(other.coords, self.den // g)
+        return (a == b).all(axis=1)
+
+    def __eq__(self, other):
+        if isinstance(other, CycRow):
+            return len(self) == len(other) and bool(self.entries_equal(other).all())
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+    def __repr__(self):
+        return "CycRow(%d, %r)" % (self.N, tuple(self))
 
 
 def to_complex(x: Union[CycNumber, complex]) -> complex:
@@ -731,6 +799,14 @@ class Backend:
         ca, cb = complex(a), complex(b)
         scale = max(1.0, abs(ca), abs(cb))
         return abs(ca - cb) <= self.tolerance * scale
+
+    def eq_rows(self, a, b) -> list:
+        """eq at every entry of two rows of the same length.  Exact rows are
+        CycRows, compared as whole stacks (CycRow.entries_equal); float rows
+        are tuples of complex, compared entry by entry within the tolerance."""
+        if self.exact:
+            return a.entries_equal(b).tolist()
+        return [self.eq(x, y) for x, y in zip(a, b, strict=True)]
 
     def is_zero(self, x: Scalar) -> bool:
         if isinstance(x, CycNumber):

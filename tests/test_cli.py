@@ -21,7 +21,9 @@ from epsilonlab import bessel, cli
 from epsilonlab.characters import MultChar, chars_with_conductor, enumerate_chars, v_chi
 from epsilonlab.local_factors import (RepnData, RootNumberForms, enumerate_reps,
                                       gl1_stability_check, stability_check)
-from epsilonlab.scalars import EXACT, CycNumber
+from epsilonlab.kloosterman import KLQuery, kl_direct
+from epsilonlab.padic import unit_group
+from epsilonlab.scalars import EXACT, CycNumber, CycRow
 from epsilonlab.cli import (
     ConfigError,
     RunConfig,
@@ -528,6 +530,33 @@ def test_kloosterman_computes_one_row_per_twist(monkeypatch, budget, levels):
     assert calls == {"kl_direct": want, "kl_via_dft": want}
 
 
+def test_kloosterman_mismatch_fails_only_its_case(monkeypatch):
+    # one coordinate of one entry of one kl_via_dft row is moved: exactly that
+    # (omega, y) case fails, with both values in its detail, and the rest pass
+    n, t, k, d = 3, 2, 7, 5
+    real_dft, moved = cli.kl_via_dft, {}
+
+    def via_dft(omega, n_, table):
+        row = real_dft(omega, n_, table)
+        if (n_, table.t, omega.k) != (n, t, k):
+            return row
+        coords = row.coords.copy()
+        coords[d, 1] += row.den
+        moved.update(omega=omega, row=CycRow(row.N, coords, row.den))
+        return moved["row"]
+    monkeypatch.setattr(cli, "kl_via_dft", via_dft)
+    rep = cmd_kloosterman(config(p=5, t_max=2, n_list=(2, 3)))
+    y = int(unit_group(5, t).powers[d])
+    bad = [c for c in rep.cases if c["status"] != "pass"]  # every other case passes
+    assert [(c["n"], c["t"], c["omega_k"], c["y"]) for c in bad] == [(n, t, k, y)]
+    assert bad[0]["status"] == "fail" and len(rep.failures) == 1
+    direct = kl_direct(KLQuery(moved["omega"], n, t))[d]
+    assert direct != moved["row"][d]
+    assert bad[0]["detail"] == (
+        "direct grid (%d terms) vs character table: direct %s dft %s"
+        % (20 ** 2, cli._value_json(direct), cli._value_json(moved["row"][d])))
+
+
 def test_kloosterman_float_same_verdicts():
     exact = cmd_kloosterman(config(p=3, t_max=2, n_list=(2,)))
     flt = cmd_kloosterman(config(p=3, t_max=2, n_list=(2,), backend="float"))
@@ -757,6 +786,13 @@ PINNED_REPORTS = [
                  "cb67cb8d3906658f589827a0acc9cdc73d16c331ca1aa42d5ce7bc6e900f0b2f",
                  "dfa8325b6a5f3be6050472037a87a2c0a551d7f2d2568b50f44a6a46614a08cb",
                  id="kloosterman-p11-t1"),
+    # the float rows compare entry by entry within the tolerance; recorded
+    # before the exact rows were compared as whole stacks
+    pytest.param(["kloosterman", "--p", "5", "--t-max", "2", "--n", "2", "3",
+                  "--backend", "float"],
+                 "277ef2b6e5bfdf18901460c371a204383d0afd8ab15a3245da2a39a1402933c4",
+                 "42f3871f2a7367ade647d472dc1c429fb3a3b904d4a76b08f1bf5890737ab906",
+                 id="kloosterman-float"),
 ]
 
 

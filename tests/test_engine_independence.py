@@ -115,7 +115,7 @@ def test_the_walk_follows_names_aliases_and_self():
     kl = _reached(["kl_direct"], defs, aliases)
     assert {"_direct_row", "_direct_profile", "KLQuery.__post_init__"} <= set(kl)
     dft = _reached(["kl_via_dft"], defs, aliases)
-    assert {"_form_row", "shifted_root_sums"} <= set(dft)
+    assert {"_form_row", "_power_row", "_shifted_products", "shifted_root_sums"} <= set(dft)
     assert "represent_at_level" in kl  # imported under its own name
     forms = _reached(["RootNumberForms.stability_key"], defs, aliases)
     assert {"RootNumberForms._key", "RootNumberForms._side", "_form_product"} <= set(forms)

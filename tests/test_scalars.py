@@ -18,6 +18,7 @@ from epsilonlab.scalars import (
     Backend,
     CycContext,
     CycNumber,
+    CycRow,
     QExpMismatchError,
     ScaledScalar,
     TableBudgetError,
@@ -373,16 +374,104 @@ def test_groupring_product_guard_edge(over, monkeypatch):
 
 def test_shifted_root_sums_of_two_factors():
     # factors from Q(zeta_4), Q(zeta_5), Q(zeta_20) and Q, one product past int64:
-    # the unreduced products give the sums of the multiplied-out values
+    # the unreduced products of the two lifted rows give the sums of the
+    # multiplied-out values
     values = [_tau5(), root_of_unity(3, 20) / 3, CycNumber.rational(2 ** 70),
               root_of_unity(1, 4) + 1]
     times = [root_of_unity(1, 4), _tau5() + 2, root_of_unity(7, 20), CycNumber.rational(5)]
     mults, m = [0, 1, 3, 2], 4
     want = scalars.shifted_root_sums([v * w for v, w in zip(values, times)], mults, m, EXACT, 7)
-    assert scalars.shifted_root_sums(values, mults, m, EXACT, 7, times=times) == want
-    got = scalars.shifted_root_sums([v.to_complex() for v in values], mults, m, FLOAT, 7,
-                                    times=[w.to_complex() for w in times])
+    rows = [scalars._lifted_row(factors, 20) for factors in (values, times)]
+    assert rows[0].coords.dtype == object and rows[1].coords.dtype == np.int64
+    assert scalars._shifted_products(*rows, mults, m, 7) == want
+    products = [v.to_complex() * w.to_complex() for v, w in zip(values, times)]
+    got = scalars.shifted_root_sums(products, mults, m, FLOAT, 7)
     assert all(cmath.isclose(g, w.to_complex(), rel_tol=1e-12) for g, w in zip(got, want))
+
+
+# ---------------------------------------------------------------------------
+# rows: one reduced stack, entries on demand
+# ---------------------------------------------------------------------------
+
+
+def _groupring_rows(N, K=6, seed=2801):
+    """K unreduced group-ring vectors of Z[C_N]: random ones, a rational one
+    (only exponent 0) and zero."""
+    rng = np.random.default_rng(seed)
+    R = rng.integers(-9, 10, size=(K, N))
+    R[-2] = 0
+    R[-2, 0] = 6
+    R[-1] = 0
+    return R
+
+
+def test_row_entries_are_the_made_values():
+    N, den = 12, 4
+    R = _groupring_rows(N)
+    row = scalars._stack_values(N, R, den)
+    made = [scalars._make(N, c, den) for c in get_context(N).reduce_groupring(R).tolist()]
+    assert len(row) == len(made) and row.coords.shape == (len(made), get_context(N).phi)
+    assert [repr(v) for v in row] == [repr(v) for v in made]
+    assert [repr(row[i]) for i in range(len(row))] == [repr(v) for v in made]
+    assert row[-2] == CycNumber.rational(Fraction(3, 2)) and row[-2].N == 1  # demoted
+    assert row[-1] == CycNumber.zero() and row[-1].N == 1
+    assert not row.coords.flags.writeable
+
+
+def test_row_equals_the_tuple_of_its_entries():
+    N = 20
+    row = scalars._stack_values(N, _groupring_rows(N), 7)
+    entries = tuple(row)
+    assert row == entries and entries == row
+    assert row != entries[:-1] + (entries[-1] + 1,)
+    assert row != list(entries)  # as for a tuple, a list is another type
+
+
+def test_row_equality_cross_multiplies_the_denominators():
+    N = 20
+    R = _groupring_rows(N)
+    one, three = scalars._stack_values(N, R, 1), scalars._stack_values(N, 3 * R, 3)
+    assert one.den == 1 and three.den == 3
+    assert one == three and EXACT.eq_rows(one, three) == [True] * len(R)
+    R[2, 5] += 1
+    moved = scalars._stack_values(N, 3 * R, 3)
+    assert EXACT.eq_rows(one, moved) == [i != 2 for i in range(len(R))]
+    assert one != moved
+
+
+def test_row_object_stack_equals_the_int64_stack(monkeypatch):
+    N = 12
+    R = _groupring_rows(N)
+    fast = scalars._stack_values(N, R, 1)
+    monkeypatch.setattr(CycContext, "fits_int64", lambda self, max_abs: False)
+    slow = scalars._stack_values(N, 5 * R, 5)
+    assert fast.coords.dtype == np.int64 and slow.coords.dtype == object
+    assert fast == slow and slow == fast
+    assert [repr(v) for v in slow] == [repr(v) for v in fast]
+
+
+@pytest.mark.parametrize("over", [False, True])
+def test_row_comparison_scales_past_the_guard_exactly(over):
+    # entries X / 3 and 5X / 15: comparing scales the first stack by 5, which
+    # leaves int64 exactly when 5X reaches the guard
+    X = (2 ** 62 - 1) // 5 + over
+    a = CycRow(1, np.array([[X], [1]], dtype=np.int64), 3)
+    b = CycRow(1, np.array([[5 * X], [6]], dtype=object), 15)
+    assert scalars._times_int(a.coords, 5).dtype == (object if over else np.int64)
+    assert EXACT.eq_rows(a, b) == [True, False]
+
+
+def test_rows_of_different_fields_do_not_compare():
+    R = _groupring_rows(12)
+    small = scalars._stack_values(12, R, 1)
+    lifted = np.zeros((len(R), 24), dtype=R.dtype)
+    lifted[:, ::2] = R  # zeta_12^e = zeta_24^(2e)
+    large = scalars._stack_values(24, lifted, 1)
+    assert tuple(small) == tuple(large)  # the same values, held in two fields
+    with pytest.raises(ValueError, match="do not compare"):
+        small == large
+    with pytest.raises(ValueError, match="do not compare"):
+        EXACT.eq_rows(small, large)
 
 
 @pytest.mark.parametrize("row, dtype", [
