@@ -24,6 +24,13 @@ Two concrete expressions for B_pi( . ; Phi_z) are implemented:
   hyper-Kloosterman sum KL_{omega^{-1}, n-1}(a(y, z); t), where omega is the
   central character of pi.
 
+Each profile entry eps*(chi^{-1}) eps*(chi x pi) is a product of n + 1 Gauss
+sums of conductor t >= 2, so the exact backend holds the profile as Gauss-sum
+forms (local_factors._level_forms): an angle per character and one power of
+p and g-flag for all.  Its row is then one count of angles, and the duality
+check compares forms, the integral recognised as one from its literal sum.
+The float backend multiplies every value out.
+
 The constant in the collapsed form is exactly the sort of thing that
 accumulates typos in print: three mutually inconsistent versions of its
 q-power circulate under the labels ``lemma41``, ``prop42`` and ``cor13``.
@@ -48,16 +55,19 @@ module-local; nothing outside this file sees it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from typing import Callable
 
 import numpy as np
 
 from .characters import MultChar, chars_with_conductor, represent_at_level
 from .kloosterman import KLQuery, kl_direct
-from .local_factors import EpsMonomial, RepnData, eps_gl1, eps_rep_twisted
-from .padic import PadicNumber, psi_eval, unit_group, valuation
+from .local_factors import (EpsMonomial, RepnData, _form_product, _form_sums, _gauss_form,
+                            _level_forms, eps_gl1, eps_rep_twisted)
+from .padic import PadicNumber, phi, psi_eval, unit_group, valuation
 from .scalars import (EXACT, Backend, QExpMismatchError, ScaledScalar, proportionality_ratio,
                       shifted_root_sums)
 
@@ -78,13 +88,21 @@ class BesselValue:
 
 @dataclass(frozen=True)
 class DualityReport:
-    """Both sides of the duality relation at one character, and the verdict."""
+    """The duality verdict at one character; its sides are built on first read."""
 
     chi: MultChar
-    lhs: EpsMonomial
-    rhs: EpsMonomial
     both_vanish: bool
     passed: bool
+    _lhs: Callable[[], EpsMonomial] = field(repr=False, compare=False)
+    _rhs: Callable[[], EpsMonomial] = field(repr=False, compare=False)
+
+    @cached_property
+    def lhs(self) -> EpsMonomial:
+        return self._lhs()
+
+    @cached_property
+    def rhs(self) -> EpsMonomial:
+        return self._rhs()
 
 
 @dataclass(frozen=True)
@@ -168,61 +186,101 @@ def _prefactor_scalar(n: int, t: int, q: int, backend: Backend) -> ScaledScalar:
     displays it: q^{t((n-1)^2-2)/2} / (1 - q^{-1}).  The duality relation
     certifies it."""
     return ScaledScalar.of(backend.rational(Fraction(q, q - 1)),
-                           Fraction(t * ((n - 1) ** 2 - 2), 2))
+                           _candidate_exponents(n, t)["lemma41"])
 
 
 @lru_cache(maxsize=1024)
 def _dual_twisted_eps(pi: RepnData, chi: MultChar, backend: Backend) -> EpsMonomial:
     """eps*(chi x pi): the twisted epsilon monomial with its coefficient
-    conjugated (the module's orientation transposition).  The profile and the
-    duality check both read it here, so each (pi, chi) is evaluated once while
-    a sweep over the characters of one level runs."""
+    conjugated (the module's orientation transposition).  The multiplied-out
+    profile entries and the duality check's right-hand side both read it here,
+    so each (pi, chi) is evaluated once while a sweep over the characters of
+    one level runs."""
     eps = eps_rep_twisted(pi, chi, backend=backend)
     return EpsMonomial(_dual_scalar(eps.value), eps.xexp)
 
 
-@lru_cache(maxsize=64)
-def _charsum_profile(pi: RepnData, t: int, backend: Backend) -> dict:
-    """chi.k -> eps*(chi^{-1}) eps*(chi x pi) over all chi of conductor exactly t.
+def _profile_entry(pi: RepnData, chi: MultChar, backend: Backend) -> ScaledScalar:
+    """eps*(chi^{-1}) eps*(chi x pi), multiplied out from the epsilon factors."""
+    e1 = eps_gl1(chi.inv(), backend=backend).value
+    return _dual_scalar(e1) * _dual_twisted_eps(pi, chi, backend).value
 
-    eps* is the coefficient-conjugated epsilon value (the module's orientation
-    transposition).  Under the standing assumptions every fused character
-    chi tau_i keeps conductor t, so all values share the q-exponent
-    -(n+1)t/2; _charsum_row re-checks that.  Characters of conductor below t
-    contribute nothing: their full-level Gauss sums vanish for t >= 2.
+
+@lru_cache(maxsize=64)
+def _charsum_profile(pi: RepnData, t: int, backend: Backend):
+    """eps*(chi^{-1}) eps*(chi x pi) over all chi of conductor exactly t; those
+    below t contribute nothing, their full-level Gauss sums vanish for t >= 2.
+
+    In floats: a dict chi.k -> value.  Exactly: (live, angles, s) over the
+    exponents k at level t.  As conj(c(-1) tau(c)) = tau(c^{-1}), entry k is
+    tau(chi_k) prod_j tau((chi_k tau_j)^{-1})^{d_j} q^{-s/2}, s = (n + 1) t,
+    a product of forms from _level_forms(p, t): p^(s // 2) zeta_A^angles[k]
+    g^(s mod 2) q^{-s/2}, A = lcm(p^t, phi(p^t)), where live[k], a(chi_k) = t.
+    A fused chi_k tau_j below conductor t, which the standing assumptions
+    exclude, would mix q-exponents and raises QExpMismatchError.
     """
-    coeffs = {}
-    for chi in chars_with_conductor(pi.p, t):
-        e1 = eps_gl1(chi.inv(), backend=backend).value
-        coeffs[chi.k] = _dual_scalar(e1) * _dual_twisted_eps(pi, chi, backend).value
-    return coeffs
+    if not backend.exact:
+        return {chi.k: _profile_entry(pi, chi, backend) for chi in chars_with_conductor(pi.p, t)}
+    p = pi.p
+    conductors, angles, _atoms = _level_forms(p, t)
+    m = len(conductors)
+    live = conductors == t
+    total = angles.copy()  # tau(chi_k), times the blocks' tau((chi_k tau_j)^{-1})^{d_j}
+    for b in pi.blocks:
+        inv = (-np.arange(m) - represent_at_level(b.tau, t).k) % m
+        if (conductors[inv][live] != t).any():
+            raise QExpMismatchError("charsum profile mixes q-exponents: a fused character "
+                                    "has conductor below %d" % t)
+        total += b.size * angles[inv]
+    A = math.lcm(p ** t, m)
+    c, s = _form_product(p, A, [(0, t, pi.dim + 1)])
+    total = (total + c) % A
+    for arr in (live, total):
+        arr.setflags(write=False)
+    return live, total, s
 
 
 @lru_cache(maxsize=64)
 def _charsum_row(pi: RepnData, t: int, backend: Backend) -> tuple:
-    """sum_{a(chi) = t} chi(u) eps*(chi^{-1}) eps*(chi x pi) for every unit u mod p^t,
-    indexed by d = dlog u: the length-m DFT sum_k c_k zeta_m^{k d} of the profile.
+    """(row, qexp): sum_{a(chi) = t} chi(u) eps*(chi^{-1}) eps*(chi x pi) is
+    row[d] q^qexp at each unit u mod p^t, d = dlog u: the length-m DFT
+    sum_k c_k zeta_m^{k d} of the profile.
 
-    Every nonzero profile value must carry the same q-exponent, which the sum
-    keeps; a mix raises QExpMismatchError, as the strict ScaledScalar addition
-    would.  The row is one call of scalars.shifted_root_sums.
+    Exactly, a CycRow of Q(zeta_A) whose entries are built when read: one
+    bincount of the exponents angles[k] + k d A/m over the live k, times g
+    where the flag is left over, and one batched reduction
+    (local_factors._form_sums).  In floats, a tuple of complex from
+    shifted_root_sums; a profile that mixes q-exponents raises
+    QExpMismatchError, as the strict ScaledScalar addition would.
     """
-    m = unit_group(pi.p, t).order
+    p, m = pi.p, unit_group(pi.p, t).order
+    if backend.exact:
+        live, angles, s = _charsum_profile(pi, t, backend)
+        ks = np.flatnonzero(live)
+        return _form_sums(p, math.lcm(p ** t, m), m, ks, angles[ks], 1, s), Fraction(-s, 2)
     terms = [(k, c) for k, c in _charsum_profile(pi, t, backend).items()
              if not c.is_zero_exact()]
     qexps = sorted({c.qexp for _k, c in terms})
     if len(qexps) > 1:
         raise QExpMismatchError("charsum profile mixes q-exponents %s" % qexps)
     if not terms:
-        return (ScaledScalar.of(backend.zero()),) * m
+        return (backend.zero(),) * m, Fraction(0)
     sums = shifted_root_sums([c.coeff for _k, c in terms], [k for k, _c in terms], m, backend)
-    return tuple(ScaledScalar.of(v, qexps[0]) for v in sums)
+    return sums, qexps[0]
+
+
+def _shell_unit(z: PadicNumber, n: int, t: int) -> int:
+    """(-1)^{n-1} z0^{-1} mod p^t, z = z0 p^{-t}: the character sum at
+    y = y0 p^{n v(z)} reads its characters at y0 times this unit."""
+    pm = z.p ** t
+    return (-1) ** (n - 1) * pow(z.unit_mod(t), -1, pm) % pm
 
 
 def _charsum_at(pi: RepnData, n: int, t: int, u: int, backend: Backend) -> ScaledScalar:
     """pref * sum_{a(chi) = t} chi(u) eps*(chi^{-1}) eps*(chi x pi) at a unit u mod p^t."""
-    du = unit_group(pi.p, t).dlog(u)
-    return _prefactor_scalar(n, t, pi.p, backend) * _charsum_row(pi, t, backend)[du]
+    row, qexp = _charsum_row(pi, t, backend)
+    value = ScaledScalar.of(row[unit_group(pi.p, t).dlog(u)], qexp)
+    return _prefactor_scalar(n, t, pi.p, backend) * value
 
 
 def _kl_value(omega: MultChar, n: int, a0: int, t: int, backend: Backend):
@@ -285,8 +343,7 @@ def bessel_charsum(pi: RepnData, z: PadicNumber, y: PadicNumber,
         raise ValueError("mixed primes: pi lives over p=%d, y over p=%d" % (pi.p, y.p))
     if y.is_zero() or y.val != n * z.val:
         return BesselValue(y, ScaledScalar.of(backend.zero()), False)
-    pm = pi.p ** t
-    u = (-1) ** (n - 1) * y.unit_mod(t) * pow(z.unit_mod(t), -1, pm) % pm
+    u = y.unit_mod(t) * _shell_unit(z, n, t) % pi.p ** t
     return BesselValue(y, _charsum_at(pi, n, t, u, backend), True)
 
 
@@ -307,8 +364,7 @@ def bessel_closedform(pi: RepnData, z: PadicNumber, y: PadicNumber,
     if y.is_zero() or y.val != n * z.val:
         return BesselValue(y, ScaledScalar.of(backend.zero()), False)
     const = ScaledScalar.of(backend.rational(report.cofactor), report.measured_exponent)
-    pm = pi.p ** t
-    a0 = (-1) ** n * y.unit_mod(t) * pow(z.unit_mod(t), -1, pm) % pm
+    a0 = -y.unit_mod(t) * _shell_unit(z, n, t) % pi.p ** t
     return BesselValue(y, const * _kl_value(omega, n, a0, t, backend), True)
 
 
@@ -338,20 +394,54 @@ def _mellin_lhs(pi: RepnData, z: PadicNumber, chi: MultChar, n: int, t: int,
     order exchanged.  The y0-sum of a profile character chi_k against chi is
     phi(p^T) chi_k((-1)^{n-1} z0^{-1}) if chi_k = chi and 0 otherwise
     (orthogonality).  Every profile character has conductor exactly t, so only
-    a chi with a(chi) = t has a term, its own profile entry, and its phi(p^t)
-    cancels the average's 1/phi(p^T); every other chi gets the exact zero.
-    (n, t) come from the caller's _standing_assumptions.
+    a chi with a(chi) = t has a term, its own profile entry, multiplied out
+    from the epsilon factors, and its phi(p^t) cancels the average's
+    1/phi(p^T); every other chi gets the exact zero.  (n, t) come from the
+    caller's _standing_assumptions.
     """
     if chi.conductor_exponent != t:
         return EpsMonomial(ScaledScalar.of(backend.zero()), -n * t)
-    pm = pi.p ** t
     chi_t = represent_at_level(chi, t)
-    sign_z0inv = (-1) ** (n - 1) * pow(z.unit_mod(t), -1, pm) % pm
-    c = _charsum_profile(pi, t, backend)[chi_t.k]
+    c = _profile_entry(pi, chi_t, backend)
     pref = _prefactor_scalar(n, t, pi.p, backend)
     # |y| = q^{nt}: |y|^{s-(n-1)/2} = q^{nt(2-n)/2} * q^{-nt(1/2-s)}
-    shell = ScaledScalar.of(chi_t.eval(sign_z0inv, backend), Fraction(n * t * (2 - n), 2))
+    shell = ScaledScalar.of(chi_t.eval(_shell_unit(z, n, t), backend),
+                            Fraction(n * t * (2 - n), 2))
     return EpsMonomial(pref * c * shell, -n * t)
+
+
+def _forms_verdict(pi: RepnData, z: PadicNumber, chi_t: MultChar, integral: ScaledScalar,
+                   n: int, t: int) -> bool:
+    """The exact verdict at a(chi) = t, with both sides as Gauss-sum forms.
+
+    Each side is q^e p^(s // 2) g^(s mod 2) zeta_A^angle / (q - 1), which is
+    canonical (|g| = sqrt p is no rational multiple of a root of unity), so the
+    sides are equal when e, s mod 2 and the angle agree.  LHS: _mellin_lhs's
+    prefactor, profile entry and chi((-1)^{n-1} z0^{-1}) q^{nt(2-n)/2}.  RHS:
+    chi(-1)^{n-1} eps*(chi x pi), read blockwise from the level table as
+    prod_j tau((chi tau_j)^{-1})^{d_j} q^{-nt/2} (xexp -nt, as the profile
+    checked every fused conductor), times the integral I, whose multiple
+    phi(p^t) I = chi(z0)^{-1} tau(chi) is recognised as a form; an I that is
+    no such multiple of a form fails.
+    """
+    p, k = pi.p, chi_t.k
+    _live, l_angles, l_s = _charsum_profile(pi, t, EXACT)
+    m = len(l_angles)
+    A = math.lcm(p ** t, m)
+    try:
+        i_angle = _gauss_form(integral.coeff * phi(p, t), p, t, A)
+    except ArithmeticError:
+        return False
+    angles = _level_forms(p, t)[1]
+    r_angle, r_s = _form_product(p, A, [(i_angle, t, 1)] + [
+        (int(angles[(-k - represent_at_level(b.tau, t).k) % m]), t, b.size) for b in pi.blocks])
+    r_angle += k * (n - 1) % 2 * (A // 2)  # chi(-1)^{n-1}, chi(-1) = (-1)^k
+    l_angle = l_angles[k] + chi_t.value_exponent(_shell_unit(z, n, t)) * (A // m)
+    # q / (q - 1) q^e' on the left, q^e' / phi(q^t) = q^(e' - t + 1) / (q - 1) on the right
+    l_e = (_candidate_exponents(n, t)["lemma41"] + 1 - Fraction(l_s, 2) + l_s // 2
+           + Fraction(n * t * (2 - n), 2))
+    r_e = integral.qexp - Fraction(n * t, 2) + r_s // 2 - t + 1
+    return l_e == r_e and l_s % 2 == r_s % 2 and (l_angle - r_angle) % A == 0
 
 
 def duality_check(pi: RepnData, z: PadicNumber, chi: MultChar,
@@ -359,26 +449,35 @@ def duality_check(pi: RepnData, z: PadicNumber, chi: MultChar,
     """Evaluate both sides of the duality relation at chi and compare.
 
     LHS: the Mellin coefficient of the character-sum transform on the shell.
-    RHS: chi(-1)^{n-1} * eps*(chi x pi)|_{s -> 1-s} * gauss_integral(chi, z).
+    RHS: chi(-1)^{n-1} * eps*(chi x pi)|_{s -> 1-s} * gauss_integral(chi, z),
+    the integral always the literal sum.
 
-    For a(chi) != t both sides vanish (the unit-circle integral by conductor
-    mismatch, the shell sum by orthogonality); the report then has
-    both_vanish True and passes iff the LHS really vanished.  The RHS epsilon
-    factor is only evaluated when the integral is nonzero, which keeps the
-    check away from the unramified-twist regime the blockwise factor refuses.
+    Where the integral vanishes, both sides do when a(chi) != t (the Mellin
+    side by orthogonality); the report then has both_vanish True and passes
+    iff the LHS really vanished.  Otherwise, exactly at a(chi) = t, the
+    verdict is decided on forms (_forms_verdict) and the report's lhs and rhs
+    are multiplied out only when read; in floats, or where the integral
+    survives at a(chi) != t, they are built and compared as monomials.  The
+    RHS epsilon factor is only evaluated where the integral is nonzero, away
+    from the unramified-twist regime the blockwise factor refuses.
     """
     n, t, _ = _standing_assumptions(pi, z)
     if chi.p != pi.p:
         raise ValueError("mixed primes: pi lives over p=%d, chi over p=%d" % (pi.p, chi.p))
     g = gauss_integral(chi, z, backend)
-    lhs = _mellin_lhs(pi, z, chi, n, t, backend)
-    if backend.is_zero(g.coeff):
-        zero = EpsMonomial(ScaledScalar.of(backend.zero()), -n * t)
-        return DualityReport(chi, lhs, zero, True, lhs.value.is_zero_exact())
-    rhs = _dual_twisted_eps(pi, chi, backend).reflect()
-    rhs = rhs.scale(g * chi.parity_sign() ** (n - 1))
-    passed = lhs.equals(rhs, pi.p, backend)
-    return DualityReport(chi, lhs, rhs, False, passed)
+    vanish = backend.is_zero(g.coeff)
+
+    def build_rhs():
+        if vanish:
+            return EpsMonomial(ScaledScalar.of(backend.zero()), -n * t)
+        rhs = _dual_twisted_eps(pi, chi, backend).reflect()
+        return rhs.scale(g * chi.parity_sign() ** (n - 1))
+    if backend.exact and not vanish and chi.conductor_exponent == t:
+        passed = _forms_verdict(pi, z, represent_at_level(chi, t), g, n, t)
+        return DualityReport(chi, False, passed,
+                             lambda: _mellin_lhs(pi, z, chi, n, t, backend), build_rhs)
+    lhs, rhs = _mellin_lhs(pi, z, chi, n, t, backend), build_rhs()
+    return DualityReport(chi, vanish, lhs.equals(rhs, pi.p, backend), lambda: lhs, lambda: rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -399,11 +498,11 @@ def measure_prefactor(pi: RepnData, z: PadicNumber) -> PrefactorReport:
     n, t, omega = _standing_assumptions(pi, z)
     p = pi.p
     pm = p ** t
-    z0inv = pow(z.unit_mod(t), -1, pm)
+    shell = _shell_unit(z, n, t)
     ratios = set()
     for y0 in map(int, unit_group(p, t).powers):
         # y = y0 p^{n v(z)}: the charsum reads (-1)^{n-1} y0 / z0, the closed form (-1)^n y0 / z0
-        u = (-1) ** (n - 1) * y0 * z0inv % pm
+        u = y0 * shell % pm
         value = _charsum_at(pi, n, t, u, EXACT)
         kl = _kl_value(omega, n, -u % pm, t, EXACT)
         if kl.is_zero():

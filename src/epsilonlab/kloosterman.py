@@ -50,7 +50,7 @@ tuple of complex.
     one stack each; a twist rolls the value stack, and the products A_k
     stay unreduced until one batched reduction (scalars._shifted_products).
     Float rows multiply the A_k out and hand them to
-    scalars.shifted_root_sums, Bessel's transform too.
+    scalars.shifted_root_sums, as Bessel's float rows do.
 
 The two engines are cross-checked exhaustively in the test and acceptance
 suites; the factorization above is treated as correct only because of that
@@ -67,10 +67,10 @@ from typing import Optional
 import numpy as np
 
 from .characters import MultChar, represent_at_level
-from .local_factors import _form_product, _gauss_sum_at_level, _level_forms, _times_g
+from .local_factors import _form_product, _form_sums, _gauss_sum_at_level, _level_forms
 from .padic import phi, unit_group
 from .scalars import (EXACT, Backend, CycRow, _lifted_row, _shifted_products,
-                      _shifted_stack_sums, _stack_values, get_context, shifted_root_sums)
+                      _shifted_stack_sums, shifted_root_sums)
 
 
 DEFAULT_BUDGET = 2_000_000  # the work budget of one case, in terms or operations
@@ -280,21 +280,12 @@ def _form_row(k_om: int, n: int, table: GaussTable) -> CycRow:
     are the rows d of one (m, N) count of the exponents
     angle(A_k) - k d N/m over the nonzero A_k, times r g^F / m: one bincount,
     one multiplication by g = sum_x (x/p) zeta_p^x when F = 1 (t and n odd),
-    and one batched reduction."""
+    and one batched reduction (local_factors._form_sums)."""
     p, t, m = table.p, table.t, table.order
     N = math.lcm(p ** t, m)
     conductors, angles, _atoms = _level_forms(p, t)
     c, s = _form_product(p, N, [(0, t, n)])
-    r, flag = p ** (s // 2), s % 2
     live = conductors == t
     ks = np.flatnonzero(live & np.roll(live, -k_om))
     exps = angles[(ks + k_om) % m] + (n - 1) * angles[ks] + c
-    ds = np.arange(m)
-    exps = (exps - np.multiply.outer(ds, ks) * (N // m)) % N + (ds * N)[:, None]
-    R = np.bincount(exps.ravel(), minlength=m * N).reshape(m, N)
-    if flag:
-        R = _times_g(R, p)
-    if not get_context(N).fits_int64(r * int(np.abs(R).max(initial=0))):
-        R = R.astype(object)
-    return _stack_values(N, R * r, m)
-
+    return _form_sums(p, N, m, ks, exps, -1, s, m)

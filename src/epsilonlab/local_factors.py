@@ -34,9 +34,10 @@ them and every pair the certificate rejects.
 
 Under the exact backend the suite makes its direct comparisons on
 RootNumberForms(p, t), which reads the level table _level_forms(p, t), shared
-with the Kloosterman rows: each literal Gauss sum is recognised there once
-per (p, t) as a Gauss-sum form, held as its angle, wherever it must be one --
-every conductor but one, and the quadratic character.  A pair is integer
+with the Kloosterman rows and the Bessel profile: each literal Gauss sum is
+recognised there once per (p, t) as a Gauss-sum form, held as its angle,
+wherever it must be one -- every conductor but one, and the quadratic
+character.  A pair is integer
 arithmetic on angles and conductors; only the other root numbers of
 conductor one that do not cancel are multiplied.  stability_key decides the in-regime cross-slice and the
 out-of-regime tallies (a(chi) < a(pi), recorded, never asserted), and
@@ -69,6 +70,7 @@ from .padic import phi, unit_group, valuation, unit_part_mod
 from .scalars import (
     EXACT,
     Backend,
+    CycRow,
     Rational,
     ScaledScalar,
     _int_array,
@@ -173,6 +175,23 @@ def _form_product(p: int, A: int, factors) -> tuple:
     if p % 4 == 3:
         angle += flags // 2 * (A // 2)
     return angle % A, s
+
+
+def _form_sums(p: int, N: int, m: int, ks: np.ndarray, angles: np.ndarray, sign: int,
+               s: int, den: int = 1) -> CycRow:
+    """p^(s // 2) g^(s mod 2) / den * sum_i zeta_N^(angles[i] + sign ks[i] d N/m)
+    for every d mod m, m | N: the length-m DFT of forms that share one power of
+    p and one g-flag, as the CycRow of one (m, N) bincount of the exponents,
+    one multiplication by g when s is odd, and one batched reduction."""
+    ds = np.arange(m)
+    exps = (angles + sign * np.multiply.outer(ds, ks) * (N // m)) % N + (ds * N)[:, None]
+    R = np.bincount(exps.ravel(), minlength=m * N).reshape(m, N)
+    if s % 2:
+        R = _times_g(R, p)
+    r = p ** (s // 2)
+    if not get_context(N).fits_int64(r * int(np.abs(R).max(initial=0))):
+        R = R.astype(object)
+    return _stack_values(N, R * r, den)
 
 
 @functools.lru_cache(maxsize=16)

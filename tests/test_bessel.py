@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from epsilonlab import bessel
+from epsilonlab import bessel, cli
 from epsilonlab.bessel import (
     BesselValue,
     PrefactorReport,
@@ -20,7 +20,15 @@ from epsilonlab.characters import (
     enumerate_chars,
     trivial_char,
 )
-from epsilonlab.local_factors import Block, EpsMonomial, RepnData, gauss_sum, steinberg
+from epsilonlab.local_factors import (
+    Block,
+    EpsMonomial,
+    RepnData,
+    eps_gl1,
+    eps_rep_twisted,
+    gauss_sum,
+    steinberg,
+)
 from epsilonlab.padic import PadicNumber, psi_eval, unit_group
 from epsilonlab.scalars import (
     EXACT,
@@ -29,6 +37,7 @@ from epsilonlab.scalars import (
     QExpMismatchError,
     ScaledScalar,
     root_of_unity,
+    shifted_root_sums,
 )
 
 
@@ -185,9 +194,23 @@ def test_charsum_frozen_value():
     assert b0.support_flag and b0.value.is_zero_exact()
 
 
+def literal_profile(pi, t, backend):
+    """chi.k -> eps*(chi^{-1}) eps*(chi x pi) over the characters of conductor
+    t, each value multiplied out from eps_gl1 and eps_rep_twisted with its
+    coefficient conjugated (the module's orientation): the oracle of the
+    profile the exact backend holds as Gauss-sum forms."""
+    out = {}
+    for chi in chars_with_conductor(pi.p, t):
+        e1 = eps_gl1(chi.inv(), backend=backend).value
+        e2 = eps_rep_twisted(pi, chi, backend=backend).value
+        out[chi.k] = bessel._dual_scalar(e1) * bessel._dual_scalar(e2)
+    return out
+
+
 def loop_charsum(pi, z, y, backend, sign_exponent=None):
-    """The character sum one profile entry at a time, one root of unity and one
-    strict ScaledScalar addition per character: the whole-shell row's oracle.
+    """The character sum one literal profile entry at a time, one root of
+    unity and one strict ScaledScalar addition per character: the whole-shell
+    row's oracle.
 
     The sign is (-1)^{n-1}, as in the lemma41 statement; sign_exponent = n
     gives the sign of the prop42 display, a negative control."""
@@ -198,7 +221,7 @@ def loop_charsum(pi, z, y, backend, sign_exponent=None):
     ug = unit_group(pi.p, t)
     du, m = ug.dlog(u), ug.order
     acc = ScaledScalar.of(backend.zero())
-    for k, c in bessel._charsum_profile(pi, t, backend).items():
+    for k, c in literal_profile(pi, t, backend).items():
         acc = acc + c * backend.root_of_unity(k * du % m, m)
     return bessel._prefactor_scalar(n, t, pi.p, backend) * acc
 
@@ -237,10 +260,12 @@ def test_charsum_row_is_the_per_character_loop(p, t, pi):
 
 
 def test_charsum_object_rows_equal_the_int64_rows(monkeypatch):
-    # rows whose stack fails the int64 guard are built in object dtype
-    cases = [(st2(5, 2), 5, 2), (steinberg(trivial_char(3), 3), 3, 3)]
-    fast = {(p, t): [bessel_charsum(pi, zvec(p, t), shell_point(p, y0, pi.dim, t)).value
-                     for y0 in shell_units(p, t)] for pi, p, t in cases}
+    # rows whose stack fails the int64 guard are built in object dtype; the
+    # last case's forms carry the g-flag ((n + 1) t odd), so g multiplies
+    # the object stack too
+    cases = [(st2(5, 2), 5, 2), (steinberg(trivial_char(3), 3), 3, 3), (st2(3), 3, 3)]
+    fast = {(pi, t): [bessel_charsum(pi, zvec(p, t), shell_point(p, y0, pi.dim, t)).value
+                      for y0 in shell_units(p, t)] for pi, p, t in cases}
     monkeypatch.setattr(CycContext, "fits_int64", lambda self, max_abs: False)
     seen = []
     real = CycContext.reduce_groupring
@@ -257,29 +282,35 @@ def test_charsum_object_rows_equal_the_int64_rows(monkeypatch):
         for pi, p, t in cases:
             slow = [bessel_charsum(pi, zvec(p, t), shell_point(p, y0, pi.dim, t)).value
                     for y0 in shell_units(p, t)]
-            assert slow == fast[p, t]
-            assert [repr(v) for v in slow] == [repr(v) for v in fast[p, t]]
+            assert slow == fast[pi, t]
+            assert [repr(v) for v in slow] == [repr(v) for v in fast[pi, t]]
     finally:
         bessel._charsum_row.cache_clear()
     assert seen == [object] * len(cases)
 
 
 def test_charsum_row_refuses_mixed_q_exponents(monkeypatch):
-    pi, p, t = st2(3), 3, 2
-    z, y = zvec(p, t), shell_point(p, 2, 2, t)
-    mixed = {}
-    monkeypatch.setattr(bessel, "_charsum_profile", lambda pi, t, backend: mixed[backend])
-    for backend in (EXACT, FLOAT):
-        one = ScaledScalar.of(backend.one())
-        mixed[backend] = {1: one, 5: ScaledScalar.of(one.coeff, one.qexp + Fraction(1, 2))}
-        with pytest.raises(QExpMismatchError):
-            bessel._charsum_row.__wrapped__(pi, t, backend)
-    with pytest.raises(QExpMismatchError):  # as the per-character loop does
-        loop_charsum(pi, z, y, EXACT)
-    # exact zeros carry no q-exponent and never mix
-    mixed[EXACT][5] = ScaledScalar.of(0)
-    row = bessel._charsum_row.__wrapped__(pi, t, EXACT)
-    assert row == tuple(ScaledScalar.of(root_of_unity(d, 6)) for d in range(6))
+    # a fused character chi tau below conductor t gives its entry another
+    # q-exponent.  The standing assumptions exclude that, so the private code
+    # is called directly, with a(tau) = t = 2: chi = tau^{-1} fuses to the
+    # trivial character.
+    p, t = 3, 2
+    pi = RepnData.of(Block(chars_with_conductor(p, t)[0]))
+    assert len({c.qexp for c in literal_profile(pi, t, EXACT).values()}) > 1
+    with pytest.raises(QExpMismatchError):  # the forms refuse it
+        bessel._charsum_profile.__wrapped__(pi, t, EXACT)
+    with pytest.raises(QExpMismatchError):  # and so does the float row
+        bessel._charsum_row.__wrapped__(pi, t, FLOAT)
+    # the float row refuses any mix, and exact zeros carry no q-exponent
+    one = ScaledScalar.of(FLOAT.one())
+    mixed = {1: one, 5: ScaledScalar.of(one.coeff, Fraction(1, 2))}
+    monkeypatch.setattr(bessel, "_charsum_profile", lambda pi, t, backend: mixed)
+    with pytest.raises(QExpMismatchError):
+        bessel._charsum_row.__wrapped__(st2(p), t, FLOAT)
+    mixed[5] = ScaledScalar.of(0)
+    row, qexp = bessel._charsum_row.__wrapped__(st2(p), t, FLOAT)
+    assert qexp == 0
+    assert all(abs(v - FLOAT.root_of_unity(d, 6)) < 1e-12 for d, v in enumerate(row))
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +442,50 @@ def test_duality_float_backend_agrees():
         rf = duality_check(pi, z, chi, backend=FLOAT)
         assert re_.passed and rf.passed
         assert re_.both_vanish == rf.both_vanish
+
+
+# every probe the bessel suite runs, at levels even and odd, p = 1 and 3 mod 4
+FORM_CASES = [pytest.param(p, t, cli._bessel_pi(p, n), id="p%d-t%d-n%d" % (p, t, n))
+              for p, t in [(3, 2), (3, 3), (5, 2), (5, 3), (7, 2)] for n in (2, 3, 4)
+              if cli._bessel_pi(p, n).conductor_exponent <= t]
+
+
+@pytest.mark.parametrize("p,t,pi", FORM_CASES)
+def test_forms_decide_as_the_multiplied_out_sides(p, t, pi):
+    # the forms verdict against the two sides multiplied out exactly, and the
+    # form row against the row of the literal profile's values
+    z = zvec(p, t)
+    for chi in enumerate_chars(p, t):
+        rep = duality_check(pi, z, chi)
+        assert rep.passed and rep.both_vanish == (chi.conductor_exponent != t)
+        assert rep.lhs.equals(rep.rhs, p, EXACT), chi
+    profile = literal_profile(pi, t, EXACT)
+    row, qexp = bessel._charsum_row(pi, t, EXACT)
+    want = shifted_root_sums([c.coeff for c in profile.values()], list(profile),
+                             unit_group(p, t).order, EXACT)
+    assert {c.qexp for c in profile.values()} == {qexp}
+    assert repr(row) == repr(want)
+
+
+@pytest.mark.parametrize("p,t,pi", FORM_CASES)
+@pytest.mark.parametrize("spoil", ["turned", "plus-one"])
+def test_forms_fail_a_spoiled_integral(monkeypatch, p, t, pi, spoil):
+    # an integral turned by one root of unity is a form at another angle, and
+    # one plus 1 is no form: each fails its row, as the multiplied-out sides
+    # say, and neither raises
+    real = bessel.gauss_integral
+    turn = ScaledScalar.of(root_of_unity(1, p ** t * (p - 1)))
+
+    def spoiled(chi, z, backend=EXACT):
+        g = real(chi, z, backend)
+        return g * turn if spoil == "turned" else g + ScaledScalar.of(1)
+
+    monkeypatch.setattr(bessel, "gauss_integral", spoiled)
+    z = zvec(p, t)
+    for chi in chars_with_conductor(p, t):
+        rep = duality_check(pi, z, chi)
+        assert not rep.passed and not rep.both_vanish
+        assert not rep.lhs.equals(rep.rhs, p, EXACT)
 
 
 # ---------------------------------------------------------------------------

@@ -627,6 +627,19 @@ def test_bessel_budget_skip():
     assert "over budget 30" in rep.skips[0]["detail"]
 
 
+def test_bessel_budget_boundary_is_inclusive():
+    # the character profile needs about m^2 = 400 operations at p = 5, t = 2:
+    # a budget of exactly 400 runs the rank, one less writes its skip row
+    rep = cmd_bessel(config(p=5, t_max=2, n_list=(2,), budget=400))
+    assert rep.skips == [] and rep.failures == []
+    assert len(rep.cases) == 40 and len(rep.extras["prefactor_reports"]) == 1
+    rep = cmd_bessel(config(p=5, t_max=2, n_list=(2,), budget=399))
+    assert rep.passed and len(rep.cases) == 1
+    assert rep.skips[0]["case"] == "bessel n=2 setup"
+    assert rep.skips[0]["detail"] == (
+        "character profile needs about 400 operations, over budget 399")
+
+
 def test_bessel_closed_form_over_the_engine_budget_skips(tmp_path, capsys):
     # the closed form's KL_{omega^{-1}, 5}( . ; 4) grid has 54^4 terms: over
     # the Kloosterman engine's own cap, which --budget does not move.  It used
@@ -645,9 +658,6 @@ def test_bessel_closed_form_over_the_engine_budget_skips(tmp_path, capsys):
 
 
 def test_bessel_evaluates_each_regime_and_twisted_factor_once(monkeypatch):
-    for cached in (bessel._standing_assumptions, bessel._dual_twisted_eps,
-                   bessel._charsum_profile, bessel._charsum_row):
-        cached.cache_clear()
     twisted, central = Counter(), Counter()
     real_eps, real_central = bessel.eps_rep_twisted, RepnData.central_char
 
@@ -660,13 +670,26 @@ def test_bessel_evaluates_each_regime_and_twisted_factor_once(monkeypatch):
         return real_central(pi)
     monkeypatch.setattr(bessel, "eps_rep_twisted", counted_eps)
     monkeypatch.setattr(RepnData, "central_char", counted_central)
-    rep = cmd_bessel(config(p=5, t_max=2, n_list=(2, 3)))
-    assert rep.failures == [] and rep.skips == []
     probes = [cli._bessel_pi(5, n) for n in (2, 3)]
-    assert central == Counter(probes)
-    # the profile and the duality check share one eps(chi x pi) per character
-    assert twisted == Counter(
-        (pi, chi) for pi in probes for chi in chars_with_conductor(5, 2))
+    for backend in ("exact", "float"):
+        for cached in (bessel._standing_assumptions, bessel._dual_twisted_eps,
+                       bessel._charsum_profile, bessel._charsum_row):
+            cached.cache_clear()
+        twisted.clear()
+        central.clear()
+        rep = cmd_bessel(config(p=5, t_max=2, n_list=(2, 3), backend=backend))
+        assert rep.failures == [] and rep.skips == []
+        assert central == Counter(probes)
+        if backend == "exact":
+            # the profiles and the duality verdicts are read on Gauss-sum forms
+            assert twisted == Counter()
+            assert bessel._charsum_profile.cache_info().misses == len(probes)
+        else:
+            # the profile and the duality check share one eps(chi x pi) per
+            # character; the exact prefactor measurement adds the exact profiles
+            assert twisted == Counter(
+                (pi, chi) for pi in probes for chi in chars_with_conductor(5, 2))
+            assert bessel._charsum_profile.cache_info().misses == 2 * len(probes)
 
 
 def test_bessel_float_same_verdicts():
@@ -793,6 +816,18 @@ PINNED_REPORTS = [
                  "277ef2b6e5bfdf18901460c371a204383d0afd8ab15a3245da2a39a1402933c4",
                  "42f3871f2a7367ade647d472dc1c429fb3a3b904d4a76b08f1bf5890737ab906",
                  id="kloosterman-float"),
+    # recorded before the exact Bessel profile, its row and the duality check
+    # were held as Gauss-sum forms: the bench config (p = 7, generator 3, with
+    # the n = 4 probe), and odd t at p = 1 mod 4, where the quadratic Gauss
+    # sum's flag appears without the sign of p* = -p
+    pytest.param(["bessel", "--p", "7", "--t-max", "2", "--n", "2", "3", "4"],
+                 "46b7cb00cd9f7cbe7c2bf387015aafeb3213d8a331bc97c26fc962566af56569",
+                 "60e9cd7a6525cd3b20bd677ce820e7fd8edc59be1d884ba0d3fc27b8ffe61aaa",
+                 id="bessel-p7"),
+    pytest.param(["bessel", "--p", "5", "--t-max", "3", "--n", "2", "3", "4"],
+                 "1727d36fe8c71aa7e682ff6f0a249035bda1c0e49a7dac5fd857d8e4f4d1350a",
+                 "6b948637845fedc8ed49f417a4ce3f7f4fc4fa48fcd9a716a8d5274b163ea754",
+                 id="bessel-p5-t3"),
 ]
 
 

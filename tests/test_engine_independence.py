@@ -44,8 +44,15 @@ PAIRS = [
       "_times_g": "multiplication by the quadratic Gauss sum g, inside _gauss_form",
       "_gauss_form": "reads a value as a Gauss-sum form; test_gauss_form_round_trip pins it "
                      "against the literal sums"}),
-    (["gauss_integral"], ["_dual_twisted_eps"], {}),
+    # the duality check: the literal unit-circle integral against the profile
+    # of Gauss-sum forms and the forms verdict that reads it
+    (["gauss_integral"], ["_charsum_profile", "_forms_verdict"], {}),
+    # the prefactor measurement divides the character-sum row by kl_direct's
+    (["kl_direct"], ["_charsum_row"], {}),
 ]
+
+# the Gauss-sum form layer, which the literal engines must not reach
+FORMS = {"_level_forms", "_gauss_form", "_form_product", "_times_g"}
 
 
 def _lab():
@@ -121,3 +128,11 @@ def test_the_walk_follows_names_aliases_and_self():
     assert {"RootNumberForms._key", "RootNumberForms._side", "_form_product"} <= set(forms)
     assert "represent_at_level" in forms  # imported as _represent_at_level
     assert "RootNumberForms.p" not in forms and "GaussTable.order" not in forms
+
+
+def test_literal_engines_reach_no_gauss_sum_form():
+    defs, aliases = _lab()
+    for entry in ("gauss_integral", "kl_direct"):
+        assert FORMS.isdisjoint(_reached([entry], defs, aliases)), entry
+    # and the walk does see the form layer where it is used
+    assert FORMS <= set(_reached(["_charsum_row", "_forms_verdict"], defs, aliases))
