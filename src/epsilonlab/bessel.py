@@ -13,16 +13,19 @@ integral as a literal finite sum, the Mellin side by orthogonality, which
 leaves at most chi's own profile entry -- and is the normative oracle for
 everything else here.
 
-Two concrete expressions for B_pi( . ; Phi_z) are implemented:
+B_pi( . ; Phi_z) vanishes off the support shell v(y) = n v(z), and the row
+is the unit of both of its concrete expressions: each returns (row, qexp),
+B(y) = row[d] q^qexp at every y = y0 p^{n v(z)}, y0 = g^d, indexed by d as
+the Kloosterman rows are, a CycRow when exact and a tuple of complex in floats.
 
 * ``bessel_charsum``  - the character-sum expansion over all chi with
   conductor exponent exactly t = -v(z), with the sign (-1)^{n-1} and the
   prefactor of the lemma41 statement.  On the shell it is a length-phi(p^t)
-  DFT of one fixed profile of epsilon values, so each call reads one entry of
-  a memoised whole-shell row, computed once per (pi, t, backend);
+  DFT of one fixed profile of epsilon values, a row memoised once per
+  (pi, t, backend) and read along the shell by one roll;
 * ``bessel_closedform`` - the collapsed form: an explicit constant times a
   hyper-Kloosterman sum KL_{omega^{-1}, n-1}(a(y, z); t), where omega is the
-  central character of pi.
+  central character of pi: one kl_direct row at n >= 3, rolled the same way.
 
 Each profile entry eps*(chi^{-1}) eps*(chi x pi) is a product of n + 1 Gauss
 sums of conductor t >= 2, so the exact backend holds the profile as Gauss-sum
@@ -35,9 +38,10 @@ The constant in the collapsed form is exactly the sort of thing that
 accumulates typos in print: three mutually inconsistent versions of its
 q-power circulate under the labels ``lemma41``, ``prop42`` and ``cor13``.
 The closed form takes its constant only from the report of
-``measure_prefactor``, passed in by the caller, which determines it by exact
-division of the character-sum values by the Kloosterman sums (and verifies on
-the way that the ratio really is a constant across the whole support shell).
+``measure_prefactor``, passed in by the caller, which determines it as the
+one rational ratio of the character-sum row to the Kloosterman row, decided
+on their integer stacks (and so verifies that the ratio really is a constant
+across the whole support shell).
 The report keeps the three printed exponents as ``candidates``, and
 ``matches`` records which of them, if any, agrees with the measured exponent.
 
@@ -59,7 +63,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -67,23 +71,14 @@ from .characters import MultChar, chars_with_conductor, represent_at_level
 from .kloosterman import KLQuery, kl_direct
 from .local_factors import (EpsMonomial, RepnData, _form_product, _form_sums, _gauss_form,
                             _level_forms, eps_gl1, eps_rep_twisted)
-from .padic import PadicNumber, phi, psi_eval, unit_group, valuation
-from .scalars import (EXACT, Backend, QExpMismatchError, ScaledScalar, proportionality_ratio,
-                      shifted_root_sums)
+from .padic import PadicNumber, phi, unit_group, valuation
+from .scalars import (EXACT, Backend, CycRow, QExpMismatchError, ScaledScalar, _scaled_row,
+                      _stack_values, get_context, shifted_root_sums)
 
 
 # ---------------------------------------------------------------------------
 # result records
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BesselValue:
-    """One sample B(y); value is 0 with support_flag False off the support shell."""
-
-    y: PadicNumber
-    value: ScaledScalar
-    support_flag: bool
 
 
 @dataclass(frozen=True)
@@ -276,26 +271,43 @@ def _shell_unit(z: PadicNumber, n: int, t: int) -> int:
     return (-1) ** (n - 1) * pow(z.unit_mod(t), -1, pm) % pm
 
 
-def _charsum_at(pi: RepnData, n: int, t: int, u: int, backend: Backend) -> ScaledScalar:
-    """pref * sum_{a(chi) = t} chi(u) eps*(chi^{-1}) eps*(chi x pi) at a unit u mod p^t."""
-    row, qexp = _charsum_row(pi, t, backend)
-    value = ScaledScalar.of(row[unit_group(pi.p, t).dlog(u)], qexp)
-    return _prefactor_scalar(n, t, pi.p, backend) * value
+def _on_shell(row, shift: int, r: Fraction):
+    """r * row[(d + shift) mod m] for every d: a row over the units u = g^j
+    read along the shell, at u = y0 g^shift for y0 = g^d."""
+    if isinstance(row, CycRow):
+        row = CycRow(row.N, np.roll(row.coords, -shift, axis=0), row.den)
+    else:
+        row = row[shift:] + row[:shift]
+    return _scaled_row(row, r)
 
 
-def _kl_value(omega: MultChar, n: int, a0: int, t: int, backend: Backend):
-    """KL_{omega^{-1}, n-1}(a0; t), the closed form's Kloosterman factor.
+def _kl1_row(w: MultChar, t: int, backend: Backend):
+    """KL_{w,1}(v; t) = w(v) psi(v / p^t) at every unit v = g^d, indexed by d:
+    the one-dimensional sum n = 2 needs, which the Kloosterman engine does not
+    define (the inversion formula under its DFT engine extends to it).  Each
+    entry is one root zeta_A^e, A = lcm(p^t, phi(p^t)): one one-hot (m, A)
+    stack and one batched reduction when exact, the complex roots in floats."""
+    ug = unit_group(w.p, t)
+    m, pm = ug.order, w.p ** t
+    A = math.lcm(pm, m)
+    d = np.arange(m)
+    e = (represent_at_level(w, t).k * d * (A // m) + ug.powers * (A // pm)) % A
+    if not backend.exact:
+        return tuple(complex(v) for v in get_context(A).roots_complex()[e])
+    onehot = np.zeros((m, A), dtype=np.int64)
+    onehot[d, e] = 1
+    return _stack_values(A, onehot)
 
-    n = 2 needs the one-dimensional sum, which the Kloosterman engine does not
-    define; the inversion formula that underlies its DFT engine extends to
-        KL_{w,1}(v; t) = w(v) psi(v / p^t),
-    and that is the convention used here.
-    """
-    p = omega.p
-    if n == 2:
-        w = omega.inv()
-        return w.eval(a0, backend) * psi_eval(p, Fraction(a0, p ** t), backend)
-    return kl_direct(KLQuery(omega.inv(), n - 1, t), backend)[unit_group(p, t).dlog(a0)]
+
+def _kl_shell_row(omega: MultChar, n: int, t: int, z: PadicNumber, r: Fraction,
+                  backend: Backend):
+    """r * KL_{omega^{-1}, n-1}((-1)^n y0 z0^{-1}; t) at every y0 = g^d,
+    indexed by d: the Kloosterman row read at -u for the character sum's unit
+    u, and -1 = g^{m/2}.  kl_direct's row at n >= 3, _kl1_row's at n = 2."""
+    ug = unit_group(omega.p, t)
+    w = omega.inv()
+    row = _kl1_row(w, t, backend) if n == 2 else kl_direct(KLQuery(w, n - 1, t), backend)
+    return _on_shell(row, (ug.dlog(_shell_unit(z, n, t)) + ug.order // 2) % ug.order, r)
 
 
 # ---------------------------------------------------------------------------
@@ -329,43 +341,42 @@ def gauss_integral(chi: MultChar, z: PadicNumber, backend: Backend = EXACT) -> S
 # ---------------------------------------------------------------------------
 
 
-def bessel_charsum(pi: RepnData, z: PadicNumber, y: PadicNumber,
-                   backend: Backend = EXACT) -> BesselValue:
-    """B(y; Phi_z) as the character sum over conductor-t characters, t = -v(z).
+def bessel_charsum(pi: RepnData, z: PadicNumber, backend: Backend = EXACT) -> tuple:
+    """(row, qexp): B(y; Phi_z) = row[d] q^qexp at y = y0 p^{n v(z)}, y0 = g^d,
+    as the character sum over the characters of conductor t = -v(z):
 
-    B(y) = pref * sum_{a(chi) = t} chi((-1)^{n-1} y z^{-1}) eps*(chi^{-1}) eps*(chi x pi)
+        B(y) = pref * sum_{a(chi) = t} chi((-1)^{n-1} y0 z0^{-1}) eps*(chi^{-1}) eps*(chi x pi)
 
-    The value is supported on the shell v(y) = n v(z); off the shell the
-    result is 0 with support_flag False.
+    _charsum_row read at the units y0 times _shell_unit, times q / (q - 1),
+    with the lemma41 q-power added to qexp.
     """
     n, t, _ = _standing_assumptions(pi, z)
-    if y.p != pi.p:
-        raise ValueError("mixed primes: pi lives over p=%d, y over p=%d" % (pi.p, y.p))
-    if y.is_zero() or y.val != n * z.val:
-        return BesselValue(y, ScaledScalar.of(backend.zero()), False)
-    u = y.unit_mod(t) * _shell_unit(z, n, t) % pi.p ** t
-    return BesselValue(y, _charsum_at(pi, n, t, u, backend), True)
+    return _charsum_on_shell(pi, z, n, t, backend)
 
 
-def bessel_closedform(pi: RepnData, z: PadicNumber, y: PadicNumber,
-                      report: PrefactorReport, backend: Backend = EXACT) -> BesselValue:
-    """B(y; Phi_z) as constant * KL_{omega^{-1}, n-1}((-1)^n y z^{-1}; t).
+def _charsum_on_shell(pi: RepnData, z: PadicNumber, n: int, t: int, backend: Backend) -> tuple:
+    """bessel_charsum's (row, qexp), for the (n, t) of its standing assumptions."""
+    row, qexp = _charsum_row(pi, t, backend)
+    shift = unit_group(pi.p, t).dlog(_shell_unit(z, n, t))
+    return (_on_shell(row, shift, Fraction(pi.p, pi.p - 1)),
+            qexp + _candidate_exponents(n, t)["lemma41"])
+
+
+def bessel_closedform(pi: RepnData, z: PadicNumber, report: PrefactorReport,
+                      backend: Backend = EXACT) -> tuple:
+    """(row, qexp): B(y; Phi_z) as constant * KL_{omega^{-1}, n-1}((-1)^n y0 z0^{-1}; t)
+    on the support shell, indexed as bessel_charsum's row.
 
     The constant is cofactor * q^{measured_exponent} of the PrefactorReport
-    that measure_prefactor gives for (pi, z); a report measured for another
-    (p, n, t) raises ValueError.
+    that measure_prefactor gives for (pi, z): the row is the cofactor times
+    the Kloosterman row, qexp the measured exponent.  A report measured for
+    another (p, n, t) raises ValueError.
     """
     n, t, omega = _standing_assumptions(pi, z)
     if (report.p, report.n, report.t) != (pi.p, n, t):
         raise ValueError("prefactor report is for (p, n, t) = (%d, %d, %d), not (%d, %d, %d)"
                          % (report.p, report.n, report.t, pi.p, n, t))
-    if y.p != pi.p:
-        raise ValueError("mixed primes: pi lives over p=%d, y over p=%d" % (pi.p, y.p))
-    if y.is_zero() or y.val != n * z.val:
-        return BesselValue(y, ScaledScalar.of(backend.zero()), False)
-    const = ScaledScalar.of(backend.rational(report.cofactor), report.measured_exponent)
-    a0 = -y.unit_mod(t) * _shell_unit(z, n, t) % pi.p ** t
-    return BesselValue(y, const * _kl_value(omega, n, a0, t, backend), True)
+    return _kl_shell_row(omega, n, t, z, report.cofactor, backend), report.measured_exponent
 
 
 def _candidate_exponents(n: int, t: int) -> dict:
@@ -485,40 +496,51 @@ def duality_check(pi: RepnData, z: PadicNumber, chi: MultChar,
 # ---------------------------------------------------------------------------
 
 
+def _entry_ratio(a: CycRow, b: CycRow, i: int) -> Optional[Fraction]:
+    """r with a[i] == r b[i] if the two entries are rationally proportional,
+    b[i] != 0: the coordinates cross-multiply at b's first nonzero one."""
+    x, y = a.coords[i].tolist(), b.coords[i].tolist()
+    j = next(j for j, c in enumerate(y) if c)
+    if any(xi * y[j] != x[j] * yi for xi, yi in zip(x, y)):
+        return None
+    return Fraction(x[j] * b.den, a.den * y[j])
+
+
 def measure_prefactor(pi: RepnData, z: PadicNumber) -> PrefactorReport:
     """Determine the constant B(y) / KL_{omega^{-1}, n-1}(a(y, z); t) exactly.
 
-    Walks the whole support shell, divides the character-sum value by the
-    Kloosterman sum in the cyclotomic field, and insists on one single ratio:
-    y-independence is part of the claim being verified, not an assumption.
-    Shell points where the Kloosterman sum vanishes must have vanishing
-    transform too, and are excluded from the division.  The division is in the
-    cyclotomic field, so the measurement is always exact.
+    Reads the character-sum and Kloosterman rows over the whole shell once
+    each, and insists on one single ratio: y-independence is part of the
+    claim being verified, not an assumption.  The rational r is read at the
+    first nonvanishing Kloosterman entry, and charsum = r * KL is decided on
+    the integer stacks (CycRow.entries_equal), so a vanishing Kloosterman sum
+    needs a vanishing transform.  Each refusal is an ArithmeticError naming
+    the first shell point y0 at fault.
     """
     n, t, omega = _standing_assumptions(pi, z)
     p = pi.p
-    pm = p ** t
-    shell = _shell_unit(z, n, t)
-    ratios = set()
-    for y0 in map(int, unit_group(p, t).powers):
-        # y = y0 p^{n v(z)}: the charsum reads (-1)^{n-1} y0 / z0, the closed form (-1)^n y0 / z0
-        u = y0 * shell % pm
-        value = _charsum_at(pi, n, t, u, EXACT)
-        kl = _kl_value(omega, n, -u % pm, t, EXACT)
-        if kl.is_zero():
-            if not value.is_zero_exact():
-                raise ArithmeticError(
-                    "transform does not vanish at y0=%d where the Kloosterman sum does" % y0)
-            continue
-        r = proportionality_ratio(value.coeff, kl)
-        if r is None or r == 0:
+    charsum, qexp = _charsum_on_shell(pi, z, n, t, EXACT)
+    kl = _kl_shell_row(omega, n, t, z, Fraction(1), EXACT)
+    live = kl.coords.any(axis=1)
+    if not live.any():
+        raise ArithmeticError("the Kloosterman sum vanishes on the whole shell")
+    i0 = int(np.argmax(live))
+    r = _entry_ratio(charsum, kl, i0)
+    off = ~charsum.entries_equal(_scaled_row(kl, r or 0))
+    if not r:
+        off[i0] = True
+    if off.any():
+        i = int(np.argmax(off))
+        y0s = unit_group(p, t).powers
+        if not live[i]:
+            raise ArithmeticError("transform does not vanish at y0=%d where the Kloosterman "
+                                  "sum does" % y0s[i])
+        ri = _entry_ratio(charsum, kl, i)
+        if not ri:
             raise ArithmeticError(
-                "charsum/Kloosterman ratio at y0=%d is not a nonzero rational" % y0)
-        ratios.add((r, value.qexp))
-    if len(ratios) != 1:
-        raise ArithmeticError(
-            "charsum/Kloosterman ratio is not constant on the shell: %s" % sorted(ratios))
-    (r, qexp), = ratios
+                "charsum/Kloosterman ratio at y0=%d is not a nonzero rational" % y0s[i])
+        raise ArithmeticError("charsum/Kloosterman ratio is not constant on the shell: %s at "
+                              "y0=%d, %s at y0=%d" % (ri, y0s[i], r, y0s[i0]))
     vp = valuation(p, r)
     r /= Fraction(p) ** vp
     candidates = _candidate_exponents(n, t)

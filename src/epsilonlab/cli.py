@@ -71,7 +71,7 @@ from .local_factors import (
 )
 from .padic import PadicNumber, is_odd_prime, phi, unit_group
 from .scalars import (_TABLE_BUDGET, Backend, CycNumber, ScaledScalar, _rewrite_table_size,
-                      backend_for)
+                      _scaled_row, backend_for)
 
 
 class ConfigError(ValueError):
@@ -604,17 +604,16 @@ def cmd_bessel(config: RunConfig) -> SuiteReport:
             continue
         extras["prefactor_reports"].append(pf.to_json())
 
-        for y0 in unit_group(p, t).powers:
-            y0 = int(y0)
-            y = PadicNumber(p, Fraction(y0, p ** (n * t)))
-            b_sum = bessel_charsum(pi, z, y, backend=backend)
-            b_closed = bessel_closedform(pi, z, y, report=pf, backend=backend)
-            ok = (b_sum.support_flag == b_closed.support_flag
-                  and b_sum.value.eq_value(b_closed.value, p, backend))
+        b_sum, q_sum = bessel_charsum(pi, z, backend)
+        b_closed, q_closed = bessel_closedform(pi, z, pf, backend)
+        # the q-exponent gap is an integer: minus the p-valuation of the measured ratio
+        oks = backend.eq_rows(_scaled_row(b_sum, Fraction(p) ** (q_sum - q_closed)), b_closed)
+        for d, (y0, ok) in enumerate(zip(unit_group(p, t).powers.tolist(), oks)):
             detail = "character sum vs measured-constant closed form"
             if not ok:
                 detail += ": charsum %s closedform %s" % (
-                    _scaled_json(b_sum.value), _scaled_json(b_closed.value))
+                    _scaled_json(ScaledScalar.of(b_sum[d], q_sum)),
+                    _scaled_json(ScaledScalar.of(b_closed[d], q_closed)))
             rows.add((n, 2, y0), "bessel n=%d closedform y0=%d" % (n, y0),
                      "pass" if ok else "fail", detail, p=p, n=n, t=t, y0=y0)
 

@@ -145,35 +145,28 @@ def _direct_profile(p: int, t: int, n: int):
     return s_exp, inv_dlog, x1_exp, by_dlog
 
 
-@lru_cache(maxsize=8)
-def _direct_row(p: int, t: int, n: int, k: int, backend: Backend):
-    """KL_{omega,n}(y; t) for every unit y = g^d, indexed by d, where omega has
-    exponent k at level t: the grid is counted once into one vector P_j of
-    exponents of z = zeta_N per inverse product v_j = g^j, and
-    KL(y) = sum_j zeta_{p^t}^{v_j y} P_j is the block shift of those unreduced
-    count vectors, reduced in one batch.  Only the last few rows are kept:
-    bessel_closedform reads one point of a row per call."""
-    m = phi(p, t)
-    N = math.lcm(p ** t, m)
-    s_exp, inv_dlog, x1_exp, by_dlog = _direct_profile(p, t, n)
-    P = np.bincount(inv_dlog * N + (s_exp + k * x1_exp) % N, minlength=m * N)
-    return _shifted_stack_sums(P.reshape(m, N), by_dlog, p ** t, backend, by_dlog)
-
-
 def kl_direct(
     query: KLQuery,
     backend: Backend = EXACT,
     term_budget: Optional[int] = DEFAULT_BUDGET,
 ):
-    """KL_{omega,n}(y; t) straight from the definition for every unit y mod p^t,
-    indexed by d = dlog y, a CycRow when exact and a tuple of complex in
-    floats: the whole unit grid counted once.  The budget is
-    checked before the memo of the last few rows is read."""
+    """KL_{omega,n}(y; t) straight from the definition for every unit y = g^d
+    mod p^t, indexed by d, a CycRow when exact and a tuple of complex in
+    floats.  The whole unit grid is counted once into one vector P_j of
+    exponents of z = zeta_N per inverse product v_j = g^j, and
+    KL(y) = sum_j zeta_{p^t}^{v_j y} P_j is the block shift of those
+    unreduced count vectors, reduced in one batch.  Every call counts its
+    grid afresh: a caller reads a row whole, at most twice per Bessel rank."""
     terms = direct_term_count(query)
     if term_budget is not None and terms > term_budget:
         raise BudgetError("direct sum has %d terms, budget is %d" % (terms, term_budget))
-    k = represent_at_level(query.omega, query.t).k
-    return _direct_row(query.p, query.t, query.n, k, backend)
+    p, t = query.p, query.t
+    k = represent_at_level(query.omega, t).k
+    s_exp, inv_dlog, x1_exp, by_dlog = _direct_profile(p, t, query.n)
+    m = len(by_dlog)
+    N = math.lcm(p ** t, m)
+    P = np.bincount(inv_dlog * N + (s_exp + k * x1_exp) % N, minlength=m * N)
+    return _shifted_stack_sums(P.reshape(m, N), by_dlog, p ** t, backend, by_dlog)
 
 
 # ---------------------------------------------------------------------------

@@ -686,8 +686,7 @@ class CertificateTable:
         # tau(mu) D(chi) = +-p^s zeta_M^e is the form of a conductor-2s Gauss sum
         tau = gauss_sum(mu_s)
         try:
-            exps = [_gauss_form(tau * d, p, 2 * s, M)
-                    for d in EXACT.root_combination_vec(L, counts)]
+            exps = [_gauss_form(tau * d, p, 2 * s, M) for d in _stack_values(L, counts)]
         except ArithmeticError as err:
             raise ArithmeticError("certificate value is not q^{a(mu)} times a root of unity for "
                                   "mu=%r; the modulus identities are broken" % (mu_s,)) from err

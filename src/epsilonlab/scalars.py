@@ -595,9 +595,19 @@ def _times_int(coords: np.ndarray, f: int) -> np.ndarray:
     if f == 1:
         return coords
     if coords.dtype == object or max(int(coords.max(initial=0)),
-                                     -int(coords.min(initial=0))) * f >= _INT64_GUARD:
+                                     -int(coords.min(initial=0))) * abs(f) >= _INT64_GUARD:
         coords = coords.astype(object)
     return coords * f
+
+
+def _scaled_row(row, r: Rational):
+    """r * row[i] for every i: a CycRow's stack times r's numerator over its
+    denominator times r's, a float row's entries times complex(r)."""
+    if isinstance(row, CycRow):
+        r = Fraction(r)
+        return CycRow(row.N, _times_int(row.coords, r.numerator), row.den * r.denominator)
+    c = complex(r)
+    return tuple(v * c for v in row)
 
 
 class CycRow:
@@ -659,24 +669,6 @@ def to_complex(x: Union[CycNumber, complex]) -> complex:
     if isinstance(x, CycNumber):
         return x.to_complex()
     return complex(x)
-
-
-def proportionality_ratio(a: CycNumber, b: CycNumber) -> Optional[Fraction]:
-    """r with a == r * b, if a and b are rationally proportional (b != 0)."""
-    if b.is_zero():
-        return None
-    if a.is_zero():
-        return Fraction(0)
-    N = _common_order(a.N, b.N)
-    (anum, aden) = a._lift_vec(N)
-    (bnum, bden) = b._lift_vec(N)
-    # a = r b with r = (anum[bi] / aden) / (bnum[bi] / bden) exactly when every
-    # coordinate satisfies anum[i] bnum[bi] = anum[bi] bnum[i]: the denominators cancel
-    bi = next(i for i, c in enumerate(bnum) if c)
-    x0, y0 = anum[bi], bnum[bi]
-    if not all(x * y0 == x0 * y for x, y in zip(anum, bnum)):
-        return None
-    return Fraction(x0 * bden, aden * y0)
 
 
 # ---------------------------------------------------------------------------
@@ -837,20 +829,13 @@ class Backend:
         e = (add % pt * (N // pt) + mul % m * (N // m)) % N
         return self.root_combination_vec(N, np.bincount(e, minlength=N))
 
-    def root_combination_vec(self, N: int, counts: np.ndarray):
+    def root_combination_vec(self, N: int, counts: np.ndarray) -> Scalar:
         """Same as root_combination for a dense length-N integer count vector.
-
-        A (K, N) stack of count vectors gives a list of K values, reduced in
-        one batched pass.
-        """
+        A stack of count vectors is reduced by _stack_values instead."""
         ctx = get_context(N)
         if not self.exact:
-            vals = np.dot(counts, ctx.roots_complex())
-            return complex(vals) if counts.ndim == 1 else [complex(v) for v in vals]
-        red = ctx.reduce_groupring(counts.astype(np.int64, copy=False)).tolist()
-        if counts.ndim == 1:
-            return _make(N, red, 1)
-        return [_make(N, r, 1) for r in red]
+            return complex(np.dot(counts, ctx.roots_complex()))
+        return _make(N, ctx.reduce_groupring(counts.astype(np.int64, copy=False)).tolist(), 1)
 
 
 EXACT = Backend("exact")

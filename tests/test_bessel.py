@@ -6,7 +6,6 @@ import pytest
 
 from epsilonlab import bessel, cli
 from epsilonlab.bessel import (
-    BesselValue,
     PrefactorReport,
     bessel_charsum,
     bessel_closedform,
@@ -20,6 +19,7 @@ from epsilonlab.characters import (
     enumerate_chars,
     trivial_char,
 )
+from epsilonlab.kloosterman import KLQuery, kl_direct
 from epsilonlab.local_factors import (
     Block,
     EpsMonomial,
@@ -34,6 +34,7 @@ from epsilonlab.scalars import (
     EXACT,
     FLOAT,
     CycContext,
+    CycRow,
     QExpMismatchError,
     ScaledScalar,
     root_of_unity,
@@ -53,6 +54,30 @@ def shell_point(p, y0, n, t):
 
 def shell_units(p, t):
     return [x for x in range(p ** t) if x % p]
+
+
+def on_shell(row_qexp, p, t):
+    """y0 -> row[d] q^qexp, y0 = g^d: a transform's row read as shell samples."""
+    row, qexp = row_qexp
+    return {y0: ScaledScalar.of(row[d], qexp)
+            for d, y0 in enumerate(unit_group(p, t).powers.tolist())}
+
+
+def charsum_at(pi, z, backend=EXACT):
+    return on_shell(bessel_charsum(pi, z, backend), pi.p, -z.val)
+
+
+def closedform_at(pi, z, report, backend=EXACT):
+    return on_shell(bessel_closedform(pi, z, report, backend), pi.p, -z.val)
+
+
+def kl_at(omega, n, a0, t):
+    """KL_{omega^{-1}, n-1}(a0; t), one unit at a time: kl_direct's row read at
+    dlog a0, and at n = 2 the one-dimensional sum w(a0) psi(a0 / p^t)."""
+    p = omega.p
+    if n == 2:
+        return omega.inv().eval(a0) * psi_eval(p, Fraction(a0, p ** t))
+    return kl_direct(KLQuery(omega.inv(), n - 1, t))[unit_group(p, t).dlog(a0)]
 
 
 # the representation zoo: (p, pi) with a(pi) = 2 unless noted
@@ -155,43 +180,24 @@ def test_gauss_integral_float_agrees():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("p,pi", PI_N2 + PI_N3 + PI_N4)
-def test_charsum_supported_on_single_shell(p, pi):
-    n, t = pi.dim, pi.conductor_exponent
-    z = zvec(p, t)
-    hits = 0
-    for vy in range(-n * t - 2, -n * t + 3):
-        b = bessel_charsum(pi, z, PadicNumber(p, Fraction(p) ** vy))
-        assert b.support_flag == (vy == -n * t)
-        if not b.support_flag:
-            assert b.value.is_zero_exact()
-        else:
-            hits += 1
-    assert hits == 1
-    assert not bessel_charsum(pi, z, PadicNumber(p, 0)).support_flag
-
-
 def test_charsum_not_identically_zero_on_shell():
     for p, pi in (PI_N2[0], PI_N3[0], PI_N4[0]):
-        n, t = pi.dim, pi.conductor_exponent
-        z = zvec(p, t)
-        vals = [bessel_charsum(pi, z, shell_point(p, y0, n, t)).value
-                for y0 in shell_units(p, t)]
-        assert any(not v.is_zero_exact() for v in vals)
+        t = pi.conductor_exponent
+        row, _qexp = bessel_charsum(pi, zvec(p, t))
+        assert len(row) == len(shell_units(p, t))
+        assert any(not v.is_zero() for v in row)
 
 
 def test_charsum_frozen_value():
     # n=3, p=3, t=2, omega trivial, y0=2: the collapsed form gives
     # q^2 * KL_2(-2; 9) = 9 * 3 (zeta9 + zeta9^8), about 54 cos(2pi/9)
     pi = steinberg(trivial_char(3), 3)
-    b = bessel_charsum(pi, zvec(3, 2), shell_point(3, 2, 3, 2))
+    values = charsum_at(pi, zvec(3, 2))
     want = ScaledScalar.of((root_of_unity(1, 9) + root_of_unity(8, 9)) * 3, 2)
-    assert b.support_flag
-    assert b.value.eq_value(want, 3, EXACT)
-    assert abs(b.value.to_complex(3) - 41.36639992842481) < 1e-9
+    assert values[2].eq_value(want, 3, EXACT)
+    assert abs(values[2].to_complex(3) - 41.36639992842481) < 1e-9
     # and y0=1 lands on a vanishing Kloosterman class
-    b0 = bessel_charsum(pi, zvec(3, 2), shell_point(3, 1, 3, 2))
-    assert b0.support_flag and b0.value.is_zero_exact()
+    assert values[1].is_zero_exact()
 
 
 def literal_profile(pi, t, backend):
@@ -248,12 +254,13 @@ ROW_CASES = [pytest.param(p, t, pi, id="lemma41-%d-%d-n%d" % (p, t, pi.dim))
 @pytest.mark.parametrize("p,t,pi", ROW_CASES)
 def test_charsum_row_is_the_per_character_loop(p, t, pi):
     z, n = zvec(p, t), pi.dim
+    exact, floats = charsum_at(pi, z), charsum_at(pi, z, FLOAT)
     for y0 in shell_units(p, t):
         y = shell_point(p, y0, n, t)
-        got = bessel_charsum(pi, z, y).value
+        got = exact[y0]
         want = loop_charsum(pi, z, y, EXACT)
         assert got == want and repr(got) == repr(want), (y0, got, want)
-        got = bessel_charsum(pi, z, y, backend=FLOAT).value
+        got = floats[y0]
         want = loop_charsum(pi, z, y, FLOAT)
         assert got.qexp == want.qexp
         assert abs(got.coeff - want.coeff) <= 1e-9 * max(1.0, abs(want.coeff)), y0
@@ -264,8 +271,7 @@ def test_charsum_object_rows_equal_the_int64_rows(monkeypatch):
     # last case's forms carry the g-flag ((n + 1) t odd), so g multiplies
     # the object stack too
     cases = [(st2(5, 2), 5, 2), (steinberg(trivial_char(3), 3), 3, 3), (st2(3), 3, 3)]
-    fast = {(pi, t): [bessel_charsum(pi, zvec(p, t), shell_point(p, y0, pi.dim, t)).value
-                      for y0 in shell_units(p, t)] for pi, p, t in cases}
+    fast = {(pi, t): list(bessel_charsum(pi, zvec(p, t))[0]) for pi, p, t in cases}
     monkeypatch.setattr(CycContext, "fits_int64", lambda self, max_abs: False)
     seen = []
     real = CycContext.reduce_groupring
@@ -280,8 +286,7 @@ def test_charsum_object_rows_equal_the_int64_rows(monkeypatch):
     bessel._charsum_row.cache_clear()
     try:
         for pi, p, t in cases:
-            slow = [bessel_charsum(pi, zvec(p, t), shell_point(p, y0, pi.dim, t)).value
-                    for y0 in shell_units(p, t)]
+            slow = list(bessel_charsum(pi, zvec(p, t))[0])
             assert slow == fast[pi, t]
             assert [repr(v) for v in slow] == [repr(v) for v in fast[pi, t]]
     finally:
@@ -382,8 +387,7 @@ def test_duality_lhs_is_the_literal_mellin_sum(p, t, pi, backend):
     # samples, for every character at level t and one of conductor t + 1
     n = pi.dim
     z = zvec(p, t)
-    values = {y0: bessel_charsum(pi, z, shell_point(p, y0, n, t), backend).value
-              for y0 in shell_units(p, t)}
+    values = charsum_at(pi, z, backend)
     assert len(values) == unit_group(p, t).order
     deeper = chars_with_conductor(p, t + 1)[0]
     for chi in list(enumerate_chars(p, t)) + [deeper]:
@@ -538,6 +542,7 @@ def test_prefactor_candidates_are_the_printed_exponents():
 
 def test_prefactor_report_json_schema():
     rep = measure_prefactor(PI_N3[0][1], zvec(3, 2))
+    assert isinstance(rep, PrefactorReport)
     js = rep.to_json()
     assert set(js) == {"n", "t", "p", "measured_exponent", "cofactor", "candidates", "matches"}
     assert set(js["matches"]) == set(js["candidates"]) == {"lemma41", "prop42", "cor13"}
@@ -548,19 +553,80 @@ def test_prefactor_report_json_schema():
     assert all(isinstance(v, bool) for v in js["matches"].values())
 
 
+# at p = 3, t = 2, n = 3 the shell y0 = 1, 2, 4, 8, 7, 5 (d = 0, ..., 5) has
+# vanishing Kloosterman classes at y0 = 1, 4, 7; the ratio is read at y0 = 2
+SPOILS = [
+    pytest.param(lambda c: c.__setitem__(0, c[1]), "does not vanish at y0=1 ",
+                 id="vanishing-class-made-nonzero"),
+    pytest.param(lambda c: c.__setitem__(1, 0), "ratio at y0=2 is not a nonzero rational",
+                 id="first-live-entry-zeroed"),
+    pytest.param(lambda c: c.__setitem__(3, 0), "ratio at y0=8 is not a nonzero rational",
+                 id="later-live-entry-zeroed"),
+    pytest.param(lambda c: c.__setitem__(5, 2 * c[5]),
+                 "not constant on the shell: 162 at y0=5, 81 at y0=2",
+                 id="entry-doubled"),
+]
+
+
+@pytest.mark.parametrize("spoil, message", SPOILS)
+def test_measure_prefactor_refuses_a_spoiled_charsum_row(monkeypatch, spoil, message):
+    # z0 = 1 and n odd: the shell unit is 1, so the row is read unshifted
+    pi, z = steinberg(trivial_char(3), 3), zvec(3, 2)
+    assert bessel._shell_unit(z, 3, 2) == 1
+    real = bessel._charsum_row
+    row, _qexp = real(pi, 2, EXACT)
+    assert [v.is_zero() for v in row] == [True, False] * 3
+    assert unit_group(3, 2).powers.tolist() == [1, 2, 4, 8, 7, 5]
+
+    def spoiled(*args):
+        row, qexp = real(*args)
+        coords = row.coords.copy()
+        spoil(coords)
+        return CycRow(row.N, coords, row.den), qexp
+
+    monkeypatch.setattr(bessel, "_charsum_row", spoiled)
+    with pytest.raises(ArithmeticError, match=message):
+        measure_prefactor(pi, z)
+
+
+def test_bessel_suite_reads_each_kloosterman_row_at_most_twice(monkeypatch):
+    # the prefactor and the closed form each read one whole kl_direct row per
+    # rank n >= 3, not one row per shell point
+    calls = []
+    real = bessel.kl_direct
+
+    def counted(query, *args, **kwargs):
+        calls.append(query.n + 1)
+        return real(query, *args, **kwargs)
+
+    monkeypatch.setattr(bessel, "kl_direct", counted)
+    assert cli.main(["bessel", "--p", "5", "--t-max", "2", "--n", "2", "3", "4"]) == 0
+    assert calls and all(calls.count(n) <= 2 for n in (2, 3, 4))
+    assert 2 not in calls  # n = 2 builds its one-dimensional row itself
+
+
+@pytest.mark.parametrize("p,t", [(3, 2), (3, 3), (5, 2), (7, 2)])
+def test_one_dimensional_kloosterman_row_is_the_per_unit_sum(p, t):
+    # the n = 2 closed form's row, one one-hot stack, against w(v) psi(v / p^t)
+    # one unit at a time, for every twist w at level t
+    for w in enumerate_chars(p, t):
+        exact, floats = bessel._kl1_row(w, t, EXACT), bessel._kl1_row(w, t, FLOAT)
+        for d, v in enumerate(unit_group(p, t).powers.tolist()):
+            want = w.eval(v) * psi_eval(p, Fraction(v, p ** t))
+            assert exact[d] == want, (w, v)
+            assert FLOAT.eq(floats[d], want.to_complex())
+
+
 @pytest.mark.parametrize("p,pi", [PI_N2[1], PI_N3[0], PI_N3[1], PI_N4[0]])
 def test_closedform_measured_equals_charsum_everywhere(p, pi):
-    n, t = pi.dim, pi.conductor_exponent
+    t = pi.conductor_exponent
     z = zvec(p, t)
     rep = measure_prefactor(pi, z)
+    sums, closed = charsum_at(pi, z), closedform_at(pi, z, rep)
     zeros = 0
     for y0 in shell_units(p, t):
-        y = shell_point(p, y0, n, t)
-        b1 = bessel_charsum(pi, z, y)
-        b2 = bessel_closedform(pi, z, y, report=rep)
-        assert b1.support_flag and b2.support_flag
-        assert b1.value.eq_value(b2.value, p, EXACT), y0
-        zeros += b1.value.is_zero_exact()
+        assert sums[y0].eq_value(closed[y0], p, EXACT), y0
+        zeros += sums[y0].is_zero_exact()
     # vanishing Kloosterman classes are part of the agreement, when present
     assert zeros < len(shell_units(p, t))
 
@@ -578,15 +644,14 @@ def test_printed_presets_do_not_reproduce_the_charsum(preset):
                                 bessel._candidate_exponents(n, t)[preset])
         measured = Fraction(t * (n - 1) * (n - 2), 2)
         mismatch = False
+        sums = charsum_at(pi, z)
         for y0 in shell_units(p, t):
-            y = shell_point(p, y0, n, t)
-            b1 = bessel_charsum(pi, z, y)
             a0 = (-1) ** n * y0 * pow(z.unit_mod(t), -1, p ** t) % p ** t
-            kl = bessel._kl_value(omega, n, a0, t, EXACT)
+            kl = kl_at(omega, n, a0, t)
             # the same construction with the measured constant is the closed form
-            assert b1.value.eq_value(ScaledScalar.of(kl, measured), p, EXACT)
-            if not b1.value.is_zero_exact():
-                mismatch = mismatch or not b1.value.eq_value(const * kl, p, EXACT)
+            assert sums[y0].eq_value(ScaledScalar.of(kl, measured), p, EXACT)
+            if not sums[y0].is_zero_exact():
+                mismatch = mismatch or not sums[y0].eq_value(const * kl, p, EXACT)
         assert mismatch, (preset, p, n)
 
 
@@ -596,22 +661,14 @@ def test_closedform_refuses_a_report_for_another_representation():
     z = zvec(3, 2)
     report = measure_prefactor(steinberg(trivial_char(3), 3), z)
     probe = steinberg(MultChar(3, 1, 1), 2)
-    y = shell_point(3, 2, 2, 2)  # y = 2/81
     with pytest.raises(ValueError, match="prefactor report is for"):
-        bessel_closedform(probe, z, y, report=report)
+        bessel_closedform(probe, z, report)
     matching = measure_prefactor(probe, z)
     for other in (replace(matching, p=5), replace(matching, t=3)):
         with pytest.raises(ValueError, match="prefactor report is for"):
-            bessel_closedform(probe, z, y, report=other)
-    got = bessel_closedform(probe, z, y, report=matching)
-    assert got.value.eq_value(bessel_charsum(probe, z, y).value, 3, EXACT)
-
-
-def test_closedform_off_shell_is_zero_flagged():
-    p, pi = PI_N3[0]
-    z = zvec(p, pi.conductor_exponent)
-    b = bessel_closedform(pi, z, PadicNumber(p, 1), report=measure_prefactor(pi, z))
-    assert not b.support_flag and b.value.is_zero_exact()
+            bessel_closedform(probe, z, other)
+    got, want = closedform_at(probe, z, matching), charsum_at(probe, z)
+    assert all(got[y0].eq_value(want[y0], 3, EXACT) for y0 in shell_units(3, 2))
 
 
 def test_spec_instance_n3_trivial_central_character():
@@ -621,10 +678,9 @@ def test_spec_instance_n3_trivial_central_character():
     z = zvec(3, 2)
     rep = measure_prefactor(pi, z)
     assert rep.measured_exponent == 2 and rep.cofactor == 1
+    got, want = closedform_at(pi, z, rep), charsum_at(pi, z)
     for y0 in shell_units(3, 2):
-        y = shell_point(3, y0, 3, 2)
-        assert bessel_closedform(pi, z, y, report=rep).value.eq_value(
-            bessel_charsum(pi, z, y).value, 3, EXACT)
+        assert got[y0].eq_value(want[y0], 3, EXACT)
 
 
 # ---------------------------------------------------------------------------
@@ -645,12 +701,11 @@ def test_equal_central_character_pairs_have_equal_transforms():
         level = max(om1.level, om2.level)
         assert om1.induce(level).k == om2.induce(level).k
         assert pi1.conductor_exponent == pi2.conductor_exponent
-        n, t = pi1.dim, pi1.conductor_exponent
+        t = pi1.conductor_exponent
         z = zvec(p, t)
+        b1, b2 = charsum_at(pi1, z), charsum_at(pi2, z)
         for y0 in shell_units(p, t):
-            y = shell_point(p, y0, n, t)
-            b1, b2 = bessel_charsum(pi1, z, y), bessel_charsum(pi2, z, y)
-            assert b1.value.eq_value(b2.value, p, EXACT), y0
+            assert b1[y0].eq_value(b2[y0], p, EXACT), y0
 
 
 # ---------------------------------------------------------------------------
@@ -660,15 +715,13 @@ def test_equal_central_character_pairs_have_equal_transforms():
 
 def test_charsum_and_closedform_float_agree_with_exact():
     p, pi = PI_N3[0]
-    n, t = pi.dim, pi.conductor_exponent
+    t = pi.conductor_exponent
     z = zvec(p, t)
     rep = measure_prefactor(pi, z)
-    for y0 in shell_units(p, t):
-        y = shell_point(p, y0, n, t)
-        for build in (lambda b: bessel_charsum(pi, z, y, backend=b),
-                      lambda b: bessel_closedform(pi, z, y, report=rep, backend=b)):
-            ve = build(EXACT).value.to_complex(p)
-            vf = build(FLOAT).value.to_complex(p)
+    for build in (lambda b: charsum_at(pi, z, b), lambda b: closedform_at(pi, z, rep, b)):
+        exact, floats = build(EXACT), build(FLOAT)
+        for y0 in shell_units(p, t):
+            ve, vf = exact[y0].to_complex(p), floats[y0].to_complex(p)
             assert abs(ve - vf) <= 1e-9 * max(1.0, abs(ve))
 
 
@@ -679,47 +732,36 @@ def test_charsum_and_closedform_float_agree_with_exact():
 
 def test_rejects_everything_outside_the_regime():
     z_ok = zvec(3, 2)
-    y = PadicNumber(3, 1)
     pi_ok = steinberg(trivial_char(3), 3)
     with pytest.raises(ValueError, match="dimension >= 2"):
-        bessel_charsum(RepnData.of(Block(MultChar(3, 2, 1))), zvec(3, 2), y)
+        bessel_charsum(RepnData.of(Block(MultChar(3, 2, 1))), zvec(3, 2))
     with pytest.raises(ValueError, match="exceed 1"):
-        bessel_charsum(steinberg(trivial_char(3), 2), z_ok, y)  # a(pi) = 1
+        bessel_charsum(steinberg(trivial_char(3), 2), z_ok)  # a(pi) = 1
     with pytest.raises(ValueError, match="strictly below"):
         # principal series tau x trivial: a(omega) = a(tau) = a(pi)
-        bessel_charsum(RepnData.of(Block(MultChar(3, 2, 1)), Block(trivial_char(3))), z_ok, y)
+        bessel_charsum(RepnData.of(Block(MultChar(3, 2, 1)), Block(trivial_char(3))), z_ok)
     with pytest.raises(ValueError, match="nonzero"):
-        bessel_charsum(pi_ok, PadicNumber(3, 0), y)
+        bessel_charsum(pi_ok, PadicNumber(3, 0))
     with pytest.raises(ValueError, match="deep enough"):
-        bessel_charsum(pi_ok, zvec(3, 1), y)
+        bessel_charsum(pi_ok, zvec(3, 1))
     with pytest.raises(ValueError, match="mixed primes"):
-        bessel_charsum(pi_ok, zvec(5, 2), y)
-    with pytest.raises(ValueError, match="mixed primes"):
-        bessel_charsum(pi_ok, z_ok, PadicNumber(5, 1))
+        bessel_charsum(pi_ok, zvec(5, 2))
     with pytest.raises(ValueError, match="mixed primes"):
         duality_check(pi_ok, z_ok, MultChar(5, 1, 1))
     with pytest.raises(ValueError, match="mixed primes"):
         gauss_integral(MultChar(5, 1, 1), z_ok)
     # the same gate guards the other entry points
     with pytest.raises(ValueError, match="deep enough"):
-        bessel_closedform(pi_ok, zvec(3, 1), y, report=measure_prefactor(pi_ok, z_ok))
+        bessel_closedform(pi_ok, zvec(3, 1), measure_prefactor(pi_ok, z_ok))
     with pytest.raises(ValueError, match="deep enough"):
         measure_prefactor(pi_ok, zvec(3, 1))
-
-
-def test_bessel_value_and_report_are_plain_records():
-    b = BesselValue(PadicNumber(3, 1), ScaledScalar.of(0), False)
-    assert not b.support_flag
-    rep = measure_prefactor(PI_N3[0][1], zvec(3, 2))
-    assert isinstance(rep, PrefactorReport)
-    assert rep.candidates.keys() == rep.matches.keys()
 
 
 def test_each_public_entry_validates_once(monkeypatch):
     # the private code behind an entry reuses the checked (n, t, omega)
     p, pi = PI_N3[0]
-    n, t = pi.dim, pi.conductor_exponent
-    z, y = zvec(p, t), shell_point(p, 2, n, t)
+    t = pi.conductor_exponent
+    z = zvec(p, t)
     chi = chars_with_conductor(p, t)[0]
     real, calls = bessel._standing_assumptions, []
 
@@ -730,8 +772,8 @@ def test_each_public_entry_validates_once(monkeypatch):
     monkeypatch.setattr(bessel, "_standing_assumptions", counted)
     rep = measure_prefactor(pi, z)
     for entry in (lambda: measure_prefactor(pi, z),
-                  lambda: bessel_charsum(pi, z, y),
-                  lambda: bessel_closedform(pi, z, y, report=rep),
+                  lambda: bessel_charsum(pi, z),
+                  lambda: bessel_closedform(pi, z, rep),
                   lambda: duality_check(pi, z, chi)):
         calls.clear()
         entry()

@@ -828,6 +828,14 @@ PINNED_REPORTS = [
                  "1727d36fe8c71aa7e682ff6f0a249035bda1c0e49a7dac5fd857d8e4f4d1350a",
                  "6b948637845fedc8ed49f417a4ce3f7f4fc4fa48fcd9a716a8d5274b163ea754",
                  id="bessel-p5-t3"),
+    # odd t with the n = 4 probe in floats, recorded before the Bessel
+    # transforms returned whole-shell rows: the float closed form at n = 2
+    # and its cofactor scale on the rows
+    pytest.param(["bessel", "--p", "3", "--t-max", "3", "--n", "2", "3", "4",
+                  "--backend", "float"],
+                 "463c1f78eb55145e232361baddc3117c9baaf065124ed1755a6251f629f2d54d",
+                 "857df362651df324fba8edeb25c8c1cd943bef688b33313a2936a09d97531a46",
+                 id="bessel-p3-t3-float"),
 ]
 
 

@@ -120,7 +120,7 @@ def test_allowlists_name_what_each_pair_shares():
 def test_the_walk_follows_names_aliases_and_self():
     defs, aliases = _lab()
     kl = _reached(["kl_direct"], defs, aliases)
-    assert {"_direct_row", "_direct_profile", "KLQuery.__post_init__"} <= set(kl)
+    assert {"_direct_profile", "_shifted_stack_sums", "KLQuery.__post_init__"} <= set(kl)
     dft = _reached(["kl_via_dft"], defs, aliases)
     assert {"_form_row", "_power_row", "_shifted_products", "shifted_root_sums"} <= set(dft)
     assert "represent_at_level" in kl  # imported under its own name

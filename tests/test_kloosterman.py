@@ -105,19 +105,14 @@ def test_term_budget():
     assert unit_group(q.p, q.t).order == 42  # post-table cost is linear, not cubic
 
 
-def test_term_budget_boundary_and_the_row_memo():
+def test_term_budget_boundary():
     q = KLQuery(MultChar(5, 2, 3), 3, 2)
     terms = direct_term_count(q)
     assert terms == 20 ** 2
     value = kl_direct(q, term_budget=terms)  # the budget is inclusive
-    hits = kloosterman._direct_row.cache_info().hits
     with pytest.raises(BudgetError, match="^direct sum has 400 terms, budget is 399$"):
-        kl_direct(q, term_budget=terms - 1)  # refused although its row is memoised
-    assert kloosterman._direct_row.cache_info().hits == hits
+        kl_direct(q, term_budget=terms - 1)
     assert kl_direct(q, term_budget=None) == value
-    assert kloosterman._direct_row.cache_info().hits == hits + 1
-    maxsize = kloosterman._direct_row.cache_info().maxsize
-    assert maxsize is not None and maxsize <= 16  # a few rows, not every row of a sweep
 
 
 # sha256 of the case rows of the kloosterman suite at p = 5, t <= 2, n in {2, 3}
@@ -206,7 +201,6 @@ def test_direct_row_is_the_per_y_grid(p, t, ns):
 
 @pytest.mark.parametrize("p,t,n", [(5, 2, 3), (3, 3, 2), (7, 1, 4)])
 def test_float_direct_row_is_the_per_y_grid(p, t, n, monkeypatch):
-    kloosterman._direct_row.cache_clear()  # every float row below is computed here
     built = []
     real_init = CycNumber.__init__
     monkeypatch.setattr(CycNumber, "__init__",

@@ -706,14 +706,13 @@ def test_certificate_cells_on_any_rows(monkeypatch, p, n_max, a_max, skew):
 def _distinct_rows(monkeypatch):
     """Record the count matrix of every certificate column reduction."""
     seen = []
-    real = scalars.Backend.root_combination_vec
+    real = local_factors._stack_values
 
-    def spy(self, N, counts):
-        if counts.ndim == 2:
-            seen.append((N, counts))
-        return real(self, N, counts)
+    def spy(N, counts, den=1):
+        seen.append((N, counts))
+        return real(N, counts, den)
 
-    monkeypatch.setattr(scalars.Backend, "root_combination_vec", spy)
+    monkeypatch.setattr(local_factors, "_stack_values", spy)
     return seen
 
 

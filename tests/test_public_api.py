@@ -31,6 +31,7 @@ ALLOWED = {
     "Backend.root_combination": "traced by perfbench; oracle for Backend.root_sum",
     "CertificateTable.fallback_count": "read by perfbench: the distinct certificate rows "
                                        "whose reduction the int64 guard sent to object dtype",
+    "psi_eval": "traced by perfbench; the additive character the tests' literal sums read",
 }
 
 

@@ -24,7 +24,6 @@ from epsilonlab.scalars import (
     TableBudgetError,
     cyclotomic_poly,
     get_context,
-    proportionality_ratio,
     root_of_unity,
 )
 
@@ -461,6 +460,25 @@ def test_row_comparison_scales_past_the_guard_exactly(over):
     assert EXACT.eq_rows(a, b) == [True, False]
 
 
+@pytest.mark.parametrize("over", [False, True])
+def test_scaled_row_is_the_entries_times_a_rational(over):
+    # a negative numerator guards on its size: -5X leaves int64 exactly when
+    # 5X reaches the guard, as a positive one does
+    N = 12
+    R = _groupring_rows(N)
+    row = scalars._stack_values(N, R, 4)
+    r = Fraction(-5, 3)
+    scaled = scalars._scaled_row(row, r)
+    assert [repr(v) for v in scaled] == [repr(v * r) for v in row]
+    X = (2 ** 62 - 1) // 5 + over
+    big = scalars._scaled_row(CycRow(1, np.array([[X]], dtype=np.int64), 1), r)
+    assert big.coords.dtype == (object if over else np.int64)
+    assert big[0] == CycNumber.rational(X * r)
+    floats = tuple(complex(v.to_complex()) for v in row)
+    for got, want in zip(scalars._scaled_row(floats, r), row):
+        assert FLOAT.eq(got, (want * r).to_complex())
+
+
 def test_rows_of_different_fields_do_not_compare():
     R = _groupring_rows(12)
     small = scalars._stack_values(12, R, 1)
@@ -538,7 +556,7 @@ def test_lifting_preserves_eq_and_hash(N, k, coeffs, den):
 
 
 # ---------------------------------------------------------------------------
-# recognition / proportionality
+# recognition
 # ---------------------------------------------------------------------------
 
 
@@ -637,27 +655,6 @@ def test_recognition_rejects_non_monomials():
     assert big.as_root_times_rational() is None
     for x in (two, one, big, _tau5()):
         assert _table_recognition(x) is None
-
-
-def test_proportionality_ratio():
-    tau = _tau5()
-    assert proportionality_ratio(tau * Fraction(7, 3), tau) == Fraction(7, 3)
-    assert proportionality_ratio(CycNumber.zero(), tau) == 0
-    assert proportionality_ratio(tau, root_of_unity(1, 5)) is None
-    assert proportionality_ratio(tau, CycNumber.zero()) is None
-
-
-def test_proportionality_ratio_by_integer_coordinates():
-    b = from_vec(5, np.array([1, 2, 0, 3]), 4)
-    # proportional, over denominators 6 and 4, with a negative ratio
-    a = from_vec(5, np.array([-5, -10, 0, -15]), 6)
-    assert a.den != b.den
-    assert proportionality_ratio(a, b) == Fraction(-10, 3)
-    assert a == b * Fraction(-10, 3)
-    # 2b except for one coordinate that is off by 1
-    assert proportionality_ratio(from_vec(5, np.array([2, 4, 0, 7]), 4), b) is None
-    # a vanishes at b's first nonzero coordinate
-    assert proportionality_ratio(from_vec(5, np.array([0, 2, 0, 3]), 4), b) is None
 
 
 def test_negative_power_of_monomial():
@@ -763,17 +760,19 @@ def test_root_combination(backend):
 @pytest.mark.parametrize("backend", [EXACT, FLOAT], ids=["exact", "float"])
 @pytest.mark.parametrize("N", [12, 100, 294])
 def test_root_combination_vec_reduces_a_stack_row_by_row(backend, N):
+    # each row of a stack is root_combination's value, and exactly the stack's
+    # one batched reduction (_stack_values) gives the same canonical values
     rng = np.random.default_rng(N)
     counts = rng.integers(0, 9, (5, N))
     counts[2] = 0
-    got = backend.root_combination_vec(N, counts)
-    assert len(got) == 5
+    got = [backend.root_combination_vec(N, row) for row in counts]
     for row, value in zip(counts, got):
         assert backend.eq(value, backend.root_combination(N, dict(enumerate(row.tolist()))))
-        single = backend.root_combination_vec(N, row)
-        assert backend.eq(value, single)
-        if backend.exact:
-            assert repr(value) == repr(single)
+    assert backend.is_zero(got[2])
+    if backend.exact:
+        stacked = scalars._stack_values(N, counts)
+        assert len(stacked) == 5
+        assert [repr(v) for v in stacked] == [repr(v) for v in got]
 
 
 def test_backend_agreement_on_random_sums():
